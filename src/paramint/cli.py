@@ -24,25 +24,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import __version__, catalog
-from .engine import ParameterDomainError, eval_direct, reconstruct
-from .quadrature import QuadratureError
+# eval_direct and reconstruct are not called here; they stay importable from
+# this module because perfbench/spans.py traces them under these names
+from .engine import ParametricIntegral, eval_direct, reconstruct, verify  # noqa: F401
 
 __all__ = ["run", "main"]
-
-_DEFAULT_TOL_DIRECT = 1e-7
-_DEFAULT_TOL_RECON = 1e-6
-_LOOSE_TOL_DIRECT = 1e-5
-# grid points where the integrand is endpoint-singular or purely
-# oscillatory, so the direct comparison gets the looser default
-_LOOSE_POINTS = {
-    ("ex2", 1.0),
-    ("ex3_alpha", 0.0),
-    ("ex4", 0.99),
-    ("ex4", 1.0),
-}
 
 
 class _UsageError(Exception):
@@ -130,70 +120,43 @@ def _emit_text_results(envelope: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# result-row construction
+# result rows, all built by engine.verify
 # ---------------------------------------------------------------------------
 
-def _tol_direct_for(entry_id: str, alpha: float, override: Optional[float]) -> float:
-    if override is not None:
-        return override
-    if (entry_id, alpha) in _LOOSE_POINTS:
-        return _LOOSE_TOL_DIRECT
-    return _DEFAULT_TOL_DIRECT
+def _rows(
+    entry_id: str, P: ParametricIntegral, alphas: list[float], ns
+) -> list[dict]:
+    """Verify ``P`` at ``alphas`` and map each point onto a report row.
+
+    Tolerances the user left unset are not passed, so engine.verify's
+    defaults apply.  A point whose direct value or (on an anchored problem)
+    reconstruction failed aborts the command as a numeric failure.
+    """
+    tols = {}
+    if ns.tol_direct is not None:
+        tols["tol_direct"] = ns.tol_direct
+    if getattr(ns, "tol_recon", None) is not None:
+        tols["tol_reconstruct"] = ns.tol_recon
+    rows = []
+    for p in verify(P, alphas, **tols).points:
+        if math.isnan(p.direct) or (P.anchor is not None and p.reconstructed is None):
+            raise _NumericFailure(f"entry {entry_id!r} at alpha={p.alpha!r}: {p.note}")
+        rows.append({
+            "alpha": p.alpha,
+            "direct": p.direct,
+            "direct_err_est": p.direct_err_est,
+            "reconstructed": p.reconstructed,
+            "closed_form": p.closed_form,
+            "disc_direct_closed": p.disc_direct_closed,
+            "disc_recon_direct": p.disc_recon_direct,
+            "pass": p.passed,
+        })
+    return rows
 
 
-def _closed_or_none(entry: catalog.CatalogEntry, alpha: float) -> Optional[float]:
-    P = entry.parametric
-    if P.solution_closed is None or not P.param_domain.contains(alpha):
-        return None
-    return P.solution_closed(alpha)
-
-
-def _result_row(
-    entry: catalog.CatalogEntry,
-    alpha: float,
-    tol_direct: Optional[float],
-    tol_recon: Optional[float],
-    with_recon: bool,
-) -> dict:
-    P = entry.parametric
-    try:
-        res = eval_direct(P, alpha)
-    except (ParameterDomainError, QuadratureError, ValueError) as exc:
-        raise _NumericFailure(
-            f"entry {entry.id!r}: direct evaluation failed at alpha={alpha!r}: "
-            f"{exc} [{type(exc).__name__}]"
-        ) from exc
-
-    recon = None
-    if with_recon:
-        try:
-            recon = reconstruct(P, alpha).value
-        except (ParameterDomainError, QuadratureError, ValueError) as exc:
-            raise _NumericFailure(
-                f"entry {entry.id!r}: reconstruction failed at alpha={alpha!r}: "
-                f"{exc} [{type(exc).__name__}]"
-            ) from exc
-
-    closed = _closed_or_none(entry, alpha)
-    disc_dc = abs(res.value - closed) if closed is not None else None
-    disc_rd = abs(recon - res.value) if recon is not None else None
-
-    passed = True
-    if disc_dc is not None:
-        passed = disc_dc <= _tol_direct_for(entry.id, alpha, tol_direct)
-    if disc_rd is not None and passed:
-        passed = disc_rd <= (tol_recon if tol_recon is not None else _DEFAULT_TOL_RECON)
-
-    return {
-        "alpha": alpha,
-        "direct": res.value,
-        "direct_err_est": res.abs_err_est,
-        "reconstructed": recon,
-        "closed_form": closed,
-        "disc_direct_closed": disc_dc,
-        "disc_recon_direct": disc_rd,
-        "pass": passed,
-    }
+def _direct_only(entry: catalog.CatalogEntry) -> ParametricIntegral:
+    """The entry's problem without its anchor, so verify() does not reconstruct."""
+    return replace(entry.parametric, anchor=None, rhs_singular_at_anchor=False)
 
 
 def _envelope(entry_id: str, inputs: dict, results: list[dict]) -> dict:
@@ -201,9 +164,20 @@ def _envelope(entry_id: str, inputs: dict, results: list[dict]) -> dict:
         "tool_version": __version__,
         "entry_id": entry_id,
         "inputs": inputs,
-        "results": sorted(results, key=lambda r: r["alpha"]),
+        "results": results,
         "overall_pass": all(r["pass"] for r in results),
     }
+
+
+def _report(envelope: dict, fmt: str) -> tuple[str, int]:
+    """Render one entry's envelope; exit code 1 if any row failed."""
+    if fmt == "json":
+        text = _emit_json(envelope)
+    elif fmt == "csv":
+        text = _emit_csv(envelope["results"])
+    else:
+        text = _emit_text_results(envelope)
+    return text, 0 if envelope["overall_pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +214,14 @@ def _cmd_eval(ns) -> tuple[str, int]:
     if ns.alpha is None:
         raise _UsageError("eval requires --alpha")
     entry = catalog.get(ns.id)
-    row = _result_row(entry, ns.alpha, ns.tol_direct, None, with_recon=False)
+    rows = _rows(entry.id, _direct_only(entry), [ns.alpha], ns)
     inputs = {
         "command": "eval",
         "id": entry.id,
         "alpha": ns.alpha,
         "tol_direct": ns.tol_direct,
     }
-    env = _envelope(entry.id, inputs, [row])
-    code = 0 if env["overall_pass"] else 1
-    return _render(env, ns.format), code
+    return _report(_envelope(entry.id, inputs, rows), ns.format)
 
 
 def _cmd_sweep(ns) -> tuple[str, int]:
@@ -262,9 +234,7 @@ def _cmd_sweep(ns) -> tuple[str, int]:
     entry = catalog.get(ns.id)
     span = ns.to - ns.from_
     alphas = [ns.from_ + span * i / (ns.steps - 1) for i in range(ns.steps)]
-    rows = [
-        _result_row(entry, a, ns.tol_direct, None, with_recon=False) for a in alphas
-    ]
+    rows = _rows(entry.id, _direct_only(entry), alphas, ns)
     inputs = {
         "command": "sweep",
         "id": entry.id,
@@ -273,9 +243,7 @@ def _cmd_sweep(ns) -> tuple[str, int]:
         "steps": ns.steps,
         "tol_direct": ns.tol_direct,
     }
-    env = _envelope(entry.id, inputs, rows)
-    code = 0 if env["overall_pass"] else 1
-    return _render(env, ns.format), code
+    return _report(_envelope(entry.id, inputs, rows), ns.format)
 
 
 def _cmd_reconstruct(ns) -> tuple[str, int]:
@@ -286,7 +254,7 @@ def _cmd_reconstruct(ns) -> tuple[str, int]:
         raise _UsageError(
             f"entry {entry.id!r} has no anchor; reconstruction is undefined for it"
         )
-    row = _result_row(entry, ns.alpha, ns.tol_direct, ns.tol_recon, with_recon=True)
+    rows = _rows(entry.id, entry.parametric, [ns.alpha], ns)
     inputs = {
         "command": "reconstruct",
         "id": entry.id,
@@ -294,17 +262,11 @@ def _cmd_reconstruct(ns) -> tuple[str, int]:
         "tol_direct": ns.tol_direct,
         "tol_recon": ns.tol_recon,
     }
-    env = _envelope(entry.id, inputs, [row])
-    code = 0 if env["overall_pass"] else 1
-    return _render(env, ns.format), code
+    return _report(_envelope(entry.id, inputs, rows), ns.format)
 
 
 def _verify_entry(entry: catalog.CatalogEntry, ns) -> dict:
-    with_recon = entry.parametric.anchor is not None
-    rows = [
-        _result_row(entry, a, ns.tol_direct, ns.tol_recon, with_recon=with_recon)
-        for a in sorted(entry.verification_grid)
-    ]
+    rows = _rows(entry.id, entry.parametric, sorted(entry.verification_grid), ns)
     inputs = {
         "command": "verify",
         "id": entry.id,
@@ -315,41 +277,29 @@ def _verify_entry(entry: catalog.CatalogEntry, ns) -> dict:
 
 
 def _cmd_verify(ns) -> tuple[str, int]:
-    if ns.id == "all":
-        envs = [_verify_entry(e, ns) for e in catalog.entries()]
-        overall = all(e["overall_pass"] for e in envs)
-        if ns.format == "json":
-            doc = {
-                "tool_version": __version__,
-                "command": "verify",
-                "inputs": {
-                    "id": "all",
-                    "tol_direct": ns.tol_direct,
-                    "tol_recon": ns.tol_recon,
-                },
-                "reports": envs,
-                "overall_pass": overall,
-            }
-            text = _emit_json(doc)
-        elif ns.format == "csv":
-            raise _UsageError(
-                "csv format covers a single entry; run verify per id or use json"
-            )
-        else:
-            text = "\n\n".join(_emit_text_results(e) for e in envs)
-            text += f"\n\noverall: {'pass' if overall else 'FAIL'}"
-        return text, 0 if overall else 1
-    entry = catalog.get(ns.id)
-    env = _verify_entry(entry, ns)
-    return _render(env, ns.format), 0 if env["overall_pass"] else 1
-
-
-def _render(envelope: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _emit_json(envelope)
-    if fmt == "csv":
-        return _emit_csv(envelope["results"])
-    return _emit_text_results(envelope)
+    if ns.id != "all":
+        return _report(_verify_entry(catalog.get(ns.id), ns), ns.format)
+    if ns.format == "csv":
+        raise _UsageError("csv format covers a single entry; run verify per id or use json")
+    envs = [_verify_entry(e, ns) for e in catalog.entries()]
+    overall = all(e["overall_pass"] for e in envs)
+    if ns.format == "json":
+        doc = {
+            "tool_version": __version__,
+            "command": "verify",
+            "inputs": {
+                "id": "all",
+                "tol_direct": ns.tol_direct,
+                "tol_recon": ns.tol_recon,
+            },
+            "reports": envs,
+            "overall_pass": overall,
+        }
+        text = _emit_json(doc)
+    else:
+        text = "\n\n".join(_emit_text_results(e) for e in envs)
+        text += f"\n\noverall: {'pass' if overall else 'FAIL'}"
+    return text, 0 if overall else 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=hlp)
         p.add_argument("id", help="catalog entry id")
-        p.add_argument("--alpha", type=float, default=None)
         if name == "sweep":
             p.add_argument("--from", dest="from_", type=float, default=None)
             p.add_argument("--to", type=float, default=None)
             p.add_argument("--steps", type=int, default=None)
+        else:
+            p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--tol-direct", dest="tol_direct", type=float, default=None)
         if name == "reconstruct":
             p.add_argument("--tol-recon", dest="tol_recon", type=float, default=None)
@@ -427,9 +378,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except _NumericFailure as exc:
         print(f"pil: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except (ParameterDomainError, QuadratureError) as exc:
-        print(f"pil: numeric failure: {exc} [{type(exc).__name__}]", file=sys.stderr)
         return 3
 
     out = getattr(ns, "out", None)

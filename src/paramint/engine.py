@@ -38,6 +38,8 @@ from .quadrature import (
     QuadResult,
     QuadStatus,
     QuadratureError,
+    _log_slope_ladder,
+    _TAIL_PROBE_FACTORS,
     integrate,
 )
 
@@ -408,28 +410,37 @@ def _probe_endpoint_growth(
     width: float,
 ) -> None:
     """Raise if the envelope grows non-integrably toward a finite endpoint."""
-    direction = 1.0 if into > endpoint else -1.0
-    vals = []
-    for j in range(8, 40, 4):
-        d = width * 2.0 ** (-j)
-        x = endpoint + direction * d
-        if x == endpoint:
-            break
-        vals.append((d, _envelope_at(pa_rules, x)))
-    slopes = [
-        (math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1))
-        for (d1, v1), (d2, v2) in zip(vals, vals[1:])
-        if v1 > 0.0 and v2 > 0.0
-    ]
-    if slopes and median(slopes) <= -0.999:
+    _, slope = _log_slope_ladder(
+        lambda x: _envelope_at(pa_rules, x), endpoint, into, width, 8
+    )
+    if slope is not None and slope <= -0.999:
         raise DegenerateWindowError(
             f"envelope grows non-integrably toward x={endpoint!r} "
-            f"(local exponent {median(slopes):.3f}); the window touches a "
+            f"(local exponent {slope:.3f}); the window touches a "
             "singular parameter value"
         )
 
 
-_TAIL_FACTORS = (1.0, 1.37, 1.73)
+def _size_tail(
+    tail_env: list[float], base: float, finite_part: float, sides: float
+) -> tuple[float, DominationVerdict]:
+    """Envelope-integral estimate and verdict from the octave tail samples."""
+    if all(v == 0.0 for v in tail_env):
+        return finite_part, DominationVerdict.DOMINATED
+    slopes = [
+        math.log2(hi_v / lo_v) if lo_v > 0.0 and hi_v > 0.0 else -math.inf
+        for lo_v, hi_v in zip(tail_env, tail_env[1:])
+        if lo_v > 0.0
+    ]
+    if not slopes:
+        return math.nan, DominationVerdict.INCONCLUSIVE
+    s = median(slopes[-6:])
+    if s <= -1.05:
+        tail = 0.0 if math.isinf(s) else base * tail_env[0] / (-s - 1.0)
+        return finite_part + sides * tail, DominationVerdict.DOMINATED
+    if s >= -0.95:
+        return math.inf, DominationVerdict.SUSPECT_DIVERGENT
+    return math.nan, DominationVerdict.INCONCLUSIVE
 
 
 def domination_scan(
@@ -491,86 +502,46 @@ def domination_scan(
         _probe_endpoint_growth(pa_rules, a, b, width)
         _probe_endpoint_growth(pa_rules, b, a, width)
         estimate = step * math.fsum(m for _, m in samples)
-        return DominationReport(
-            alpha_window=(lo_a, hi_a),
-            envelope_samples=tuple(samples),
-            envelope_integral_estimate=estimate,
-            verdict=DominationVerdict.DOMINATED,
+        verdict = DominationVerdict.DOMINATED
+    else:
+        # infinite upper endpoint: finite part + octave tail
+        a = dom.lower
+        if lo_inf:
+            # fully doubly-infinite: treat [-span/2, span/2] as the finite part
+            a = -0.5 * spec.span
+        x0 = a + spec.span
+        step = spec.span / spec.n_points
+        for i in range(spec.n_points):
+            x = a + (i + 0.5) * step
+            samples.append((x, _envelope_at(pa_rules, x)))
+        if dom.lower_kind is EndpointKind.INTEGRABLE_SINGULARITY:
+            _probe_endpoint_growth(pa_rules, a, x0, spec.span)
+        finite_part = step * math.fsum(m for _, m in samples)
+
+        base = max(x0, 1.0)
+        tail_env: list[float] = []
+        for k in range(spec.tail_octaves):
+            xk = base * 2.0 ** k
+            best = 0.0
+            for fac in _TAIL_PROBE_FACTORS:
+                x = xk * fac
+                m = _envelope_at(pa_rules, x)
+                samples.append((x, m))
+                if lo_inf:
+                    m_left = _envelope_at(pa_rules, -x)
+                    samples.append((-x, m_left))
+                    m = max(m, m_left)
+                best = max(best, m)
+            tail_env.append(best)
+        estimate, verdict = _size_tail(
+            tail_env, base, finite_part, 2.0 if lo_inf else 1.0
         )
 
-    # infinite upper endpoint: finite part + octave tail
-    a = dom.lower
-    if lo_inf:
-        # fully doubly-infinite: treat [-span/2, span/2] as the finite part
-        a = -0.5 * spec.span
-    x0 = a + spec.span
-    step = spec.span / spec.n_points
-    for i in range(spec.n_points):
-        x = a + (i + 0.5) * step
-        samples.append((x, _envelope_at(pa_rules, x)))
-    if dom.lower_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-        _probe_endpoint_growth(pa_rules, a, x0, spec.span)
-    finite_part = step * math.fsum(m for _, m in samples)
-
-    base = max(x0, 1.0)
-    tail_env: list[float] = []
-    for k in range(spec.tail_octaves):
-        xk = base * 2.0 ** k
-        best = 0.0
-        for fac in _TAIL_FACTORS:
-            x = xk * fac
-            m = _envelope_at(pa_rules, x)
-            samples.append((x, m))
-            if lo_inf:
-                m_left = _envelope_at(pa_rules, -x)
-                samples.append((-x, m_left))
-                m = max(m, m_left)
-            best = max(best, m)
-        tail_env.append(best)
-
-    if all(v == 0.0 for v in tail_env):
-        return DominationReport(
-            alpha_window=(lo_a, hi_a),
-            envelope_samples=tuple(samples),
-            envelope_integral_estimate=finite_part,
-            verdict=DominationVerdict.DOMINATED,
-        )
-
-    slopes = [
-        math.log2(hi_v / lo_v) if lo_v > 0.0 and hi_v > 0.0 else -math.inf
-        for lo_v, hi_v in zip(tail_env, tail_env[1:])
-        if lo_v > 0.0
-    ]
-    if not slopes:
-        return DominationReport(
-            alpha_window=(lo_a, hi_a),
-            envelope_samples=tuple(samples),
-            envelope_integral_estimate=math.nan,
-            verdict=DominationVerdict.INCONCLUSIVE,
-        )
-    s = median(slopes[-6:])
-
-    if s <= -1.05:
-        tail = 0.0 if math.isinf(s) else base * tail_env[0] / (-s - 1.0)
-        sides = 2.0 if lo_inf else 1.0
-        return DominationReport(
-            alpha_window=(lo_a, hi_a),
-            envelope_samples=tuple(samples),
-            envelope_integral_estimate=finite_part + sides * tail,
-            verdict=DominationVerdict.DOMINATED,
-        )
-    if s >= -0.95:
-        return DominationReport(
-            alpha_window=(lo_a, hi_a),
-            envelope_samples=tuple(samples),
-            envelope_integral_estimate=math.inf,
-            verdict=DominationVerdict.SUSPECT_DIVERGENT,
-        )
     return DominationReport(
         alpha_window=(lo_a, hi_a),
         envelope_samples=tuple(samples),
-        envelope_integral_estimate=math.nan,
-        verdict=DominationVerdict.INCONCLUSIVE,
+        envelope_integral_estimate=estimate,
+        verdict=verdict,
     )
 
 
@@ -689,7 +660,8 @@ def verify(
     """Compare direct quadrature, reconstruction, and closed form per alpha.
 
     Failures at a point (numeric errors included) are recorded on that
-    point rather than raised, so one bad grid value cannot hide the rest.
+    point rather than raised, so one bad grid value cannot hide the rest;
+    each failure note ends with the exception's class name in brackets.
     """
     if not alphas:
         raise ValueError("verification grid must be nonempty")
@@ -703,7 +675,7 @@ def verify(
             res = eval_direct(P, alpha, cfg)
             direct, direct_err = res.value, res.abs_err_est
         except (QuadratureError, ValueError) as exc:
-            notes.append(f"direct evaluation failed: {exc}")
+            notes.append(f"direct evaluation failed: {exc} [{type(exc).__name__}]")
             ok = False
 
         closed: Optional[float] = None
@@ -718,7 +690,7 @@ def verify(
             try:
                 recon = reconstruct(P, alpha, cfg).value
             except (QuadratureError, ValueError) as exc:
-                notes.append(f"reconstruction failed: {exc}")
+                notes.append(f"reconstruction failed: {exc} [{type(exc).__name__}]")
                 ok = False
 
         disc_dc = abs(direct - closed) if closed is not None and ok else None

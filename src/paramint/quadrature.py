@@ -346,6 +346,32 @@ _TS_MAX_LEVEL = 12
 _PI_HALF = math.pi / 2.0
 
 
+def _log_slope_ladder(
+    g: Callable[[float], float], endpoint: float, into: float, width: float, rungs: int
+) -> tuple[list[tuple[float, float]], Optional[float]]:
+    """Sample g at distances d = width * 2**-8, 2**-12, ... from ``endpoint``.
+
+    ``rungs`` distances are tried, stepping toward ``into``; the ladder
+    stops early once x rounds onto the endpoint.  Returns the (d, g(x))
+    pairs and the median log-log slope between neighbouring rungs whose
+    values are both positive (None when there is no such pair).
+    """
+    direction = 1.0 if into > endpoint else -1.0
+    vals = []
+    for j in range(8, 8 + 4 * rungs, 4):
+        d = width * 2.0 ** (-j)
+        x = endpoint + direction * d
+        if x == endpoint:
+            break
+        vals.append((d, g(x)))
+    slopes = [
+        (math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1))
+        for (d1, v1), (d2, v2) in zip(vals, vals[1:])
+        if v1 > 0.0 and v2 > 0.0
+    ]
+    return vals, median(slopes) if slopes else None
+
+
 def _endpoint_exponent(
     f: _Counted, endpoint: float, into: float, width: float
 ) -> tuple[float, float]:
@@ -355,19 +381,8 @@ def _endpoint_exponent(
     min(p_hat, 0) so the implied mass below a cutoff is conservative for
     bounded and logarithmic growth alike.  Raises when p_hat <= -1.
     """
-    direction = 1.0 if into > endpoint else -1.0
-    ds = [width * 2.0 ** (-j) for j in range(8, 44, 4)]
-    vals = []
-    for d in ds:
-        x = endpoint + direction * d
-        if x == endpoint:
-            break
-        vals.append((d, abs(f(x))))
-    slopes = []
-    for (d1, v1), (d2, v2) in zip(vals, vals[1:]):
-        if v1 > 0.0 and v2 > 0.0:
-            slopes.append((math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1)))
-    p_hat = median(slopes) if slopes else 0.0
+    vals, slope = _log_slope_ladder(lambda x: abs(f(x)), endpoint, into, width, 9)
+    p_hat = 0.0 if slope is None else slope
     if p_hat <= -0.999:
         raise NonIntegrableSingularityError(endpoint, p_hat)
     p_eff = min(p_hat, 0.0)

@@ -4,11 +4,13 @@ The JSON and CSV emitters are contractual: 17-significant-digit floats,
 byte-identical output across runs, idempotent under parse/re-emit.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from paramint import catalog
 from paramint.cli import _emit_json, run
 
 ALL_IDS = ["gauss", "ex1", "ex2", "ex3_beta", "ex3_alpha", "ex4"]
@@ -96,6 +98,24 @@ class TestEvalCommand:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.99", "1"])
+    def test_every_point_gated_at_default_tolerance(self, capsys, monkeypatch, alpha):
+        # a closed form off by 1e-6 * alpha breaks the 1e-7 direct gate at
+        # every ex4 point, the endpoint-singular ones included
+        entry = catalog.get("ex4")
+        closed = entry.parametric.solution_closed
+        shifted = dataclasses.replace(
+            entry,
+            parametric=dataclasses.replace(
+                entry.parametric, solution_closed=lambda a: closed(a) + 1e-6 * a
+            ),
+        )
+        monkeypatch.setitem(catalog._BY_ID, "ex4", shifted)
+        code, out, _ = invoke(capsys, "eval", "ex4", "--alpha", alpha, "--format", "json")
+        assert code == 1
+        (row,) = json.loads(out)["results"]
+        assert row["pass"] is False
+
 
 class TestSweepCommand:
     def test_csv_row_count_and_header(self, capsys):
@@ -127,6 +147,13 @@ class TestSweepCommand:
         assert code == 2
         code, _, _ = invoke(capsys, "sweep", "ex1", "--from", "1", "--to", "2")
         assert code == 2
+
+    def test_alpha_is_not_a_sweep_option(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "ex1", "--alpha", "7", "--from", "0.25",
+                                "--to", "4", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err
 
     def test_domain_violation_mid_sweep_exits_3(self, capsys):
         code, _, err = invoke(capsys, "sweep", "ex2", "--from", "0.5", "--to", "2",
