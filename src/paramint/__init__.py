@@ -35,7 +35,6 @@ from .engine import (
     ParametricIntegral,
     VerificationPoint,
     VerificationReport,
-    XGridSpec,
     deriv_under_integral,
     domination_scan,
     eval_direct,
@@ -72,7 +71,6 @@ __all__ = [
     "InterchangeReport",
     "DominationVerdict",
     "DominationReport",
-    "XGridSpec",
     "VerificationPoint",
     "VerificationReport",
     "ParameterDomainError",

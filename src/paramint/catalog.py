@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .engine import Anchor, ParamDomain, ParameterDomainError, ParametricIntegral
 from .quadrature import DomainSpec, QuadConfig, integrate_finite
@@ -72,6 +73,8 @@ class CatalogEntry:
     parametric: ParametricIntegral
     verification_grid: tuple[float, ...]
     singular_notes: str
+    # where rhs_closed holds: narrower than param_domain where it degenerates
+    rhs_domain: Optional[ParamDomain] = None
 
     def __post_init__(self):
         for a in self.verification_grid:
@@ -302,6 +305,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             "integrand removable at x=0 (value a); dI/da has an integrable "
             "1/sqrt(a) singularity at the anchor a=0"
         ),
+        rhs_domain=ParamDomain(0.0, math.inf, lo_open=True),
     ),
     CatalogEntry(
         id="ex2",
@@ -320,6 +324,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             "integrable log singularity at x=0 when a=1; the lower endpoint "
             f"is classified singular for a in [1, 1+{_EX2_SINGULAR_BAND:g})"
         ),
+        rhs_domain=ParamDomain(1.0, math.inf, lo_open=True),
     ),
     CatalogEntry(
         id="ex3_beta",
@@ -338,6 +343,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             "integrand removable at x=0 (value b); Gaussian factor keeps "
             "every derivative dominated by exp(-x^2)"
         ),
+        rhs_domain=ParamDomain(0.0, math.inf),
     ),
     CatalogEntry(
         id="ex3_alpha",
@@ -375,6 +381,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             f"classified singular for a > {_EX4_SINGULAR_BAND:g}); dI/da has "
             "an integrable 1/sqrt(1-a) blow-up at a=1"
         ),
+        rhs_domain=ParamDomain(0.0, 1.0, hi_open=True),
     ),
 )
 
@@ -408,31 +415,20 @@ def closed_form(entry_id: str, alpha: float) -> float:
     return P.solution_closed(alpha)
 
 
-# validity of the closed-form derivative is narrower than the parameter
-# domain where the formula itself degenerates at an edge
-_RHS_VALID = {
-    "ex1": lambda a: a > 0.0,
-    "ex2": lambda a: a > 1.0,
-    "ex3_beta": lambda a: a >= 0.0,
-    "ex4": lambda a: 0.0 <= a < 1.0,
-}
-
-
 def rhs_closed_form(entry_id: str, alpha: float) -> float:
     """Evaluate the entry's closed-form derivative dI/d alpha."""
     entry = get(entry_id)
-    P = entry.parametric
-    if P.rhs_closed is None or entry_id not in _RHS_VALID:
+    if entry.rhs_domain is None:
         raise ValueError(
             f"entry {entry_id!r} has no closed-form derivative; available for: "
-            + ", ".join(sorted(_RHS_VALID))
+            + ", ".join(sorted(e.id for e in _ENTRIES if e.rhs_domain is not None))
         )
-    if not _RHS_VALID[entry_id](alpha):
+    if not entry.rhs_domain.contains(alpha):
         raise ParameterDomainError(
             f"alpha={alpha!r} outside the validity of the closed-form "
             f"derivative of entry {entry_id!r}"
         )
-    return P.rhs_closed(alpha)
+    return entry.parametric.rhs_closed(alpha)
 
 
 # ---------------------------------------------------------------------------

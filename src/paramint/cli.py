@@ -10,8 +10,8 @@ verify       full direct/reconstructed/closed-form comparison on the
              entry's verification grid (or `all` entries)
 
 Exit codes: 0 = success / all checks passed, 1 = a verification check
-failed, 2 = usage error, 3 = numeric error (domain violation,
-non-integrable singularity, failed evaluation).
+failed, 2 = usage error (an unwritable --out path included), 3 = numeric
+error (domain violation, non-integrable singularity, failed evaluation).
 
 Reports are emitted as JSON, CSV, or a human text table.  JSON and CSV
 are contractual: floats carry 17 significant digits and identical
@@ -382,8 +382,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     out = getattr(ns, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"pil: cannot write report to {out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code
@@ -391,3 +395,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

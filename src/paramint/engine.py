@@ -50,7 +50,6 @@ __all__ = [
     "InterchangeReport",
     "DominationVerdict",
     "DominationReport",
-    "XGridSpec",
     "VerificationPoint",
     "VerificationReport",
     "ParameterDomainError",
@@ -199,28 +198,6 @@ class DominationVerdict(enum.Enum):
     DOMINATED = "dominated"
     SUSPECT_DIVERGENT = "suspect_divergent"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class XGridSpec:
-    """Sampling plan for domination scans.
-
-    ``n_points`` interior samples cover the finite part; for infinite
-    domains, ``span`` bounds the finite part and ``tail_octaves``
-    octave-spaced probes beyond it feed the tail-slope fit.
-    """
-
-    n_points: int = 257
-    span: float = 32.0
-    tail_octaves: int = 18
-
-    def __post_init__(self):
-        if not (isinstance(self.n_points, int) and self.n_points >= 16):
-            raise ValueError("n_points must be an integer >= 16")
-        if not (self.span > 0 and math.isfinite(self.span)):
-            raise ValueError("span must be finite and positive")
-        if not (isinstance(self.tail_octaves, int) and self.tail_octaves >= 4):
-            raise ValueError("tail_octaves must be an integer >= 4")
 
 
 @dataclass(frozen=True)
@@ -382,6 +359,15 @@ def interchange_check(
 # domination scan
 # ---------------------------------------------------------------------------
 
+# Fixed sampling plan of domination_scan: alphas across the window,
+# midpoints over the finite part, the finite part's width on infinite
+# domains, and octave-spaced tail probes beyond it for the slope fit.
+_SCAN_N_ALPHA = 9
+_SCAN_N_POINTS = 257
+_SCAN_SPAN = 32.0
+_SCAN_TAIL_OCTAVES = 18
+
+
 def _envelope_at(
     pa_rules: Sequence[Callable[[float], float]], x: float
 ) -> float:
@@ -444,10 +430,7 @@ def _size_tail(
 
 
 def domination_scan(
-    P: ParametricIntegral,
-    alpha_window: tuple[float, float],
-    n_alpha: int = 9,
-    x_grid_spec: XGridSpec | None = None,
+    P: ParametricIntegral, alpha_window: tuple[float, float]
 ) -> DominationReport:
     """Build an empirical envelope max_alpha |d f/d alpha| and size it up.
 
@@ -458,7 +441,6 @@ def domination_scan(
     `dominated`, slower gives `suspect_divergent` (estimate = inf),
     the ambiguous band in between gives `inconclusive` (estimate = nan).
     """
-    spec = x_grid_spec or XGridSpec()
     lo_a, hi_a = alpha_window
     if not (math.isfinite(lo_a) and math.isfinite(hi_a) and lo_a < hi_a):
         raise DegenerateWindowError(
@@ -469,58 +451,41 @@ def domination_scan(
             f"alpha window [{lo_a!r}, {hi_a!r}] is not contained in the "
             f"parameter domain {P.param_domain.describe()}"
         )
-    if n_alpha < 3:
-        raise ValueError("n_alpha must be at least 3")
 
     alphas = [
-        lo_a + (hi_a - lo_a) * i / (n_alpha - 1) for i in range(n_alpha)
+        lo_a + (hi_a - lo_a) * i / (_SCAN_N_ALPHA - 1) for i in range(_SCAN_N_ALPHA)
     ]
     pa_rules = [_partial_alpha(P, a) for a in alphas]
     dom = P.domain_for(0.5 * (lo_a + hi_a))
 
-    lo_inf = dom.lower_kind is EndpointKind.INFINITE
+    a, a_kind = dom.lower, dom.lower_kind
+    lo_inf = a_kind is EndpointKind.INFINITE
     hi_inf = dom.upper_kind is EndpointKind.INFINITE
-    if lo_inf and not hi_inf:
-        # mirror so the infinite side is always on the right
-        mirrored = [(lambda pa: (lambda x: pa(-x)))(pa) for pa in pa_rules]
-        pa_rules = mirrored
-        dom = DomainSpec(
-            -dom.upper, math.inf,
-            lower_kind=dom.upper_kind, upper_kind=EndpointKind.INFINITE,
-        )
+    mirrored = lo_inf and not hi_inf
+    if mirrored:
+        # scan x -> -x so the infinite side is always on the right
+        pa_rules = [(lambda pa: (lambda x: pa(-x)))(pa) for pa in pa_rules]
+        a, a_kind = -dom.upper, dom.upper_kind
         lo_inf, hi_inf = False, True
-
-    samples: list[tuple[float, float]] = []
+    if lo_inf:
+        a = -0.5 * _SCAN_SPAN  # doubly infinite: the finite part is centred on 0
+    width = _SCAN_SPAN if hi_inf else dom.upper - a
+    step = width / _SCAN_N_POINTS
+    xs = [a + (i + 0.5) * step for i in range(_SCAN_N_POINTS)]
+    samples = [(x, _envelope_at(pa_rules, x)) for x in xs]
+    finite_part = step * math.fsum(m for _, m in samples)
 
     if not hi_inf:
-        a, b = dom.lower, dom.upper
-        width = b - a
-        step = width / spec.n_points
-        for i in range(spec.n_points):
-            x = a + (i + 0.5) * step
-            samples.append((x, _envelope_at(pa_rules, x)))
-        _probe_endpoint_growth(pa_rules, a, b, width)
-        _probe_endpoint_growth(pa_rules, b, a, width)
-        estimate = step * math.fsum(m for _, m in samples)
-        verdict = DominationVerdict.DOMINATED
+        _probe_endpoint_growth(pa_rules, a, dom.upper, width)
+        _probe_endpoint_growth(pa_rules, dom.upper, a, width)
+        estimate, verdict = finite_part, DominationVerdict.DOMINATED
     else:
-        # infinite upper endpoint: finite part + octave tail
-        a = dom.lower
-        if lo_inf:
-            # fully doubly-infinite: treat [-span/2, span/2] as the finite part
-            a = -0.5 * spec.span
-        x0 = a + spec.span
-        step = spec.span / spec.n_points
-        for i in range(spec.n_points):
-            x = a + (i + 0.5) * step
-            samples.append((x, _envelope_at(pa_rules, x)))
-        if dom.lower_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            _probe_endpoint_growth(pa_rules, a, x0, spec.span)
-        finite_part = step * math.fsum(m for _, m in samples)
-
+        x0 = a + width
+        if a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
+            _probe_endpoint_growth(pa_rules, a, x0, width)
         base = max(x0, 1.0)
         tail_env: list[float] = []
-        for k in range(spec.tail_octaves):
+        for k in range(_SCAN_TAIL_OCTAVES):
             xk = base * 2.0 ** k
             best = 0.0
             for fac in _TAIL_PROBE_FACTORS:
@@ -537,6 +502,8 @@ def domination_scan(
             tail_env, base, finite_part, 2.0 if lo_inf else 1.0
         )
 
+    if mirrored:
+        samples = [(-x, m) for x, m in samples]
     return DominationReport(
         alpha_window=(lo_a, hi_a),
         envelope_samples=tuple(samples),

@@ -191,10 +191,9 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    tail_decay_threshold: float = 1e-14
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "tail_decay_threshold"):
+        for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
@@ -343,6 +342,7 @@ def integrate_finite(
 # ---------------------------------------------------------------------------
 
 _TS_MAX_LEVEL = 12
+_TS_MAX_K = 200000  # per-side node bound; the cut in t ends every sweep far sooner
 _PI_HALF = math.pi / 2.0
 
 
@@ -403,15 +403,14 @@ def _tanh_sinh(
     mid = 0.5 * (a + b)
     width = b - a
 
-    # Probe singular endpoints: divergence detection plus data for the
-    # truncated-mass allowance near the rounding cutoff.
-    side_fit = {}
-    if sing_lower:
-        side_fit["lower"] = _endpoint_exponent(f, a, b, width)
-    if sing_upper:
-        side_fit["upper"] = _endpoint_exponent(f, b, a, width)
-
-    cut_delta = {"lower": 0.0, "upper": 0.0}
+    # Per side (0 = lower, 1 = upper): the endpoint fit (p, C), which also
+    # rejects divergence, with C = 0 charging nothing on a regular side; and
+    # the largest distance from the endpoint at which a node was cut.
+    fits = (
+        _endpoint_exponent(f, a, b, width) if sing_lower else (0.0, 0.0),
+        _endpoint_exponent(f, b, a, width) if sing_upper else (0.0, 0.0),
+    )
+    cut_delta = [0.0, 0.0]
     # Endpoints at zero never round onto the endpoint, so without a floor
     # the node ladder descends until squared-distance terms inside the
     # integrand underflow to 0.0 (e.g. log(s*s) at s ~ 1e-160).  Nodes
@@ -419,8 +418,8 @@ def _tanh_sinh(
     # at 2^-512 * half the charged mass is far below any tolerance.
     delta_floor = half * 2.0 ** -512
 
-    def node_contribution(t: float) -> tuple[float, bool]:
-        """(weight * f(x), pinned) for abscissa parameter t."""
+    def node_contribution(t: float) -> Optional[float]:
+        """weight * f(x) for abscissa parameter t; None for a cut node."""
         u = _PI_HALF * math.sinh(t)
         au = abs(u)
         try:
@@ -428,79 +427,53 @@ def _tanh_sinh(
         except OverflowError:
             e2 = 0.0
         delta = half * (2.0 * e2 / (1.0 + e2))
-        if t > 0.0:
-            x = b - delta
-            side = "upper"
-        elif t < 0.0:
-            x = a + delta
-            side = "lower"
-        else:
+        if t == 0.0:
             x = mid
-            side = ""
-        if side and (x == b or x == a or delta < delta_floor):
-            cut_delta[side] = max(cut_delta[side], delta_floor, delta)
-            return 0.0, True
+        else:
+            side = 1 if t > 0.0 else 0
+            x = b - delta if side else a + delta
+            if x == b or x == a or delta < delta_floor:
+                cut_delta[side] = max(cut_delta[side], delta_floor, delta)
+                return None
         cosh_u = math.cosh(u) if au < 350.0 else math.inf
         w = half * _PI_HALF * math.cosh(t) / (cosh_u * cosh_u)
         if w == 0.0:
-            return 0.0, True
-        return w * f(x), False
+            return None
+        return w * f(x)
 
     contributions: list[float] = []  # every accepted w*f term, any level
-    prev_value = None
-    value = 0.0
-    level_diff = math.inf
-    max_abs_level0 = 0.0
-
+    c0 = node_contribution(0.0)
+    if c0 is not None:
+        contributions.append(c0)
+    prev_value = 0.0
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
-        scale = 1.0 + (abs(prev_value) if prev_value is not None else max_abs_level0)
-        tiny = 1e-18 * scale
-        if m == 0:
-            c0, pinned = node_contribution(0.0)
-            if not pinned:
-                contributions.append(c0)
-                max_abs_level0 = max(max_abs_level0, abs(c0))
-            k_values = None  # sweep every integer k
-        else:
-            k_values = "odd"  # only odd multiples of h are new
+        tiny = 1e-18 * (1.0 + abs(prev_value))
+        # level 0 sweeps every integer k; later levels add only odd multiples of h
+        k_step = 1 if m == 0 else 2
         for sign in (1.0, -1.0):
             small_run = 0
-            k = 1
-            while True:
-                if k_values == "odd" and k % 2 == 0:
-                    k += 1
-                    continue
-                c, pinned = node_contribution(sign * k * h)
-                if pinned:
+            for k in range(1, _TS_MAX_K + 1, k_step):
+                c = node_contribution(sign * k * h)
+                if c is None:
                     break
                 contributions.append(c)
-                if m == 0:
-                    max_abs_level0 = max(max_abs_level0, abs(c))
                 if abs(c) < tiny:
                     small_run += 1
                     if small_run >= 3:
                         break
                 else:
                     small_run = 0
-                k += 1
-                if k > 200000:
-                    break
         value = h * math.fsum(contributions)
-        if prev_value is not None:
+        if m > 0:  # level 1 always runs, so level_diff is always set
             level_diff = abs(value - prev_value)
-            if level_diff <= 0.25 * _tol_for(cfg, value):
-                prev_value = value
-                break
-            if level_diff < 4.0 * _EPS * abs(value):
-                prev_value = value
+            if level_diff <= 0.25 * _tol_for(cfg, value) or level_diff < 4.0 * _EPS * abs(value):
                 break
         prev_value = value
 
     # Mass potentially lost where abscissae round onto a singular endpoint.
     allowance = 0.0
-    for side, (p_eff, c_hat) in side_fit.items():
-        dc = cut_delta[side]
+    for (p_eff, c_hat), dc in zip(fits, cut_delta):
         if dc > 0.0 and c_hat > 0.0:
             allowance += 3.0 * c_hat * dc ** (1.0 + p_eff) / (1.0 + p_eff)
 
@@ -543,6 +516,7 @@ def integrate_singular(
 
 _TAIL_PROBE_FACTORS = (1.0, 1.37, 1.73)
 _MAX_CUT = 9.0e14  # keeps t/(1-t) representable near t = 1
+_TAIL_TARGET_FLOOR = 1e-14  # the tail bound must reach max(this, abs_tol / 10)
 
 
 def _certify_tail(
@@ -583,7 +557,7 @@ def _certify_tail(
 def _improper_semi(
     fc: _Counted, a: float, lower_singular: bool, cfg: QuadConfig
 ) -> QuadResult:
-    target = max(cfg.tail_decay_threshold, 0.1 * cfg.abs_tol)
+    target = max(_TAIL_TARGET_FLOOR, 0.1 * cfg.abs_tol)
     cut_x, tail_bound, certified = _certify_tail(fc, a, target)
 
     s_cut = (cut_x - a) / (1.0 + (cut_x - a))
@@ -618,8 +592,8 @@ def integrate_improper(
     """Integrate over a domain with at least one infinite endpoint.
 
     The finite part is mapped through x = t/(1-t); the discarded tail
-    beyond the compactification cut is certified against
-    ``tail_decay_threshold`` by a sampled monotone-envelope bound that
+    beyond the compactification cut is certified to be at most
+    max(1e-14, abs_tol / 10) by a sampled monotone-envelope bound that
     is folded into ``abs_err_est``.
     """
     cfg = cfg or _DEFAULT_CFG

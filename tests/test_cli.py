@@ -7,6 +7,9 @@ byte-identical output across runs, idempotent under parse/re-emit.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,6 +255,14 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["entry_id"] == "ex1"
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = invoke(capsys, "verify", "ex2", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"pil: cannot write report to {str(path)!r}")
+        assert not path.exists()
+
 
 class TestArgparsePlumbing:
     def test_no_command_exits_2(self, capsys):
@@ -262,3 +273,16 @@ class TestArgparsePlumbing:
 
     def test_bad_format_exits_2(self, capsys):
         assert invoke(capsys, "eval", "ex1", "--alpha", "1", "--format", "xml")[0] == 2
+
+    def test_module_entry_point_returns_the_exit_code(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramint.cli", "verify", "ex2", "--tol-direct", "1e-30"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "overall: FAIL" in proc.stdout

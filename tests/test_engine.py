@@ -7,6 +7,7 @@ Uses two self-contained families with known closed forms:
 * ``cosine``-type: f(x, a) = cos(a x) on [0, 1],  I(a) = sin(a)/a
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from paramint import (
     DegenerateWindowError,
     DominationVerdict,
     DomainSpec,
+    EndpointKind,
     InterchangeReport,
     MissingAnchorError,
     OneSidedDifferenceError,
@@ -23,7 +25,6 @@ from paramint import (
     ParameterDomainError,
     ParametricIntegral,
     QuadStatus,
-    XGridSpec,
     deriv_under_integral,
     domination_scan,
     eval_direct,
@@ -31,6 +32,7 @@ from paramint import (
     reconstruct,
     verify,
 )
+from paramint import catalog
 
 # --- gauss-type family -----------------------------------------------------
 
@@ -264,16 +266,58 @@ class TestDomination:
             domination_scan(P, (2.0, 0.5))
         with pytest.raises(ParameterDomainError):
             domination_scan(P, (-1.0, 1.0))
-        with pytest.raises(ValueError):
-            domination_scan(P, (0.5, 2.0), n_alpha=2)
 
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
-            XGridSpec(n_points=8)
-        with pytest.raises(ValueError):
-            XGridSpec(span=0.0)
-        with pytest.raises(ValueError):
-            XGridSpec(tail_octaves=1)
+    @pytest.mark.parametrize("upper_inf, sides", [(False, 1), (True, 2)])
+    def test_infinite_lower_end_dominated(self, upper_inf, sides):
+        # (-inf, 0] is scanned mirrored, (-inf, inf) on both sides of 0
+        domain = DomainSpec(
+            -math.inf, math.inf if upper_inf else 0.0,
+            lower_kind=EndpointKind.INFINITE,
+            upper_kind=EndpointKind.INFINITE if upper_inf else EndpointKind.REGULAR,
+        )
+        rep = domination_scan(dataclasses.replace(make_gauss(), domain=domain), (0.5, 2.0))
+        assert rep.verdict is DominationVerdict.DOMINATED
+        exact = sides * math.sqrt(math.pi / 2.0)
+        assert abs(rep.envelope_integral_estimate - exact) / exact < 0.05
+
+    def test_lower_infinite_samples_lie_in_the_domain(self):
+        left = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
+        P = dataclasses.replace(make_gauss(), domain=left)
+        rep = domination_scan(P, (0.5, 2.0))
+        assert all(x <= 0.0 for x, _ in rep.envelope_samples)
+        for x, env in rep.envelope_samples:
+            assert env >= abs(_gauss_da(x, 0.5))
+
+    def test_singular_lower_end_probed(self):
+        # d/da x^(a-1) e^-x = log(x) x^(a-1) e^-x: integrable at x = 0 for
+        # a > 0, non-integrable once the window reaches down to a ~ 0
+        P = ParametricIntegral(
+            integrand=lambda x, a: x ** (a - 1.0) * math.exp(-x),
+            param_domain=ParamDomain(0.0, math.inf, lo_open=True),
+            domain=DomainSpec.semi_infinite(0.0, singular_lower=True),
+            d_alpha=lambda x, a: math.log(x) * x ** (a - 1.0) * math.exp(-x),
+        )
+        rep = domination_scan(P, (0.5, 2.0))
+        assert rep.verdict is DominationVerdict.DOMINATED
+        with pytest.raises(DegenerateWindowError):
+            domination_scan(P, (1e-300, 2.0))
+
+    def test_ambiguous_tail_inconclusive(self):
+        # envelope ~ log(x^2) x^(-1.04): too close to 1/x to call
+        P = ParametricIntegral(
+            integrand=lambda x, a: (1.0 + x * x) ** (-a),
+            param_domain=ParamDomain(0.0, math.inf, lo_open=True),
+            domain=DomainSpec.semi_infinite(0.0),
+            d_alpha=lambda x, a: -math.log1p(x * x) * (1.0 + x * x) ** (-a),
+        )
+        rep = domination_scan(P, (0.52, 0.55))
+        assert rep.verdict is DominationVerdict.INCONCLUSIVE
+        assert math.isnan(rep.envelope_integral_estimate)
+
+    def test_finite_endpoint_blow_up_rejected(self):
+        # ex4's derivative grows like 1/(t + pi/2)^2 at t = -pi/2 when a = 1
+        with pytest.raises(DegenerateWindowError):
+            domination_scan(catalog.get("ex4").parametric, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ class TestEnvelopeDominatesSampledPairs:
             anchor=Anchor(1.0, 0.5 * math.sqrt(math.pi)),
             solution_closed=lambda a: 0.5 * math.sqrt(math.pi / a),
         )
-        lo, hi, n_alpha = 0.5, 2.0, 9
-        rep = domination_scan(P, (lo, hi), n_alpha=n_alpha)
-        alphas = [lo + (hi - lo) * i / (n_alpha - 1) for i in range(n_alpha)]
+        lo, hi = 0.5, 2.0
+        rep = domination_scan(P, (lo, hi))
+        # the scan's nine evenly spaced alphas
+        alphas = [lo + (hi - lo) * i / 8 for i in range(9)]
         for x, env in rep.envelope_samples:
             for a in alphas:
                 assert env >= abs(_gauss_da(x, a))
