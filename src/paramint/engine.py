@@ -461,17 +461,18 @@ def domination_scan(
     a, a_kind = dom.lower, dom.lower_kind
     lo_inf = a_kind is EndpointKind.INFINITE
     hi_inf = dom.upper_kind is EndpointKind.INFINITE
-    mirrored = lo_inf and not hi_inf
-    if mirrored:
-        # scan x -> -x so the infinite side is always on the right
-        pa_rules = [(lambda pa: (lambda x: pa(-x)))(pa) for pa in pa_rules]
+    sgn = 1.0  # declared x = sgn * scan-frame x
+    if lo_inf and not hi_inf:
+        # scan x -> -x so the infinite side is always on the right; samples
+        # and messages are mapped back into the declared frame
+        sgn = -1.0
         a, a_kind = -dom.upper, dom.upper_kind
         lo_inf, hi_inf = False, True
     if lo_inf:
         a = -0.5 * _SCAN_SPAN  # doubly infinite: the finite part is centred on 0
     width = _SCAN_SPAN if hi_inf else dom.upper - a
     step = width / _SCAN_N_POINTS
-    xs = [a + (i + 0.5) * step for i in range(_SCAN_N_POINTS)]
+    xs = [sgn * (a + (i + 0.5) * step) for i in range(_SCAN_N_POINTS)]
     samples = [(x, _envelope_at(pa_rules, x)) for x in xs]
     finite_part = step * math.fsum(m for _, m in samples)
 
@@ -482,14 +483,14 @@ def domination_scan(
     else:
         x0 = a + width
         if a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            _probe_endpoint_growth(pa_rules, a, x0, width)
+            _probe_endpoint_growth(pa_rules, sgn * a, sgn * x0, width)
         base = max(x0, 1.0)
         tail_env: list[float] = []
         for k in range(_SCAN_TAIL_OCTAVES):
             xk = base * 2.0 ** k
             best = 0.0
             for fac in _TAIL_PROBE_FACTORS:
-                x = xk * fac
+                x = sgn * xk * fac
                 m = _envelope_at(pa_rules, x)
                 samples.append((x, m))
                 if lo_inf:
@@ -502,8 +503,6 @@ def domination_scan(
             tail_env, base, finite_part, 2.0 if lo_inf else 1.0
         )
 
-    if mirrored:
-        samples = [(-x, m) for x, m in samples]
     return DominationReport(
         alpha_window=(lo_a, hi_a),
         envelope_samples=tuple(samples),
@@ -555,6 +554,12 @@ def reconstruct(
     parameter path — declared via ``rhs_singular_at_anchor`` or detected
     by growth probes — switch the parameter integral to the singular
     kernel.
+
+    ``n_evals`` counts every evaluation the call causes, the growth
+    probes included: closed-form rhs calls, or the summed ``n_evals`` of
+    the inner quadratures behind a numeric rhs (an inner quadrature that
+    raises inside a probe reports no count, so its evaluations are left
+    out).
     """
     cfg = cfg or _DEFAULT_CFG
     if P.anchor is None:
@@ -573,6 +578,7 @@ def reconstruct(
         return QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
 
     extra_est = 0.0
+    inner_evals = 0  # integrand evaluations behind a numeric rhs
     if P.rhs_closed is not None:
         g = P.rhs_closed
         g_cfg = cfg
@@ -584,7 +590,10 @@ def reconstruct(
         )
 
         def g(a: float) -> float:
-            return deriv_under_integral(P, a, node_cfg).value
+            nonlocal inner_evals
+            res = deriv_under_integral(P, a, node_cfg)
+            inner_evals += res.n_evals
+            return res.value
 
         g_cfg = replace(
             cfg,
@@ -595,13 +604,20 @@ def reconstruct(
         # per-node noise accumulated over the path, counted into the estimate
         extra_est = 2.0 * (hi - lo) * node_cfg.abs_tol
 
+    probes = 0  # rhs calls of the growth probes, which no kernel counts
+
+    def probed(a: float) -> float:
+        nonlocal probes
+        probes += 1
+        return g(a)
+
     span = hi - lo
     anchor_side_lo = a0 <= alpha_target
     sing_lo = (P.rhs_singular_at_anchor and anchor_side_lo) or _g_is_singular_at(
-        g, lo, +1.0, span
+        probed, lo, +1.0, span
     )
     sing_hi = (P.rhs_singular_at_anchor and not anchor_side_lo) or _g_is_singular_at(
-        g, hi, -1.0, span
+        probed, hi, -1.0, span
     )
     if sing_lo or sing_hi:
         dom = DomainSpec.singular(lo, hi, at_lower=sing_lo, at_upper=sing_hi)
@@ -610,7 +626,10 @@ def reconstruct(
 
     q = integrate(g, dom, g_cfg)
     signed = q.value if anchor_side_lo else -q.value
-    return QuadResult(v0 + signed, q.abs_err_est + extra_est, q.n_evals, q.status)
+    # every evaluation this call caused: one per call of a closed rhs, the
+    # inner kernels' own counts behind a numeric one
+    n_evals = q.n_evals + probes if P.rhs_closed is not None else inner_evals
+    return QuadResult(v0 + signed, q.abs_err_est + extra_est, n_evals, q.status)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "EndpointKind",
@@ -217,7 +217,13 @@ def _tol_for(cfg: QuadConfig, value: float) -> float:
 
 
 class _Counted:
-    """Wraps an integrand: counts calls and rejects non-finite values."""
+    """Wraps an integrand: counts calls and rejects non-finite values.
+
+    ``__call__`` evaluates one node; ``many`` evaluates a batch of nodes
+    (a Gauss-Kronrod panel, a set of tail probes) with one finiteness
+    test.  Either way a failing node raises the same error at the same
+    abscissa.
+    """
 
     __slots__ = ("f", "n")
 
@@ -234,6 +240,25 @@ class _Counted:
         if not math.isfinite(v):
             raise EvaluationError(x, v)
         return v
+
+    def many(self, xs: Sequence[float]) -> list[float]:
+        """f at every node of ``xs``, counted as len(xs) calls.
+
+        A non-finite value makes the sum non-finite, so one test covers
+        the batch.  If the batch raises or fails that test, it is rerun
+        node by node through ``__call__``, which raises at the first
+        failing node in batch order; a finite batch whose sum merely
+        overflows costs that rerun and nothing else.
+        """
+        f = self.f
+        try:
+            vs = [f(x) for x in xs]
+            if math.isfinite(sum(vs)):
+                self.n += len(vs)
+                return vs
+        except Exception:
+            pass
+        return [self(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +277,22 @@ _GK_NODES = (
     (0.207784955007898, 0.0, 0.204432940075298),
 )
 _GK_CENTER = (0.417959183673469, 0.209482141084728)  # gauss, kronrod weight at 0
+# Panel abscissae as offsets from the centre in units of the half-width, in
+# evaluation order: the centre, then -xi, +xi for each tabulated node.
+_GK_OFFSETS = (0.0,) + tuple(t for xi, _, _ in _GK_NODES for t in (-xi, xi))
 
 
-def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |kronrod - gauss| estimate on [a, b] (15 evals)."""
+def _gk_panel(
+    f: _Counted | _Compactified, a: float, b: float
+) -> tuple[float, float]:
+    """Kronrod value and |kronrod - gauss| estimate on [a, b] (15 evals, one batch)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
-    gauss = _GK_CENTER[0] * fc
-    kron = _GK_CENTER[1] * fc
-    for xi, wg, wk in _GK_NODES:
-        x1 = c - h * xi
-        x2 = c + h * xi
-        s = f(x1) + f(x2)
+    vs = f.many([c + h * t for t in _GK_OFFSETS])
+    gauss = _GK_CENTER[0] * vs[0]
+    kron = _GK_CENTER[1] * vs[0]
+    for v1, v2, (_, wg, wk) in zip(vs[1::2], vs[2::2], _GK_NODES):
+        s = v1 + v2
         kron += wk * s
         if wg != 0.0:
             gauss += wg * s
@@ -272,7 +300,7 @@ def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float]:
 
 
 def _adaptive_gk(
-    f: _Counted, a: float, b: float, cfg: QuadConfig
+    f: _Counted | _Compactified, a: float, b: float, cfg: QuadConfig
 ) -> tuple[float, float, QuadStatus]:
     """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b]."""
     mid = 0.5 * (a + b)
@@ -373,7 +401,7 @@ def _log_slope_ladder(
 
 
 def _endpoint_exponent(
-    f: _Counted, endpoint: float, into: float, width: float
+    f: Callable[[float], float], endpoint: float, into: float, width: float
 ) -> tuple[float, float]:
     """Fit |f| ~ C * d**p at distance d from ``endpoint`` (d toward ``into``).
 
@@ -392,13 +420,14 @@ def _endpoint_exponent(
 
 
 def _tanh_sinh(
-    f: _Counted,
+    f: Callable[[float], float],
     a: float,
     b: float,
     sing_lower: bool,
     sing_upper: bool,
     cfg: QuadConfig,
-) -> QuadResult:
+) -> tuple[float, float, QuadStatus]:
+    """Value, error estimate and status of tanh-sinh on [a, b] (per-node calls)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     width = b - a
@@ -486,7 +515,7 @@ def _tanh_sinh(
         status = QuadStatus.MAX_DEPTH
     else:
         status = QuadStatus.TAIL_TRUNCATED
-    return QuadResult(value, est, f.n, status)
+    return value, est, status
 
 
 def integrate_singular(
@@ -500,7 +529,7 @@ def integrate_singular(
         if kind is EndpointKind.INFINITE:
             raise ValueError("integrate_singular requires finite endpoints")
     fc = _Counted(f)
-    return _tanh_sinh(
+    value, err, status = _tanh_sinh(
         fc,
         domain.lower,
         domain.upper,
@@ -508,6 +537,7 @@ def integrate_singular(
         domain.upper_kind is EndpointKind.INTEGRABLE_SINGULARITY,
         cfg,
     )
+    return QuadResult(value, err, fc.n, status)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +560,10 @@ def _certify_tail(
     """
     x0 = max(8.0, 2.0 * abs(a) + 8.0)
     bound = math.inf
+    n_fac = len(_TAIL_PROBE_FACTORS)
     while x0 - a < _MAX_CUT:
-        env = []
-        for k in range(4):
-            base = x0 * (2.0 ** k)
-            env.append(max(abs(f(base * fac)) for fac in _TAIL_PROBE_FACTORS))
+        vs = f.many([x0 * (2.0 ** k) * fac for k in range(4) for fac in _TAIL_PROBE_FACTORS])
+        env = [max(map(abs, vs[i:i + n_fac])) for i in range(0, len(vs), n_fac)]
         if all(v == 0.0 for v in env):
             return x0, 0.0, True
         rho = 0.0
@@ -554,6 +583,42 @@ def _certify_tail(
     return x0, bound if math.isfinite(bound) else abs(target) * 1e6, False
 
 
+class _Compactified:
+    """g(s) = f(a + s/om) / (om*om), om = 1 - s, over a counted f on [a, inf).
+
+    Evaluations are counted on ``fc``.  A failing node raises as two
+    nested checks would: at x when f itself fails, at s when only the
+    Jacobian-weighted value does.  A batch needs one finiteness test for
+    both, because a non-finite f stays non-finite after the division.
+    """
+
+    __slots__ = ("fc", "a")
+
+    def __init__(self, fc: _Counted, a: float):
+        self.fc = fc
+        self.a = a
+
+    def __call__(self, s: float) -> float:
+        om = 1.0 - s  # at least 1 - s_cut > 0: the division cannot raise
+        v = self.fc(self.a + s / om) / (om * om)
+        if not math.isfinite(v):
+            raise EvaluationError(s, v)
+        return v
+
+    def many(self, ss: Sequence[float]) -> list[float]:
+        """g at every node of ``ss``; the batch contract of _Counted.many."""
+        fc, a = self.fc, self.a
+        f = fc.f
+        try:
+            vs = [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss]
+            if math.isfinite(sum(vs)):
+                fc.n += len(vs)
+                return vs
+        except Exception:
+            pass
+        return [self(s) for s in ss]
+
+
 def _improper_semi(
     fc: _Counted, a: float, lower_singular: bool, cfg: QuadConfig
 ) -> QuadResult:
@@ -561,29 +626,23 @@ def _improper_semi(
     cut_x, tail_bound, certified = _certify_tail(fc, a, target)
 
     s_cut = (cut_x - a) / (1.0 + (cut_x - a))
-
-    def g(s: float) -> float:
-        om = 1.0 - s
-        x = a + s / om
-        return fc(x) / (om * om)
-
+    g = _Compactified(fc, a)
     inner_cfg = replace(cfg, abs_tol=0.9 * cfg.abs_tol, rel_tol=0.9 * cfg.rel_tol)
     if lower_singular:
-        inner = _tanh_sinh(_Counted(g), 0.0, s_cut, True, False, inner_cfg)
+        value, err, inner_status = _tanh_sinh(g, 0.0, s_cut, True, False, inner_cfg)
     else:
-        value, err, status = _adaptive_gk(_Counted(g), 0.0, s_cut, inner_cfg)
-        inner = QuadResult(value, err, 0, status)
+        value, err, inner_status = _adaptive_gk(g, 0.0, s_cut, inner_cfg)
 
-    est = inner.abs_err_est + tail_bound
+    est = err + tail_bound
     if not certified:
         status = QuadStatus.TAIL_TRUNCATED
-    elif inner.status is not QuadStatus.CONVERGED:
-        status = inner.status
-    elif est <= _tol_for(cfg, inner.value):
+    elif inner_status is not QuadStatus.CONVERGED:
+        status = inner_status
+    elif est <= _tol_for(cfg, value):
         status = QuadStatus.CONVERGED
     else:
         status = QuadStatus.TAIL_TRUNCATED
-    return QuadResult(inner.value, est, fc.n, status)
+    return QuadResult(value, est, fc.n, status)
 
 
 def integrate_improper(

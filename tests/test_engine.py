@@ -319,6 +319,33 @@ class TestDomination:
         with pytest.raises(DegenerateWindowError):
             domination_scan(catalog.get("ex4").parametric, (0.0, 1.0))
 
+    def test_mirrored_scan_messages_use_the_declared_frame(self):
+        # (-inf, 2.5] is scanned as [-2.5, inf); the errors must still name
+        # abscissae of the declared domain
+        left = DomainSpec(
+            -math.inf, 2.5, lower_kind=EndpointKind.INFINITE,
+            upper_kind=EndpointKind.INTEGRABLE_SINGULARITY,
+        )
+        P = ParametricIntegral(
+            integrand=lambda x, a: (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5),
+            param_domain=ParamDomain(0.0, math.inf, lo_open=True),
+            domain=left,
+            d_alpha=lambda x, a: (
+                math.log(2.5 - x) * (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5)
+            ),
+        )
+        with pytest.raises(DegenerateWindowError, match=r"toward x=2\.5 "):
+            domination_scan(P, (1e-300, 2.0))
+        # log(x + 3) fails for x <= -3, which the mirrored scan reaches
+        Q = dataclasses.replace(
+            make_gauss(),
+            domain=DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE),
+            d_alpha=lambda x, a: math.log(x + 3.0) * math.exp(a * x),
+        )
+        with pytest.raises(DegenerateWindowError, match=r"failed at x=-3\.") as info:
+            domination_scan(Q, (0.5, 2.0))
+        assert "x=3." not in str(info.value)
+
 
 # ---------------------------------------------------------------------------
 # reconstruction
@@ -349,6 +376,27 @@ class TestReconstruct:
         P = make_cos(with_da=False, anchored=True)
         res = reconstruct(P, 2.0)
         assert abs(res.value - _cos_sol(2.0)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "entry_id, alpha, stripped, counted_field",
+        [("ex2", 1.5, True, "d_alpha"), ("ex4", 0.5, False, "rhs_closed")],
+    )
+    def test_n_evals_counts_every_evaluation(self, entry_id, alpha, stripped, counted_field):
+        # numeric rhs: every d f/d alpha call of the inner quadratures;
+        # closed rhs: every rhs call, the growth probes' included
+        P = catalog.get(entry_id).parametric
+        if stripped:
+            P = dataclasses.replace(P, rhs_closed=None)
+        calls = 0
+        inner = getattr(P, counted_field)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        res = reconstruct(dataclasses.replace(P, **{counted_field: counted}), alpha)
+        assert res.n_evals == calls > 0
 
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):

@@ -1,0 +1,235 @@
+"""Bit-for-bit regression gate for the kernels and the engine.
+
+Every record pins ``float.hex`` of ``value`` and ``abs_err_est``, plus
+``n_evals`` and ``status``, of one call; a call that raises records its
+exception class and message instead.  The battery covers:
+
+* about twenty kernel calls, several per kernel class (finite GK,
+  tanh-sinh, improper with a regular and a singular lower end, and
+  oscillatory including its improper fallback);
+* ``eval_direct``, ``deriv_under_integral`` and ``reconstruct`` (with the
+  entry's own rhs, closed form where it has one) at every catalog grid
+  point;
+* the reconstruction of ex2 at alpha = 1.5 with ``rhs_closed`` stripped,
+  so that the nested path is pinned too.
+
+The records were taken from the kernels as they were before Gauss-Kronrod
+panels became batches, so a speed-up that reorders arithmetic fails here.
+One field was re-recorded on purpose: ``reconstruct``'s ``n_evals`` counts
+every evaluation it causes (the inner kernels' ``n_evals`` summed, growth
+probes included) instead of the alpha-nodes of the parameter quadrature.
+
+Regenerate the table only for a change that is meant to move numbers:
+``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+from paramint import (
+    DomainSpec,
+    EndpointKind,
+    QuadConfig,
+    catalog,
+    deriv_under_integral,
+    eval_direct,
+    integrate,
+    reconstruct,
+)
+
+_HALF_LINE = DomainSpec.semi_infinite(0.0)
+
+
+def _pi_zeros(k: int) -> float:
+    return k * math.pi
+
+
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x != 0.0 else 1.0
+
+
+def _sin_sq_over_sq(x: float) -> float:
+    return math.sin(x * x) / (x * x) if x != 0.0 else 1.0
+
+
+# name -> (integrand, domain, config or None)
+KERNEL_CASES = {
+    "finite.square": (lambda x: x * x, DomainSpec.finite(0.0, 1.0), None),
+    "finite.exp_cos5": (
+        lambda x: math.exp(x) * math.cos(5.0 * x), DomainSpec.finite(0.0, 1.0), None),
+    "finite.gauss_loose": (
+        lambda x: math.exp(-x * x), DomainSpec.finite(-3.0, 3.0),
+        QuadConfig(abs_tol=1e-8, rel_tol=1e-8)),
+    "finite.lorentz_peak": (
+        lambda x: 1e-4 / (x * x + 1e-8), DomainSpec.finite(-1.0, 1.0), None),
+    "finite.budget_4": (
+        lambda x: 1.0 / (x * x + 1e-10), DomainSpec.finite(-1.0, 1.0),
+        QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)),
+    "singular.inv_sqrt": (
+        lambda x: 1.0 / math.sqrt(x), DomainSpec.singular(0.0, 1.0, at_lower=True), None),
+    "singular.log": (math.log, DomainSpec.singular(0.0, 1.0, at_lower=True), None),
+    "singular.cube_root_upper": (
+        lambda x: (1.0 - x) ** (-1.0 / 3.0), DomainSpec.singular(0.0, 1.0, at_upper=True),
+        None),
+    "singular.log_over_circle": (
+        lambda x: math.log(x) / math.sqrt((1.0 - x) * (1.0 + x)),
+        DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True), None),
+    "singular.pole": (
+        lambda x: 1.0 / x, DomainSpec.singular(0.0, 1.0, at_lower=True), None),
+    "improper.exp": (lambda x: math.exp(-x), _HALF_LINE, None),
+    "improper.gauss_full_line": (
+        lambda x: math.exp(-x * x),
+        DomainSpec(-math.inf, math.inf, EndpointKind.INFINITE, EndpointKind.INFINITE), None),
+    "improper.exp_lower_infinite": (
+        math.exp, DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE), None),
+    "improper.exp_lorentz": (lambda x: math.exp(-x) / (1.0 + x * x), _HALF_LINE, None),
+    "improper.lorentz_tight": (
+        lambda x: 1.0 / (1.0 + x * x), _HALF_LINE, QuadConfig(abs_tol=1e-13, rel_tol=1e-13)),
+    "improper.divergent_tail": (lambda x: 1.0 / (1.0 + x), _HALF_LINE, None),
+    "improper.gamma_half_singular": (
+        lambda x: math.exp(-x) / math.sqrt(x),
+        DomainSpec.semi_infinite(0.0, singular_lower=True), None),
+    "oscillatory.sinc": (_sinc, DomainSpec.oscillatory(0.0, _pi_zeros), None),
+    "oscillatory.sin_lorentz": (
+        lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros), None),
+    "oscillatory.square_phase": (
+        _sin_sq_over_sq, DomainSpec.oscillatory(0.0, lambda k: math.sqrt(k * math.pi)), None),
+    "oscillatory.fallback": (
+        lambda x: math.exp(-x) * (2.0 + math.sin(x)),
+        DomainSpec.oscillatory(0.0, _pi_zeros), None),
+}
+
+
+def _record(call):
+    try:
+        r = call()
+    except Exception as exc:  # the failure itself is pinned
+        return ("raises", type(exc).__name__, str(exc))
+    return (r.value.hex(), r.abs_err_est.hex(), r.n_evals, r.status.value)
+
+
+def records() -> dict:
+    out = {}
+    for name, (f, dom, cfg) in KERNEL_CASES.items():
+        out[name] = _record(lambda: integrate(f, dom, cfg))
+    for entry in catalog.entries():
+        P = entry.parametric
+        for a in entry.verification_grid:
+            out[f"{entry.id}@{a!r}.direct"] = _record(lambda: eval_direct(P, a))
+            out[f"{entry.id}@{a!r}.deriv"] = _record(lambda: deriv_under_integral(P, a))
+            if P.anchor is not None:
+                out[f"{entry.id}@{a!r}.reconstruct"] = _record(lambda: reconstruct(P, a))
+    stripped = dataclasses.replace(catalog.get("ex2").parametric, rhs_closed=None)
+    out["ex2@1.5.reconstruct_stripped"] = _record(lambda: reconstruct(stripped, 1.5))
+    return out
+
+
+GOLDEN = {
+    'finite.square': ('0x1.5555555555544p-2', '0x1.4a00000000000p-50', 30, 'converged'),
+    'finite.exp_cos5': ('-0x1.052918c8e2b6cp-1', '0x1.3ac0000000000p-46', 30, 'converged'),
+    'finite.gauss_loose': ('0x1.c5bcf8347fc08p+0', '0x1.de816c8000000p-32', 90, 'converged'),
+    'finite.lorentz_peak': ('0x1.9219278b8866fp+1', '0x1.18f29fe000000p-33', 870, 'converged'),
+    'finite.budget_4': ('0x1.b459ecfb2b95ap+11', '0x1.6df9f53b6603ap+11', 90, 'max_depth'),
+    'singular.inv_sqrt': ('0x1.0000000000000p+1', '0x1.0000000000000p-48', 75, 'converged'),
+    'singular.log': ('-0x1.0000000000000p+0', '0x1.5540000000000p-43', 72, 'converged'),
+    'singular.cube_root_upper': ('0x1.7ffffffff3177p+0', '0x1.c1ca9838eeacep-37', 71, 'converged'),
+    'singular.log_over_circle': ('-0x1.16bb24190a0b7p+0', '0x1.8ca8b5d955c24p-39', 81, 'converged'),
+    'singular.pole': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=0.0: empirical local exponent -1.000 <= -1'),
+    'improper.exp': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
+    'improper.gauss_full_line': ('0x1.c5bf891b4ef54p+0', '0x1.1777653d00001p-35', 324, 'converged'),
+    'improper.exp_lower_infinite': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
+    'improper.exp_lorentz': ('0x1.3e2ea5286899fp-1', '0x1.d36ad8cd8885dp-37', 156, 'converged'),
+    'improper.lorentz_tight': ('0x1.921fb54442cfbp+0', '0x1.bc5fffffffff3p-44', 684, 'converged'),
+    'improper.divergent_tail': ('0x1.154cdf3c5fb18p+5', '0x1.524ef7850abf1p-17', 60534, 'tail_truncated'),
+    'improper.gamma_half_singular': ('0x1.c5bf891b4ef60p+0', '0x1.44056883aa0dbp-43', 276, 'converged'),
+    'oscillatory.sinc': ('0x1.921fb544417b2p+0', '0x1.8bd805d3aac4cp-35', 480, 'converged'),
+    'oscillatory.sin_lorentz': ('0x1.4b24461d56446p-1', '0x1.5aae5925926b9p-35', 540, 'converged'),
+    'oscillatory.square_phase': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),
+    'oscillatory.fallback': ('0x1.3ffffffffffa2p+1', '0x1.1377dd91114f6p-33', 426, 'tail_truncated'),
+    'gauss@0.5.direct': ('0x1.40d931ff626edp+0', '0x1.67d8dcd622791p-38', 192, 'converged'),
+    'gauss@0.5.deriv': ('-0x1.40d931ff626f3p+0', '0x1.808a3651abfddp-38', 234, 'converged'),
+    'gauss@1.0.direct': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00001p-36', 162, 'converged'),
+    'gauss@1.0.deriv': ('-0x1.c5bf891b4ef53p-2', '0x1.bc03b57e20278p-36', 192, 'converged'),
+    'gauss@2.0.direct': ('0x1.40d931ff626f4p-1', '0x1.8ee4b3be1160ep-40', 162, 'converged'),
+    'gauss@2.0.deriv': ('-0x1.40d931ff626f4p-3', '0x1.a71c08770b1a4p-37', 162, 'converged'),
+    'ex1@0.25.direct': ('0x1.921fb54433567p+0', '0x1.7efe7ff8533e7p-34', 1356, 'converged'),
+    'ex1@0.25.deriv': ('0x1.921fb54441d04p+1', '0x1.4d2c5fffff697p-34', 528, 'converged'),
+    'ex1@0.25.reconstruct': ('0x1.921fb54442d18p+0', '0x1.9243f6a8885a3p-49', 78, 'converged'),
+    'ex1@1.0.direct': ('0x1.921fb54434248p+1', '0x1.8e0e3b4613a87p-33', 1326, 'converged'),
+    'ex1@1.0.deriv': ('0x1.921fb54440d03p+0', '0x1.06007ffffff40p-37', 534, 'converged'),
+    'ex1@1.0.reconstruct': ('0x1.921fb54442d18p+1', '0x1.9243f6a8885a3p-48', 78, 'converged'),
+    'ex1@4.0.direct': ('0x1.921fb544348b7p+2', '0x1.4481d3fd17559p-32', 1326, 'converged'),
+    'ex1@4.0.deriv': ('0x1.921fb5443ed04p-1', '0x1.ad2c3ffff696ap-36', 480, 'converged'),
+    'ex1@4.0.reconstruct': ('0x1.921fb54442d18p+2', '0x1.9243f6a8885a3p-47', 78, 'converged'),
+    'ex2@1.0.direct': ('-0x1.096a5c3685626p-51', '0x1.80d3b8296ae76p-36', 72, 'converged'),
+    'ex2@1.0.deriv': ('0x1.921fb54442d18p+1', '0x1.04921fb54442dp-43', 71, 'converged'),
+    'ex2@1.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
+    'ex2@1.5.direct': ('0x1.461829d792509p+1', '0x1.22203549c3140p-35', 90, 'converged'),
+    'ex2@1.5.deriv': ('0x1.0c152382d7358p+2', '0x1.373341621c5cdp-36', 120, 'converged'),
+    'ex2@1.5.reconstruct': ('0x1.461829d79250ap+1', '0x1.4000000000000p-47', 36, 'converged'),
+    'ex2@2.0.direct': ('0x1.16bb24190a0a8p+2', '0x1.632476d67bc5ep-32', 60, 'converged'),
+    'ex2@2.0.deriv': ('0x1.921fb54442d02p+1', '0x1.8b4c327907ad2p-37', 90, 'converged'),
+    'ex2@2.0.reconstruct': ('0x1.16bb24190a0a8p+2', '0x1.7600000000000p-45', 36, 'converged'),
+    'ex2@5.0.direct': ('0x1.4398c0d8e3de9p+3', '0x1.17535c769975fp-33', 30, 'converged'),
+    'ex2@5.0.deriv': ('0x1.41b2f769cf0cfp+0', '0x1.521d2929a52ebp-44', 60, 'converged'),
+    'ex2@5.0.reconstruct': ('0x1.4398c0d8e3de8p+3', '0x1.1672800000000p-33', 66, 'converged'),
+    'ex3_beta@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 42, 'converged'),
+    'ex3_beta@0.0.deriv': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00001p-36', 162, 'converged'),
+    'ex3_beta@0.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
+    'ex3_beta@0.5.direct': ('0x1.b8ec7731271a4p-2', '0x1.ce3d4a8ae18dfp-37', 162, 'converged'),
+    'ex3_beta@0.5.deriv': ('0x1.a1a61f7149d57p-1', '0x1.1f99686876eb0p-37', 192, 'converged'),
+    'ex3_beta@0.5.reconstruct': ('0x1.b8ec7731271a4p-2', '0x1.b000000000000p-50', 36, 'converged'),
+    'ex3_beta@1.0.direct': ('0x1.9cfe0dbedf456p-1', '0x1.4f5656d2581c3p-37', 222, 'converged'),
+    'ex3_beta@1.0.deriv': ('0x1.6082d4e405700p-1', '0x1.342d4f13c77d9p-34', 222, 'converged'),
+    'ex3_beta@1.0.reconstruct': ('0x1.9cfe0dbedf458p-1', '0x1.7e00000000000p-47', 36, 'converged'),
+    'ex3_beta@2.0.direct': ('0x1.64b6fa9b2da0fp+0', '0x1.0294e1bb96e32p-35', 312, 'converged'),
+    'ex3_beta@2.0.deriv': ('0x1.021f08aed27ccp-1', '0x1.fdfb7e16325cap-35', 342, 'converged'),
+    'ex3_beta@2.0.reconstruct': ('0x1.64b6fa9b2da0ep+0', '0x1.a8b2a00000000p-34', 36, 'converged'),
+    'ex3_alpha@0.0.direct': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),
+    'ex3_alpha@0.0.deriv': ('-0x1.40d931ff60b9fp-1', '0x1.09082414f1d96p-35', 510, 'converged'),
+    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff642d7p+0', '0x1.13032e426d695p-29', 10590, 'converged'),
+    'ex3_alpha@0.5.direct': ('0x1.f87889db7d703p-1', '0x1.0efed68a3c17cp-35', 270, 'converged'),
+    'ex3_alpha@0.5.deriv': ('-0x1.c3366305de557p-2', '0x1.2a9934b131844p-37', 330, 'converged'),
+    'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7d302p-1', '0x1.12e3d3026d695p-30', 8220, 'converged'),
+    'ex3_alpha@1.0.direct': ('0x1.9cfe0dbedf477p-1', '0x1.447d47b1a8450p-39', 210, 'converged'),
+    'ex3_alpha@1.0.deriv': ('-0x1.24079c092bae4p-2', '0x1.4bd4cfffbb55cp-38', 240, 'converged'),
+    'ex3_alpha@1.0.reconstruct': ('0x1.9cfe0dbedf46dp-1', '0x0.0p+0', 0, 'converged'),
+    'ex3_alpha@2.0.direct': ('0x1.37c7b6d99806ap-1', '0x1.5de5b7720136bp-49', 270, 'converged'),
+    'ex3_alpha@2.0.deriv': ('-0x1.16dd58588d17fp-3', '0x1.827ba2ecf053ap-49', 270, 'converged'),
+    'ex3_alpha@2.0.reconstruct': ('0x1.37c7b6d99807ep-1', '0x1.12e0c4e26d695p-29', 7950, 'converged'),
+    'ex4@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 30, 'converged'),
+    'ex4@0.0.deriv': ('0x0.0p+0', '0x1.019c501fbace4p-47', 30, 'converged'),
+    'ex4@0.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
+    'ex4@0.2.direct': ('-0x1.054ec9a6b5910p-5', '0x1.69b029080fa18p-41', 30, 'converged'),
+    'ex4@0.2.deriv': ('-0x1.4baef5e7566fap-2', '0x1.8bfce968302c8p-40', 30, 'converged'),
+    'ex4@0.2.reconstruct': ('-0x1.054ec9a6b5932p-5', '0x1.0000000000000p-53', 36, 'converged'),
+    'ex4@0.5.direct': ('-0x1.be1c0b2d757eap-3', '0x1.145986642f235p-41', 60, 'converged'),
+    'ex4@0.5.deriv': ('-0x1.f1ab93950b5b4p-1', '0x1.91e7f1de9fda4p-37', 60, 'converged'),
+    'ex4@0.5.reconstruct': ('-0x1.be1c0b2d757eap-3', '0x1.8800000000000p-50', 36, 'converged'),
+    'ex4@0.9.direct': ('-0x1.0a7f588cb084ap+0', '0x1.2943fa1913d01p-37', 90, 'converged'),
+    'ex4@0.9.deriv': ('-0x1.211e16156d6b9p+2', '0x1.7ab03f733d872p-32', 90, 'converged'),
+    'ex4@0.9.reconstruct': ('-0x1.0a7f588cb0849p+0', '0x1.472b933333330p-37', 96, 'converged'),
+    'ex4@0.99.direct': ('-0x1.c354888f1e930p+0', '0x1.88b552343926fp-38', 150, 'converged'),
+    'ex4@0.99.deriv': ('-0x1.352608164b07dp+4', '0x1.48f2f4a12df54p-31', 150, 'converged'),
+    'ex4@0.99.reconstruct': ('-0x1.c354888f1e92dp+0', '0x1.47dbf3d70a3e1p-34', 186, 'converged'),
+    'ex4@1.0.direct': ('-0x1.16bb24190a0acp+1', '0x1.7f8d048e7d983p-36', 60, 'converged'),
+    'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
+    'ex4@1.0.reconstruct': ('-0x1.16bb23cfefea2p+1', '0x1.aad784ea9492fp-24', 23864, 'tail_truncated'),
+    'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5840, 'converged'),
+}
+
+
+def test_every_record_is_bit_identical():
+    got = records()
+    assert got.keys() == GOLDEN.keys()
+    diff = {k: (got[k], GOLDEN[k]) for k in GOLDEN if got[k] != GOLDEN[k]}
+    assert not diff
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for key, rec in records().items():
+        print(f"    {key!r}: {rec!r},")
+    print("}")

@@ -305,3 +305,97 @@ class TestDispatch:
             DomainSpec.finite(2.0, 1.0)
         with pytest.raises(ValueError):
             DomainSpec(0.0, math.inf)  # missing INFINITE classification
+
+
+# ---------------------------------------------------------------------------
+# batched panels: failure location and evaluation counts
+# ---------------------------------------------------------------------------
+
+class _CountingIntegrand:
+    """Counts its calls from outside the kernels."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x: float) -> float:
+        self.calls += 1
+        return self.f(x)
+
+
+class TestBatchPath:
+    def test_first_failing_node_in_panel_order_is_named(self):
+        # The first panel of [0, 1] is [0, 0.5]: its centre 0.25 is fine, the
+        # next node (x ~ 0.002) returns NaN and the one after (x ~ 0.498)
+        # raises TypeError.  The NaN node comes first, so it is reported.
+        def f(x: float) -> float:
+            if x < 0.1:
+                return math.nan
+            if x > 0.4:
+                raise TypeError("synthetic type error")
+            return 1.0
+
+        with pytest.raises(EvaluationError) as info:
+            integrate_finite(f, DomainSpec.finite(0.0, 1.0))
+        assert info.value.abscissa == 0.25 - 0.25 * 0.991455371120813
+        assert math.isnan(info.value.value)
+
+    def test_foreign_exception_surfaces_unchanged(self):
+        def f(x: float) -> float:
+            if x > 0.4:
+                raise TypeError("synthetic type error")
+            return 1.0
+
+        with pytest.raises(TypeError, match="synthetic type error"):
+            integrate_finite(f, DomainSpec.finite(0.0, 1.0))
+
+    def test_overflowing_sum_of_finite_values_is_not_an_error(self):
+        # 15 values of 2e307 overflow a plain sum, so every panel is checked
+        # a second time node by node; the result and the count stand.
+        f = _CountingIntegrand(lambda x: 2e307)
+        res = integrate_finite(f, DomainSpec.finite(0.0, 1.0))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 2e307) <= 1e-12 * 2e307
+        assert f.calls == 2 * res.n_evals
+
+    def test_overflow_of_the_compactified_value_names_s(self):
+        # f is finite everywhere, f / (1 - s)**2 is not near s = 1
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(lambda x: 1e305, HALF_LINE)
+        assert 0.5 < info.value.abscissa < 1.0
+        assert info.value.value == math.inf
+
+    def test_nonfinite_integrand_under_compactification_names_x(self):
+        # the tail probes (x >= 8) pass; the quadrature meets 1 < x < 2
+        def f(x: float) -> float:
+            return math.nan if 1.0 < x < 2.0 else math.exp(-x)
+
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(f, HALF_LINE)
+        assert 1.0 < info.value.abscissa < 2.0
+        assert math.isnan(info.value.value)
+
+    @pytest.mark.parametrize(
+        "f, domain",
+        [
+            (lambda x: math.exp(x) * math.cos(5.0 * x), DomainSpec.finite(0.0, 1.0)),
+            (math.log, DomainSpec.singular(0.0, 1.0, at_lower=True)),
+            (lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE),
+            (lambda x: math.exp(-x * x), FULL_LINE),
+            (
+                lambda x: math.exp(-x) / math.sqrt(x),
+                DomainSpec.semi_infinite(0.0, singular_lower=True),
+            ),
+            (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros)),
+            (
+                lambda x: math.exp(-x) * (2.0 + math.sin(x)),
+                DomainSpec.oscillatory(0.0, _pi_zeros),
+            ),
+        ],
+        ids=["finite", "singular", "improper", "improper_full_line",
+             "improper_singular_lower", "oscillatory", "oscillatory_fallback"],
+    )
+    def test_n_evals_equals_calls_counted_outside(self, f, domain):
+        counted = _CountingIntegrand(f)
+        res = integrate(counted, domain)
+        assert res.n_evals == counted.calls > 0
