@@ -20,7 +20,12 @@ produce in practice:
 Every kernel returns a :class:`QuadResult` carrying the value, an
 absolute error estimate, the evaluation count, and a status.  All
 kernels are pure functions of their arguments: integrands must be
-stateless, and identical inputs produce bit-identical results.
+stateless, and identical inputs produce bit-identical results.  The one
+state the module keeps is the tanh-sinh node tables, built lazily, one
+per level, the first time a level is reached, then shared by the whole
+process and never written again (about 0.6 MB once level 12 exists).  A
+table holds exactly what each node would compute for itself, so results
+do not depend on which tables are already built.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, replace
 from statistics import median
 from typing import Callable, Optional, Sequence
@@ -216,49 +222,69 @@ def _tol_for(cfg: QuadConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
-class _Counted:
-    """Wraps an integrand: counts calls and rejects non-finite values.
+class _Checked:
+    """The checked-batch contract shared by the integrand wrappers.
 
-    ``__call__`` evaluates one node; ``many`` evaluates a batch of nodes
-    (a Gauss-Kronrod panel, a set of tail probes) with one finiteness
-    test.  Either way a failing node raises the same error at the same
-    abscissa.
+    A wrapper has a checked per-node ``__call__``, which counts the node
+    and raises ``EvaluationError`` when it fails; the same map unchecked
+    and uncounted as ``raw``; and ``_count(n)``, which counts n nodes.
     """
 
-    __slots__ = ("f", "n")
+    __slots__ = ()
+
+    def run(
+        self, sweep: Callable[..., tuple[list[float], object]], arg: object
+    ) -> tuple[list[float], object]:
+        """``sweep(fn, arg)``, whose first item lists one value per node.
+
+        The sweep runs first on ``raw``.  A non-finite value makes the sum
+        non-finite, so one test covers the sweep, which then counts as one
+        call per value.  If the sweep raises or fails that test, it is
+        rerun on the checked ``__call__``, which raises at the first
+        failing node in sweep order; a sweep of finite values whose sum
+        merely overflows costs that rerun and nothing else.
+        """
+        try:
+            out = sweep(self.raw, arg)
+            if math.isfinite(sum(out[0])):
+                self._count(len(out[0]))
+                return out
+        except Exception:
+            pass
+        return sweep(self, arg)
+
+    def many(self, xs: Sequence[float]) -> list[float]:
+        """The map at every node of ``xs`` (a Gauss-Kronrod panel, a set of
+        tail probes) as one checked batch."""
+        return self.run(self._batch, xs)[0]
+
+    def _batch(
+        self, fn: Callable[[float], float], xs: Sequence[float]
+    ) -> tuple[list[float], None]:
+        return [fn(x) for x in xs], None
+
+
+class _Counted(_Checked):
+    """Wraps an integrand: counts calls and rejects non-finite values."""
+
+    __slots__ = ("raw", "n")
 
     def __init__(self, f: Callable[[float], float]):
-        self.f = f
+        self.raw = f
         self.n = 0
 
     def __call__(self, x: float) -> float:
         self.n += 1
         try:
-            v = self.f(x)
+            v = self.raw(x)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(x, math.inf) from exc
         if not math.isfinite(v):
             raise EvaluationError(x, v)
         return v
 
-    def many(self, xs: Sequence[float]) -> list[float]:
-        """f at every node of ``xs``, counted as len(xs) calls.
-
-        A non-finite value makes the sum non-finite, so one test covers
-        the batch.  If the batch raises or fails that test, it is rerun
-        node by node through ``__call__``, which raises at the first
-        failing node in batch order; a finite batch whose sum merely
-        overflows costs that rerun and nothing else.
-        """
-        f = self.f
-        try:
-            vs = [f(x) for x in xs]
-            if math.isfinite(sum(vs)):
-                self.n += len(vs)
-                return vs
-        except Exception:
-            pass
-        return [self(x) for x in xs]
+    def _count(self, n: int) -> None:
+        self.n += n
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +396,42 @@ def integrate_finite(
 # ---------------------------------------------------------------------------
 
 _TS_MAX_LEVEL = 12
-_TS_MAX_K = 200000  # per-side node bound; the cut in t ends every sweep far sooner
 _PI_HALF = math.pi / 2.0
+_ts_tables: dict[int, tuple[array, array, array]] = {}  # level -> columns (r, cosh t, cosh u)
+
+
+def _ts_level(m: int) -> tuple[array, array, array]:
+    """Node table of tanh-sinh level m: columns r, cosh t and cosh u.
+
+    Row i is the node t = k * 2**-m with k = i + 1 at level 0 and the odd
+    k = 2i + 1 at later levels, and u = pi/2 * sinh t.  On an interval of
+    half-width ``half`` the nodes at +-t lie ``half * r`` inside the
+    endpoints, r = 2 e**(-2u) / (1 + e**(-2u)), and weigh
+    ``half * pi/2 * cosh t / cosh(u)**2``.  The values depend on t alone
+    and are odd or even in t, so one table serves both sides.  The last
+    row is the first with u >= 350, where cosh u is stored as inf: its
+    weight is 0 on every interval, so no sweep runs past it.  Built on
+    first use and kept, read-only, for the process (see the module
+    docstring).
+    """
+    table = _ts_tables.get(m)
+    if table is None:
+        h = 2.0 ** (-m)
+        r, cosh_t, cosh_u = array("d"), array("d"), array("d")
+        k = 1
+        while True:
+            t = k * h
+            u = _PI_HALF * math.sinh(t)
+            e2 = math.exp(-2.0 * u)
+            r.append(2.0 * e2 / (1.0 + e2))
+            cosh_t.append(math.cosh(t))
+            if u >= 350.0:
+                cosh_u.append(math.inf)
+                break
+            cosh_u.append(math.cosh(u))
+            k += 1 if m == 0 else 2
+        table = _ts_tables[m] = (r, cosh_t, cosh_u)
+    return table
 
 
 def _log_slope_ladder(
@@ -420,17 +480,22 @@ def _endpoint_exponent(
 
 
 def _tanh_sinh(
-    f: Callable[[float], float],
+    f: _Counted | _Compactified,
     a: float,
     b: float,
     sing_lower: bool,
     sing_upper: bool,
     cfg: QuadConfig,
 ) -> tuple[float, float, QuadStatus]:
-    """Value, error estimate and status of tanh-sinh on [a, b] (per-node calls)."""
+    """Value, error estimate and status of tanh-sinh on [a, b].
+
+    Each side of each level is one checked sweep (``f.run``) over the
+    level's node table.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     width = b - a
+    w_scale = half * _PI_HALF
 
     # Per side (0 = lower, 1 = upper): the endpoint fit (p, C), which also
     # rejects divergence, with C = 0 charging nothing on a regular side; and
@@ -447,52 +512,42 @@ def _tanh_sinh(
     # at 2^-512 * half the charged mass is far below any tolerance.
     delta_floor = half * 2.0 ** -512
 
-    def node_contribution(t: float) -> Optional[float]:
-        """weight * f(x) for abscissa parameter t; None for a cut node."""
-        u = _PI_HALF * math.sinh(t)
-        au = abs(u)
-        try:
-            e2 = math.exp(-2.0 * au)
-        except OverflowError:
-            e2 = 0.0
-        delta = half * (2.0 * e2 / (1.0 + e2))
-        if t == 0.0:
-            x = mid
-        else:
-            side = 1 if t > 0.0 else 0
-            x = b - delta if side else a + delta
+    def sweep(fn: Callable[[float], float], upper: int) -> tuple[list[float], float]:
+        """The w*f terms of one side of the current level (its ``table``
+        and ``tiny``), outward from the middle, and the distance charged
+        for a cut node (0.0 when none was cut)."""
+        terms = []
+        small_run = 0
+        for r, cosh_t, cosh_u in zip(*table):
+            delta = half * r
+            x = b - delta if upper else a + delta
             if x == b or x == a or delta < delta_floor:
-                cut_delta[side] = max(cut_delta[side], delta_floor, delta)
-                return None
-        cosh_u = math.cosh(u) if au < 350.0 else math.inf
-        w = half * _PI_HALF * math.cosh(t) / (cosh_u * cosh_u)
-        if w == 0.0:
-            return None
-        return w * f(x)
+                return terms, max(delta_floor, delta)
+            w = w_scale * cosh_t / (cosh_u * cosh_u)
+            if w == 0.0:
+                break
+            c = w * fn(x)
+            terms.append(c)
+            if abs(c) < tiny:
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
+        return terms, 0.0
 
     contributions: list[float] = []  # every accepted w*f term, any level
-    c0 = node_contribution(0.0)
-    if c0 is not None:
-        contributions.append(c0)
+    if w_scale != 0.0:  # the weight of the middle node t = 0
+        contributions.append(w_scale * f(mid))
     prev_value = 0.0
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
         tiny = 1e-18 * (1.0 + abs(prev_value))
-        # level 0 sweeps every integer k; later levels add only odd multiples of h
-        k_step = 1 if m == 0 else 2
-        for sign in (1.0, -1.0):
-            small_run = 0
-            for k in range(1, _TS_MAX_K + 1, k_step):
-                c = node_contribution(sign * k * h)
-                if c is None:
-                    break
-                contributions.append(c)
-                if abs(c) < tiny:
-                    small_run += 1
-                    if small_run >= 3:
-                        break
-                else:
-                    small_run = 0
+        table = _ts_level(m)
+        for upper in (1, 0):
+            terms, cut = f.run(sweep, upper)
+            contributions += terms
+            cut_delta[upper] = max(cut_delta[upper], cut)
         value = h * math.fsum(contributions)
         if m > 0:  # level 1 always runs, so level_diff is always set
             level_diff = abs(value - prev_value)
@@ -583,20 +638,28 @@ def _certify_tail(
     return x0, bound if math.isfinite(bound) else abs(target) * 1e6, False
 
 
-class _Compactified:
+class _Compactified(_Checked):
     """g(s) = f(a + s/om) / (om*om), om = 1 - s, over a counted f on [a, inf).
 
     Evaluations are counted on ``fc``.  A failing node raises as two
     nested checks would: at x when f itself fails, at s when only the
-    Jacobian-weighted value does.  A batch needs one finiteness test for
-    both, because a non-finite f stays non-finite after the division.
+    Jacobian-weighted value does.  A checked batch needs one finiteness
+    test for both, because a non-finite f stays non-finite after the
+    division.
     """
 
-    __slots__ = ("fc", "a")
+    __slots__ = ("fc", "a", "raw")
 
     def __init__(self, fc: _Counted, a: float):
         self.fc = fc
         self.a = a
+        f = fc.raw
+
+        def raw(s: float) -> float:
+            om = 1.0 - s
+            return f(a + s / om) / (om * om)
+
+        self.raw = raw
 
     def __call__(self, s: float) -> float:
         om = 1.0 - s  # at least 1 - s_cut > 0: the division cannot raise
@@ -605,18 +668,18 @@ class _Compactified:
             raise EvaluationError(s, v)
         return v
 
-    def many(self, ss: Sequence[float]) -> list[float]:
-        """g at every node of ``ss``; the batch contract of _Counted.many."""
-        fc, a = self.fc, self.a
-        f = fc.f
-        try:
-            vs = [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss]
-            if math.isfinite(sum(vs)):
-                fc.n += len(vs)
-                return vs
-        except Exception:
-            pass
-        return [self(s) for s in ss]
+    def _count(self, n: int) -> None:
+        self.fc.n += n
+
+    def _batch(
+        self, fn: Callable[[float], float], ss: Sequence[float]
+    ) -> tuple[list[float], None]:
+        # The unchecked pass writes ``raw`` out inline: a Python call per
+        # node would add a tenth to the improper kernel's cost per eval.
+        if fn is not self.raw:
+            return super()._batch(fn, ss)
+        f, a = self.fc.raw, self.a
+        return [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss], None
 
 
 def _improper_semi(

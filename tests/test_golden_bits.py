@@ -4,9 +4,10 @@ Every record pins ``float.hex`` of ``value`` and ``abs_err_est``, plus
 ``n_evals`` and ``status``, of one call; a call that raises records its
 exception class and message instead.  The battery covers:
 
-* about twenty kernel calls, several per kernel class (finite GK,
+* about twenty-five kernel calls, several per kernel class (finite GK,
   tanh-sinh, improper with a regular and a singular lower end, and
-  oscillatory including its improper fallback);
+  oscillatory including its improper fallback), some at tight and loose
+  tolerances: tanh-sinh at 1e-13 runs every level, 0 to 12;
 * ``eval_direct``, ``deriv_under_integral`` and ``reconstruct`` (with the
   entry's own rhs, closed form where it has one) at every catalog grid
   point;
@@ -15,6 +16,8 @@ exception class and message instead.  The battery covers:
 
 The records were taken from the kernels as they were before Gauss-Kronrod
 panels became batches, so a speed-up that reorders arithmetic fails here.
+The records at tight and loose tolerances and ``singular.pow_m0_9`` were
+taken before tanh-sinh levels were swept over precomputed node tables.
 One field was re-recorded on purpose: ``reconstruct``'s ``n_evals`` counts
 every evaluation it causes (the inner kernels' ``n_evals`` summed, growth
 probes included) instead of the alpha-nodes of the parameter quadrature.
@@ -40,6 +43,9 @@ from paramint import (
 )
 
 _HALF_LINE = DomainSpec.semi_infinite(0.0)
+_SINGULAR_HALF_LINE = DomainSpec.semi_infinite(0.0, singular_lower=True)
+_TIGHT = QuadConfig(abs_tol=1e-13, rel_tol=1e-13)
+_LOOSE = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)
 
 
 def _pi_zeros(k: int) -> float:
@@ -78,6 +84,14 @@ KERNEL_CASES = {
         DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True), None),
     "singular.pole": (
         lambda x: 1.0 / x, DomainSpec.singular(0.0, 1.0, at_lower=True), None),
+    "singular.cube_root_upper_tight": (  # runs every level, 0 to 12
+        lambda x: (1.0 - x) ** (-1.0 / 3.0), DomainSpec.singular(0.0, 1.0, at_upper=True),
+        _TIGHT),
+    "singular.log_over_circle_tight": (
+        lambda x: math.log(x) / math.sqrt((1.0 - x) * (1.0 + x)),
+        DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True), _TIGHT),
+    "singular.pow_m0_9": (
+        lambda x: x ** -0.9, DomainSpec.singular(0.0, 2.0, at_lower=True), None),
     "improper.exp": (lambda x: math.exp(-x), _HALF_LINE, None),
     "improper.gauss_full_line": (
         lambda x: math.exp(-x * x),
@@ -89,8 +103,11 @@ KERNEL_CASES = {
         lambda x: 1.0 / (1.0 + x * x), _HALF_LINE, QuadConfig(abs_tol=1e-13, rel_tol=1e-13)),
     "improper.divergent_tail": (lambda x: 1.0 / (1.0 + x), _HALF_LINE, None),
     "improper.gamma_half_singular": (
-        lambda x: math.exp(-x) / math.sqrt(x),
-        DomainSpec.semi_infinite(0.0, singular_lower=True), None),
+        lambda x: math.exp(-x) / math.sqrt(x), _SINGULAR_HALF_LINE, None),
+    "improper.gamma_half_singular_tight": (
+        lambda x: math.exp(-x) / math.sqrt(x), _SINGULAR_HALF_LINE, _TIGHT),
+    "improper.gamma_half_singular_loose": (
+        lambda x: math.exp(-x) / math.sqrt(x), _SINGULAR_HALF_LINE, _LOOSE),
     "oscillatory.sinc": (_sinc, DomainSpec.oscillatory(0.0, _pi_zeros), None),
     "oscillatory.sin_lorentz": (
         lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros), None),
@@ -137,6 +154,9 @@ GOLDEN = {
     'singular.cube_root_upper': ('0x1.7ffffffff3177p+0', '0x1.c1ca9838eeacep-37', 71, 'converged'),
     'singular.log_over_circle': ('-0x1.16bb24190a0b7p+0', '0x1.8ca8b5d955c24p-39', 81, 'converged'),
     'singular.pole': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=0.0: empirical local exponent -1.000 <= -1'),
+    'singular.cube_root_upper_tight': ('0x1.7fffffffe778ap+0', '0x1.1f1ea12191fa0p-34', 26727, 'tail_truncated'),
+    'singular.log_over_circle_tight': ('-0x1.16bb24190a0b7p+0', '0x1.16bb717b983d6p-52', 136, 'converged'),
+    'singular.pow_m0_9': ('0x1.56f7ae9ae47fep+3', '0x1.1bcd963ccdaa4p-46', 78, 'converged'),
     'improper.exp': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
     'improper.gauss_full_line': ('0x1.c5bf891b4ef54p+0', '0x1.1777653d00001p-35', 324, 'converged'),
     'improper.exp_lower_infinite': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
@@ -144,6 +164,8 @@ GOLDEN = {
     'improper.lorentz_tight': ('0x1.921fb54442cfbp+0', '0x1.bc5fffffffff3p-44', 684, 'converged'),
     'improper.divergent_tail': ('0x1.154cdf3c5fb18p+5', '0x1.524ef7850abf1p-17', 60534, 'tail_truncated'),
     'improper.gamma_half_singular': ('0x1.c5bf891b4ef60p+0', '0x1.44056883aa0dbp-43', 276, 'converged'),
+    'improper.gamma_half_singular_tight': ('0x1.c5bf891b4ef6bp+0', '0x1.c5bf891b5babap-52', 256, 'converged'),
+    'improper.gamma_half_singular_loose': ('0x1.c5bf891b4ef61p+0', '0x1.35ef615a20ea9p-33', 167, 'converged'),
     'oscillatory.sinc': ('0x1.921fb544417b2p+0', '0x1.8bd805d3aac4cp-35', 480, 'converged'),
     'oscillatory.sin_lorentz': ('0x1.4b24461d56446p-1', '0x1.5aae5925926b9p-35', 540, 'converged'),
     'oscillatory.square_phase': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),

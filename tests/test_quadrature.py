@@ -8,9 +8,13 @@ marked with their oracle in a comment.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import paramint
 from paramint import (
     DomainSpec,
     EndpointKind,
@@ -323,6 +327,13 @@ class _CountingIntegrand:
         return self.f(x)
 
 
+def _ts_upper_node(t: float, a: float, b: float) -> float:
+    """Abscissa of the tanh-sinh node at t > 0 on [a, b] (the side near b)."""
+    u = math.pi / 2.0 * math.sinh(t)
+    e2 = math.exp(-2.0 * u)
+    return b - 0.5 * (b - a) * (2.0 * e2 / (1.0 + e2))
+
+
 class TestBatchPath:
     def test_first_failing_node_in_panel_order_is_named(self):
         # The first panel of [0, 1] is [0, 0.5]: its centre 0.25 is fine, the
@@ -375,6 +386,71 @@ class TestBatchPath:
         assert 1.0 < info.value.abscissa < 2.0
         assert math.isnan(info.value.value)
 
+    def test_first_failing_node_in_sweep_order_is_named(self):
+        # Level 0's upper sweep on [0, 1] meets t = 1 (x ~ 0.9755), which
+        # returns NaN, and then t = 2 (x ~ 0.99999), which raises TypeError.
+        x1 = _ts_upper_node(1.0, 0.0, 1.0)
+
+        def f(x: float) -> float:
+            if x == x1:
+                return math.nan
+            if x > 0.999:
+                raise TypeError("synthetic type error")
+            return 1.0 / math.sqrt(x)
+
+        with pytest.raises(EvaluationError) as info:
+            integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_lower=True))
+        assert info.value.abscissa == x1
+        assert math.isnan(info.value.value)
+
+    def test_foreign_exception_surfaces_unchanged_from_a_sweep(self):
+        def f(x: float) -> float:
+            if x > 0.9:
+                raise TypeError("synthetic type error")
+            return 1.0 / math.sqrt(x)
+
+        with pytest.raises(TypeError, match="synthetic type error"):
+            integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_lower=True))
+
+    def test_overflowing_sweep_of_finite_values_is_not_an_error(self):
+        # On [0, 8] the middle term is about -1.76e308, and level 1's upper
+        # sweep adds about 1.74e308 (t = 0.5) and 1.2e307 (t = 1.5): a plain
+        # sum of that sweep overflows, the compensated running total does
+        # not.  The sweep is rerun node by node and counted once.
+        big = {
+            4.0: -2.8e307,
+            _ts_upper_node(0.5, 0.0, 8.0): 4.5e307,
+            _ts_upper_node(1.5, 0.0, 8.0): 1.7e308,
+        }
+        seen = []
+
+        def f(x: float) -> float:
+            seen.append(x)
+            return big.get(x, 0.0)
+
+        res = integrate_singular(f, DomainSpec.singular(0.0, 8.0, at_lower=True))
+        assert math.isfinite(res.value) and res.value > 0.0
+        assert res.status is QuadStatus.MAX_DEPTH
+        assert len(seen) > res.n_evals == len(set(seen))
+
+    def test_singular_lower_improper_failure_names_x(self):
+        def f(x: float) -> float:
+            return math.nan if 1.0 < x < 2.0 else math.exp(-x) / math.sqrt(x)
+
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(f, DomainSpec.semi_infinite(0.0, singular_lower=True))
+        assert 1.0 < info.value.abscissa < 2.0
+        assert math.isnan(info.value.value)
+
+    def test_singular_lower_improper_overflow_names_s(self):
+        # f is finite everywhere, f / (1 - s)**2 is not near s = 1
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(
+                lambda x: 1e305, DomainSpec.semi_infinite(0.0, singular_lower=True)
+            )
+        assert 0.5 < info.value.abscissa < 1.0
+        assert info.value.value == math.inf
+
     @pytest.mark.parametrize(
         "f, domain",
         [
@@ -399,3 +475,35 @@ class TestBatchPath:
         counted = _CountingIntegrand(f)
         res = integrate(counted, domain)
         assert res.n_evals == counted.calls > 0
+
+
+class TestNodeTables:
+    def test_cold_tables_give_the_bits_of_warm_ones(self):
+        # A fresh interpreter builds no table at import; its first call
+        # builds levels 0-12 and must give the bits of a repeat, and of
+        # this process, whose tables other tests have already built.
+        code = (
+            "from paramint import DomainSpec, QuadConfig, integrate, quadrature\n"
+            "built = len(quadrature._ts_tables)\n"
+            "recs = [integrate(lambda x: (1.0 - x) ** (-1.0 / 3.0),\n"
+            "                  DomainSpec.singular(0.0, 1.0, at_upper=True),\n"
+            "                  QuadConfig(1e-13, 1e-13)) for _ in range(2)]\n"
+            "print(built, len(quadrature._ts_tables))\n"
+            "for r in recs:\n"
+            "    print(r.value.hex(), r.abs_err_est.hex(), r.n_evals)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(paramint.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        tables, cold, warm = proc.stdout.splitlines()
+        assert tables == "0 13"
+        here = integrate(
+            lambda x: (1.0 - x) ** (-1.0 / 3.0),
+            DomainSpec.singular(0.0, 1.0, at_upper=True),
+            QuadConfig(1e-13, 1e-13),
+        )
+        assert cold == warm == f"{here.value.hex()} {here.abs_err_est.hex()} {here.n_evals}"
