@@ -38,7 +38,9 @@ from .quadrature import (
     QuadResult,
     QuadStatus,
     QuadratureError,
-    _log_slope_ladder,
+    NonIntegrableSingularityError,
+    _Counted,
+    _fit_endpoint,
     _TAIL_PROBE_FACTORS,
     integrate,
 )
@@ -258,12 +260,7 @@ def eval_direct(
 
 def _fd_step(P: ParametricIntegral, alpha: float) -> float:
     h = _FD_SCALE * max(1.0, abs(alpha))
-    pd = P.param_domain
-    room = math.inf
-    if math.isfinite(pd.lo):
-        room = min(room, alpha - pd.lo)
-    if math.isfinite(pd.hi):
-        room = min(room, pd.hi - alpha)
+    room = P.param_domain.boundary_distance(alpha)  # alpha is interior
     if room < h:
         h = 0.5 * room
     if h <= 0.0 or alpha + h == alpha:
@@ -389,24 +386,6 @@ def _envelope_at(
     return m
 
 
-def _probe_endpoint_growth(
-    pa_rules: Sequence[Callable[[float], float]],
-    endpoint: float,
-    into: float,
-    width: float,
-) -> None:
-    """Raise if the envelope grows non-integrably toward a finite endpoint."""
-    _, slope = _log_slope_ladder(
-        lambda x: _envelope_at(pa_rules, x), endpoint, into, width, 8
-    )
-    if slope is not None and slope <= -0.999:
-        raise DegenerateWindowError(
-            f"envelope grows non-integrably toward x={endpoint!r} "
-            f"(local exponent {slope:.3f}); the window touches a "
-            "singular parameter value"
-        )
-
-
 def _size_tail(
     tail_env: list[float], base: float, finite_part: float, sides: float
 ) -> tuple[float, DominationVerdict]:
@@ -476,14 +455,25 @@ def domination_scan(
     samples = [(x, _envelope_at(pa_rules, x)) for x in xs]
     finite_part = step * math.fsum(m for _, m in samples)
 
+    def check_growth(endpoint: float, into: float) -> None:
+        """Refuse the window if the envelope is non-integrable at ``endpoint``."""
+        try:
+            _fit_endpoint(lambda x: _envelope_at(pa_rules, x), endpoint, into, width)
+        except NonIntegrableSingularityError as exc:
+            raise DegenerateWindowError(
+                f"envelope grows non-integrably toward x={endpoint!r} "
+                f"(local exponent {exc.exponent:.3f}); the window touches a "
+                "singular parameter value"
+            ) from exc
+
     if not hi_inf:
-        _probe_endpoint_growth(pa_rules, a, dom.upper, width)
-        _probe_endpoint_growth(pa_rules, dom.upper, a, width)
+        check_growth(a, dom.upper)
+        check_growth(dom.upper, a)
         estimate, verdict = finite_part, DominationVerdict.DOMINATED
     else:
         x0 = a + width
         if a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            _probe_endpoint_growth(pa_rules, sgn * a, sgn * x0, width)
+            check_growth(sgn * a, sgn * x0)
         base = max(x0, 1.0)
         tail_env: list[float] = []
         for k in range(_SCAN_TAIL_OCTAVES):
@@ -518,28 +508,10 @@ def domination_scan(
 _ALPHA_TOL_FLOOR = 2e-8  # parameter-quadrature tolerance when g is itself numeric
 _ALPHA_MAX_SUBDIV = 240
 _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
-
-
-def _g_is_singular_at(
-    g: Callable[[float], float], point: float, sgn: float, span: float
-) -> bool:
-    """Probe whether |g| blows up approaching ``point`` from inside."""
-    try:
-        v0 = g(point)
-        if not math.isfinite(v0):
-            return True
-    except (ZeroDivisionError, ValueError, OverflowError, QuadratureError):
-        return True
-    d1, d2 = span * 1e-4, span * 1e-6
-    try:
-        v1 = abs(g(point + sgn * d1))
-        v2 = abs(g(point + sgn * d2))
-    except (ZeroDivisionError, ValueError, OverflowError, QuadratureError):
-        return True
-    if v1 > 0.0 and v2 > 0.0:
-        slope = (math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1))
-        return slope <= -0.05
-    return False
+# An end of the parameter path goes to the singular kernel when the rhs
+# fits a growth exponent at or below this.  The fit uses 3 rungs: deeper
+# rungs of a numeric rhs read inner-quadrature noise as growth.
+_ROUTE_EXPONENT = -0.05
 
 
 def reconstruct(
@@ -551,9 +523,9 @@ def reconstruct(
     otherwise deriv_under_integral evaluated pointwise (with slightly
     relaxed tolerances so its noise floor stays below the parameter
     integral's).  Integrable blow-ups of the rhs at either end of the
-    parameter path — declared via ``rhs_singular_at_anchor`` or detected
-    by growth probes — switch the parameter integral to the singular
-    kernel.
+    parameter path — declared via ``rhs_singular_at_anchor``, or found by
+    a 3-rung endpoint fit that reads an exponent <= -0.05 or meets a
+    failing sample — switch the parameter integral to the singular kernel.
 
     ``n_evals`` counts every evaluation the call causes, the growth
     probes included: closed-form rhs calls, or the summed ``n_evals`` of
@@ -604,21 +576,18 @@ def reconstruct(
         # per-node noise accumulated over the path, counted into the estimate
         extra_est = 2.0 * (hi - lo) * node_cfg.abs_tol
 
-    probes = 0  # rhs calls of the growth probes, which no kernel counts
+    probe = _Counted(g)  # counts the rhs calls of the growth probes
 
-    def probed(a: float) -> float:
-        nonlocal probes
-        probes += 1
-        return g(a)
+    def singular_at(end: float, into: float) -> bool:
+        try:
+            p, _ = _fit_endpoint(probe, end, into, hi - lo, rungs=3)
+        except QuadratureError:  # a failing sample, or a non-integrable fit
+            return True
+        return p <= _ROUTE_EXPONENT
 
-    span = hi - lo
     anchor_side_lo = a0 <= alpha_target
-    sing_lo = (P.rhs_singular_at_anchor and anchor_side_lo) or _g_is_singular_at(
-        probed, lo, +1.0, span
-    )
-    sing_hi = (P.rhs_singular_at_anchor and not anchor_side_lo) or _g_is_singular_at(
-        probed, hi, -1.0, span
-    )
+    sing_lo = (P.rhs_singular_at_anchor and anchor_side_lo) or singular_at(lo, hi)
+    sing_hi = (P.rhs_singular_at_anchor and not anchor_side_lo) or singular_at(hi, lo)
     if sing_lo or sing_hi:
         dom = DomainSpec.singular(lo, hi, at_lower=sing_lo, at_upper=sing_hi)
     else:
@@ -628,7 +597,7 @@ def reconstruct(
     signed = q.value if anchor_side_lo else -q.value
     # every evaluation this call caused: one per call of a closed rhs, the
     # inner kernels' own counts behind a numeric one
-    n_evals = q.n_evals + probes if P.rhs_closed is not None else inner_evals
+    n_evals = q.n_evals + probe.n if P.rhs_closed is not None else inner_evals
     return QuadResult(v0 + signed, q.abs_err_est + extra_est, n_evals, q.status)
 
 

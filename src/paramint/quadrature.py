@@ -36,7 +36,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "EndpointKind",
@@ -222,6 +222,17 @@ def _tol_for(cfg: QuadConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
+def _fsum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of ``terms``; a sum that is not finite is a QuadratureError."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # finite terms overflow, or inf + -inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise QuadratureError("the quadrature sum is not finite: the integral overflows")
+    return total
+
+
 class _Checked:
     """The checked-batch contract shared by the integrand wrappers.
 
@@ -370,8 +381,8 @@ def _adaptive_gk(
 
     panels = [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap] + frozen
     panels.sort(key=lambda p: (p[0], p[1]))
-    value = math.fsum(p[2] for p in panels)
-    err = math.fsum(p[3] for p in panels)
+    value = _fsum(p[2] for p in panels)
+    err = _fsum(p[3] for p in panels)
     if status is QuadStatus.CONVERGED and err > _tol_for(cfg, value):
         status = QuadStatus.MAX_DEPTH
     return value, err, status
@@ -434,15 +445,28 @@ def _ts_level(m: int) -> tuple[array, array, array]:
     return table
 
 
-def _log_slope_ladder(
-    g: Callable[[float], float], endpoint: float, into: float, width: float, rungs: int
-) -> tuple[list[tuple[float, float]], Optional[float]]:
-    """Sample g at distances d = width * 2**-8, 2**-12, ... from ``endpoint``.
+# An endpoint whose fitted exponent is at or below this is refused: |g| ~ d**p
+# is not integrable for p <= -1, and the margin absorbs the fit's noise.
+_REFUSE_EXPONENT = -0.999
 
-    ``rungs`` distances are tried, stepping toward ``into``; the ladder
-    stops early once x rounds onto the endpoint.  Returns the (d, g(x))
-    pairs and the median log-log slope between neighbouring rungs whose
-    values are both positive (None when there is no such pair).
+
+def _fit_endpoint(
+    g: Callable[[float], float],
+    endpoint: float,
+    into: float,
+    width: float,
+    rungs: int = 9,
+) -> tuple[float, float]:
+    """Fit |g| ~ C * d**p at distance d from ``endpoint`` (d toward ``into``).
+
+    |g| is sampled on the ladder d = width * 2**-8, 2**-12, ... (``rungs``
+    distances, stopping early once x rounds onto the endpoint); p is the
+    median log-log slope between neighbouring samples that are both
+    positive (0 when there is no such pair).  Returns (p, C) with p capped
+    at 0, and C the largest |g| * d**-p over the last three positive
+    samples, so the implied mass below a cutoff is conservative for bounded
+    and logarithmic growth alike.  Raises NonIntegrableSingularityError when
+    p <= ``_REFUSE_EXPONENT``.
     """
     direction = 1.0 if into > endpoint else -1.0
     vals = []
@@ -451,32 +475,18 @@ def _log_slope_ladder(
         x = endpoint + direction * d
         if x == endpoint:
             break
-        vals.append((d, g(x)))
+        vals.append((d, abs(g(x))))
     slopes = [
         (math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1))
         for (d1, v1), (d2, v2) in zip(vals, vals[1:])
         if v1 > 0.0 and v2 > 0.0
     ]
-    return vals, median(slopes) if slopes else None
-
-
-def _endpoint_exponent(
-    f: Callable[[float], float], endpoint: float, into: float, width: float
-) -> tuple[float, float]:
-    """Fit |f| ~ C * d**p at distance d from ``endpoint`` (d toward ``into``).
-
-    Returns (p_hat, C_hat) where C_hat uses the capped exponent
-    min(p_hat, 0) so the implied mass below a cutoff is conservative for
-    bounded and logarithmic growth alike.  Raises when p_hat <= -1.
-    """
-    vals, slope = _log_slope_ladder(lambda x: abs(f(x)), endpoint, into, width, 9)
-    p_hat = 0.0 if slope is None else slope
-    if p_hat <= -0.999:
-        raise NonIntegrableSingularityError(endpoint, p_hat)
-    p_eff = min(p_hat, 0.0)
+    p = median(slopes) if slopes else 0.0
+    if p <= _REFUSE_EXPONENT:
+        raise NonIntegrableSingularityError(endpoint, p)
+    p = min(p, 0.0)
     tail = [dv for dv in vals[-3:] if dv[1] > 0.0]
-    c_hat = max((v * d ** (-p_eff) for d, v in tail), default=0.0)
-    return p_eff, c_hat
+    return p, max((v * d ** (-p) for d, v in tail), default=0.0)
 
 
 def _tanh_sinh(
@@ -501,8 +511,8 @@ def _tanh_sinh(
     # rejects divergence, with C = 0 charging nothing on a regular side; and
     # the largest distance from the endpoint at which a node was cut.
     fits = (
-        _endpoint_exponent(f, a, b, width) if sing_lower else (0.0, 0.0),
-        _endpoint_exponent(f, b, a, width) if sing_upper else (0.0, 0.0),
+        _fit_endpoint(f, a, b, width) if sing_lower else (0.0, 0.0),
+        _fit_endpoint(f, b, a, width) if sing_upper else (0.0, 0.0),
     )
     cut_delta = [0.0, 0.0]
     # Endpoints at zero never round onto the endpoint, so without a floor
@@ -548,7 +558,7 @@ def _tanh_sinh(
             terms, cut = f.run(sweep, upper)
             contributions += terms
             cut_delta[upper] = max(cut_delta[upper], cut)
-        value = h * math.fsum(contributions)
+        value = h * _fsum(contributions)
         if m > 0:  # level 1 always runs, so level_diff is always set
             level_diff = abs(value - prev_value)
             if level_diff <= 0.25 * _tol_for(cfg, value) or level_diff < 4.0 * _EPS * abs(value):
@@ -856,13 +866,7 @@ def integrate_oscillatory_improper(
                 and abs(prev_term) > noise
                 and math.copysign(1.0, s) == math.copysign(1.0, prev_term)
             ):
-                fallback_domain = DomainSpec(
-                    a,
-                    math.inf,
-                    lower_kind=EndpointKind.REGULAR,
-                    upper_kind=EndpointKind.INFINITE,
-                )
-                res = integrate_improper(f, fallback_domain, cfg)
+                res = integrate_improper(f, DomainSpec.semi_infinite(a), cfg)
                 return QuadResult(
                     res.value,
                     res.abs_err_est,

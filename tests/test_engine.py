@@ -20,19 +20,22 @@ from paramint import (
     EndpointKind,
     InterchangeReport,
     MissingAnchorError,
+    NonIntegrableSingularityError,
     OneSidedDifferenceError,
     ParamDomain,
     ParameterDomainError,
     ParametricIntegral,
+    QuadResult,
     QuadStatus,
     deriv_under_integral,
     domination_scan,
     eval_direct,
+    integrate,
     interchange_check,
     reconstruct,
     verify,
 )
-from paramint import catalog
+from paramint import catalog, engine
 
 # --- gauss-type family -----------------------------------------------------
 
@@ -346,6 +349,30 @@ class TestDomination:
             domination_scan(Q, (0.5, 2.0))
         assert "x=3." not in str(info.value)
 
+    @pytest.mark.parametrize("p, integrable", [
+        (-0.5, True), (-0.99, True), (-1.01, False), (-2.0, False),
+    ])
+    def test_one_refusal_rule_across_layers(self, p, integrable):
+        # |g| = x**p at x = 0: the singular kernel and the scan sample the
+        # same ladder, so they agree, and a refusal names the same exponent
+        domain = DomainSpec.singular(0.0, 1.0, at_lower=True)
+        P = ParametricIntegral(
+            integrand=lambda x, a: a * x ** p,
+            param_domain=ParamDomain(0.0, 1.0),
+            domain=domain,
+            d_alpha=lambda x, a: x ** p,
+        )
+        if integrable:
+            integrate(lambda x: x ** p, domain)
+            assert domination_scan(P, (0.0, 1.0)).verdict is DominationVerdict.DOMINATED
+            return
+        with pytest.raises(NonIntegrableSingularityError) as kernel:
+            integrate(lambda x: x ** p, domain)
+        with pytest.raises(DegenerateWindowError) as scan:
+            domination_scan(P, (0.0, 1.0))
+        assert scan.value.__cause__.exponent == kernel.value.exponent
+        assert f"local exponent {kernel.value.exponent:.3f}" in str(scan.value)
+
 
 # ---------------------------------------------------------------------------
 # reconstruction
@@ -397,6 +424,43 @@ class TestReconstruct:
 
         res = reconstruct(dataclasses.replace(P, **{counted_field: counted}), alpha)
         assert res.n_evals == calls > 0
+
+    def test_routes_to_the_singular_kernel_only_at_singular_ends(self, monkeypatch):
+        # record the x-domain of the alpha-quadrature (the integrate call
+        # over the parameter path) and skip it; the growth probes run for real
+        routes = []
+        path = None
+
+        def spy(f, dom, cfg=None):
+            if (dom.lower, dom.upper) == path:
+                routes.append((dom.lower_kind, dom.upper_kind))
+                return QuadResult(0.0, 0.0, 0, QuadStatus.CONVERGED)
+            return integrate(f, dom, cfg)
+
+        monkeypatch.setattr(engine, "integrate", spy)
+        singular = {}
+        for entry in catalog.entries():
+            P = entry.parametric
+            if P.anchor is None:
+                continue
+            a0 = P.anchor.alpha0
+            for stripped in (False, True):
+                Q = dataclasses.replace(P, rhs_closed=None) if stripped else P
+                for a in entry.verification_grid:
+                    if a == a0:
+                        continue
+                    path = (min(a, a0), max(a, a0))
+                    routes.clear()
+                    reconstruct(Q, a)
+                    [kinds] = routes
+                    if EndpointKind.INTEGRABLE_SINGULARITY in kinds:
+                        singular[entry.id, a, stripped] = kinds
+        sing, reg = EndpointKind.INTEGRABLE_SINGULARITY, EndpointKind.REGULAR
+        anchor_end = {
+            ("ex1", a, s): (sing, reg) for a in (0.25, 1.0, 4.0) for s in (False, True)
+        }
+        edge = {("ex4", 1.0, s): (reg, sing) for s in (False, True)}
+        assert singular == anchor_end | edge
 
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):

@@ -21,6 +21,9 @@ taken before tanh-sinh levels were swept over precomputed node tables.
 One field was re-recorded on purpose: ``reconstruct``'s ``n_evals`` counts
 every evaluation it causes (the inner kernels' ``n_evals`` summed, growth
 probes included) instead of the alpha-nodes of the parameter quadrature.
+Three of those counts moved again when the growth probes moved onto the
+shared endpoint ladder (same number of rhs calls, other abscissae):
+ex2@1.5 stripped, ex3_alpha@0.0 and ex4@1.0.
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.
@@ -211,7 +214,7 @@ GOLDEN = {
     'ex3_beta@2.0.reconstruct': ('0x1.64b6fa9b2da0ep+0', '0x1.a8b2a00000000p-34', 36, 'converged'),
     'ex3_alpha@0.0.direct': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),
     'ex3_alpha@0.0.deriv': ('-0x1.40d931ff60b9fp-1', '0x1.09082414f1d96p-35', 510, 'converged'),
-    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff642d7p+0', '0x1.13032e426d695p-29', 10590, 'converged'),
+    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff642d7p+0', '0x1.13032e426d695p-29', 10560, 'converged'),
     'ex3_alpha@0.5.direct': ('0x1.f87889db7d703p-1', '0x1.0efed68a3c17cp-35', 270, 'converged'),
     'ex3_alpha@0.5.deriv': ('-0x1.c3366305de557p-2', '0x1.2a9934b131844p-37', 330, 'converged'),
     'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7d302p-1', '0x1.12e3d3026d695p-30', 8220, 'converged'),
@@ -238,8 +241,8 @@ GOLDEN = {
     'ex4@0.99.reconstruct': ('-0x1.c354888f1e92dp+0', '0x1.47dbf3d70a3e1p-34', 186, 'converged'),
     'ex4@1.0.direct': ('-0x1.16bb24190a0acp+1', '0x1.7f8d048e7d983p-36', 60, 'converged'),
     'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
-    'ex4@1.0.reconstruct': ('-0x1.16bb23cfefea2p+1', '0x1.aad784ea9492fp-24', 23864, 'tail_truncated'),
-    'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5840, 'converged'),
+    'ex4@1.0.reconstruct': ('-0x1.16bb23cfefea2p+1', '0x1.aad784ea9492fp-24', 23866, 'tail_truncated'),
+    'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5656, 'converged'),
 }
 
 

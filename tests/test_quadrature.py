@@ -24,6 +24,7 @@ from paramint import (
     QuadConfig,
     QuadResult,
     QuadStatus,
+    QuadratureError,
     integrate,
     integrate_finite,
     integrate_improper,
@@ -369,6 +370,12 @@ class TestBatchPath:
         assert abs(res.value - 2e307) <= 1e-12 * 2e307
         assert f.calls == 2 * res.n_evals
 
+    def test_overflowing_integral_is_an_error_not_converged(self):
+        # every node is finite, but the panels' values overflow to inf and
+        # their estimates to nan
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_finite(lambda x: 1e308, DomainSpec.finite(0.0, 8.0))
+
     def test_overflow_of_the_compactified_value_names_s(self):
         # f is finite everywhere, f / (1 - s)**2 is not near s = 1
         with pytest.raises(EvaluationError) as info:
@@ -432,6 +439,13 @@ class TestBatchPath:
         assert math.isfinite(res.value) and res.value > 0.0
         assert res.status is QuadStatus.MAX_DEPTH
         assert len(seen) > res.n_evals == len(set(seen))
+
+    def test_overflowing_sweep_total_is_a_quadrature_error(self):
+        # finite values whose compensated running total overflows
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_singular(
+                lambda x: 1e308, DomainSpec.singular(0.0, 8.0, at_lower=True)
+            )
 
     def test_singular_lower_improper_failure_names_x(self):
         def f(x: float) -> float:
