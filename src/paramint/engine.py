@@ -41,7 +41,6 @@ from .quadrature import (
     NonIntegrableSingularityError,
     _Counted,
     _fit_endpoint,
-    _TAIL_PROBE_FACTORS,
     integrate,
 )
 
@@ -363,6 +362,7 @@ _SCAN_N_ALPHA = 9
 _SCAN_N_POINTS = 257
 _SCAN_SPAN = 32.0
 _SCAN_TAIL_OCTAVES = 18
+_TAIL_PROBE_FACTORS = (1.0, 1.37, 1.73)
 
 
 def _envelope_at(

@@ -11,8 +11,9 @@ produce in practice:
   one or both endpoints.  The integrand is never evaluated exactly
   at a singular endpoint.
 * :func:`integrate_improper` -- compactifies a semi-infinite domain
-  with x = t/(1-t) and certifies the discarded tail with a sampled
-  monotone-envelope bound.
+  with x = s/(1-s); Gauss-Kronrod covers the head, and tanh-sinh covers
+  the tail all the way to the infinite end, which it samples through the
+  exact complement 1 - s.
 * :func:`integrate_oscillatory_improper` -- sums the integral between
   consecutive phase zeros and accelerates the alternating partial
   sums with Wynn's epsilon extrapolation.
@@ -265,8 +266,8 @@ class _Checked:
         return sweep(self, arg)
 
     def many(self, xs: Sequence[float]) -> list[float]:
-        """The map at every node of ``xs`` (a Gauss-Kronrod panel, a set of
-        tail probes) as one checked batch."""
+        """The map at every node of ``xs`` (a Gauss-Kronrod panel) as one
+        checked batch."""
         return self.run(self._batch, xs)[0]
 
     def _batch(
@@ -493,33 +494,40 @@ def _tanh_sinh(
     f: _Counted | _Compactified,
     a: float,
     b: float,
-    sing_lower: bool,
-    sing_upper: bool,
+    lower_kind: EndpointKind,
+    upper_kind: EndpointKind,
     cfg: QuadConfig,
 ) -> tuple[float, float, QuadStatus]:
     """Value, error estimate and status of tanh-sinh on [a, b].
 
     Each side of each level is one checked sweep (``f.run``) over the
-    level's node table.
+    level's node table.  A side of kind ``INFINITE`` is the image of
+    x = inf under a compactification: it is fitted only if a sweep is cut
+    there, on a ladder that ends at the cut, and a fit that reads
+    divergence charges an infinite allowance instead of raising.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     width = b - a
     w_scale = half * _PI_HALF
 
-    # Per side (0 = lower, 1 = upper): the endpoint fit (p, C), which also
-    # rejects divergence, with C = 0 charging nothing on a regular side; and
-    # the largest distance from the endpoint at which a node was cut.
-    fits = (
-        _fit_endpoint(f, a, b, width) if sing_lower else (0.0, 0.0),
-        _fit_endpoint(f, b, a, width) if sing_upper else (0.0, 0.0),
-    )
+    # Per side (0 = lower, 1 = upper): the endpoint, the side's kind, and
+    # the fit (p, C) of an integrable singularity, which also rejects
+    # divergence, with C = 0 charging nothing on any other side; and the
+    # largest distance from the endpoint at which a node was cut.
+    sides = ((a, b, lower_kind), (b, a, upper_kind))
+    fits = [
+        _fit_endpoint(f, end, into, width)
+        if kind is EndpointKind.INTEGRABLE_SINGULARITY else (0.0, 0.0)
+        for end, into, kind in sides
+    ]
     cut_delta = [0.0, 0.0]
     # Endpoints at zero never round onto the endpoint, so without a floor
     # the node ladder descends until squared-distance terms inside the
     # integrand underflow to 0.0 (e.g. log(s*s) at s ~ 1e-160).  Nodes
     # below the floor are dropped and charged to the truncation allowance;
-    # at 2^-512 * half the charged mass is far below any tolerance.
+    # at 2^-512 * half the charged mass is far below any tolerance, except
+    # at an infinite end whose tail decays barely faster than 1/x.
     delta_floor = half * 2.0 ** -512
 
     def sweep(fn: Callable[[float], float], upper: int) -> tuple[list[float], float]:
@@ -528,28 +536,39 @@ def _tanh_sinh(
         for a cut node (0.0 when none was cut)."""
         terms = []
         small_run = 0
+        last = math.inf
         for r, cosh_t, cosh_u in zip(*table):
             delta = half * r
             x = b - delta if upper else a + delta
             if x == b or x == a or delta < delta_floor:
+                if small_run and sides[upper][2] is EndpointKind.INFINITE:
+                    # A small-term stop: the terms had already vanished, and
+                    # a fit at the cut would sample x near 1e155, where many
+                    # integrands overflow.
+                    break
                 return terms, max(delta_floor, delta)
             w = w_scale * cosh_t / (cosh_u * cosh_u)
             if w == 0.0:
                 break
             c = w * fn(x)
             terms.append(c)
-            if abs(c) < tiny:
+            # A small term that is larger than the one before it is mid-sweep
+            # (e.g. a slowly decaying tail still rising), not the end.
+            size = abs(c)
+            if size < tiny and size <= last:
                 small_run += 1
                 if small_run >= 3:
                     break
             else:
                 small_run = 0
+            last = size
         return terms, 0.0
 
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
         contributions.append(w_scale * f(mid))
     prev_value = 0.0
+    level_diff = 0.0  # prev_diff at level 1, which always runs
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
         tiny = 1e-18 * (1.0 + abs(prev_value))
@@ -559,15 +578,29 @@ def _tanh_sinh(
             contributions += terms
             cut_delta[upper] = max(cut_delta[upper], cut)
         value = h * _fsum(contributions)
-        if m > 0:  # level 1 always runs, so level_diff is always set
-            level_diff = abs(value - prev_value)
+        if m > 0:
+            prev_diff, level_diff = level_diff, abs(value - prev_value)
             if level_diff <= 0.25 * _tol_for(cfg, value) or level_diff < 4.0 * _EPS * abs(value):
                 break
         prev_value = value
+    else:
+        # Out of levels.  Next to an infinite end the compactified integrand
+        # can oscillate without bound (sin x becomes sin((1 - om)/om)), so
+        # the level differences jump and the last one alone can undershoot.
+        if EndpointKind.INFINITE in (lower_kind, upper_kind):
+            level_diff = max(level_diff, prev_diff)
 
-    # Mass potentially lost where abscissae round onto a singular endpoint.
+    # Mass potentially lost where abscissae round onto a singular endpoint
+    # or pass the floor.  The ladder at an infinite end has its last rung at
+    # the cut: growth far from the cut says nothing about the mass below it.
     allowance = 0.0
-    for (p_eff, c_hat), dc in zip(fits, cut_delta):
+    for (end, into, kind), (p_eff, c_hat), dc in zip(sides, fits, cut_delta):
+        if dc > 0.0 and kind is EndpointKind.INFINITE:
+            try:
+                p_eff, c_hat = _fit_endpoint(f, end, into, dc * 2.0 ** 40)
+            except NonIntegrableSingularityError:
+                allowance = math.inf
+                continue
         if dc > 0.0 and c_hat > 0.0:
             allowance += 3.0 * c_hat * dc ** (1.0 + p_eff) / (1.0 + p_eff)
 
@@ -595,12 +628,7 @@ def integrate_singular(
             raise ValueError("integrate_singular requires finite endpoints")
     fc = _Counted(f)
     value, err, status = _tanh_sinh(
-        fc,
-        domain.lower,
-        domain.upper,
-        domain.lower_kind is EndpointKind.INTEGRABLE_SINGULARITY,
-        domain.upper_kind is EndpointKind.INTEGRABLE_SINGULARITY,
-        cfg,
+        fc, domain.lower, domain.upper, domain.lower_kind, domain.upper_kind, cfg
     )
     return QuadResult(value, err, fc.n, status)
 
@@ -609,70 +637,39 @@ def integrate_singular(
 # semi-infinite domains
 # ---------------------------------------------------------------------------
 
-_TAIL_PROBE_FACTORS = (1.0, 1.37, 1.73)
-_MAX_CUT = 9.0e14  # keeps t/(1-t) representable near t = 1
-_TAIL_TARGET_FLOOR = 1e-14  # the tail bound must reach max(this, abs_tol / 10)
-
-
-def _certify_tail(
-    f: _Counted, a: float, target: float
-) -> tuple[float, float, bool]:
-    """Pick a cut X >= a so that int_X^inf |f| is certifiably <= target.
-
-    Uses octave samples of |f| and a geometric monotone-envelope bound:
-    if |f| decays by rho < 1/2 per octave beyond X, the tail is below
-    2 * X * |f(X)| / (1 - 2 rho).  Returns (X, bound, certified).
-    """
-    x0 = max(8.0, 2.0 * abs(a) + 8.0)
-    bound = math.inf
-    n_fac = len(_TAIL_PROBE_FACTORS)
-    while x0 - a < _MAX_CUT:
-        vs = f.many([x0 * (2.0 ** k) * fac for k in range(4) for fac in _TAIL_PROBE_FACTORS])
-        env = [max(map(abs, vs[i:i + n_fac])) for i in range(0, len(vs), n_fac)]
-        if all(v == 0.0 for v in env):
-            return x0, 0.0, True
-        rho = 0.0
-        ok = True
-        for lo, hi in zip(env, env[1:]):
-            if lo == 0.0:
-                ok = hi == 0.0
-                if not ok:
-                    break
-                continue
-            rho = max(rho, hi / lo)
-        if ok and rho < 0.5:
-            bound = 2.0 * x0 * env[0] / (1.0 - 2.0 * rho)
-            if bound <= target:
-                return x0, bound, True
-        x0 *= 2.0
-    return x0, bound if math.isfinite(bound) else abs(target) * 1e6, False
-
-
 class _Compactified(_Checked):
     """g(s) = f(a + s/om) / (om*om), om = 1 - s, over a counted f on [a, inf).
 
-    Evaluations are counted on ``fc``.  A failing node raises as two
-    nested checks would: at x when f itself fails, at s when only the
-    Jacobian-weighted value does.  A checked batch needs one finiteness
-    test for both, because a non-finite f stays non-finite after the
-    division.
+    With ``complement`` the argument is om itself, the exact distance to
+    the infinite end s = 1, so a node next to that end never rounds onto
+    it: x = a + (1 - om)/om.  Evaluations are counted on ``fc``.  A failing
+    node raises as two nested checks would: at x when f itself fails, at s
+    when only the Jacobian-weighted value does.  A checked batch needs one
+    finiteness test for both, because a non-finite f stays non-finite after
+    the division.
     """
 
-    __slots__ = ("fc", "a", "raw")
+    __slots__ = ("fc", "a", "complement", "raw")
 
-    def __init__(self, fc: _Counted, a: float):
+    def __init__(self, fc: _Counted, a: float, complement: bool = False):
         self.fc = fc
         self.a = a
+        self.complement = complement
         f = fc.raw
 
-        def raw(s: float) -> float:
-            om = 1.0 - s
-            return f(a + s / om) / (om * om)
+        if complement:
+            def raw(om: float) -> float:
+                return f(a + (1.0 - om) / om) / (om * om)
+        else:
+            def raw(s: float) -> float:
+                om = 1.0 - s
+                return f(a + s / om) / (om * om)
 
         self.raw = raw
 
-    def __call__(self, s: float) -> float:
-        om = 1.0 - s  # at least 1 - s_cut > 0: the division cannot raise
+    def __call__(self, t: float) -> float:
+        # om > 0 on every node: the division cannot raise
+        s, om = (1.0 - t, t) if self.complement else (t, 1.0 - t)
         v = self.fc(self.a + s / om) / (om * om)
         if not math.isfinite(v):
             raise EvaluationError(s, v)
@@ -686,35 +683,39 @@ class _Compactified(_Checked):
     ) -> tuple[list[float], None]:
         # The unchecked pass writes ``raw`` out inline: a Python call per
         # node would add a tenth to the improper kernel's cost per eval.
-        if fn is not self.raw:
+        if fn is not self.raw or self.complement:
             return super()._batch(fn, ss)
         f, a = self.fc.raw, self.a
         return [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss], None
 
 
 def _improper_semi(
-    fc: _Counted, a: float, lower_singular: bool, cfg: QuadConfig
+    fc: _Counted, a: float, lower_kind: EndpointKind, cfg: QuadConfig
 ) -> QuadResult:
-    target = max(_TAIL_TARGET_FLOOR, 0.1 * cfg.abs_tol)
-    cut_x, tail_bound, certified = _certify_tail(fc, a, target)
+    """[a, inf) as s in [0, 1), x = a + s/(1 - s), split at x = a + x_m.
 
-    s_cut = (cut_x - a) / (1.0 + (cut_x - a))
+    The head s in [0, s_m] runs Gauss-Kronrod (tanh-sinh when the lower end
+    is singular) at 0.9 of the tolerance; the tail runs tanh-sinh at 0.1 of
+    it, over om = 1 - s in [0, 1 - s_m], out to the infinite end om = 0.
+    """
+    x_m = max(8.0, 2.0 * abs(a) + 8.0)
+    s_m = x_m / (1.0 + x_m)
+    head_cfg = replace(cfg, abs_tol=0.9 * cfg.abs_tol, rel_tol=0.9 * cfg.rel_tol)
+    tail_cfg = replace(cfg, abs_tol=0.1 * cfg.abs_tol, rel_tol=0.1 * cfg.rel_tol)
     g = _Compactified(fc, a)
-    inner_cfg = replace(cfg, abs_tol=0.9 * cfg.abs_tol, rel_tol=0.9 * cfg.rel_tol)
-    if lower_singular:
-        value, err, inner_status = _tanh_sinh(g, 0.0, s_cut, True, False, inner_cfg)
+    if lower_kind is EndpointKind.REGULAR:
+        head = _adaptive_gk(g, 0.0, s_m, head_cfg)
     else:
-        value, err, inner_status = _adaptive_gk(g, 0.0, s_cut, inner_cfg)
-
-    est = err + tail_bound
-    if not certified:
-        status = QuadStatus.TAIL_TRUNCATED
-    elif inner_status is not QuadStatus.CONVERGED:
-        status = inner_status
-    elif est <= _tol_for(cfg, value):
-        status = QuadStatus.CONVERGED
-    else:
-        status = QuadStatus.TAIL_TRUNCATED
+        head = _tanh_sinh(g, 0.0, s_m, lower_kind, EndpointKind.REGULAR, head_cfg)
+    tail = _tanh_sinh(
+        _Compactified(fc, a, complement=True), 0.0, 1.0 - s_m,
+        EndpointKind.INFINITE, EndpointKind.REGULAR, tail_cfg,
+    )
+    value = head[0] + tail[0]
+    est = head[1] + tail[1]
+    status = max(head[2], tail[2], key=_STATUS_RANK.get)
+    if status is QuadStatus.CONVERGED and est > _tol_for(cfg, value):
+        status = QuadStatus.MAX_DEPTH
     return QuadResult(value, est, fc.n, status)
 
 
@@ -723,10 +724,13 @@ def integrate_improper(
 ) -> QuadResult:
     """Integrate over a domain with at least one infinite endpoint.
 
-    The finite part is mapped through x = t/(1-t); the discarded tail
-    beyond the compactification cut is certified to be at most
-    max(1e-14, abs_tol / 10) by a sampled monotone-envelope bound that
-    is folded into ``abs_err_est``.
+    [a, inf) is mapped to s in [0, 1) through x = a + s/(1-s).  The head,
+    x up to a + max(8, 2|a| + 8), runs Gauss-Kronrod (tanh-sinh when the
+    lower end is singular); the tail runs tanh-sinh all the way to the
+    infinite end.  Where its nodes pass the floor next to that end, the mass
+    beyond is bounded by a fitted decay exponent and folded into
+    ``abs_err_est``; a tail that decays like 1/x or slower gets an infinite
+    estimate and ``tail_truncated``.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:
@@ -760,13 +764,7 @@ def integrate_improper(
         )
         return integrate_improper(lambda u: f(-u), mirrored, cfg)
 
-    fc = _Counted(f)
-    return _improper_semi(
-        fc,
-        domain.lower,
-        domain.lower_kind is EndpointKind.INTEGRABLE_SINGULARITY,
-        cfg,
-    )
+    return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ use a composite Simpson rule; everything else goes through mpmath at 30
 significant digits (plain ``quad`` for smooth/singular cases, ``quadosc``
 for oscillatory tails).  The frozen literals in the test files were
 produced by the functions below; rerunning them must reproduce those
-literals to all printed digits.
+literals to all printed digits.  ``GOLDEN_TRUTHS`` is such a table kept
+here: the functions import mpmath when called, so a test can import the
+table without it.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
+import math
 
 
 def composite_simpson(f, a: float, b: float, n: int = 4096) -> float:
@@ -26,17 +28,95 @@ def composite_simpson(f, a: float, b: float, n: int = 4096) -> float:
 
 def mp_quad(f, points, dps: int = 30) -> float:
     """High-precision quadrature; `points` as for mpmath.quad."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         return float(mp.quad(f, points, maxdegree=10))
 
 
 def mp_quadosc(f, a, zeros, dps: int = 30) -> float:
     """High-precision oscillatory quadrature on [a, inf)."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         return float(mp.quadosc(f, [a, mp.inf], zeros=zeros))
 
 
 def mp_formula(expr, dps: int = 30) -> float:
     """Evaluate a zero-argument mpmath expression at high precision."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         return float(expr())
+
+
+def golden_truths() -> dict:
+    """True values of the golden records routed through the half-line kernel.
+
+    Closed forms evaluated by mpmath; ``improper.exp_lorentz`` is
+    Ci(1) sin(1) + (pi/2 - Si(1)) cos(1).
+    """
+    import mpmath as mp
+
+    out = {
+        "improper.exp": mp_formula(lambda: mp.mpf(1)),
+        "improper.gauss_full_line": mp_formula(lambda: mp.sqrt(mp.pi)),
+        "improper.exp_lower_infinite": mp_formula(lambda: mp.mpf(1)),
+        "improper.exp_lorentz": mp_formula(
+            lambda: mp.ci(1) * mp.sin(1) + (mp.pi / 2 - mp.si(1)) * mp.cos(1)),
+        "improper.lorentz_tight": mp_formula(lambda: mp.pi / 2),
+        "improper.divergent_tail": math.inf,  # int_0^inf dx/(1+x)
+        "improper.gamma_half_singular": mp_formula(lambda: mp.sqrt(mp.pi)),
+        "improper.gamma_half_singular_tight": mp_formula(lambda: mp.sqrt(mp.pi)),
+        "improper.gamma_half_singular_loose": mp_formula(lambda: mp.sqrt(mp.pi)),
+        "oscillatory.fallback": mp_formula(lambda: mp.mpf(5) / 2),
+    }
+    for a in (0.5, 1.0, 2.0):  # exp(-a x^2) and its a-derivative
+        out[f"gauss@{a!r}.direct"] = mp_formula(lambda: mp.sqrt(mp.pi / a) / 2)
+        out[f"gauss@{a!r}.deriv"] = mp_formula(lambda: -mp.sqrt(mp.pi) / (4 * mp.mpf(a) ** 1.5))
+    for a in (0.25, 1.0, 4.0):  # log(1 + a x^2)/x^2 and 1/(1 + a x^2)
+        out[f"ex1@{a!r}.direct"] = mp_formula(lambda: mp.pi * mp.sqrt(a))
+        out[f"ex1@{a!r}.deriv"] = mp_formula(lambda: mp.pi / (2 * mp.sqrt(a)))
+    for b in (0.0, 0.5, 1.0, 2.0):  # exp(-x^2) sin(b x^2)/x^2 and its b-derivative
+        out[f"ex3_beta@{b!r}.direct"] = mp_formula(
+            lambda: mp.sqrt(mp.pi / 2) * mp.sqrt(mp.sqrt(1 + mp.mpf(b) ** 2) - 1))
+        out[f"ex3_beta@{b!r}.deriv"] = mp_formula(
+            lambda: mp.sqrt(mp.pi) / 2 * mp.cos(mp.atan(b) / 2) / (1 + mp.mpf(b) ** 2) ** 0.25)
+    return out
+
+
+
+# golden_truths(), frozen: the true values of the golden records in
+# tests/test_golden_bits.py that run through the half-line kernel.
+GOLDEN_TRUTHS = {
+    'improper.exp': 1.0,
+    'improper.gauss_full_line': 1.772453850905516,
+    'improper.exp_lower_infinite': 1.0,
+    'improper.exp_lorentz': 0.6214496242358134,
+    'improper.lorentz_tight': 1.5707963267948966,
+    'improper.divergent_tail': math.inf,
+    'improper.gamma_half_singular': 1.772453850905516,
+    'improper.gamma_half_singular_tight': 1.772453850905516,
+    'improper.gamma_half_singular_loose': 1.772453850905516,
+    'oscillatory.fallback': 2.5,
+    'gauss@0.5.direct': 1.2533141373155003,
+    'gauss@0.5.deriv': -1.2533141373155003,
+    'gauss@1.0.direct': 0.886226925452758,
+    'gauss@1.0.deriv': -0.443113462726379,
+    'gauss@2.0.direct': 0.6266570686577502,
+    'gauss@2.0.deriv': -0.15666426716443754,
+    'ex1@0.25.direct': 1.5707963267948966,
+    'ex1@0.25.deriv': 3.141592653589793,
+    'ex1@1.0.direct': 3.141592653589793,
+    'ex1@1.0.deriv': 1.5707963267948966,
+    'ex1@4.0.direct': 6.283185307179586,
+    'ex1@4.0.deriv': 0.7853981633974483,
+    'ex3_beta@0.0.direct': 0.0,
+    'ex3_beta@0.0.deriv': 0.886226925452758,
+    'ex3_beta@0.5.direct': 0.43058954465393723,
+    'ex3_beta@0.5.deriv': 0.8157205415526911,
+    'ex3_beta@1.0.direct': 0.8066257758615741,
+    'ex3_beta@1.0.deriv': 0.6884981659265768,
+    'ex3_beta@2.0.direct': 1.3934170369008219,
+    'ex3_beta@2.0.deriv': 0.5041430200010341,
+}

@@ -189,6 +189,16 @@ class TestEvalAndDeriv:
         res = deriv_under_integral(make_cos(with_da=False), 1.0)
         assert abs(res.value - _cos_rhs(1.0)) < 1e-7
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e-6, 1e-30, 1e-102])
+    def test_algebraic_tail_at_small_alpha(self, alpha):
+        # d/da of ex1 is 1/(1 + a x^2): an x**-2 tail that sets in only
+        # beyond x ~ a**-0.5, so the mass sits far out on the half-line
+        res = deriv_under_integral(catalog.get("ex1").parametric, alpha)
+        true = math.pi / (2.0 * math.sqrt(alpha))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - true) <= res.abs_err_est
+        assert abs(res.value - true) <= 1e-14 * true
+
     def test_deriv_at_boundary_needs_analytic_rule(self):
         with pytest.raises(OneSidedDifferenceError):
             deriv_under_integral(make_cos(with_da=False), 0.0)
@@ -461,6 +471,23 @@ class TestReconstruct:
         }
         edge = {("ex4", 1.0, s): (reg, sing) for s in (False, True)}
         assert singular == anchor_end | edge
+
+    def test_every_inner_quadrature_of_a_nested_half_line_converges(self, monkeypatch):
+        # ex1 with rhs_closed stripped: the alpha-quadrature samples the
+        # inner half-line integral down to alpha ~ 1e-150
+        inner = []
+        deriv = engine.deriv_under_integral
+
+        def spy(P, a, cfg=None):
+            res = deriv(P, a, cfg)
+            inner.append(res.status)
+            return res
+
+        monkeypatch.setattr(engine, "deriv_under_integral", spy)
+        P = dataclasses.replace(catalog.get("ex1").parametric, rhs_closed=None)
+        res = reconstruct(P, 1.0)
+        assert abs(res.value - math.pi) <= res.abs_err_est
+        assert inner and set(inner) == {QuadStatus.CONVERGED}
 
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):

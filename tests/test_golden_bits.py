@@ -23,7 +23,10 @@ every evaluation it causes (the inner kernels' ``n_evals`` summed, growth
 probes included) instead of the alpha-nodes of the parameter quadrature.
 Three of those counts moved again when the growth probes moved onto the
 shared endpoint ladder (same number of rhs calls, other abscissae):
-ex2@1.5 stripped, ex3_alpha@0.0 and ex4@1.0.
+ex2@1.5 stripped, ex3_alpha@0.0 and ex4@1.0.  The 30 records that run
+through the half-line kernel (``GOLDEN_TRUTHS`` in ``_oracles.py``) were
+re-recorded when its tail moved from a certified cut to tanh-sinh run out
+to the infinite end.
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from _oracles import GOLDEN_TRUTHS
 from paramint import (
     DomainSpec,
     EndpointKind,
@@ -160,33 +164,33 @@ GOLDEN = {
     'singular.cube_root_upper_tight': ('0x1.7fffffffe778ap+0', '0x1.1f1ea12191fa0p-34', 26727, 'tail_truncated'),
     'singular.log_over_circle_tight': ('-0x1.16bb24190a0b7p+0', '0x1.16bb717b983d6p-52', 136, 'converged'),
     'singular.pow_m0_9': ('0x1.56f7ae9ae47fep+3', '0x1.1bcd963ccdaa4p-46', 78, 'converged'),
-    'improper.exp': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
-    'improper.gauss_full_line': ('0x1.c5bf891b4ef54p+0', '0x1.1777653d00001p-35', 324, 'converged'),
-    'improper.exp_lower_infinite': ('0x1.fffffffffff73p-1', '0x1.b58384627a64fp-36', 156, 'converged'),
-    'improper.exp_lorentz': ('0x1.3e2ea5286899fp-1', '0x1.d36ad8cd8885dp-37', 156, 'converged'),
-    'improper.lorentz_tight': ('0x1.921fb54442cfbp+0', '0x1.bc5fffffffff3p-44', 684, 'converged'),
-    'improper.divergent_tail': ('0x1.154cdf3c5fb18p+5', '0x1.524ef7850abf1p-17', 60534, 'tail_truncated'),
-    'improper.gamma_half_singular': ('0x1.c5bf891b4ef60p+0', '0x1.44056883aa0dbp-43', 276, 'converged'),
-    'improper.gamma_half_singular_tight': ('0x1.c5bf891b4ef6bp+0', '0x1.c5bf891b5babap-52', 256, 'converged'),
-    'improper.gamma_half_singular_loose': ('0x1.c5bf891b4ef61p+0', '0x1.35ef615a20ea9p-33', 167, 'converged'),
+    'improper.exp': ('0x1.fffffffffffe4p-1', '0x1.512ae32d45d97p-38', 163, 'converged'),
+    'improper.gauss_full_line': ('0x1.c5bf891b4ef54p+0', '0x1.1777653d00000p-35', 326, 'converged'),
+    'improper.exp_lower_infinite': ('0x1.fffffffffffe4p-1', '0x1.512ae32d45d97p-38', 163, 'converged'),
+    'improper.exp_lorentz': ('0x1.3e2ea5286899ep-1', '0x1.2f3b4dd2e31bfp-36', 162, 'converged'),
+    'improper.lorentz_tight': ('0x1.921fb54442d04p+0', '0x1.4919cd70c734bp-48', 206, 'converged'),
+    'improper.divergent_tail': ('0x1.65cbe5ec1f4b1p+8', 'inf', 35291, 'tail_truncated'),
+    'improper.gamma_half_singular': ('0x1.c5bf891b4ef6cp+0', '0x1.541c4e246d3bep-46', 207, 'converged'),
+    'improper.gamma_half_singular_tight': ('0x1.c5bf891b4ef6cp+0', '0x1.862e7c48da77bp-47', 268, 'converged'),
+    'improper.gamma_half_singular_loose': ('0x1.c5bf891b4ef90p+0', '0x1.2764254367123p-29', 176, 'converged'),
     'oscillatory.sinc': ('0x1.921fb544417b2p+0', '0x1.8bd805d3aac4cp-35', 480, 'converged'),
     'oscillatory.sin_lorentz': ('0x1.4b24461d56446p-1', '0x1.5aae5925926b9p-35', 540, 'converged'),
     'oscillatory.square_phase': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),
-    'oscillatory.fallback': ('0x1.3ffffffffffa2p+1', '0x1.1377dd91114f6p-33', 426, 'tail_truncated'),
-    'gauss@0.5.direct': ('0x1.40d931ff626edp+0', '0x1.67d8dcd622791p-38', 192, 'converged'),
-    'gauss@0.5.deriv': ('-0x1.40d931ff626f3p+0', '0x1.808a3651abfddp-38', 234, 'converged'),
-    'gauss@1.0.direct': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00001p-36', 162, 'converged'),
-    'gauss@1.0.deriv': ('-0x1.c5bf891b4ef53p-2', '0x1.bc03b57e20278p-36', 192, 'converged'),
-    'gauss@2.0.direct': ('0x1.40d931ff626f4p-1', '0x1.8ee4b3be1160ep-40', 162, 'converged'),
-    'gauss@2.0.deriv': ('-0x1.40d931ff626f4p-3', '0x1.a71c08770b1a4p-37', 162, 'converged'),
-    'ex1@0.25.direct': ('0x1.921fb54433567p+0', '0x1.7efe7ff8533e7p-34', 1356, 'converged'),
-    'ex1@0.25.deriv': ('0x1.921fb54441d04p+1', '0x1.4d2c5fffff697p-34', 528, 'converged'),
+    'oscillatory.fallback': ('0x1.3ffffffffffefp+1', '0x1.77b9ad13889f1p-34', 434, 'tail_truncated'),
+    'gauss@0.5.direct': ('0x1.40d931ff626f4p+0', '0x1.59a24701252cep-38', 193, 'converged'),
+    'gauss@0.5.deriv': ('-0x1.40d931ff62708p+0', '0x1.1f36c0518360fp-34', 193, 'converged'),
+    'gauss@1.0.direct': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00000p-36', 163, 'converged'),
+    'gauss@1.0.deriv': ('-0x1.c5bf891b4ef53p-2', '0x1.bc03b57e20245p-36', 193, 'converged'),
+    'gauss@2.0.direct': ('0x1.40d931ff626f4p-1', '0x1.8ee4b3be1160ep-40', 163, 'converged'),
+    'gauss@2.0.deriv': ('-0x1.40d931ff626f4p-3', '0x1.a71c08770b1a4p-37', 163, 'converged'),
+    'ex1@0.25.direct': ('0x1.921fb54442d0bp+0', '0x1.b8deeb5f04f99p-40', 153, 'converged'),
+    'ex1@0.25.deriv': ('0x1.921fb54442d06p+1', '0x1.bee6f34f45679p-40', 122, 'converged'),
     'ex1@0.25.reconstruct': ('0x1.921fb54442d18p+0', '0x1.9243f6a8885a3p-49', 78, 'converged'),
-    'ex1@1.0.direct': ('0x1.921fb54434248p+1', '0x1.8e0e3b4613a87p-33', 1326, 'converged'),
-    'ex1@1.0.deriv': ('0x1.921fb54440d03p+0', '0x1.06007ffffff40p-37', 534, 'converged'),
+    'ex1@1.0.direct': ('0x1.921fb54442d08p+1', '0x1.ad15bfaad1f28p-38', 153, 'converged'),
+    'ex1@1.0.deriv': ('0x1.921fb54442d05p+0', '0x1.119fbd17291a7p-33', 92, 'converged'),
     'ex1@1.0.reconstruct': ('0x1.921fb54442d18p+1', '0x1.9243f6a8885a3p-48', 78, 'converged'),
-    'ex1@4.0.direct': ('0x1.921fb544348b7p+2', '0x1.4481d3fd17559p-32', 1326, 'converged'),
-    'ex1@4.0.deriv': ('0x1.921fb5443ed04p-1', '0x1.ad2c3ffff696ap-36', 480, 'converged'),
+    'ex1@4.0.direct': ('0x1.921fb54442d06p+2', '0x1.d8becffb5a2ffp-32', 153, 'converged'),
+    'ex1@4.0.deriv': ('0x1.921fb54442d04p-1', '0x1.96388319c8b4fp-36', 122, 'converged'),
     'ex1@4.0.reconstruct': ('0x1.921fb54442d18p+2', '0x1.9243f6a8885a3p-47', 78, 'converged'),
     'ex2@1.0.direct': ('-0x1.096a5c3685626p-51', '0x1.80d3b8296ae76p-36', 72, 'converged'),
     'ex2@1.0.deriv': ('0x1.921fb54442d18p+1', '0x1.04921fb54442dp-43', 71, 'converged'),
@@ -200,17 +204,17 @@ GOLDEN = {
     'ex2@5.0.direct': ('0x1.4398c0d8e3de9p+3', '0x1.17535c769975fp-33', 30, 'converged'),
     'ex2@5.0.deriv': ('0x1.41b2f769cf0cfp+0', '0x1.521d2929a52ebp-44', 60, 'converged'),
     'ex2@5.0.reconstruct': ('0x1.4398c0d8e3de8p+3', '0x1.1672800000000p-33', 66, 'converged'),
-    'ex3_beta@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 42, 'converged'),
-    'ex3_beta@0.0.deriv': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00001p-36', 162, 'converged'),
+    'ex3_beta@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 43, 'converged'),
+    'ex3_beta@0.0.deriv': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00000p-36', 163, 'converged'),
     'ex3_beta@0.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
-    'ex3_beta@0.5.direct': ('0x1.b8ec7731271a4p-2', '0x1.ce3d4a8ae18dfp-37', 162, 'converged'),
-    'ex3_beta@0.5.deriv': ('0x1.a1a61f7149d57p-1', '0x1.1f99686876eb0p-37', 192, 'converged'),
+    'ex3_beta@0.5.direct': ('0x1.b8ec7731271a4p-2', '0x1.ce3d4a8ae18dfp-37', 163, 'converged'),
+    'ex3_beta@0.5.deriv': ('0x1.a1a61f7149d57p-1', '0x1.1f99686876eafp-37', 193, 'converged'),
     'ex3_beta@0.5.reconstruct': ('0x1.b8ec7731271a4p-2', '0x1.b000000000000p-50', 36, 'converged'),
-    'ex3_beta@1.0.direct': ('0x1.9cfe0dbedf456p-1', '0x1.4f5656d2581c3p-37', 222, 'converged'),
-    'ex3_beta@1.0.deriv': ('0x1.6082d4e405700p-1', '0x1.342d4f13c77d9p-34', 222, 'converged'),
+    'ex3_beta@1.0.direct': ('0x1.9cfe0dbedf456p-1', '0x1.4f5656d2581c3p-37', 223, 'converged'),
+    'ex3_beta@1.0.deriv': ('0x1.6082d4e405700p-1', '0x1.342d4f13c77d9p-34', 223, 'converged'),
     'ex3_beta@1.0.reconstruct': ('0x1.9cfe0dbedf458p-1', '0x1.7e00000000000p-47', 36, 'converged'),
-    'ex3_beta@2.0.direct': ('0x1.64b6fa9b2da0fp+0', '0x1.0294e1bb96e32p-35', 312, 'converged'),
-    'ex3_beta@2.0.deriv': ('0x1.021f08aed27ccp-1', '0x1.fdfb7e16325cap-35', 342, 'converged'),
+    'ex3_beta@2.0.direct': ('0x1.64b6fa9b2da0fp+0', '0x1.0294e1bb96e32p-35', 313, 'converged'),
+    'ex3_beta@2.0.deriv': ('0x1.021f08aed27ccp-1', '0x1.fdfb7e16325cap-35', 343, 'converged'),
     'ex3_beta@2.0.reconstruct': ('0x1.64b6fa9b2da0ep+0', '0x1.a8b2a00000000p-34', 36, 'converged'),
     'ex3_alpha@0.0.direct': ('0x1.40d931ff6524dp+0', '0x1.d18f24fb84c41p-35', 450, 'converged'),
     'ex3_alpha@0.0.deriv': ('-0x1.40d931ff60b9fp-1', '0x1.09082414f1d96p-35', 510, 'converged'),
@@ -244,6 +248,13 @@ GOLDEN = {
     'ex4@1.0.reconstruct': ('-0x1.16bb23cfefea2p+1', '0x1.aad784ea9492fp-24', 23866, 'tail_truncated'),
     'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5656, 'converged'),
 }
+
+
+def test_half_line_records_lie_within_their_estimates():
+    # every record that runs through the half-line kernel, against mpmath
+    for key, true in GOLDEN_TRUTHS.items():
+        value, est, _, _ = GOLDEN[key]
+        assert abs(true - float.fromhex(value)) <= float.fromhex(est), key
 
 
 def test_every_record_is_bit_identical():

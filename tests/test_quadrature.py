@@ -214,6 +214,33 @@ class TestImproper:
         res = integrate_improper(lambda x: 1.0 / (1.0 + x), HALF_LINE)
         assert res.status is not QuadStatus.CONVERGED
 
+    @pytest.mark.parametrize("q", [1.5, 1.1, 1.01, 1.001, 1.0])
+    def test_algebraic_tail_estimate_bounds_the_error(self, q):
+        # (1+x)**-q integrates to 1/(q-1), and diverges at q = 1.  Near
+        # q = 1 the tail sweep is cut next to the infinite end, and the mass
+        # beyond the cut must be charged to the estimate at every status.
+        res = integrate_improper(lambda x: (1.0 + x) ** -q, HALF_LINE)
+        true = 1.0 / (q - 1.0) if q > 1.0 else math.inf
+        assert abs(true - res.value) <= res.abs_err_est
+        if res.status is QuadStatus.CONVERGED:
+            assert res.abs_err_est <= tol_of(QuadConfig(), res.value)
+
+    @pytest.mark.parametrize(
+        "f, true",
+        [
+            (lambda x: math.sin(x) / (1.0 + x * x), SIN_LORENTZ),
+            (lambda x: (math.sin(x) / x) ** 2 if x != 0.0 else 1.0, math.pi / 2.0),
+        ],
+        ids=["sin_lorentz", "sinc_squared"],
+    )
+    def test_oscillating_tail_estimate_bounds_the_error(self, f, true):
+        # Declared as a plain half-line, the tail oscillates without bound
+        # next to the infinite end of the compactified variable, and the
+        # kernel runs out of levels: the estimate must still cover the error.
+        res = integrate_improper(f, HALF_LINE)
+        assert res.status is not QuadStatus.CONVERGED
+        assert abs(true - res.value) <= res.abs_err_est
+
 
 # ---------------------------------------------------------------------------
 # oscillatory kernel
@@ -384,7 +411,7 @@ class TestBatchPath:
         assert info.value.value == math.inf
 
     def test_nonfinite_integrand_under_compactification_names_x(self):
-        # the tail probes (x >= 8) pass; the quadrature meets 1 < x < 2
+        # the tail (x >= 8) is finite; the head meets 1 < x < 2
         def f(x: float) -> float:
             return math.nan if 1.0 < x < 2.0 else math.exp(-x)
 
