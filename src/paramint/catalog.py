@@ -95,6 +95,8 @@ def _f_gauss(x: float, a: float) -> float:
 
 def _da_gauss(x: float, a: float) -> float:
     u = x * x
+    if u == math.inf:
+        return 0.0  # the limit; -inf * 0.0 would be NaN
     return -u * math.exp(-a * u)
 
 
@@ -110,6 +112,8 @@ def _f_ex1(x: float, a: float) -> float:
     u = x * x
     if u == 0.0:
         return a  # limit of log(1 + a u)/u as u -> 0
+    if u == math.inf:
+        return 0.0  # the limit; inf/inf would be NaN
     return math.log1p(a * u) / u
 
 
@@ -171,11 +175,15 @@ def _f_ex3_beta(x: float, b: float) -> float:
     u = x * x
     if u == 0.0:
         return b  # limit of exp(-u) sin(b u)/u
+    if u == math.inf:
+        return 0.0  # the limit; sin(inf) would raise
     return math.exp(-u) * math.sin(b * u) / u
 
 
 def _da_ex3_beta(x: float, b: float) -> float:
     u = x * x
+    if u == math.inf:
+        return 0.0  # the limit; cos(inf) would raise
     return math.exp(-u) * math.cos(b * u)
 
 
@@ -207,11 +215,15 @@ def _f_ex3_alpha(x: float, a: float) -> float:
     u = x * x
     if u == 0.0:
         return 1.0  # limit of exp(-a u) sin(u)/u
+    if u == math.inf:
+        return 0.0  # the limit; sin(inf) would raise
     return math.exp(-a * u) * math.sin(u) / u
 
 
 def _da_ex3_alpha(x: float, a: float) -> float:
     u = x * x
+    if u == math.inf and a > 0.0:
+        return 0.0  # the limit; at a = 0, -sin(x^2) has none and raises
     return -math.exp(-a * u) * math.sin(u)
 
 
@@ -252,6 +264,14 @@ def _rhs_ex4(a: float) -> float:
     # integrable 1/sqrt blow-up at a = 1.
     root = math.sqrt((1.0 - a) * (1.0 + a))
     return -math.pi * a / (root * (1.0 + root))
+
+
+def _rhs_ex4_near(end: float, d: float) -> float:
+    # _rhs_ex4 at a = end + d from the offset itself: c = 1 - a is exactly
+    # -d at end = 1, where a tanh-sinh node closer than ulp(1) rounds a to 1.
+    c = (1.0 - end) - d
+    root = math.sqrt(c * (2.0 - c))
+    return -math.pi * (end + d) / (root * (1.0 + root))
 
 
 def _sol_ex4(a: float) -> float:
@@ -373,6 +393,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             param_domain=ParamDomain(0.0, 1.0),
             anchor=Anchor(0.0, 0.0),
             rhs_closed=_rhs_ex4,
+            rhs_near=_rhs_ex4_near,
             solution_closed=_sol_ex4,
         ),
         verification_grid=(0.0, 0.2, 0.5, 0.9, 0.99, 1.0),

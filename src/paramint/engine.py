@@ -150,6 +150,12 @@ class ParametricIntegral:
     ``rhs_closed`` / ``solution_closed`` are optional closed forms for
     dI/d alpha and I; when absent, the engine falls back to quadrature
     of ``d_alpha`` (or a central difference of the integrand).
+    ``rhs_near(end, d)``, used only alongside ``rhs_closed``, is that rhs
+    at alpha = end + d computed from the exact offset d: the tanh-sinh
+    kernel samples a singular end of the parameter path through it (see
+    :func:`~paramint.quadrature.integrate_singular`).  It is a field of
+    its own, not an attribute of ``rhs_closed``, so that wrapping the
+    closed rhs (to count its calls, say) keeps it.
     """
 
     integrand: Callable[[float, float], float]
@@ -160,6 +166,7 @@ class ParametricIntegral:
     rhs_closed: Optional[Callable[[float], float]] = None
     solution_closed: Optional[Callable[[float], float]] = None
     rhs_singular_at_anchor: bool = False
+    rhs_near: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
         if self.anchor is not None:
@@ -514,6 +521,20 @@ _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
 _ROUTE_EXPONENT = -0.05
 
 
+class _OffsetRhs:
+    """A closed rhs that carries its offset form as ``near``, the contract
+    of the quadrature kernels."""
+
+    __slots__ = ("rhs", "near")
+
+    def __init__(self, rhs: Callable[[float], float], near: Callable[[float, float], float]):
+        self.rhs = rhs
+        self.near = near
+
+    def __call__(self, a: float) -> float:
+        return self.rhs(a)
+
+
 def reconstruct(
     P: ParametricIntegral, alpha_target: float, cfg: QuadConfig | None = None
 ) -> QuadResult:
@@ -552,7 +573,7 @@ def reconstruct(
     extra_est = 0.0
     inner_evals = 0  # integrand evaluations behind a numeric rhs
     if P.rhs_closed is not None:
-        g = P.rhs_closed
+        g = P.rhs_closed if P.rhs_near is None else _OffsetRhs(P.rhs_closed, P.rhs_near)
         g_cfg = cfg
     else:
         node_cfg = replace(

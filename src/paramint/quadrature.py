@@ -9,7 +9,8 @@ produce in practice:
 * :func:`integrate_singular` -- a tanh-sinh (double-exponential)
   rule for finite intervals whose integrand blows up integrably at
   one or both endpoints.  The integrand is never evaluated exactly
-  at a singular endpoint.
+  at a singular endpoint; one that can take its distance to the
+  endpoint exactly opts in through ``near``.
 * :func:`integrate_improper` -- compactifies a semi-infinite domain
   with x = s/(1-s); Gauss-Kronrod covers the head, and tanh-sinh covers
   the tail all the way to the infinite end, which it samples through the
@@ -299,6 +300,30 @@ class _Counted(_Checked):
         self.n += n
 
 
+class _Offset(_Checked):
+    """An integrand's offset form ``near(end, d)`` = f(end + d), counted on
+    ``fc``; a failing node raises at x = end + d."""
+
+    __slots__ = ("fc", "raw")
+
+    def __init__(self, fc: _Counted, near: Callable[[float, float], float]):
+        self.fc = fc
+        self.raw = near
+
+    def __call__(self, end: float, d: float) -> float:
+        self.fc.n += 1
+        try:
+            v = self.raw(end, d)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise EvaluationError(end + d, math.inf) from exc
+        if not math.isfinite(v):
+            raise EvaluationError(end + d, v)
+        return v
+
+    def _count(self, n: int) -> None:
+        self.fc.n += n
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod (7, 15) pair on [-1, 1].  Nodes are symmetric; only the
 # non-negative abscissae are tabulated.  wg is zero on Kronrod-only nodes.
@@ -501,10 +526,13 @@ def _tanh_sinh(
     """Value, error estimate and status of tanh-sinh on [a, b].
 
     Each side of each level is one checked sweep (``f.run``) over the
-    level's node table.  A side of kind ``INFINITE`` is the image of
-    x = inf under a compactification: it is fitted only if a sweep is cut
-    there, on a ladder that ends at the cut, and a fit that reads
-    divergence charges an infinite allowance instead of raising.
+    level's node table.  An integrand that carries ``near`` (see
+    :func:`integrate_singular`) is swept through it, with the exact offset
+    of each node from its end.  A side of kind ``INFINITE`` is the image of
+    x = inf under a compactification: it is fitted where a sweep is first
+    cut there, on a ladder that ends at the cut, and a fit that reads
+    divergence charges an infinite allowance and ends the refinement
+    instead of raising.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -564,20 +592,63 @@ def _tanh_sinh(
             last = size
         return terms, 0.0
 
+    def sweep_near(
+        fn: Callable[[float, float], float], upper: int
+    ) -> tuple[list[float], float]:
+        """``sweep`` through the offset form fn(end, d), |d| = half*r: no
+        node rounds onto the end, so only the floor cuts."""
+        end = sides[upper][0]
+        sign = -1.0 if upper else 1.0
+        terms = []
+        small_run = 0
+        last = math.inf
+        for r, cosh_t, cosh_u in zip(*table):
+            delta = half * r
+            if delta < delta_floor:
+                return terms, delta_floor
+            w = w_scale * cosh_t / (cosh_u * cosh_u)
+            if w == 0.0:
+                break
+            c = w * fn(end, sign * delta)
+            terms.append(c)
+            size = abs(c)
+            if size < tiny and size <= last:
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
+            last = size
+        return terms, 0.0
+
+    near = getattr(f.raw, "near", None)
+    swept, side_sweep = (f, sweep) if near is None else (_Offset(f, near), sweep_near)
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
         contributions.append(w_scale * f(mid))
     prev_value = 0.0
     level_diff = 0.0  # prev_diff at level 1, which always runs
+    refused = False  # an infinite side's fit read divergence
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
         tiny = 1e-18 * (1.0 + abs(prev_value))
         table = _ts_level(m)
         for upper in (1, 0):
-            terms, cut = f.run(sweep, upper)
+            terms, cut = swept.run(side_sweep, upper)
             contributions += terms
-            cut_delta[upper] = max(cut_delta[upper], cut)
+            if cut > cut_delta[upper]:
+                cut_delta[upper] = cut
+                end, into, kind = sides[upper]
+                if kind is EndpointKind.INFINITE:
+                    # The ladder ends at the cut: growth far from the cut
+                    # says nothing about the mass below it.
+                    try:
+                        fits[upper] = _fit_endpoint(f, end, into, cut * 2.0 ** 40)
+                    except NonIntegrableSingularityError:
+                        refused = True
         value = h * _fsum(contributions)
+        if refused:
+            break  # the estimate is infinite whatever the later levels add
         if m > 0:
             prev_diff, level_diff = level_diff, abs(value - prev_value)
             if level_diff <= 0.25 * _tol_for(cfg, value) or level_diff < 4.0 * _EPS * abs(value):
@@ -591,16 +662,9 @@ def _tanh_sinh(
             level_diff = max(level_diff, prev_diff)
 
     # Mass potentially lost where abscissae round onto a singular endpoint
-    # or pass the floor.  The ladder at an infinite end has its last rung at
-    # the cut: growth far from the cut says nothing about the mass below it.
-    allowance = 0.0
-    for (end, into, kind), (p_eff, c_hat), dc in zip(sides, fits, cut_delta):
-        if dc > 0.0 and kind is EndpointKind.INFINITE:
-            try:
-                p_eff, c_hat = _fit_endpoint(f, end, into, dc * 2.0 ** 40)
-            except NonIntegrableSingularityError:
-                allowance = math.inf
-                continue
+    # or pass the floor.
+    allowance = math.inf if refused else 0.0
+    for (p_eff, c_hat), dc in zip(fits, cut_delta):
         if dc > 0.0 and c_hat > 0.0:
             allowance += 3.0 * c_hat * dc ** (1.0 + p_eff) / (1.0 + p_eff)
 
@@ -619,7 +683,15 @@ def _tanh_sinh(
 def integrate_singular(
     f: Callable[[float], float], domain: DomainSpec, cfg: QuadConfig | None = None
 ) -> QuadResult:
-    """Integrate over a finite interval with integrable endpoint singularities."""
+    """Integrate over a finite interval with integrable endpoint singularities.
+
+    ``f`` may opt in to exact node offsets by carrying an attribute
+    ``near``: ``f.near(end, d)`` must return f(end + d), computed from the
+    signed offset d itself (d > 0 from the lower end, d < 0 from the upper
+    one).  Its nodes then never round onto an endpoint, so a singularity
+    that depends on the distance to the end, like 1/sqrt(1 - x) at x = 1,
+    is sampled down to offsets far below ulp(end).
+    """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:
         raise ValueError("integrate_singular does not accept an oscillatory tail")

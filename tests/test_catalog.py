@@ -88,6 +88,32 @@ class TestRemovableSingularities:
             assert f(0.0, a) == 1.0
 
 
+class TestOverflowingSquares:
+    # x*x overflows for x > 1.34e154; each callable below returns its limit
+    # there instead of NaN or a ValueError from sin(inf)
+    LIMIT_ZERO = (
+        ("gauss", "d_alpha"),
+        ("ex1", "integrand"),
+        ("ex3_beta", "integrand"),
+        ("ex3_beta", "d_alpha"),
+        ("ex3_alpha", "integrand"),
+        ("ex3_alpha", "d_alpha"),
+    )
+
+    @pytest.mark.parametrize("entry_id, field", LIMIT_ZERO)
+    def test_limit_at_huge_x(self, entry_id, field):
+        entry = catalog.get(entry_id)
+        fn = getattr(entry.parametric, field)
+        for a in entry.verification_grid:
+            if (entry_id, field, a) == ("ex3_alpha", "d_alpha", 0.0):
+                continue  # -sin(x^2) has no limit
+            assert fn(1e200, a) == 0.0, a
+
+    def test_no_limit_keeps_raising(self):
+        with pytest.raises(ValueError):
+            catalog.get("ex3_alpha").parametric.d_alpha(1e200, 0.0)
+
+
 class TestClosedFormConsistency:
     def test_solution_derivative_matches_rhs(self):
         # central difference of the closed-form solution vs the

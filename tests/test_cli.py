@@ -214,6 +214,14 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["overall_pass"] is False
 
+    def test_ex4_reconstructs_its_edge_point_to_1e_12(self, capsys):
+        # alpha = 1, where the rhs blows up, is the tightest point
+        code, out, _ = invoke(
+            capsys, "verify", "ex4", "--tol-recon", "1e-12", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["overall_pass"] is True
+
     def test_text_format(self, capsys):
         code, out, _ = invoke(capsys, "verify", "ex4")
         assert code == 0

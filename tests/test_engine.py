@@ -489,6 +489,20 @@ class TestReconstruct:
         assert abs(res.value - math.pi) <= res.abs_err_est
         assert inner and set(inner) == {QuadStatus.CONVERGED}
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["as_is", "wrapped"])
+    def test_closed_rhs_reaches_its_singular_edge(self, wrapped):
+        # ex4's rhs blows up like 1/sqrt(1 - a) at a = 1; its offset form
+        # lets the singular kernel sample it below ulp(1) instead of cutting.
+        # A wrapper around rhs_closed (a call counter, say) keeps that form.
+        P = catalog.get("ex4").parametric
+        if wrapped:
+            rhs = P.rhs_closed
+            P = dataclasses.replace(P, rhs_closed=lambda a: rhs(a))
+        res = reconstruct(P, 1.0)
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - P.solution_closed(1.0)) <= res.abs_err_est <= 1e-10
+        assert res.n_evals <= 200
+
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):
             reconstruct(make_gauss(anchored=False), 2.0)

@@ -48,6 +48,22 @@ def tol_of(cfg: QuadConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
+HALF_PI = 0.5 * math.pi
+
+
+def _inv_sqrt_to_one(x: float) -> float:
+    return 1.0 / math.sqrt(1.0 - x)
+
+
+def _inv_sqrt_from_minus_half_pi(x: float) -> float:
+    return 1.0 / math.sqrt(x + HALF_PI)
+
+
+# the offset forms f(end + d), from the exact offset d
+_inv_sqrt_to_one.near = lambda end, d: 1.0 / math.sqrt((1.0 - end) - d)
+_inv_sqrt_from_minus_half_pi.near = lambda end, d: 1.0 / math.sqrt((end + HALF_PI) + d)
+
+
 # ---------------------------------------------------------------------------
 # finite regular kernel
 # ---------------------------------------------------------------------------
@@ -172,6 +188,31 @@ class TestSingular:
         with pytest.raises(ValueError):
             DomainSpec.singular(0.0, 1.0)
 
+    def test_offset_form_at_the_upper_end(self):
+        # Given its exact offset, 1/sqrt(1 - x) is sampled below ulp(1);
+        # through x alone every node within ulp(1) of 1 would be cut.
+        res = integrate_singular(
+            _inv_sqrt_to_one, DomainSpec.singular(0.0, 1.0, at_upper=True)
+        )
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 2.0) <= 1e-14
+
+    def test_offset_form_at_a_nonzero_lower_end(self):
+        # 1/sqrt(x + pi/2) on [-pi/2, pi/2]: int = 2 sqrt(pi)
+        res = integrate_singular(
+            _inv_sqrt_from_minus_half_pi,
+            DomainSpec.singular(-HALF_PI, HALF_PI, at_lower=True),
+        )
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 2.0 * math.sqrt(math.pi)) <= 1e-14
+
+    def test_offset_form_evaluations_are_counted(self):
+        counted = _CountingIntegrand(_inv_sqrt_to_one)
+        counted.near = _CountingIntegrand(_inv_sqrt_to_one.near)
+        res = integrate_singular(counted, DomainSpec.singular(0.0, 1.0, at_upper=True))
+        assert counted.near.calls > 0
+        assert res.n_evals == counted.calls + counted.near.calls
+
 
 # ---------------------------------------------------------------------------
 # improper (infinite-endpoint) kernel
@@ -224,6 +265,15 @@ class TestImproper:
         assert abs(true - res.value) <= res.abs_err_est
         if res.status is QuadStatus.CONVERGED:
             assert res.abs_err_est <= tol_of(QuadConfig(), res.value)
+
+    @pytest.mark.parametrize("q", [1.001, 1.0])
+    def test_refused_tail_stops_refining(self, q):
+        # The tail's fit at the first cut reads divergence: the estimate is
+        # infinite from there on, so no further level is run.
+        res = integrate_improper(lambda x: (1.0 + x) ** -q, HALF_LINE)
+        assert res.status is QuadStatus.TAIL_TRUNCATED
+        assert res.abs_err_est == math.inf
+        assert res.n_evals == 108
 
     @pytest.mark.parametrize(
         "f, true",
@@ -350,16 +400,21 @@ class _CountingIntegrand:
         self.f = f
         self.calls = 0
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, *args: float) -> float:
         self.calls += 1
-        return self.f(x)
+        return self.f(*args)
+
+
+def _ts_offset(t: float, a: float, b: float) -> float:
+    """Distance from its end of the tanh-sinh node at t > 0 on [a, b]."""
+    u = math.pi / 2.0 * math.sinh(t)
+    e2 = math.exp(-2.0 * u)
+    return 0.5 * (b - a) * (2.0 * e2 / (1.0 + e2))
 
 
 def _ts_upper_node(t: float, a: float, b: float) -> float:
     """Abscissa of the tanh-sinh node at t > 0 on [a, b] (the side near b)."""
-    u = math.pi / 2.0 * math.sinh(t)
-    e2 = math.exp(-2.0 * u)
-    return b - 0.5 * (b - a) * (2.0 * e2 / (1.0 + e2))
+    return b - _ts_offset(t, a, b)
 
 
 class TestBatchPath:
@@ -435,6 +490,23 @@ class TestBatchPath:
         with pytest.raises(EvaluationError) as info:
             integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_lower=True))
         assert info.value.abscissa == x1
+        assert math.isnan(info.value.value)
+
+    def test_failing_offset_form_node_is_named_at_end_plus_d(self):
+        # Level 0's upper sweep on [0, 1] meets t = 1 at d = -r/2; the
+        # offset form returns NaN there, and the error names x = 1 + d.
+        d1 = -_ts_offset(1.0, 0.0, 1.0)
+
+        def f(x: float) -> float:
+            return 1.0 / math.sqrt(1.0 - x)
+
+        def near(end: float, d: float) -> float:
+            return math.nan if (end, d) == (1.0, d1) else 1.0 / math.sqrt((1.0 - end) - d)
+
+        f.near = near
+        with pytest.raises(EvaluationError) as info:
+            integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_upper=True))
+        assert info.value.abscissa == 1.0 + d1
         assert math.isnan(info.value.value)
 
     def test_foreign_exception_surfaces_unchanged_from_a_sweep(self):
