@@ -318,7 +318,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             anchor=Anchor(0.0, 0.0),
             rhs_closed=_rhs_ex1,
             solution_closed=_sol_ex1,
-            rhs_singular_at_anchor=True,  # dI/da = pi/(2 sqrt(a)) blows up at a0 = 0
         ),
         verification_grid=(0.25, 1.0, 4.0),
         singular_notes=(

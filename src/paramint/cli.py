@@ -10,7 +10,8 @@ verify       full direct/reconstructed/closed-form comparison on the
              entry's verification grid (or `all` entries)
 
 Exit codes: 0 = success / all checks passed, 1 = a verification check
-failed, 2 = usage error (an unwritable --out path included), 3 = numeric
+failed, 2 = usage error (an unwritable --out path, or a --tol-direct or
+--tol-recon that is not a finite positive number, included), 3 = numeric
 error (domain violation, non-integrable singularity, failed evaluation).
 
 Reports are emitted as JSON, CSV, or a human text table.  JSON and CSV
@@ -156,7 +157,7 @@ def _rows(
 
 def _direct_only(entry: catalog.CatalogEntry) -> ParametricIntegral:
     """The entry's problem without its anchor, so verify() does not reconstruct."""
-    return replace(entry.parametric, anchor=None, rhs_singular_at_anchor=False)
+    return replace(entry.parametric, anchor=None)
 
 
 def _envelope(entry_id: str, inputs: dict, results: list[dict]) -> dict:
@@ -306,6 +307,18 @@ def _cmd_verify(ns) -> tuple[str, int]:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """A gate tolerance: a finite positive number, the rule QuadConfig
+    applies to its own tolerances."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (v > 0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pil",
@@ -337,15 +350,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=None)
         else:
             p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--tol-direct", dest="tol_direct", type=float, default=None)
+        p.add_argument("--tol-direct", dest="tol_direct", type=_tolerance, default=None)
         if name == "reconstruct":
-            p.add_argument("--tol-recon", dest="tol_recon", type=float, default=None)
+            p.add_argument("--tol-recon", dest="tol_recon", type=_tolerance, default=None)
         add_common(p)
 
     p_verify = sub.add_parser("verify", help="run the entry's verification grid")
     p_verify.add_argument("id", nargs="?", default="all", help="entry id or 'all'")
-    p_verify.add_argument("--tol-direct", dest="tol_direct", type=float, default=None)
-    p_verify.add_argument("--tol-recon", dest="tol_recon", type=float, default=None)
+    p_verify.add_argument("--tol-direct", dest="tol_direct", type=_tolerance, default=None)
+    p_verify.add_argument("--tol-recon", dest="tol_recon", type=_tolerance, default=None)
     add_common(p_verify)
 
     return parser

@@ -26,6 +26,7 @@ bit-identical results, and nothing here mutates shared state.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from statistics import median
@@ -149,7 +150,9 @@ class ParametricIntegral:
 
     ``rhs_closed`` / ``solution_closed`` are optional closed forms for
     dI/d alpha and I; when absent, the engine falls back to quadrature
-    of ``d_alpha`` (or a central difference of the integrand).
+    of ``d_alpha`` (or a central difference of the integrand).  No field
+    says where the rhs blows up: :func:`reconstruct` fits each end of the
+    parameter path, the anchor included.
     ``rhs_near(end, d)``, used only alongside ``rhs_closed``, is that rhs
     at alpha = end + d computed from the exact offset d: the tanh-sinh
     kernel samples a singular end of the parameter path through it (see
@@ -165,7 +168,6 @@ class ParametricIntegral:
     anchor: Optional[Anchor] = None
     rhs_closed: Optional[Callable[[float], float]] = None
     solution_closed: Optional[Callable[[float], float]] = None
-    rhs_singular_at_anchor: bool = False
     rhs_near: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
@@ -182,8 +184,6 @@ class ParametricIntegral:
                         f"anchor value {self.anchor.value0!r} disagrees with the closed-form "
                         f"solution at alpha0 by {drift:.3e}"
                     )
-        if self.rhs_singular_at_anchor and self.anchor is None:
-            raise ValueError("rhs_singular_at_anchor requires an anchor")
 
     def domain_for(self, alpha: float) -> DomainSpec:
         d = self.domain
@@ -521,20 +521,6 @@ _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
 _ROUTE_EXPONENT = -0.05
 
 
-class _OffsetRhs:
-    """A closed rhs that carries its offset form as ``near``, the contract
-    of the quadrature kernels."""
-
-    __slots__ = ("rhs", "near")
-
-    def __init__(self, rhs: Callable[[float], float], near: Callable[[float, float], float]):
-        self.rhs = rhs
-        self.near = near
-
-    def __call__(self, a: float) -> float:
-        return self.rhs(a)
-
-
 def reconstruct(
     P: ParametricIntegral, alpha_target: float, cfg: QuadConfig | None = None
 ) -> QuadResult:
@@ -543,10 +529,10 @@ def reconstruct(
     The right-hand side is the closed form when the entry carries one,
     otherwise deriv_under_integral evaluated pointwise (with slightly
     relaxed tolerances so its noise floor stays below the parameter
-    integral's).  Integrable blow-ups of the rhs at either end of the
-    parameter path — declared via ``rhs_singular_at_anchor``, or found by
-    a 3-rung endpoint fit that reads an exponent <= -0.05 or meets a
-    failing sample — switch the parameter integral to the singular kernel.
+    integral's).  Each end of the parameter path, the anchor included, is
+    routed by a 3-rung endpoint fit of the rhs alone: an end whose fit
+    reads an exponent <= -0.05 or meets a failing sample is an integrable
+    blow-up, and switches the parameter integral to the singular kernel.
 
     ``n_evals`` counts every evaluation the call causes, the growth
     probes included: closed-form rhs calls, or the summed ``n_evals`` of
@@ -573,7 +559,12 @@ def reconstruct(
     extra_est = 0.0
     inner_evals = 0  # integrand evaluations behind a numeric rhs
     if P.rhs_closed is not None:
-        g = P.rhs_closed if P.rhs_near is None else _OffsetRhs(P.rhs_closed, P.rhs_near)
+        g = P.rhs_closed
+        if P.rhs_near is not None:
+            # a copy of the closed rhs that carries its offset form as
+            # ``near``, the kernels' contract
+            g = functools.partial(g)
+            g.near = P.rhs_near
         g_cfg = cfg
     else:
         node_cfg = replace(
@@ -607,8 +598,7 @@ def reconstruct(
         return p <= _ROUTE_EXPONENT
 
     anchor_side_lo = a0 <= alpha_target
-    sing_lo = (P.rhs_singular_at_anchor and anchor_side_lo) or singular_at(lo, hi)
-    sing_hi = (P.rhs_singular_at_anchor and not anchor_side_lo) or singular_at(hi, lo)
+    sing_lo, sing_hi = singular_at(lo, hi), singular_at(hi, lo)
     if sing_lo or sing_hi:
         dom = DomainSpec.singular(lo, hi, at_lower=sing_lo, at_upper=sing_hi)
     else:

@@ -526,9 +526,11 @@ def _tanh_sinh(
     """Value, error estimate and status of tanh-sinh on [a, b].
 
     Each side of each level is one checked sweep (``f.run``) over the
-    level's node table.  An integrand that carries ``near`` (see
-    :func:`integrate_singular`) is swept through it, with the exact offset
-    of each node from its end.  A side of kind ``INFINITE`` is the image of
+    level's node table.  Every node is computed as its signed offset d from
+    its end.  An integrand that carries ``near`` (see
+    :func:`integrate_singular`) is called with that exact offset; any other
+    is called at x = end + d, and only its nodes are also cut where x
+    rounds onto the end.  A side of kind ``INFINITE`` is the image of
     x = inf under a compactification: it is fitted where a sweep is first
     cut there, on a ladder that ends at the cut, and a fit that reads
     divergence charges an infinite allowance and ends the refinement
@@ -539,15 +541,16 @@ def _tanh_sinh(
     width = b - a
     w_scale = half * _PI_HALF
 
-    # Per side (0 = lower, 1 = upper): the endpoint, the side's kind, and
-    # the fit (p, C) of an integrable singularity, which also rejects
-    # divergence, with C = 0 charging nothing on any other side; and the
-    # largest distance from the endpoint at which a node was cut.
-    sides = ((a, b, lower_kind), (b, a, upper_kind))
+    # Per side (0 = lower, 1 = upper): the endpoint, the other end, the
+    # side's kind and the sign of an offset into the interval; the fit
+    # (p, C) of an integrable singularity, which also rejects divergence,
+    # with C = 0 charging nothing on any other side; and the largest
+    # distance from the endpoint at which a node was cut.
+    sides = ((a, b, lower_kind, 1.0), (b, a, upper_kind, -1.0))
     fits = [
         _fit_endpoint(f, end, into, width)
         if kind is EndpointKind.INTEGRABLE_SINGULARITY else (0.0, 0.0)
-        for end, into, kind in sides
+        for end, into, kind, _ in sides
     ]
     cut_delta = [0.0, 0.0]
     # Endpoints at zero never round onto the endpoint, so without a floor
@@ -558,18 +561,27 @@ def _tanh_sinh(
     # at an infinite end whose tail decays barely faster than 1/x.
     delta_floor = half * 2.0 ** -512
 
-    def sweep(fn: Callable[[float], float], upper: int) -> tuple[list[float], float]:
+    near = getattr(f.raw, "near", None)
+    offset = near is not None
+    swept = _Offset(f, near) if offset else f
+
+    def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``
         and ``tiny``), outward from the middle, and the distance charged
-        for a cut node (0.0 when none was cut)."""
+        for a cut node (0.0 when none was cut).  Each node lies at the
+        signed offset d = +-half*r from the side's end, x = end + d; it is
+        cut below the floor, or where x rounds onto the end unless the
+        sweep runs through the offset form fn(end, d)."""
+        end, _, kind, sign = sides[upper]
         terms = []
         small_run = 0
         last = math.inf
         for r, cosh_t, cosh_u in zip(*table):
             delta = half * r
-            x = b - delta if upper else a + delta
-            if x == b or x == a or delta < delta_floor:
-                if small_run and sides[upper][2] is EndpointKind.INFINITE:
+            d = sign * delta
+            x = end + d
+            if delta < delta_floor or x == end and not offset:
+                if small_run and kind is EndpointKind.INFINITE:
                     # A small-term stop: the terms had already vanished, and
                     # a fit at the cut would sample x near 1e155, where many
                     # integrands overflow.
@@ -578,7 +590,7 @@ def _tanh_sinh(
             w = w_scale * cosh_t / (cosh_u * cosh_u)
             if w == 0.0:
                 break
-            c = w * fn(x)
+            c = w * (fn(end, d) if offset else fn(x))
             terms.append(c)
             # A small term that is larger than the one before it is mid-sweep
             # (e.g. a slowly decaying tail still rising), not the end.
@@ -592,37 +604,6 @@ def _tanh_sinh(
             last = size
         return terms, 0.0
 
-    def sweep_near(
-        fn: Callable[[float, float], float], upper: int
-    ) -> tuple[list[float], float]:
-        """``sweep`` through the offset form fn(end, d), |d| = half*r: no
-        node rounds onto the end, so only the floor cuts."""
-        end = sides[upper][0]
-        sign = -1.0 if upper else 1.0
-        terms = []
-        small_run = 0
-        last = math.inf
-        for r, cosh_t, cosh_u in zip(*table):
-            delta = half * r
-            if delta < delta_floor:
-                return terms, delta_floor
-            w = w_scale * cosh_t / (cosh_u * cosh_u)
-            if w == 0.0:
-                break
-            c = w * fn(end, sign * delta)
-            terms.append(c)
-            size = abs(c)
-            if size < tiny and size <= last:
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-            last = size
-        return terms, 0.0
-
-    near = getattr(f.raw, "near", None)
-    swept, side_sweep = (f, sweep) if near is None else (_Offset(f, near), sweep_near)
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
         contributions.append(w_scale * f(mid))
@@ -634,11 +615,11 @@ def _tanh_sinh(
         tiny = 1e-18 * (1.0 + abs(prev_value))
         table = _ts_level(m)
         for upper in (1, 0):
-            terms, cut = swept.run(side_sweep, upper)
+            terms, cut = swept.run(sweep, upper)
             contributions += terms
             if cut > cut_delta[upper]:
                 cut_delta[upper] = cut
-                end, into, kind = sides[upper]
+                end, into, kind, _ = sides[upper]
                 if kind is EndpointKind.INFINITE:
                     # The ladder ends at the cut: growth far from the cut
                     # says nothing about the mass below it.

@@ -282,6 +282,21 @@ class TestArgparsePlumbing:
     def test_bad_format_exits_2(self, capsys):
         assert invoke(capsys, "eval", "ex1", "--alpha", "1", "--format", "xml")[0] == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "1e-400", "tight"])
+    @pytest.mark.parametrize("command", [
+        ("eval", "gauss", "--alpha", "1", "--tol-direct"),
+        ("sweep", "gauss", "--tol-direct"),
+        ("reconstruct", "ex1", "--alpha", "1", "--tol-recon"),
+        ("verify", "ex2", "--tol-direct"),
+        ("verify", "all", "--tol-recon"),
+    ], ids=" ".join)
+    def test_tolerance_that_is_not_finite_and_positive_exits_2(self, capsys, command, value):
+        # an infinite gate would print as null, exactly like an unset one
+        code, out, err = invoke(capsys, *command, value, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "must be a finite positive number" in err
+
     def test_module_entry_point_returns_the_exit_code(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)

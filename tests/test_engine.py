@@ -150,15 +150,6 @@ class TestParametricIntegralValidation:
                 solution_closed=_cos_sol,
             )
 
-    def test_rhs_singularity_flag_requires_anchor(self):
-        with pytest.raises(ValueError):
-            ParametricIntegral(
-                integrand=_cos_f,
-                param_domain=ParamDomain(0.0, 2.0),
-                domain=DomainSpec.finite(0.0, 1.0),
-                rhs_singular_at_anchor=True,
-            )
-
 
 # ---------------------------------------------------------------------------
 # direct evaluation and the derivative path

@@ -12,8 +12,9 @@ exception class and message instead.  The battery covers:
 * ``eval_direct``, ``deriv_under_integral`` and ``reconstruct`` (with the
   entry's own rhs, closed form where it has one) at every catalog grid
   point;
-* the reconstruction of ex2 at alpha = 1.5 with ``rhs_closed`` stripped,
-  so that the nested path is pinned too.
+* the reconstructions of ex2 at alpha = 1.5 and of ex1 at alpha = 1 (whose
+  rhs blows up at the anchor) with ``rhs_closed`` stripped, so that the
+  nested path is pinned too, through a singular anchor as well.
 
 The records were taken from the kernels as they were before Gauss-Kronrod
 panels became batches, so a speed-up that reorders arithmetic fails here.
@@ -31,7 +32,10 @@ to the infinite end.  Two records moved later on purpose:
 ``ex4@1.0.reconstruct``, when ex4's closed rhs gained the offset form
 that lets tanh-sinh sample it below ulp(1), and ``improper.divergent_tail``,
 when a tail whose fit reads divergence stopped refining.  The
-``singular.*_offset*`` records pin that offset path.
+``singular.*_offset*`` records pin that offset path.  The ``n_evals`` of
+the four ``ex1@*.reconstruct*`` records moved when ex1 stopped declaring
+its anchor singular: the routing fit now probes that end too (three more
+rhs samples; values, estimates and statuses unchanged).
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.
@@ -173,8 +177,10 @@ def records() -> dict:
             out[f"{entry.id}@{a!r}.deriv"] = _record(lambda: deriv_under_integral(P, a))
             if P.anchor is not None:
                 out[f"{entry.id}@{a!r}.reconstruct"] = _record(lambda: reconstruct(P, a))
-    stripped = dataclasses.replace(catalog.get("ex2").parametric, rhs_closed=None)
-    out["ex2@1.5.reconstruct_stripped"] = _record(lambda: reconstruct(stripped, 1.5))
+    for entry_id, a in (("ex2", 1.5), ("ex1", 1.0)):
+        stripped = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
+        out[f"{entry_id}@{a!r}.reconstruct_stripped"] = _record(
+            lambda: reconstruct(stripped, a))
     return out
 
 
@@ -216,13 +222,13 @@ GOLDEN = {
     'gauss@2.0.deriv': ('-0x1.40d931ff626f4p-3', '0x1.a71c08770b1a4p-37', 163, 'converged'),
     'ex1@0.25.direct': ('0x1.921fb54442d0bp+0', '0x1.b8deeb5f04f99p-40', 153, 'converged'),
     'ex1@0.25.deriv': ('0x1.921fb54442d06p+1', '0x1.bee6f34f45679p-40', 122, 'converged'),
-    'ex1@0.25.reconstruct': ('0x1.921fb54442d18p+0', '0x1.9243f6a8885a3p-49', 78, 'converged'),
+    'ex1@0.25.reconstruct': ('0x1.921fb54442d18p+0', '0x1.9243f6a8885a3p-49', 81, 'converged'),
     'ex1@1.0.direct': ('0x1.921fb54442d08p+1', '0x1.ad15bfaad1f28p-38', 153, 'converged'),
     'ex1@1.0.deriv': ('0x1.921fb54442d05p+0', '0x1.119fbd17291a7p-33', 92, 'converged'),
-    'ex1@1.0.reconstruct': ('0x1.921fb54442d18p+1', '0x1.9243f6a8885a3p-48', 78, 'converged'),
+    'ex1@1.0.reconstruct': ('0x1.921fb54442d18p+1', '0x1.9243f6a8885a3p-48', 81, 'converged'),
     'ex1@4.0.direct': ('0x1.921fb54442d06p+2', '0x1.d8becffb5a2ffp-32', 153, 'converged'),
     'ex1@4.0.deriv': ('0x1.921fb54442d04p-1', '0x1.96388319c8b4fp-36', 122, 'converged'),
-    'ex1@4.0.reconstruct': ('0x1.921fb54442d18p+2', '0x1.9243f6a8885a3p-47', 78, 'converged'),
+    'ex1@4.0.reconstruct': ('0x1.921fb54442d18p+2', '0x1.9243f6a8885a3p-47', 81, 'converged'),
     'ex2@1.0.direct': ('-0x1.096a5c3685626p-51', '0x1.80d3b8296ae76p-36', 72, 'converged'),
     'ex2@1.0.deriv': ('0x1.921fb54442d18p+1', '0x1.04921fb54442dp-43', 71, 'converged'),
     'ex2@1.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
@@ -278,6 +284,7 @@ GOLDEN = {
     'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
     'ex4@1.0.reconstruct': ('-0x1.16bb24190a0b7p+1', '0x1.1348b5d920c85p-38', 88, 'converged'),
     'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5656, 'converged'),
+    'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d0cp+1', '0x1.12e0fccaec3e6p-29', 47734, 'converged'),
 }
 
 
