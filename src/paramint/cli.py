@@ -10,9 +10,10 @@ verify       full direct/reconstructed/closed-form comparison on the
              entry's verification grid (or `all` entries)
 
 Exit codes: 0 = success / all checks passed, 1 = a verification check
-failed, 2 = usage error (an unwritable --out path, or a --tol-direct or
---tol-recon that is not a finite positive number, included), 3 = numeric
-error (domain violation, non-integrable singularity, failed evaluation).
+failed, 2 = usage error (an unwritable --out path, an --alpha, --from or
+--to that is not a finite number, and a --tol-direct or --tol-recon that
+is not a finite positive number, included), 3 = numeric error (domain
+violation, non-integrable singularity, failed evaluation).
 
 Reports are emitted as JSON, CSV, or a human text table.  JSON and CSV
 are contractual: floats carry 17 significant digits and identical
@@ -307,16 +308,24 @@ def _cmd_verify(ns) -> tuple[str, int]:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _tolerance(text: str) -> float:
-    """A gate tolerance: a finite positive number, the rule QuadConfig
-    applies to its own tolerances."""
+def _finite(text: str, positive: bool = False) -> float:
+    """A parameter value (--alpha, --from, --to): a finite number; with
+    ``positive``, a finite positive one.  JSON prints a non-finite float as
+    null, so an infinite value would read exactly like an unset option."""
     try:
         v = float(text)
     except ValueError:
         v = math.nan
-    if not (v > 0 and math.isfinite(v)):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    if not (math.isfinite(v) and (v > 0 or not positive)):
+        kind = "finite positive" if positive else "finite"
+        raise argparse.ArgumentTypeError(f"must be a {kind} number, got {text!r}")
     return v
+
+
+def _tolerance(text: str) -> float:
+    """A gate tolerance: a finite positive number, the rule QuadConfig
+    applies to its own tolerances."""
+    return _finite(text, positive=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,11 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=hlp)
         p.add_argument("id", help="catalog entry id")
         if name == "sweep":
-            p.add_argument("--from", dest="from_", type=float, default=None)
-            p.add_argument("--to", type=float, default=None)
+            p.add_argument("--from", dest="from_", type=_finite, default=None)
+            p.add_argument("--to", type=_finite, default=None)
             p.add_argument("--steps", type=int, default=None)
         else:
-            p.add_argument("--alpha", type=float, default=None)
+            p.add_argument("--alpha", type=_finite, default=None)
         p.add_argument("--tol-direct", dest="tol_direct", type=_tolerance, default=None)
         if name == "reconstruct":
             p.add_argument("--tol-recon", dest="tol_recon", type=_tolerance, default=None)

@@ -40,6 +40,7 @@ from .quadrature import (
     QuadStatus,
     QuadratureError,
     NonIntegrableSingularityError,
+    _STATUS_RANK,
     _Counted,
     _fit_endpoint,
     integrate,
@@ -515,6 +516,12 @@ def domination_scan(
 _ALPHA_TOL_FLOOR = 2e-8  # parameter-quadrature tolerance when g is itself numeric
 _ALPHA_MAX_SUBDIV = 240
 _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
+# A tanh-sinh alpha-node of weight W runs its inner quadrature at abs_tol
+# theta/W when that is looser, theta = _NODE_ERR_SHARE * (hi - lo), so its
+# weighted tolerance is theta: about 2**-31 of the path's node-noise
+# allowance at the default tolerances, small enough that no catalog value
+# moves by a bit.
+_NODE_ERR_SHARE = 2.0 ** -60
 # An end of the parameter path goes to the singular kernel when the rhs
 # fits a growth exponent at or below this.  The fit uses 3 rungs: deeper
 # rungs of a numeric rhs read inner-quadrature noise as growth.
@@ -533,6 +540,18 @@ def reconstruct(
     routed by a 3-rung endpoint fit of the rhs alone: an end whose fit
     reads an exponent <= -0.05 or meets a failing sample is an integrable
     blow-up, and switches the parameter integral to the singular kernel.
+
+    A numeric rhs opts in to the singular kernel's node weights (the
+    ``weighted`` form of :func:`~paramint.quadrature.integrate_singular`):
+    an alpha-node of weight W runs its inner quadrature at abs_tol
+    max(node tolerance, theta/W), theta = 2**-60 * (path length), so the
+    nodes next to a singular anchor, which weigh almost nothing, stop
+    early.  Gauss-Kronrod nodes, the growth probes and the kernel's own
+    endpoint fits run at the node tolerance.  The estimate is the
+    parameter quadrature's, plus 2 * (path length) * node tolerance for
+    the inner noise, plus W * estimate of every node that ran looser; the
+    status is the worst of the parameter quadrature's and of every inner
+    quadrature's, probes included, so an inner failure is never hidden.
 
     ``n_evals`` counts every evaluation the call causes, the growth
     probes included: closed-form rhs calls, or the summed ``n_evals`` of
@@ -558,6 +577,7 @@ def reconstruct(
 
     extra_est = 0.0
     inner_evals = 0  # integrand evaluations behind a numeric rhs
+    inner_status = QuadStatus.CONVERGED  # the worst of them
     if P.rhs_closed is not None:
         g = P.rhs_closed
         if P.rhs_near is not None:
@@ -573,12 +593,30 @@ def reconstruct(
             rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
         )
 
-        def g(a: float) -> float:
-            nonlocal inner_evals
-            res = deriv_under_integral(P, a, node_cfg)
+        def inner(a: float, node: QuadConfig) -> QuadResult:
+            nonlocal inner_evals, inner_status
+            res = deriv_under_integral(P, a, node)
             inner_evals += res.n_evals
+            inner_status = max(inner_status, res.status, key=_STATUS_RANK.get)
+            return res
+
+        def g(a: float) -> float:
+            return inner(a, node_cfg).value
+
+        theta = _NODE_ERR_SHARE * (hi - lo)
+
+        def weighted(a: float, w: float) -> float:
+            # dI/d alpha at a tanh-sinh node of weight w: a looser inner
+            # tolerance, whose weighted error joins the estimate
+            nonlocal extra_est
+            tol = theta / w  # < 1e287: w > 1e-305 * (hi - lo) on every node
+            if tol <= node_cfg.abs_tol:
+                return g(a)
+            res = inner(a, replace(node_cfg, abs_tol=tol))
+            extra_est += w * res.abs_err_est
             return res.value
 
+        g.weighted = weighted
         g_cfg = replace(
             cfg,
             abs_tol=max(cfg.abs_tol, _ALPHA_TOL_FLOOR),
@@ -586,6 +624,7 @@ def reconstruct(
             max_subdivisions=min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV),
         )
         # per-node noise accumulated over the path, counted into the estimate
+        # (a node that ran looser adds its own weighted estimate on top)
         extra_est = 2.0 * (hi - lo) * node_cfg.abs_tol
 
     probe = _Counted(g)  # counts the rhs calls of the growth probes
@@ -609,7 +648,8 @@ def reconstruct(
     # every evaluation this call caused: one per call of a closed rhs, the
     # inner kernels' own counts behind a numeric one
     n_evals = q.n_evals + probe.n if P.rhs_closed is not None else inner_evals
-    return QuadResult(v0 + signed, q.abs_err_est + extra_est, n_evals, q.status)
+    status = max(q.status, inner_status, key=_STATUS_RANK.get)
+    return QuadResult(v0 + signed, q.abs_err_est + extra_est, n_evals, status)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ produce in practice:
   rule for finite intervals whose integrand blows up integrably at
   one or both endpoints.  The integrand is never evaluated exactly
   at a singular endpoint; one that can take its distance to the
-  endpoint exactly opts in through ``near``.
+  endpoint exactly opts in through ``near``, and one that is itself a
+  quadrature can learn each node's weight through ``weighted``.
 * :func:`integrate_improper` -- compactifies a semi-infinite domain
   with x = s/(1-s); Gauss-Kronrod covers the head, and tanh-sinh covers
   the tail all the way to the infinite end, which it samples through the
@@ -300,25 +301,29 @@ class _Counted(_Checked):
         self.n += n
 
 
-class _Offset(_Checked):
-    """An integrand's offset form ``near(end, d)`` = f(end + d), counted on
-    ``fc``; a failing node raises at x = end + d."""
+class _Form(_Checked):
+    """An integrand's two-argument form, counted on ``fc``: its offset form
+    ``near(end, d)`` = f(end + d), or its weighted form ``weighted(x, w)``
+    = f(x) at a node of weight w.  A failing node raises at its abscissa,
+    end + d or x."""
 
-    __slots__ = ("fc", "raw")
+    __slots__ = ("fc", "raw", "offset")
 
-    def __init__(self, fc: _Counted, near: Callable[[float, float], float]):
+    def __init__(self, fc: _Counted, form: Callable[[float, float], float], offset: bool):
         self.fc = fc
-        self.raw = near
+        self.raw = form
+        self.offset = offset
 
-    def __call__(self, end: float, d: float) -> float:
+    def __call__(self, u: float, v: float) -> float:
         self.fc.n += 1
+        x = u + v if self.offset else u
         try:
-            v = self.raw(end, d)
+            y = self.raw(u, v)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(end + d, math.inf) from exc
-        if not math.isfinite(v):
-            raise EvaluationError(end + d, v)
-        return v
+            raise EvaluationError(x, math.inf) from exc
+        if not math.isfinite(y):
+            raise EvaluationError(x, y)
+        return y
 
     def _count(self, n: int) -> None:
         self.fc.n += n
@@ -530,11 +535,13 @@ def _tanh_sinh(
     its end.  An integrand that carries ``near`` (see
     :func:`integrate_singular`) is called with that exact offset; any other
     is called at x = end + d, and only its nodes are also cut where x
-    rounds onto the end.  A side of kind ``INFINITE`` is the image of
-    x = inf under a compactification: it is fitted where a sweep is first
-    cut there, on a ladder that ends at the cut, and a fit that reads
-    divergence charges an infinite allowance and ends the refinement
-    instead of raising.
+    rounds onto the end.  One that carries ``weighted`` instead is called
+    as ``weighted(x, h*w)``, told the weight of the node in the level's
+    sum; the middle node and the endpoint fits call it plainly.  A side of
+    kind ``INFINITE`` is the image of x = inf under a compactification: it
+    is fitted where a sweep is first cut there, on a ladder that ends at
+    the cut, and a fit that reads divergence charges an infinite allowance
+    and ends the refinement instead of raising.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -561,17 +568,21 @@ def _tanh_sinh(
     # at an infinite end whose tail decays barely faster than 1/x.
     delta_floor = half * 2.0 ** -512
 
+    # The integrand's two-argument form, read once: the offset form wins.
     near = getattr(f.raw, "near", None)
     offset = near is not None
-    swept = _Offset(f, near) if offset else f
+    form = near if offset else getattr(f.raw, "weighted", None)
+    two_arg = form is not None
+    swept = _Form(f, form, offset) if two_arg else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
-        """The w*f terms of one side of the current level (its ``table``
-        and ``tiny``), outward from the middle, and the distance charged
-        for a cut node (0.0 when none was cut).  Each node lies at the
-        signed offset d = +-half*r from the side's end, x = end + d; it is
-        cut below the floor, or where x rounds onto the end unless the
-        sweep runs through the offset form fn(end, d)."""
+        """The w*f terms of one side of the current level (its ``table``,
+        ``h`` and ``tiny``), outward from the middle, and the distance
+        charged for a cut node (0.0 when none was cut).  Each node lies at
+        the signed offset d = +-half*r from the side's end, x = end + d; it
+        is cut below the floor, or where x rounds onto the end unless the
+        sweep runs through the offset form fn(end, d).  A weighted form is
+        called as fn(x, h*w)."""
         end, _, kind, sign = sides[upper]
         terms = []
         small_run = 0
@@ -590,7 +601,7 @@ def _tanh_sinh(
             w = w_scale * cosh_t / (cosh_u * cosh_u)
             if w == 0.0:
                 break
-            c = w * (fn(end, d) if offset else fn(x))
+            c = w * ((fn(end, d) if offset else fn(x, h * w)) if two_arg else fn(x))
             terms.append(c)
             # A small term that is larger than the one before it is mid-sweep
             # (e.g. a slowly decaying tail still rising), not the end.
@@ -672,6 +683,17 @@ def integrate_singular(
     one).  Its nodes then never round onto an endpoint, so a singularity
     that depends on the distance to the end, like 1/sqrt(1 - x) at x = 1,
     is sampled down to offsets far below ulp(end).
+
+    ``f`` without ``near`` may instead carry ``weighted``:
+    ``f.weighted(x, w)`` must return f(x), and is told the weight w of the
+    node in the sum of the level that evaluates it (later levels halve
+    it, so w bounds the node's weight in the value), so that an integrand
+    that is itself a quadrature can spend less accuracy where its value
+    counts for little.  Only the sweeps call it; the middle node
+    and the endpoint fits call ``f(x)``.  The opt-in is read once per call
+    and changes neither the nodes nor the sum: the estimate and status are
+    this kernel's alone, and the caller owes the error of each weighted
+    value times its weight.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:

@@ -297,6 +297,23 @@ class TestArgparsePlumbing:
         assert out == ""
         assert "must be a finite positive number" in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "one"])
+    @pytest.mark.parametrize("command", [
+        ("eval", "gauss", "--format", "json", "--alpha"),
+        ("reconstruct", "ex1", "--alpha"),
+        ("sweep", "gauss", "--from", "1", "--steps", "2", "--to"),
+        ("sweep", "gauss", "--to", "2", "--steps", "2", "--from"),
+    ], ids=" ".join)
+    def test_parameter_value_that_is_not_finite_exits_2(self, capsys, command, value):
+        # eval gauss --alpha inf printed "alpha":null with exit 0; a sweep to
+        # inf failed at alpha=nan, and reconstruct ex1 at inf exited 3 on an
+        # internal DomainSpec message
+        *head, flag = command
+        code, out, err = invoke(capsys, *head, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert "must be a finite number" in err
+
     def test_module_entry_point_returns_the_exit_code(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)

@@ -36,6 +36,11 @@ when a tail whose fit reads divergence stopped refining.  The
 the four ``ex1@*.reconstruct*`` records moved when ex1 stopped declaring
 its anchor singular: the routing fit now probes that end too (three more
 rhs samples; values, estimates and statuses unchanged).
+``ex1@1.0.reconstruct_stripped`` moved again when a numeric rhs began
+running the inner quadrature at each tanh-sinh alpha-node at a tolerance
+scaled by the node's weight: ``n_evals`` 47,734 -> 21,579, and
+``abs_err_est`` gained the weighted estimates of the loosened nodes; the
+value bits, and so the error against pi, are unchanged.
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.
@@ -284,7 +289,7 @@ GOLDEN = {
     'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
     'ex4@1.0.reconstruct': ('-0x1.16bb24190a0b7p+1', '0x1.1348b5d920c85p-38', 88, 'converged'),
     'ex2@1.5.reconstruct_stripped': ('0x1.461829d7924f8p+1', '0x1.12e15a826d695p-30', 5656, 'converged'),
-    'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d0cp+1', '0x1.12e0fccaec3e6p-29', 47734, 'converged'),
+    'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d0cp+1', '0x1.12e0fdee8ffddp-29', 21579, 'converged'),
 }
 
 
