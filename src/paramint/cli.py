@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from . import __version__, catalog
 # eval_direct and reconstruct are not called here; they stay importable from
 # this module because perfbench/spans.py traces them under these names
-from .engine import ParametricIntegral, eval_direct, reconstruct, verify  # noqa: F401
+from .engine import eval_direct, reconstruct, verify  # noqa: F401
 
 __all__ = ["run", "main"]
 
@@ -125,15 +125,41 @@ def _emit_text_results(envelope: dict) -> str:
 # result rows, all built by engine.verify
 # ---------------------------------------------------------------------------
 
-def _rows(
-    entry_id: str, P: ParametricIntegral, alphas: list[float], ns
-) -> list[dict]:
-    """Verify ``P`` at ``alphas`` and map each point onto a report row.
+def _echo(ns) -> dict:
+    """The row command's options as its report echoes them under "inputs"."""
+    return {key: getattr(ns, dest) for _, dest, key, _ in _OPTIONS[ns.command]}
+
+
+def _entry_report(ns, entry_id: str) -> dict:
+    """One entry's envelope for the row command ``ns.command``.
 
     Tolerances the user left unset are not passed, so engine.verify's
     defaults apply.  A point whose direct value or (on an anchored problem)
     reconstruction failed aborts the command as a numeric failure.
     """
+    required = [(f, dest) for f, dest, _, typ in _OPTIONS[ns.command] if typ is not _tolerance]
+    if any(getattr(ns, dest) is None for _, dest in required):
+        *rest, last = [f for f, _ in required]
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise _UsageError(f"{ns.command} requires {listed}")
+    alphas = [getattr(ns, "alpha", None)]
+    if ns.command == "sweep":
+        if ns.steps < 2:
+            raise _UsageError("sweep requires --steps >= 2")
+        if not ns.from_ < ns.to:
+            raise _UsageError("sweep requires --from < --to")
+        span = ns.to - ns.from_
+        alphas = [ns.from_ + span * i / (ns.steps - 1) for i in range(ns.steps)]
+    entry = catalog.get(entry_id)
+    P = entry.parametric
+    if ns.command == "verify":
+        alphas = sorted(entry.verification_grid)
+    elif ns.command != "reconstruct":
+        P = replace(P, anchor=None)  # eval, sweep: so that verify() does not reconstruct
+    elif P.anchor is None:
+        raise _UsageError(
+            f"entry {entry.id!r} has no anchor; reconstruction is undefined for it"
+        )
     tols = {}
     if ns.tol_direct is not None:
         tols["tol_direct"] = ns.tol_direct
@@ -142,7 +168,7 @@ def _rows(
     rows = []
     for p in verify(P, alphas, **tols).points:
         if math.isnan(p.direct) or (P.anchor is not None and p.reconstructed is None):
-            raise _NumericFailure(f"entry {entry_id!r} at alpha={p.alpha!r}: {p.note}")
+            raise _NumericFailure(f"entry {entry.id!r} at alpha={p.alpha!r}: {p.note}")
         rows.append({
             "alpha": p.alpha,
             "direct": p.direct,
@@ -153,33 +179,13 @@ def _rows(
             "disc_recon_direct": p.disc_recon_direct,
             "pass": p.passed,
         })
-    return rows
-
-
-def _direct_only(entry: catalog.CatalogEntry) -> ParametricIntegral:
-    """The entry's problem without its anchor, so verify() does not reconstruct."""
-    return replace(entry.parametric, anchor=None)
-
-
-def _envelope(entry_id: str, inputs: dict, results: list[dict]) -> dict:
     return {
         "tool_version": __version__,
-        "entry_id": entry_id,
-        "inputs": inputs,
-        "results": results,
-        "overall_pass": all(r["pass"] for r in results),
+        "entry_id": entry.id,
+        "inputs": {"command": ns.command, "id": entry.id, **_echo(ns)},
+        "results": rows,
+        "overall_pass": all(r["pass"] for r in rows),
     }
-
-
-def _report(envelope: dict, fmt: str) -> tuple[str, int]:
-    """Render one entry's envelope; exit code 1 if any row failed."""
-    if fmt == "json":
-        text = _emit_json(envelope)
-    elif fmt == "csv":
-        text = _emit_csv(envelope["results"])
-    else:
-        text = _emit_text_results(envelope)
-    return text, 0 if envelope["overall_pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,96 +218,32 @@ def _cmd_list(ns) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-def _cmd_eval(ns) -> tuple[str, int]:
-    if ns.alpha is None:
-        raise _UsageError("eval requires --alpha")
-    entry = catalog.get(ns.id)
-    rows = _rows(entry.id, _direct_only(entry), [ns.alpha], ns)
-    inputs = {
-        "command": "eval",
-        "id": entry.id,
-        "alpha": ns.alpha,
-        "tol_direct": ns.tol_direct,
-    }
-    return _report(_envelope(entry.id, inputs, rows), ns.format)
-
-
-def _cmd_sweep(ns) -> tuple[str, int]:
-    if ns.from_ is None or ns.to is None or ns.steps is None:
-        raise _UsageError("sweep requires --from, --to and --steps")
-    if ns.steps < 2:
-        raise _UsageError("sweep requires --steps >= 2")
-    if not ns.from_ < ns.to:
-        raise _UsageError("sweep requires --from < --to")
-    entry = catalog.get(ns.id)
-    span = ns.to - ns.from_
-    alphas = [ns.from_ + span * i / (ns.steps - 1) for i in range(ns.steps)]
-    rows = _rows(entry.id, _direct_only(entry), alphas, ns)
-    inputs = {
-        "command": "sweep",
-        "id": entry.id,
-        "from": ns.from_,
-        "to": ns.to,
-        "steps": ns.steps,
-        "tol_direct": ns.tol_direct,
-    }
-    return _report(_envelope(entry.id, inputs, rows), ns.format)
-
-
-def _cmd_reconstruct(ns) -> tuple[str, int]:
-    if ns.alpha is None:
-        raise _UsageError("reconstruct requires --alpha")
-    entry = catalog.get(ns.id)
-    if entry.parametric.anchor is None:
-        raise _UsageError(
-            f"entry {entry.id!r} has no anchor; reconstruction is undefined for it"
-        )
-    rows = _rows(entry.id, entry.parametric, [ns.alpha], ns)
-    inputs = {
-        "command": "reconstruct",
-        "id": entry.id,
-        "alpha": ns.alpha,
-        "tol_direct": ns.tol_direct,
-        "tol_recon": ns.tol_recon,
-    }
-    return _report(_envelope(entry.id, inputs, rows), ns.format)
-
-
-def _verify_entry(entry: catalog.CatalogEntry, ns) -> dict:
-    rows = _rows(entry.id, entry.parametric, sorted(entry.verification_grid), ns)
-    inputs = {
-        "command": "verify",
-        "id": entry.id,
-        "tol_direct": ns.tol_direct,
-        "tol_recon": ns.tol_recon,
-    }
-    return _envelope(entry.id, inputs, rows)
-
-
-def _cmd_verify(ns) -> tuple[str, int]:
-    if ns.id != "all":
-        return _report(_verify_entry(catalog.get(ns.id), ns), ns.format)
-    if ns.format == "csv":
-        raise _UsageError("csv format covers a single entry; run verify per id or use json")
-    envs = [_verify_entry(e, ns) for e in catalog.entries()]
-    overall = all(e["overall_pass"] for e in envs)
-    if ns.format == "json":
+def _cmd_rows(ns) -> tuple[str, int]:
+    """eval, sweep, reconstruct and verify: one entry's report, or, for
+    ``verify all``, every entry's; exit code 1 if any row failed."""
+    if ns.command == "verify" and ns.id == "all":
+        if ns.format == "csv":
+            raise _UsageError("csv format covers a single entry; run verify per id or use json")
+        envs = [_entry_report(ns, e.id) for e in catalog.entries()]
+        overall = all(e["overall_pass"] for e in envs)
         doc = {
             "tool_version": __version__,
             "command": "verify",
-            "inputs": {
-                "id": "all",
-                "tol_direct": ns.tol_direct,
-                "tol_recon": ns.tol_recon,
-            },
+            "inputs": {"id": "all", **_echo(ns)},
             "reports": envs,
             "overall_pass": overall,
         }
-        text = _emit_json(doc)
+        tail = f"\n\noverall: {'pass' if overall else 'FAIL'}"
     else:
-        text = "\n\n".join(_emit_text_results(e) for e in envs)
-        text += f"\n\noverall: {'pass' if overall else 'FAIL'}"
-    return text, 0 if overall else 1
+        doc = _entry_report(ns, ns.id)
+        envs, tail = [doc], ""
+    if ns.format == "json":
+        text = _emit_json(doc)
+    elif ns.format == "csv":
+        text = _emit_csv(doc["results"])
+    else:
+        text = "\n\n".join(_emit_text_results(e) for e in envs) + tail
+    return text, 0 if doc["overall_pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +270,25 @@ def _tolerance(text: str) -> float:
     return _finite(text, positive=True)
 
 
+# Each row command's options, in the order its report echoes them under
+# "inputs": (flag, dest, JSON key, type).  All take a number; every one but a
+# tolerance is required.
+_ALPHA = ("--alpha", "alpha", "alpha", _finite)
+_TOL_DIRECT = ("--tol-direct", "tol_direct", "tol_direct", _tolerance)
+_TOL_RECON = ("--tol-recon", "tol_recon", "tol_recon", _tolerance)
+_OPTIONS = {
+    "eval": (_ALPHA, _TOL_DIRECT),
+    "sweep": (
+        ("--from", "from_", "from", _finite),
+        ("--to", "to", "to", _finite),
+        ("--steps", "steps", "steps", int),
+        _TOL_DIRECT,
+    ),
+    "reconstruct": (_ALPHA, _TOL_DIRECT, _TOL_RECON),
+    "verify": (_TOL_DIRECT, _TOL_RECON),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pil",
@@ -335,67 +296,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pil {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, hlp in (
+        ("list", "show catalog entries"),
+        ("eval", "direct quadrature at one parameter value"),
+        ("sweep", "direct + closed-form comparison over a uniform grid"),
+        ("reconstruct", "rebuild the integral from its anchor"),
+        ("verify", "run the entry's verification grid"),
+    ):
+        p = sub.add_parser(name, help=hlp)
+        if name == "verify":
+            p.add_argument("id", nargs="?", default="all", help="entry id or 'all'")
+        elif name != "list":
+            p.add_argument("id", help="catalog entry id")
+        for flag, dest, _, typ in _OPTIONS.get(name, ()):
+            p.add_argument(flag, dest=dest, type=typ, default=None)
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="text",
             help="report format (json and csv are stable contracts)",
         )
         p.add_argument("--out", default=None, help="write the report to this path")
 
-    p_list = sub.add_parser("list", help="show catalog entries")
-    add_common(p_list)
-
-    for name, hlp in (
-        ("eval", "direct quadrature at one parameter value"),
-        ("sweep", "direct + closed-form comparison over a uniform grid"),
-        ("reconstruct", "rebuild the integral from its anchor"),
-    ):
-        p = sub.add_parser(name, help=hlp)
-        p.add_argument("id", help="catalog entry id")
-        if name == "sweep":
-            p.add_argument("--from", dest="from_", type=_finite, default=None)
-            p.add_argument("--to", type=_finite, default=None)
-            p.add_argument("--steps", type=int, default=None)
-        else:
-            p.add_argument("--alpha", type=_finite, default=None)
-        p.add_argument("--tol-direct", dest="tol_direct", type=_tolerance, default=None)
-        if name == "reconstruct":
-            p.add_argument("--tol-recon", dest="tol_recon", type=_tolerance, default=None)
-        add_common(p)
-
-    p_verify = sub.add_parser("verify", help="run the entry's verification grid")
-    p_verify.add_argument("id", nargs="?", default="all", help="entry id or 'all'")
-    p_verify.add_argument("--tol-direct", dest="tol_direct", type=_tolerance, default=None)
-    p_verify.add_argument("--tol-recon", dest="tol_recon", type=_tolerance, default=None)
-    add_common(p_verify)
-
     return parser
 
 
-_HANDLERS = {
-    "list": _cmd_list,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "reconstruct": _cmd_reconstruct,
-    "verify": _cmd_verify,
-}
+def _join_numbers(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each option of the table joined to a following token
+    that parses as a float, as ``--from=-1e-3``: argparse would read a token
+    such as -1e-3 or -inf as an option, and the option as missing its value."""
+    flags = {flag for opts in _OPTIONS.values() for flag, *_ in opts}
+    joined: list[str] = []
+    for tok in argv:
+        joined.append(tok)
+        if len(joined) > 1 and joined[-2] in flags:
+            try:
+                float(tok)
+            except ValueError:
+                continue
+            joined[-2:] = [f"{joined[-2]}={tok}"]
+    return joined
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, execute, print the report; returns the exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
 
     try:
-        text, code = _HANDLERS[ns.command](ns)
-    except catalog.UnknownEntryError as exc:
-        print(f"pil: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
+        text, code = (_cmd_list if ns.command == "list" else _cmd_rows)(ns)
+    except (catalog.UnknownEntryError, _UsageError) as exc:
         print(f"pil: {exc}", file=sys.stderr)
         return 2
     except _NumericFailure as exc:

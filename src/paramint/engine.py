@@ -29,7 +29,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from statistics import median
 from typing import Callable, Optional, Sequence, Union
 
 from .quadrature import (
@@ -312,43 +311,44 @@ def deriv_under_integral(
 # interchange check
 # ---------------------------------------------------------------------------
 
+# interchange_check's central-difference step in alpha, and its gate
+# before the difference's own bias is allowed for
+_INTERCHANGE_STEP = 1e-4
+_INTERCHANGE_TOL = 1e-5
+
+
 def interchange_check(
-    P: ParametricIntegral,
-    alpha: float,
-    fd_step: float = 1e-4,
-    tol: float = 1e-5,
-    cfg: QuadConfig | None = None,
+    P: ParametricIntegral, alpha: float, cfg: QuadConfig | None = None
 ) -> InterchangeReport:
     """Compare d/d alpha of the integral against the integral of d f/d alpha.
 
-    lhs is a central difference of eval_direct across ``fd_step``; rhs is
-    deriv_under_integral.  The pass threshold is ``tol`` plus an allowance
+    lhs is a central difference of eval_direct across a step of 1e-4; rhs
+    is deriv_under_integral.  The pass threshold is 1e-5 plus an allowance
     for the central difference's own O(h^2) bias, scaled from the measured
     second difference at alpha (a third direct evaluation): near a
     parameter-domain edge the solution's higher derivatives grow like
     inverse powers of the distance to the edge, so the curvature is
     divided by that distance before multiplying by h^2.
     """
-    if not (fd_step > 0 and math.isfinite(fd_step)):
-        raise ValueError("fd_step must be finite and positive")
-    for a in (alpha - fd_step, alpha + fd_step):
+    h = _INTERCHANGE_STEP
+    for a in (alpha - h, alpha + h):
         if not P.param_domain.contains(a):
             raise ParameterDomainError(
-                f"alpha +/- fd_step = {a!r} leaves the parameter domain "
+                f"alpha +/- 1e-4 = {a!r} leaves the parameter domain "
                 f"{P.param_domain.describe()}"
             )
-    hi = eval_direct(P, alpha + fd_step, cfg)
-    lo = eval_direct(P, alpha - fd_step, cfg)
+    hi = eval_direct(P, alpha + h, cfg)
+    lo = eval_direct(P, alpha - h, cfg)
     at = eval_direct(P, alpha, cfg)
-    lhs = (hi.value - lo.value) / (2.0 * fd_step)
+    lhs = (hi.value - lo.value) / (2.0 * h)
     rhs_res = deriv_under_integral(P, alpha, cfg)
     rhs = rhs_res.value
     discrepancy = abs(lhs - rhs)
 
-    curvature = abs(hi.value - 2.0 * at.value + lo.value) / (fd_step * fd_step)
+    curvature = abs(hi.value - 2.0 * at.value + lo.value) / (h * h)
     dist = P.param_domain.boundary_distance(alpha)
-    allowance = fd_step * fd_step * curvature / max(dist, 2.0 * fd_step)
-    tolerance_used = tol + allowance
+    allowance = h * h * curvature / max(dist, 2.0 * h)
+    tolerance_used = _INTERCHANGE_TOL + allowance
     return InterchangeReport(
         alpha=alpha,
         lhs=lhs,
@@ -364,13 +364,11 @@ def interchange_check(
 # ---------------------------------------------------------------------------
 
 # Fixed sampling plan of domination_scan: alphas across the window,
-# midpoints over the finite part, the finite part's width on infinite
-# domains, and octave-spaced tail probes beyond it for the slope fit.
+# midpoints over the finite part, and the finite part's width on infinite
+# domains; beyond it the tail is fitted in t = 1/x.
 _SCAN_N_ALPHA = 9
 _SCAN_N_POINTS = 257
 _SCAN_SPAN = 32.0
-_SCAN_TAIL_OCTAVES = 18
-_TAIL_PROBE_FACTORS = (1.0, 1.37, 1.73)
 
 
 def _envelope_at(
@@ -394,28 +392,6 @@ def _envelope_at(
     return m
 
 
-def _size_tail(
-    tail_env: list[float], base: float, finite_part: float, sides: float
-) -> tuple[float, DominationVerdict]:
-    """Envelope-integral estimate and verdict from the octave tail samples."""
-    if all(v == 0.0 for v in tail_env):
-        return finite_part, DominationVerdict.DOMINATED
-    slopes = [
-        math.log2(hi_v / lo_v) if lo_v > 0.0 and hi_v > 0.0 else -math.inf
-        for lo_v, hi_v in zip(tail_env, tail_env[1:])
-        if lo_v > 0.0
-    ]
-    if not slopes:
-        return math.nan, DominationVerdict.INCONCLUSIVE
-    s = median(slopes[-6:])
-    if s <= -1.05:
-        tail = 0.0 if math.isinf(s) else base * tail_env[0] / (-s - 1.0)
-        return finite_part + sides * tail, DominationVerdict.DOMINATED
-    if s >= -0.95:
-        return math.inf, DominationVerdict.SUSPECT_DIVERGENT
-    return math.nan, DominationVerdict.INCONCLUSIVE
-
-
 def domination_scan(
     P: ParametricIntegral, alpha_window: tuple[float, float]
 ) -> DominationReport:
@@ -424,9 +400,11 @@ def domination_scan(
     Finite domains: midpoint-rule estimate of the envelope integral,
     verdict `dominated` (after checking the envelope does not blow up
     non-integrably at an endpoint).  Infinite domains: finite part plus
-    an octave-slope fit of the tail — decay faster than 1/x gives
-    `dominated`, slower gives `suspect_divergent` (estimate = inf),
-    the ambiguous band in between gives `inconclusive` (estimate = nan).
+    the kernels' endpoint fit of each tail in t = 1/x, where the envelope
+    beyond x = base becomes env(1/t)/t**2 on (0, 1/base] — decay faster
+    than 1/x gives `dominated` and the fitted mass C * base**-(1+p)/(1+p),
+    slower gives `suspect_divergent` (estimate = inf), the ambiguous band
+    in between gives `inconclusive` (estimate = nan).
     """
     lo_a, hi_a = alpha_window
     if not (math.isfinite(lo_a) and math.isfinite(hi_a) and lo_a < hi_a):
@@ -483,23 +461,32 @@ def domination_scan(
         if a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
             check_growth(sgn * a, sgn * x0)
         base = max(x0, 1.0)
-        tail_env: list[float] = []
-        for k in range(_SCAN_TAIL_OCTAVES):
-            xk = base * 2.0 ** k
-            best = 0.0
-            for fac in _TAIL_PROBE_FACTORS:
-                x = sgn * xk * fac
+
+        def tail(side: float) -> tuple[float, float]:
+            """The tail's fitted exponent in t (the refusal's, if any) and mass."""
+            def g(t: float) -> float:
+                x = side / t
                 m = _envelope_at(pa_rules, x)
                 samples.append((x, m))
-                if lo_inf:
-                    m_left = _envelope_at(pa_rules, -x)
-                    samples.append((-x, m_left))
-                    m = max(m, m_left)
-                best = max(best, m)
-            tail_env.append(best)
-        estimate, verdict = _size_tail(
-            tail_env, base, finite_part, 2.0 if lo_inf else 1.0
-        )
+                return m / t / t  # t * t is 0.0 at the last rung once base > 6e149
+
+            try:
+                p, c = _fit_endpoint(g, 0.0, 1.0, 1.0 / base)
+            except NonIntegrableSingularityError as exc:
+                return exc.exponent, math.inf
+            return p, c * base ** -(1.0 + p) / (1.0 + p)
+
+        tails = [tail(side) for side in ((sgn, -sgn) if lo_inf else (sgn,))]
+        # the slowest tail decides; within 0.05 of p = -1 (1/x decay) is too
+        # close to call
+        p = min(p for p, _ in tails)
+        if p <= -1.05:
+            estimate, verdict = math.inf, DominationVerdict.SUSPECT_DIVERGENT
+        elif p < -0.95:
+            estimate, verdict = math.nan, DominationVerdict.INCONCLUSIVE
+        else:
+            estimate = finite_part + sum(mass for _, mass in tails)
+            verdict = DominationVerdict.DOMINATED
 
     return DominationReport(
         alpha_window=(lo_a, hi_a),

@@ -147,7 +147,7 @@ def test_criterion_07_interchange_everywhere():
         for alpha in entry.verification_grid:
             if not P.param_domain.is_interior(alpha):
                 continue
-            rep = interchange_check(P, alpha, fd_step=1e-4, tol=1e-5)
+            rep = interchange_check(P, alpha)
             if not rep.passed:
                 failures.append((entry.id, alpha, rep.discrepancy))
     report(7, "interchange check passes at every interior grid point "

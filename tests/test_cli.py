@@ -314,6 +314,28 @@ class TestArgparsePlumbing:
         assert out == ""
         assert "must be a finite number" in err
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e400"])
+    def test_negative_value_that_is_not_finite_as_its_own_token_exits_2(self, capsys, value):
+        # argparse read these as options: "expected one argument"
+        code, out, err = invoke(capsys, "sweep", "gauss", "--to", "2", "--steps", "2", "--from", value)
+        assert (code, out) == (2, "")
+        assert "argument --from: must be a finite number" in err
+
+    @pytest.mark.parametrize("head, flag, tail", [
+        (("sweep", "ex3_beta"), "--from", ("--to", "1", "--steps", "2")),
+        (("eval", "ex2"), "--alpha", ()),
+    ], ids=["sweep", "eval"])
+    def test_negative_value_with_an_exponent_reads_as_a_value(self, capsys, head, flag, tail):
+        # argparse took -1e-3 for an option: "expected one argument", exit 2
+        exp, dec = (invoke(capsys, *head, flag, v, *tail) for v in ("-1e-3", "-0.001"))
+        assert exp == dec
+        assert exp[0] == 3 and "alpha=-0.001 outside the valid parameter domain" in exp[2]
+
+    def test_verify_all_has_no_csv(self, capsys):
+        code, out, err = invoke(capsys, "verify", "all", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "csv format covers a single entry" in err
+
     def test_module_entry_point_returns_the_exit_code(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)

@@ -21,6 +21,7 @@ from paramint import (
     DominationVerdict,
     DomainSpec,
     EndpointKind,
+    EvaluationError,
     InterchangeReport,
     MissingAnchorError,
     NonIntegrableSingularityError,
@@ -236,7 +237,7 @@ class TestInterchange:
 
     def test_lhs_is_a_difference_quotient(self):
         P = make_cos()
-        rep = interchange_check(P, 1.0, fd_step=1e-4)
+        rep = interchange_check(P, 1.0)
         expected = (_cos_sol(1.0 + 1e-4) - _cos_sol(1.0 - 1e-4)) / 2e-4
         assert abs(rep.lhs - expected) < 1e-9
 
@@ -246,7 +247,7 @@ class TestInterchange:
 
     def test_inflated_tolerance_near_boundary(self):
         # close to the edge the curvature allowance must widen the gate
-        rep = interchange_check(make_cos(), 2.0 - 1e-3, fd_step=1e-4)
+        rep = interchange_check(make_cos(), 2.0 - 1e-3)
         assert rep.tolerance_used >= 1e-5
         assert rep.passed
 
@@ -306,6 +307,20 @@ class TestDomination:
         assert rep.verdict is DominationVerdict.DOMINATED
         exact = sides * math.sqrt(math.pi / 2.0)
         assert abs(rep.envelope_integral_estimate - exact) / exact < 0.05
+
+    def test_tail_far_from_the_origin(self):
+        # on [1e155, inf) the tail fit's t = 1/x reaches 1e-167, whose
+        # square is 0.0
+        P = ParametricIntegral(
+            integrand=lambda x, a: a * x ** -1.5,
+            param_domain=ParamDomain(0.0, 1.0),
+            domain=DomainSpec.semi_infinite(1e155),
+            d_alpha=lambda x, a: x ** -1.5,
+        )
+        rep = domination_scan(P, (0.0, 1.0))
+        assert rep.verdict is DominationVerdict.DOMINATED
+        exact = 2.0 / math.sqrt(1e155)
+        assert abs(rep.envelope_integral_estimate - exact) < 0.05 * exact
 
     def test_lower_infinite_samples_lie_in_the_domain(self):
         left = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
@@ -396,6 +411,28 @@ class TestDomination:
             domination_scan(P, (0.0, 1.0))
         assert scan.value.__cause__.exponent == kernel.value.exponent
         assert f"local exponent {kernel.value.exponent:.3f}" in str(scan.value)
+
+    @pytest.mark.parametrize("q, integrable", [(-0.5, False), (-2.0, True)])
+    def test_one_refusal_rule_at_an_infinite_end(self, q, integrable):
+        # |g| = (1 + x)**q on [0, inf): the scan's tail fit and the improper
+        # kernel's tail agree on whether the tail is integrable
+        domain = DomainSpec.semi_infinite(0.0)
+        P = ParametricIntegral(
+            integrand=lambda x, a: a * (1.0 + x) ** q,
+            param_domain=ParamDomain(0.0, 1.0),
+            domain=domain,
+            d_alpha=lambda x, a: (1.0 + x) ** q,
+        )
+        res = integrate(lambda x: (1.0 + x) ** q, domain)
+        rep = domination_scan(P, (0.0, 1.0))
+        if integrable:
+            assert res.status is QuadStatus.CONVERGED
+            assert rep.verdict is DominationVerdict.DOMINATED
+            assert abs(rep.envelope_integral_estimate - 1.0) < 1e-3
+            return
+        assert res.status is QuadStatus.TAIL_TRUNCATED and math.isinf(res.abs_err_est)
+        assert rep.verdict is DominationVerdict.SUSPECT_DIVERGENT
+        assert math.isinf(rep.envelope_integral_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +553,16 @@ class TestReconstruct:
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - P.solution_closed(1.0)) <= res.abs_err_est <= 1e-10
         assert res.n_evals <= 200
+
+    def test_end_whose_probe_sample_fails_goes_to_the_singular_kernel(self):
+        # the rhs cannot be evaluated below a = 0.5, so the probe at the end
+        # 0.25 fails; that end is routed singular, and the kernel's endpoint
+        # fit raises at the same first rung (Gauss-Kronrod would first
+        # sample the panel centre 0.4375)
+        P = dataclasses.replace(make_cos(anchored=True), rhs_closed=lambda a: math.sqrt(a - 0.5))
+        with pytest.raises(EvaluationError) as info:
+            reconstruct(P, 0.25)
+        assert info.value.abscissa == 0.25 + 0.75 * 2.0 ** -8
 
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):
@@ -638,6 +685,25 @@ class TestVerify:
         assert not bad.passed
         assert math.isnan(bad.direct)
         assert "ParameterDomainError" in bad.note
+
+    def test_failed_and_off_gate_reconstructions_recorded(self):
+        # the rhs is off by 1e-3 * sqrt(a - 0.5), which cannot be evaluated
+        # below a = 0.5: the path to 0.25 fails, the one to 2.0 misses the
+        # reconstruction gate, and the anchor itself still passes
+        P = dataclasses.replace(
+            make_cos(anchored=True),
+            rhs_closed=lambda a: _cos_rhs(a) + 1e-3 * math.sqrt(a - 0.5),
+        )
+        rep = verify(P, [0.25, 1.0, 2.0])
+        failed, anchor, off = rep.points
+        assert not rep.passed
+        assert not failed.passed and failed.reconstructed is None
+        assert failed.note.startswith("reconstruction failed: ")
+        assert failed.note.endswith("[EvaluationError]")
+        assert anchor.passed
+        assert not off.passed and off.note == ""
+        assert off.disc_direct_closed <= rep.tol_direct
+        assert off.disc_recon_direct > rep.tol_reconstruct
 
     def test_undefined_closed_form_noted_not_raised(self):
         P = ParametricIntegral(

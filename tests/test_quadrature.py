@@ -110,6 +110,24 @@ class TestFinite:
         assert res.status is QuadStatus.MAX_DEPTH
         assert math.isfinite(res.value)
 
+    def test_interval_too_narrow_to_split_is_one_panel(self):
+        b = math.nextafter(1.0, 2.0)
+        res = integrate_finite(lambda x: 3.0, DomainSpec.finite(1.0, b))
+        assert res.n_evals == 15
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 3.0 * (b - 1.0)) <= res.abs_err_est
+
+    def test_panels_too_narrow_to_split_are_frozen(self):
+        # on [2**53, 2**53 + 256] floats lie 2 apart: bisection ends in 128
+        # panels that cannot split, each kept with its share, and the loop
+        # stops once none is left to split, short of the budget
+        a = 2.0 ** 53
+        cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
+        res = integrate_finite(lambda x: 1.0, DomainSpec.finite(a, a + 256.0), cfg)
+        assert res.status is QuadStatus.MAX_DEPTH
+        assert res.n_evals == 15 * (2 + 2 * 126)
+        assert abs(res.value - 256.0) <= res.abs_err_est <= 1e-12
+
     def test_nonfinite_evaluation_names_the_abscissa(self):
         def bad(x: float) -> float:
             if abs(x - 0.3) < 0.05:
