@@ -320,19 +320,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _join_numbers(argv: Sequence[str]) -> list[str]:
-    """``argv`` with each option of the table joined to a following token
-    that parses as a float, as ``--from=-1e-3``: argparse would read a token
-    such as -1e-3 or -inf as an option, and the option as missing its value."""
-    flags = {flag for opts in _OPTIONS.values() for flag, *_ in opts}
+    """``argv`` with each table option of its command joined to a following
+    token that parses as a float, as ``--from=-1e-3``: argparse reads -1e-3 or
+    -inf as an option, and the option as missing its value.  As in argparse, a
+    ``--`` prefix of one long option only (--format, --out, --help too) means it."""
+    command = next((tok for tok in argv if not tok.startswith("-")), "")
+    flags = {flag for flag, *_ in _OPTIONS.get(command, ())}
+    long_options = (*flags, "--format", "--out", "--help")
     joined: list[str] = []
-    for tok in argv:
+    for prev, tok in zip(["", *argv], argv):
         joined.append(tok)
-        if len(joined) > 1 and joined[-2] in flags:
-            try:
-                float(tok)
-            except ValueError:
+        if prev not in flags:
+            if not prev.startswith("--"):
                 continue
-            joined[-2:] = [f"{joined[-2]}={tok}"]
+            meant = [flag for flag in long_options if flag.startswith(prev)]
+            if len(meant) != 1 or meant[0] not in flags:
+                continue
+        try:
+            float(tok)
+        except ValueError:
+            continue
+        joined[-2:] = [f"{prev}={tok}"]
     return joined
 
 

@@ -515,6 +515,28 @@ _NODE_ERR_SHARE = 2.0 ** -60
 _ROUTE_EXPONENT = -0.05
 
 
+def _node_cfg(cfg: QuadConfig) -> QuadConfig:
+    """reconstruct's tolerance for each sample of a numeric dI/d alpha."""
+    return replace(
+        cfg,
+        abs_tol=max(cfg.abs_tol, _DERIV_TOL_FLOOR),
+        rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
+    )
+
+
+def _singular_end(
+    g: Callable[[float], float], end: float, into: float, length: float
+) -> bool:
+    """Whether an end of a parameter path of this length goes to the
+    singular kernel: the 3-rung fit of the rhs g there reads an exponent
+    <= _ROUTE_EXPONENT, or meets a failing sample or a non-integrable fit."""
+    try:
+        p, _ = _fit_endpoint(g, end, into, length, rungs=3)
+    except QuadratureError:
+        return True
+    return p <= _ROUTE_EXPONENT
+
+
 def reconstruct(
     P: ParametricIntegral, alpha_target: float, cfg: QuadConfig | None = None
 ) -> QuadResult:
@@ -574,11 +596,7 @@ def reconstruct(
             g.near = P.rhs_near
         g_cfg = cfg
     else:
-        node_cfg = replace(
-            cfg,
-            abs_tol=max(cfg.abs_tol, _DERIV_TOL_FLOOR),
-            rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
-        )
+        node_cfg = _node_cfg(cfg)
 
         def inner(a: float, node: QuadConfig) -> QuadResult:
             nonlocal inner_evals, inner_status
@@ -615,16 +633,9 @@ def reconstruct(
         extra_est = 2.0 * (hi - lo) * node_cfg.abs_tol
 
     probe = _Counted(g)  # counts the rhs calls of the growth probes
-
-    def singular_at(end: float, into: float) -> bool:
-        try:
-            p, _ = _fit_endpoint(probe, end, into, hi - lo, rungs=3)
-        except QuadratureError:  # a failing sample, or a non-integrable fit
-            return True
-        return p <= _ROUTE_EXPONENT
-
     anchor_side_lo = a0 <= alpha_target
-    sing_lo, sing_hi = singular_at(lo, hi), singular_at(hi, lo)
+    sing_lo = _singular_end(probe, lo, hi, hi - lo)
+    sing_hi = _singular_end(probe, hi, lo, hi - lo)
     if sing_lo or sing_hi:
         dom = DomainSpec.singular(lo, hi, at_lower=sing_lo, at_upper=sing_hi)
     else:
@@ -643,6 +654,116 @@ def reconstruct(
 # grid verification
 # ---------------------------------------------------------------------------
 
+# Chebyshev levels of verify's grid interpolant, nested: a doubling reuses every sample
+_CHEB_LEVELS = (8, 16, 32, 64)
+
+
+def _grid_reconstruct(
+    P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
+) -> Optional[dict[float, QuadResult]]:
+    """reconstruct at every grid alpha from one interpolant of a numeric rhs.
+
+    Both ends of the hull [lo, hi] of the anchor and the grid are routed
+    once, as reconstruct routes its path's ends (at its node tolerance: the
+    fit reads an exponent, and a tight tolerance only makes it dear).
+    g = dI/d alpha, at abs_tol = rel_tol = cfg.abs_tol / (4 (hi - lo)), is
+    sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end, where the
+    interchange may fail), n doubling from 8 until the top quarter of the
+    b_k in p(cos th) sin th = sum b_k sin k th is within the noise of the
+    samples: their largest estimate, or the rounding of the sum when that
+    is larger.  I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with
+    estimate sum |W_j| est_j over its sample weights, plus h sum 2 |b_k|/k
+    over that quarter, plus h sum |d_k| times the rounding of each b_k.
+
+    None, for reconstruct to take each point alone: when the grid has fewer
+    than two points off the anchor (no sample to share), on a singular end,
+    a failed sample, or when the series cannot chop by n = 64 (it has not,
+    and the decay of its b_k from the second to the top quarter, carried
+    on geometrically, does not reach the noise by then).
+    """
+    pd = P.param_domain
+    if P.anchor is None or P.rhs_closed is not None:
+        return None
+    if not all(pd.closure_contains(a) for a in alphas):
+        return None
+    a0, v0 = P.anchor.alpha0, P.anchor.value0
+    if len(set(alphas) - {a0}) < 2:
+        return None
+    lo, hi = min(a0, *alphas), max(a0, *alphas)
+    h = 0.5 * (hi - lo)
+    top = _CHEB_LEVELS[-1]
+    xs = [lo + h + h * math.cos(math.pi * j / top) for j in range(top + 1)]
+    tau = 0.25 * cfg.abs_tol / (hi - lo)
+    if not (h < math.inf and tau > 0.0 and lo < xs[-2] and xs[1] < hi):
+        return None
+    node_cfg = replace(cfg, abs_tol=tau, rel_tol=tau)
+    probe_cfg = _node_cfg(cfg)
+    ran: list[QuadResult] = []  # every inner quadrature, probes included
+    got: dict[int, QuadResult] = {}  # converged samples, by their index into xs
+
+    def sample(a: float, node: QuadConfig) -> QuadResult:
+        res = deriv_under_integral(P, a, node)
+        ran.append(res)
+        if res.status is not QuadStatus.CONVERGED:
+            raise QuadratureError(f"dI/d alpha at alpha={a!r} is {res.status.value}")
+        return res
+
+    def probe(a: float) -> float:
+        return sample(a, probe_cfg).value
+
+    try:
+        if _singular_end(probe, lo, hi, hi - lo) or _singular_end(probe, hi, lo, hi - lo):
+            return None
+        for n in _CHEB_LEVELS:
+            step = top // n
+            for j in range(step, top, step):
+                if j not in got:
+                    got[j] = sample(xs[j], node_cfg)
+            samples = [got[j * step] for j in range(1, n)]
+            sn = [math.sin(math.pi * m / n) for m in range(2 * n)]  # sin(m th_1)
+            b = []
+            for k in range(1, n):
+                terms = (r.value * sn[j] * sn[j * k % (2 * n)] for j, r in enumerate(samples, 1))
+                b.append(2.0 / n * math.fsum(terms))
+            rounding = n * _EPS * max(abs(r.value) for r in samples)  # of each b_k
+            noise = max(max(r.abs_err_est for r in samples), rounding)
+            quarter = range(n - n // 4, n)
+            top_b = max(abs(b[k - 1]) for k in quarter)
+            if top_b <= noise:
+                break
+            second_b = max(abs(b[k - 1]) for k in range(n // 4, n // 2))
+            if n == top or second_b <= top_b:
+                return None
+            # n/2 indices from the second quarter to the top one; 3 (top - n)/4
+            # more to the top quarter at n = top
+            if top_b * (top_b / second_b) ** (1.5 * (top - n) / n) > noise:
+                return None
+    except (QuadratureError, ValueError):
+        return None
+
+    def theta(a: float) -> float:
+        # t = cos th on [-1, 1], so that T_k(t) = cos k th
+        return math.acos(max(-1.0, min(1.0, (a - lo - h) / h)))
+
+    th0 = theta(a0)
+    chop = h * math.fsum(2.0 * abs(b[k - 1]) / k for k in quarter)
+    n_evals = sum(r.n_evals for r in ran)
+    out = {a0: QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)}
+    for a in set(alphas) - {a0}:
+        th = theta(a)
+        d = [(math.cos(k * th) - math.cos(k * th0)) / k for k in range(1, n)]
+        value = v0 + h * math.fsum(bk * dk for bk, dk in zip(b, d))
+        # the weight of sample j in this value, for its share of the estimate
+        weighted = []
+        for j, r in enumerate(samples, 1):
+            terms = (sn[j * k % (2 * n)] * dk for k, dk in enumerate(d, 1))
+            w = 2.0 * h / n * sn[j] * math.fsum(terms)
+            weighted.append(abs(w) * r.abs_err_est)
+        est = math.fsum(weighted) + chop + h * rounding * math.fsum(map(abs, d))
+        out[a] = QuadResult(value, est, n_evals, QuadStatus.CONVERGED)
+    return out
+
+
 def verify(
     P: ParametricIntegral,
     alphas: Sequence[float],
@@ -658,6 +779,7 @@ def verify(
     """
     if not alphas:
         raise ValueError("verification grid must be nonempty")
+    grid = _grid_reconstruct(P, alphas, cfg or _DEFAULT_CFG)
     points: list[VerificationPoint] = []
     for alpha in alphas:
         notes: list[str] = []
@@ -681,7 +803,7 @@ def verify(
         recon: Optional[float] = None
         if P.anchor is not None:
             try:
-                recon = reconstruct(P, alpha, cfg).value
+                recon = (grid[alpha] if grid else reconstruct(P, alpha, cfg)).value
             except (QuadratureError, ValueError) as exc:
                 notes.append(f"reconstruction failed: {exc} [{type(exc).__name__}]")
                 ok = False

@@ -350,13 +350,15 @@ _GK_CENTER = (0.417959183673469, 0.209482141084728)  # gauss, kronrod weight at 
 _GK_OFFSETS = (0.0,) + tuple(t for xi, _, _ in _GK_NODES for t in (-xi, xi))
 
 
-def _gk_panel(
-    f: _Counted | _Compactified, a: float, b: float
-) -> tuple[float, float]:
-    """Kronrod value and |kronrod - gauss| estimate on [a, b] (15 evals, one batch)."""
+def _gk_panel(f: _Counted | _Compactified, a: float, b: float) -> tuple[float, float, bool]:
+    """Kronrod value, |kronrod - gauss| estimate and whether [a, b] may split
+    (15 evals, one batch).  Abscissae lie 0.042 h apart or more, so they merge
+    only if h < 64 ulps of max(|a|, |b|); merged ones may hide a jump, so the
+    panel adds (b - a) times its samples' spread, and splits only if that is 0."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    vs = f.many([c + h * t for t in _GK_OFFSETS])
+    xs = [c + h * t for t in _GK_OFFSETS]
+    vs = f.many(xs)
     gauss = _GK_CENTER[0] * vs[0]
     kron = _GK_CENTER[1] * vs[0]
     for v1, v2, (_, wg, wk) in zip(vs[1::2], vs[2::2], _GK_NODES):
@@ -364,7 +366,12 @@ def _gk_panel(
         kron += wk * s
         if wg != 0.0:
             gauss += wg * s
-    return h * kron, abs(h * (kron - gauss))
+    err = abs(h * (kron - gauss))
+    scale = b if b > -a else -a  # max(|a|, |b|), as a < b
+    if h > 1.5e-14 * scale + 64 * 5e-324 or len(set(xs)) == len(xs):
+        return h * kron, err, True
+    charge = (b - a) * (max(vs) - min(vs))
+    return h * kron, err + charge, charge == 0.0
 
 
 def _adaptive_gk(
@@ -373,18 +380,18 @@ def _adaptive_gk(
     """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b]."""
     mid = 0.5 * (a + b)
     if not (a < mid < b):
-        v, e = _gk_panel(f, a, b)
+        v, e, _ = _gk_panel(f, a, b)
         return v, e, QuadStatus.CONVERGED if e <= _tol_for(cfg, v) else QuadStatus.MAX_DEPTH
 
     seq = 0
-    heap = []  # (-err, seq, a, b, value, err)
-    frozen = []  # panels too narrow to split further
+    heap = []  # (-err, seq, a, b, value, err, may split)
+    frozen = []  # panels that may not, or are too narrow to, split further
     total_v = 0.0
     total_e = 0.0
     n_panels = 0
     for lo, hi in ((a, mid), (mid, b)):
-        v, e = _gk_panel(f, lo, hi)
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e))
+        v, e, split = _gk_panel(f, lo, hi)
+        heapq.heappush(heap, (-e, seq, lo, hi, v, e, split))
         seq += 1
         total_v += v
         total_e += e
@@ -395,22 +402,22 @@ def _adaptive_gk(
         if n_panels >= cfg.max_subdivisions or not heap:
             status = QuadStatus.MAX_DEPTH
             break
-        _, _, lo, hi, v, e = heapq.heappop(heap)
+        _, _, lo, hi, v, e, split = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
-        if not (lo < m < hi):
+        if not (split and lo < m < hi):
             frozen.append((lo, hi, v, e))
             continue
-        v1, e1 = _gk_panel(f, lo, m)
-        v2, e2 = _gk_panel(f, m, hi)
-        heapq.heappush(heap, (-e1, seq, lo, m, v1, e1))
+        v1, e1, split1 = _gk_panel(f, lo, m)
+        v2, e2, split2 = _gk_panel(f, m, hi)
+        heapq.heappush(heap, (-e1, seq, lo, m, v1, e1, split1))
         seq += 1
-        heapq.heappush(heap, (-e2, seq, m, hi, v2, e2))
+        heapq.heappush(heap, (-e2, seq, m, hi, v2, e2, split2))
         seq += 1
         total_v += v1 + v2 - v
         total_e += e1 + e2 - e
         n_panels += 1
 
-    panels = [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap] + frozen
+    panels = [(lo, hi, v, e) for (_, _, lo, hi, v, e, _) in heap] + frozen
     panels.sort(key=lambda p: (p[0], p[1]))
     value = _fsum(p[2] for p in panels)
     err = _fsum(p[3] for p in panels)

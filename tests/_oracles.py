@@ -85,6 +85,24 @@ def golden_truths() -> dict:
     return out
 
 
+def ex3_alpha_truths() -> dict:
+    """ex3_alpha's I(a) = sqrt(pi/2) sqrt(sqrt(a^2+1) - a) at its grid points
+    off the anchor, by mpmath."""
+    import mpmath as mp
+
+    return {
+        a: mp_formula(lambda: mp.sqrt(mp.pi / 2) * mp.sqrt(mp.sqrt(mp.mpf(a) ** 2 + 1) - a))
+        for a in (0.0, 0.5, 2.0)
+    }
+
+
+# ex3_alpha_truths(), frozen
+EX3_ALPHA_TRUTHS = {
+    0.0: 1.2533141373155003,
+    0.5: 0.9852946358134369,
+    2.0: 0.6089455738656534,
+}
+
 
 # golden_truths(), frozen: the true values of the golden records in
 # tests/test_golden_bits.py that run through the half-line kernel.

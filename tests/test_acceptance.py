@@ -26,6 +26,8 @@ from paramint import (
 from paramint import catalog
 from paramint.cli import run as cli_run
 
+from _identities import inner_sine_integral, realpart_cancellation_integral
+
 # independent-oracle literal (mpmath formula evaluation, tests/_oracles.py)
 EX3_AT_ONE = 0.80662577586157413  # sqrt(pi/2) * sqrt(sqrt(2) - 1)
 
@@ -78,7 +80,7 @@ def test_criterion_03_ex2_values_derivative_cancellation():
         if not abs(res.value - 2.0 * math.pi / alpha) <= 1e-8:
             failures.append(("deriv", alpha, abs(res.value - 2.0 * math.pi / alpha)))
     for alpha in (1.1, 2.0, 10.0):
-        v = catalog.realpart_cancellation_integral(alpha)
+        v = realpart_cancellation_integral(alpha)
         if not abs(v) <= 1e-10:
             failures.append(("cancellation", alpha, abs(v)))
     report(3, "ex2: 2 pi ln(alpha) (1e-7), zero at alpha=1 (1e-5), "
@@ -132,7 +134,7 @@ def test_criterion_06_ex4_values_and_inner_identity():
         if not abs(res.value - exact) <= tol:
             failures.append(("direct", alpha, abs(res.value - exact)))
     for alpha in (0.0, 0.6, 0.99):
-        v = catalog.inner_sine_integral(alpha)
+        v = inner_sine_integral(alpha)
         exact = math.pi / math.sqrt(1.0 - alpha * alpha)
         if not abs(v - exact) <= 1e-9:
             failures.append(("inner", alpha, abs(v - exact)))

@@ -324,12 +324,32 @@ class TestArgparsePlumbing:
     @pytest.mark.parametrize("head, flag, tail", [
         (("sweep", "ex3_beta"), "--from", ("--to", "1", "--steps", "2")),
         (("eval", "ex2"), "--alpha", ()),
-    ], ids=["sweep", "eval"])
+        (("sweep", "ex3_beta"), "--fr", ("--to", "1", "--steps", "2")),
+        (("eval", "ex2"), "--alp", ()),
+    ], ids=["sweep", "eval", "sweep_abbreviated", "eval_abbreviated"])
     def test_negative_value_with_an_exponent_reads_as_a_value(self, capsys, head, flag, tail):
         # argparse took -1e-3 for an option: "expected one argument", exit 2
         exp, dec = (invoke(capsys, *head, flag, v, *tail) for v in ("-1e-3", "-0.001"))
         assert exp == dec
         assert exp[0] == 3 and "alpha=-0.001 outside the valid parameter domain" in exp[2]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-0.001"])
+    @pytest.mark.parametrize("command, prefix, message", [
+        (("reconstruct", "ex1", "--alpha", "1"), "--tol",
+         "ambiguous option: --tol could match --tol-direct, --tol-recon"),
+        (("sweep", "gauss", "--to", "2", "--steps", "2"), "--f",
+         "ambiguous option: --f could match --from, --format"),
+        (("sweep", "gauss", "--from", "1", "--to", "2", "--steps", "2"), "--tol",
+         "argument --tol-direct: must be a finite positive number"),
+    ], ids=["ambiguous", "ambiguous_with_format", "unique_in_sweep"])
+    def test_prefix_is_read_against_the_commands_own_options(
+        self, capsys, command, prefix, message, value
+    ):
+        # --tol abbreviates both of reconstruct's tolerances but only one of
+        # sweep's; --f abbreviates --from and --format alike
+        code, out, err = invoke(capsys, *command, prefix, value)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_verify_all_has_no_csv(self, capsys):
         code, out, err = invoke(capsys, "verify", "all", "--format", "csv")

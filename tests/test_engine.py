@@ -42,6 +42,8 @@ from paramint import (
 )
 from paramint import catalog, engine
 
+from _oracles import EX3_ALPHA_TRUTHS
+
 # --- gauss-type family -----------------------------------------------------
 
 def _gauss_f(x: float, a: float) -> float:
@@ -653,6 +655,14 @@ class TestNestedReconstruction:
 # verification reports
 # ---------------------------------------------------------------------------
 
+# value bits of ex3_alpha's grid reconstructions from one interpolant
+_EX3_ALPHA_GRID_BITS = {
+    0.0: "0x1.40d931ff627c6p+0",
+    0.5: "0x1.f87889db7c666p-1",
+    2.0: "0x1.37c7b6d998078p-1",
+}
+
+
 class TestVerify:
     def test_all_green(self):
         rep = verify(make_gauss(), [0.5, 1.0, 2.0])
@@ -719,3 +729,119 @@ class TestVerify:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             verify(make_cos(), [])
+
+    def test_numeric_rhs_grid_comes_from_one_interpolant(self, monkeypatch):
+        # ex3_alpha has no closed rhs: one Chebyshev interpolant of dI/d alpha
+        # on the hull [0, 2] serves the whole grid, where reconstructing each
+        # point alone took 108 inner quadratures and 26,730 evaluations
+        evals = []
+        deriv = engine.deriv_under_integral
+
+        def counted(P, a, cfg=None):
+            res = deriv(P, a, cfg)
+            evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(engine, "deriv_under_integral", counted)
+        entry = catalog.get("ex3_alpha")
+        P, grid = entry.parametric, list(entry.verification_grid)
+        rep = verify(P, grid)
+        assert rep.passed
+        assert len(evals) <= 40 and sum(evals) <= 14_000
+        monkeypatch.setattr(engine, "deriv_under_integral", deriv)
+        got = engine._grid_reconstruct(P, grid, QuadConfig())
+        assert [p.reconstructed for p in rep.points] == [got[a].value for a in grid]
+        assert got[P.anchor.alpha0].value == P.anchor.value0
+        for a, bits in _EX3_ALPHA_GRID_BITS.items():
+            res = got[a]
+            assert res.status is QuadStatus.CONVERGED
+            assert abs(res.value - EX3_ALPHA_TRUTHS[a]) <= res.abs_err_est <= 1e-10
+            assert res.value.hex() == bits
+
+    @pytest.mark.parametrize("entry_id, stripped", [
+        ("ex1", True), ("ex4", True),
+        ("ex1", False), ("ex2", False), ("ex3_beta", False), ("ex4", False),
+    ])
+    def test_other_grids_reconstruct_point_by_point(self, entry_id, stripped):
+        # a singular hull end (stripped ex1's anchor, stripped ex4's alpha =
+        # 1) or a closed rhs: every point is reconstruct's alone, to the bit
+        entry = catalog.get(entry_id)
+        P, grid = entry.parametric, list(entry.verification_grid)
+        if stripped:
+            P = dataclasses.replace(P, rhs_closed=None)
+        assert engine._grid_reconstruct(P, grid, QuadConfig()) is None
+        for p in verify(P, grid).points:
+            try:
+                want = reconstruct(P, p.alpha).value.hex()
+            except NonIntegrableSingularityError:  # stripped ex4 at 1, ROADMAP item 3
+                want = None
+            assert (None if p.reconstructed is None else p.reconstructed.hex()) == want
+
+    def test_numeric_rhs_that_fails_is_reconstructed_point_by_point(self, monkeypatch):
+        # d f/d alpha cannot be evaluated below a = 0.5, so the probe at the
+        # hull end 0.25 fails: the points and notes are those of
+        # reconstructing each point alone
+        def da(x: float, a: float) -> float:
+            return _cos_da(x, a) + 0.0 * math.sqrt(a - 0.5)
+
+        P = dataclasses.replace(make_cos(anchored=True), d_alpha=da)
+        grid = [0.25, 1.0, 2.0]
+        rep = verify(P, grid)
+        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        assert rep == verify(P, grid)
+        assert rep.points[0].note.endswith("[EvaluationError]")
+        assert rep.points[2].reconstructed is not None
+
+    def test_underflowing_node_tolerance_is_reconstructed_point_by_point(self, monkeypatch):
+        # abs_tol / (4 (hi - lo)) is 0.0 on ex3_alpha's hull [0, 2]: the grid
+        # declines rather than build an invalid QuadConfig
+        P, grid = catalog.get("ex3_alpha").parametric, [0.0, 0.5, 1.0, 2.0]
+        cfg = QuadConfig(abs_tol=5e-324)
+        assert engine._grid_reconstruct(P, grid, cfg) is None
+        rep = verify(P, grid, cfg=cfg)
+        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        assert rep == verify(P, grid, cfg=cfg)
+
+    @pytest.mark.parametrize("grid, most_calls, most_evals", [
+        ([5.0], 0, 0), ([0.0, 20.0], 13, 5_000), ([0.0, 100.0], 13, 5_000),
+        ([0.0, 1000.0], 3, 1_000),
+    ])
+    def test_grid_that_shares_nothing_or_cannot_chop_declines_early(
+        self, monkeypatch, grid, most_calls, most_evals
+    ):
+        # one point off the anchor shares no sample; on a wide hull I(alpha)'s
+        # branch points at +-i slow the series, and the decay read at n = 8
+        # (or a hull end read as singular, by probes at reconstruct's own
+        # node tolerance: at the grid's, each probe near 0 takes ~60,000
+        # evaluations) declines before the next level
+        evals = []
+        deriv = engine.deriv_under_integral
+
+        def counted(P, a, cfg=None):
+            res = deriv(P, a, cfg)
+            evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(engine, "deriv_under_integral", counted)
+        P = catalog.get("ex3_alpha").parametric
+        assert engine._grid_reconstruct(P, grid, QuadConfig()) is None
+        assert len(evals) <= most_calls and sum(evals) <= most_evals
+        monkeypatch.setattr(engine, "deriv_under_integral", deriv)
+        for p in verify(P, grid).points:
+            assert p.reconstructed == reconstruct(P, p.alpha).value
+
+    def test_samples_without_error_chop_on_their_rounding(self, monkeypatch):
+        # an inner quadrature that reports 0 error everywhere: the top
+        # coefficients are rounding, not signal, and the series chops at n = 8
+        calls = []
+
+        def exact(P, a, cfg=None):
+            calls.append(a)
+            return QuadResult(a, 0.0, 1, QuadStatus.CONVERGED)
+
+        monkeypatch.setattr(engine, "deriv_under_integral", exact)
+        P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
+        got = engine._grid_reconstruct(P, [1.0, 2.0, 3.0], QuadConfig())
+        assert len(calls) == 6 + 7
+        for a in (1.0, 2.0, 3.0):
+            assert abs(got[a].value - 0.5 * a * a) <= got[a].abs_err_est <= 1e-13

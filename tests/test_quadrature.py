@@ -128,6 +128,21 @@ class TestFinite:
         assert res.n_evals == 15 * (2 + 2 * 126)
         assert abs(res.value - 256.0) <= res.abs_err_est <= 1e-12
 
+    @pytest.mark.parametrize("shape", ["step", "parabola"])
+    def test_abscissae_rounded_together_are_charged(self, shape):
+        # floats lie 2 apart on [2**53, 2**53 + 256]: every node of the two
+        # panels next to the step at c rounds onto c - 2 or c, so each looked
+        # flat, and the result read 158 +- 5e-13, converged; the parabola
+        # read 5593088 +- 0.09 against 256**3/3
+        a = 2.0 ** 53
+        if shape == "step":
+            f, exact = (lambda x: 1.0 if x >= a + 100.0 else 0.0), 156.0
+        else:
+            f, exact = (lambda x: (x - a) ** 2), 256.0 ** 3 / 3.0
+        res = integrate_finite(f, DomainSpec.finite(a, a + 256.0))
+        assert res.status is not QuadStatus.CONVERGED
+        assert abs(res.value - exact) <= res.abs_err_est
+
     def test_nonfinite_evaluation_names_the_abscissa(self):
         def bad(x: float) -> float:
             if abs(x - 0.3) < 0.05:
