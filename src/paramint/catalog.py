@@ -112,7 +112,10 @@ def _f_ex1(x: float, a: float) -> float:
         return a  # limit of log(1 + a u)/u as u -> 0
     if u == math.inf:
         return 0.0  # the limit; inf/inf would be NaN
-    return math.log1p(a * u) / u
+    au = a * u
+    if au == math.inf:
+        return (math.log(a) + math.log(u)) / u  # a*u overflows; log1p(inf) would be inf
+    return math.log1p(au) / u
 
 
 def _da_ex1(x: float, a: float) -> float:
@@ -138,13 +141,21 @@ def _sol_ex1(a: float) -> float:
 def _f_ex2(x: float, a: float) -> float:
     s = math.sin(0.5 * x)
     am1 = a - 1.0
-    return math.log(am1 * am1 + 4.0 * a * s * s)
+    q = am1 * am1 + 4.0 * a * s * s
+    if q == math.inf:
+        # (a-1)^2 overflows: log((a-1)^2 (1 + 4 a s^2/(a-1)^2))
+        return 2.0 * math.log(am1) + math.log1p(4.0 * s * s / am1 * (a / am1))
+    return math.log(q)
 
 
 def _da_ex2(x: float, a: float) -> float:
     s2 = math.sin(0.5 * x) ** 2
     am1 = a - 1.0
-    return (2.0 * am1 + 4.0 * s2) / (am1 * am1 + 4.0 * a * s2)
+    q = am1 * am1 + 4.0 * a * s2
+    if q == math.inf:
+        # (a-1)^2 overflows: numerator and denominator over a-1
+        return (2.0 + 4.0 * s2 / am1) / (am1 + 4.0 * s2 * (a / am1))
+    return (2.0 * am1 + 4.0 * s2) / q
 
 
 def _rhs_ex2(a: float) -> float:
@@ -452,21 +463,12 @@ def rhs_closed_form(entry_id: str, alpha: float) -> float:
 def entry_metadata(entry: CatalogEntry) -> dict:
     """JSON-ready summary of an entry (no callables)."""
     P = entry.parametric
-    pd = P.param_domain
     return {
         "id": entry.id,
         "title": entry.title,
-        "param_domain": {
-            "lo": pd.lo,
-            "hi": pd.hi,
-            "lo_open": pd.lo_open,
-            "hi_open": pd.hi_open,
-        },
-        "anchor": (
-            None
-            if P.anchor is None
-            else {"alpha0": P.anchor.alpha0, "value0": P.anchor.value0}
-        ),
+        # keys in ParamDomain's and Anchor's field order, a JSON contract
+        "param_domain": dict(vars(P.param_domain)),
+        "anchor": None if P.anchor is None else dict(vars(P.anchor)),
         "verification_grid": list(entry.verification_grid),
         "has_rhs_closed": P.rhs_closed is not None,
         "has_solution_closed": P.solution_closed is not None,

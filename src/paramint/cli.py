@@ -10,10 +10,11 @@ verify       full direct/reconstructed/closed-form comparison on the
              entry's verification grid (or `all` entries)
 
 Exit codes: 0 = success / all checks passed, 1 = a verification check
-failed, 2 = usage error (an unwritable --out path, an --alpha, --from or
---to that is not a finite number, and a --tol-direct or --tol-recon that
-is not a finite positive number, included), 3 = numeric error (domain
-violation, non-integrable singularity, failed evaluation).
+failed, 2 = usage error (a missing required option, an unwritable --out
+path, an --alpha, --from or --to that is not a finite number, and a
+--tol-direct or --tol-recon that is not a finite positive number,
+included), 3 = numeric error (domain violation, non-integrable
+singularity, failed evaluation).
 
 Reports are emitted as JSON, CSV, or a human text table.  JSON and CSV
 are contractual: floats carry 17 significant digits and identical
@@ -26,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from . import __version__, catalog
@@ -137,11 +138,6 @@ def _entry_report(ns, entry_id: str) -> dict:
     defaults apply.  A point whose direct value or (on an anchored problem)
     reconstruction failed aborts the command as a numeric failure.
     """
-    required = [(f, dest) for f, dest, _, typ in _OPTIONS[ns.command] if typ is not _tolerance]
-    if any(getattr(ns, dest) is None for _, dest in required):
-        *rest, last = [f for f, _ in required]
-        listed = f"{', '.join(rest)} and {last}" if rest else last
-        raise _UsageError(f"{ns.command} requires {listed}")
     alphas = [getattr(ns, "alpha", None)]
     if ns.command == "sweep":
         if ns.steps < 2:
@@ -169,15 +165,12 @@ def _entry_report(ns, entry_id: str) -> dict:
     for p in verify(P, alphas, **tols).points:
         if math.isnan(p.direct) or (P.anchor is not None and p.reconstructed is None):
             raise _NumericFailure(f"entry {entry.id!r} at alpha={p.alpha!r}: {p.note}")
+        # the row's keys are VerificationPoint's fields in order (a JSON
+        # contract), "passed" printed as "pass" and the note left out
         rows.append({
-            "alpha": p.alpha,
-            "direct": p.direct,
-            "direct_err_est": p.direct_err_est,
-            "reconstructed": p.reconstructed,
-            "closed_form": p.closed_form,
-            "disc_direct_closed": p.disc_direct_closed,
-            "disc_recon_direct": p.disc_recon_direct,
-            "pass": p.passed,
+            "pass" if f.name == "passed" else f.name: getattr(p, f.name)
+            for f in fields(p)
+            if f.name != "note"
         })
     return {
         "tool_version": __version__,
@@ -309,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         elif name != "list":
             p.add_argument("id", help="catalog entry id")
         for flag, dest, _, typ in _OPTIONS.get(name, ()):
-            p.add_argument(flag, dest=dest, type=typ, default=None)
+            p.add_argument(flag, dest=dest, type=typ, required=typ is not _tolerance)
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="text",
             help="report format (json and csv are stable contracts)",

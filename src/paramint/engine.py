@@ -515,13 +515,50 @@ _NODE_ERR_SHARE = 2.0 ** -60
 _ROUTE_EXPONENT = -0.05
 
 
-def _node_cfg(cfg: QuadConfig) -> QuadConfig:
-    """reconstruct's tolerance for each sample of a numeric dI/d alpha."""
-    return replace(
-        cfg,
-        abs_tol=max(cfg.abs_tol, _DERIV_TOL_FLOOR),
-        rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
-    )
+class _NestedRhs:
+    """dI/d alpha = deriv_under_integral(P, alpha) on a parameter path of
+    this length, and the account of its inner quadratures: ``n_evals`` (one
+    that raises reports none), the worst ``status``, and ``extra_est``, the
+    flat share 2 * length * node tolerance plus W * estimate of every node
+    that ``weighted`` ran looser.  The node tolerance ``cfg`` is the
+    caller's, floored at _DERIV_TOL_FLOOR.  With ``strict``, a sample that
+    is not converged raises QuadratureError once it is counted.
+    """
+
+    def __init__(self, P: ParametricIntegral, cfg: QuadConfig, length: float, strict=False):
+        self.P = P
+        self.cfg = replace(
+            cfg,
+            abs_tol=max(cfg.abs_tol, _DERIV_TOL_FLOOR),
+            rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
+        )
+        self.theta = _NODE_ERR_SHARE * length
+        self.strict = strict
+        self.n_evals = 0
+        self.status = QuadStatus.CONVERGED
+        self.extra_est = 2.0 * length * self.cfg.abs_tol
+
+    def sample(self, a: float, cfg: QuadConfig | None = None) -> QuadResult:
+        """dI/d alpha at a, at ``cfg`` or else the node tolerance."""
+        res = deriv_under_integral(self.P, a, cfg or self.cfg)
+        self.n_evals += res.n_evals
+        self.status = max(self.status, res.status, key=_STATUS_RANK.get)
+        if self.strict and res.status is not QuadStatus.CONVERGED:
+            raise QuadratureError(f"dI/d alpha at alpha={a!r} is {res.status.value}")
+        return res
+
+    def __call__(self, a: float) -> float:
+        return self.sample(a).value
+
+    def weighted(self, a: float, w: float) -> float:
+        """dI/d alpha at a tanh-sinh node of weight w: a looser inner
+        tolerance, whose weighted error joins the estimate."""
+        tol = self.theta / w  # < 1e287: w > 1e-305 * length on every node
+        if tol <= self.cfg.abs_tol:
+            return self(a)
+        res = self.sample(a, replace(self.cfg, abs_tol=tol))
+        self.extra_est += w * res.abs_err_est
+        return res.value
 
 
 def _singular_end(
@@ -584,9 +621,6 @@ def reconstruct(
     if alpha_target == a0:
         return QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
 
-    extra_est = 0.0
-    inner_evals = 0  # integrand evaluations behind a numeric rhs
-    inner_status = QuadStatus.CONVERGED  # the worst of them
     if P.rhs_closed is not None:
         g = P.rhs_closed
         if P.rhs_near is not None:
@@ -596,41 +630,13 @@ def reconstruct(
             g.near = P.rhs_near
         g_cfg = cfg
     else:
-        node_cfg = _node_cfg(cfg)
-
-        def inner(a: float, node: QuadConfig) -> QuadResult:
-            nonlocal inner_evals, inner_status
-            res = deriv_under_integral(P, a, node)
-            inner_evals += res.n_evals
-            inner_status = max(inner_status, res.status, key=_STATUS_RANK.get)
-            return res
-
-        def g(a: float) -> float:
-            return inner(a, node_cfg).value
-
-        theta = _NODE_ERR_SHARE * (hi - lo)
-
-        def weighted(a: float, w: float) -> float:
-            # dI/d alpha at a tanh-sinh node of weight w: a looser inner
-            # tolerance, whose weighted error joins the estimate
-            nonlocal extra_est
-            tol = theta / w  # < 1e287: w > 1e-305 * (hi - lo) on every node
-            if tol <= node_cfg.abs_tol:
-                return g(a)
-            res = inner(a, replace(node_cfg, abs_tol=tol))
-            extra_est += w * res.abs_err_est
-            return res.value
-
-        g.weighted = weighted
+        g = _NestedRhs(P, cfg, hi - lo)
         g_cfg = replace(
             cfg,
             abs_tol=max(cfg.abs_tol, _ALPHA_TOL_FLOOR),
             rel_tol=max(cfg.rel_tol, _ALPHA_TOL_FLOOR),
             max_subdivisions=min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV),
         )
-        # per-node noise accumulated over the path, counted into the estimate
-        # (a node that ran looser adds its own weighted estimate on top)
-        extra_est = 2.0 * (hi - lo) * node_cfg.abs_tol
 
     probe = _Counted(g)  # counts the rhs calls of the growth probes
     anchor_side_lo = a0 <= alpha_target
@@ -642,12 +648,12 @@ def reconstruct(
         dom = DomainSpec.finite(lo, hi)
 
     q = integrate(g, dom, g_cfg)
-    signed = q.value if anchor_side_lo else -q.value
-    # every evaluation this call caused: one per call of a closed rhs, the
-    # inner kernels' own counts behind a numeric one
-    n_evals = q.n_evals + probe.n if P.rhs_closed is not None else inner_evals
-    status = max(q.status, inner_status, key=_STATUS_RANK.get)
-    return QuadResult(v0 + signed, q.abs_err_est + extra_est, n_evals, status)
+    value = v0 + (q.value if anchor_side_lo else -q.value)
+    if P.rhs_closed is not None:
+        # one evaluation per call of a closed rhs
+        return QuadResult(value, q.abs_err_est, q.n_evals + probe.n, q.status)
+    status = max(q.status, g.status, key=_STATUS_RANK.get)
+    return QuadResult(value, q.abs_err_est + g.extra_est, g.n_evals, status)
 
 
 # ---------------------------------------------------------------------------
@@ -697,28 +703,16 @@ def _grid_reconstruct(
     if not (h < math.inf and tau > 0.0 and lo < xs[-2] and xs[1] < hi):
         return None
     node_cfg = replace(cfg, abs_tol=tau, rel_tol=tau)
-    probe_cfg = _node_cfg(cfg)
-    ran: list[QuadResult] = []  # every inner quadrature, probes included
+    g = _NestedRhs(P, cfg, hi - lo, strict=True)  # probes run at its node tolerance
     got: dict[int, QuadResult] = {}  # converged samples, by their index into xs
-
-    def sample(a: float, node: QuadConfig) -> QuadResult:
-        res = deriv_under_integral(P, a, node)
-        ran.append(res)
-        if res.status is not QuadStatus.CONVERGED:
-            raise QuadratureError(f"dI/d alpha at alpha={a!r} is {res.status.value}")
-        return res
-
-    def probe(a: float) -> float:
-        return sample(a, probe_cfg).value
-
     try:
-        if _singular_end(probe, lo, hi, hi - lo) or _singular_end(probe, hi, lo, hi - lo):
+        if _singular_end(g, lo, hi, hi - lo) or _singular_end(g, hi, lo, hi - lo):
             return None
         for n in _CHEB_LEVELS:
             step = top // n
             for j in range(step, top, step):
                 if j not in got:
-                    got[j] = sample(xs[j], node_cfg)
+                    got[j] = g.sample(xs[j], node_cfg)
             samples = [got[j * step] for j in range(1, n)]
             sn = [math.sin(math.pi * m / n) for m in range(2 * n)]  # sin(m th_1)
             b = []
@@ -732,7 +726,7 @@ def _grid_reconstruct(
             if top_b <= noise:
                 break
             second_b = max(abs(b[k - 1]) for k in range(n // 4, n // 2))
-            if n == top or second_b <= top_b:
+            if second_b <= top_b:
                 return None
             # n/2 indices from the second quarter to the top one; 3 (top - n)/4
             # more to the top quarter at n = top
@@ -747,7 +741,6 @@ def _grid_reconstruct(
 
     th0 = theta(a0)
     chop = h * math.fsum(2.0 * abs(b[k - 1]) / k for k in quarter)
-    n_evals = sum(r.n_evals for r in ran)
     out = {a0: QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)}
     for a in set(alphas) - {a0}:
         th = theta(a)
@@ -760,7 +753,7 @@ def _grid_reconstruct(
             w = 2.0 * h / n * sn[j] * math.fsum(terms)
             weighted.append(abs(w) * r.abs_err_est)
         est = math.fsum(weighted) + chop + h * rounding * math.fsum(map(abs, d))
-        out[a] = QuadResult(value, est, n_evals, QuadStatus.CONVERGED)
+        out[a] = QuadResult(value, est, g.n_evals, QuadStatus.CONVERGED)
     return out
 
 

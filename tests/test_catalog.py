@@ -14,6 +14,7 @@ from paramint import (
     EndpointKind,
     ParameterDomainError,
     QuadStatus,
+    deriv_under_integral,
     eval_direct,
     integrate_improper,
 )
@@ -114,6 +115,23 @@ class TestOverflowingSquares:
     def test_no_limit_keeps_raising(self):
         with pytest.raises(ValueError):
             catalog.get("ex3_alpha").parametric.d_alpha(1e200, 0.0)
+
+    # a x^2 (ex1) and (a - 1)^2 (ex2) overflow inside the integrand at these
+    # alphas, well before I(alpha) itself does
+    @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("entry_id", ["ex1", "ex2"])
+    def test_direct_at_huge_alpha(self, entry_id, alpha):
+        res = eval_direct(catalog.get(entry_id).parametric, alpha)
+        exact = catalog.closed_form(entry_id, alpha)
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - exact) <= min(res.abs_err_est, 1e-14 * exact)
+
+    @pytest.mark.parametrize("alpha", [1e154, 1e160, 1e200, 1e300])
+    def test_ex2_derivative_at_huge_alpha(self, alpha):
+        res = deriv_under_integral(catalog.get("ex2").parametric, alpha)
+        exact = catalog.rhs_closed_form("ex2", alpha)
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - exact) <= min(res.abs_err_est, 1e-14 * exact)
 
 
 class TestClosedFormConsistency:

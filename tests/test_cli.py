@@ -351,6 +351,22 @@ class TestArgparsePlumbing:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("command, missing, given", [
+        (("eval", "ex2"), ["--alpha"], []),
+        (("sweep", "ex2"), ["--from", "--to", "--steps"], []),
+        (("sweep", "ex2", "--from", "1"), ["--to", "--steps"], ["--from"]),
+        (("reconstruct", "ex2", "--tol-recon", "1e-6"), ["--alpha"], ["--tol-recon"]),
+    ], ids=["eval", "sweep", "sweep_from_given", "reconstruct"])
+    def test_missing_required_option_is_named_by_argparse(self, capsys, command, missing, given):
+        # the parser enforces the options table's required options, and names
+        # only those that are missing
+        code, out, err = invoke(capsys, *command)
+        assert (code, out) == (2, "")
+        last = err.strip().splitlines()[-1]
+        assert "the following arguments are required" in last
+        assert all(flag in last for flag in missing)
+        assert not any(flag in last for flag in given)
+
     def test_verify_all_has_no_csv(self, capsys):
         code, out, err = invoke(capsys, "verify", "all", "--format", "csv")
         assert (code, out) == (2, "")

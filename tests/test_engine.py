@@ -436,6 +436,22 @@ class TestDomination:
         assert rep.verdict is DominationVerdict.SUSPECT_DIVERGENT
         assert math.isinf(rep.envelope_integral_estimate)
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 4: the midpoints of [a, a + 32] round onto a, and "
+               "x**-2 underflows on the tail fit's rungs from 256 a")
+    def test_half_line_far_from_the_origin(self):
+        # envelope x**-2 on [1e160, inf): its integral is 1e-160
+        P = ParametricIntegral(
+            integrand=lambda x, a: a * x ** -2.0,
+            param_domain=ParamDomain(0.0, 1.0),
+            domain=DomainSpec.semi_infinite(1e160),
+            d_alpha=lambda x, a: x ** -2.0,
+        )
+        rep = domination_scan(P, (0.0, 1.0))
+        assert rep.verdict is DominationVerdict.DOMINATED
+        assert abs(rep.envelope_integral_estimate - 1e-160) <= 0.05e-160
+
 
 # ---------------------------------------------------------------------------
 # reconstruction
@@ -573,6 +589,16 @@ class TestReconstruct:
     def test_out_of_domain_target(self):
         with pytest.raises(ParameterDomainError):
             reconstruct(make_cos(anchored=True), 3.0)
+
+    @pytest.mark.xfail(
+        raises=NonIntegrableSingularityError, strict=True,
+        reason="ROADMAP item 3: on a path of length L every rung of the 9-rung "
+               "fit sits at d >= L 2**-40 >> 1, where 2 pi/(1 + d) reads as d**-1")
+    def test_long_path_with_a_decaying_rhs_is_not_refused(self):
+        # ex2's rhs 2 pi/alpha is integrable on [1, 1e11]: 2 pi log(1e11)
+        alpha = 1e11
+        res = reconstruct(catalog.get("ex2").parametric, alpha)
+        assert abs(res.value - 2.0 * math.pi * math.log(alpha)) <= res.abs_err_est
 
 
 _ANCHORED_GRID = [
