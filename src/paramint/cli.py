@@ -19,11 +19,14 @@ singularity, failed evaluation).
 Reports are emitted as JSON, CSV, or a human text table.  JSON and CSV
 are contractual: floats carry 17 significant digits and identical
 invocations produce byte-identical output.  Text is for eyes only.
+``run`` may be called repeatedly in one process; it builds the argument
+parser on its first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -282,7 +285,9 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and reused."""
     parser = argparse.ArgumentParser(
         prog="pil",
         description="evaluate, differentiate, and reconstruct parametric integrals",
@@ -339,9 +344,8 @@ def _join_numbers(argv: Sequence[str]) -> list[str]:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, execute, print the report; returns the exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
+        ns = _parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
 

@@ -330,42 +330,41 @@ class _Form(_Checked):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod (7, 15) pair on [-1, 1].  Nodes are symmetric; only the
-# non-negative abscissae are tabulated.  wg is zero on Kronrod-only nodes.
+# Gauss-Kronrod (7, 15) pair on [-1, 1]: the centre, then the symmetric nodes'
+# positive abscissae from the outside in.  wg is zero on Kronrod-only nodes.
 # ---------------------------------------------------------------------------
 
-_GK_NODES = (
-    # (abscissa, gauss weight, kronrod weight)
-    (0.991455371120813, 0.0, 0.022935322010529),
-    (0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (0.864864423359769, 0.0, 0.104790010322250),
-    (0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (0.586087235467691, 0.0, 0.169004726639267),
-    (0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (0.207784955007898, 0.0, 0.204432940075298),
+_GK = (
+    # abscissa xi, gauss weight wg, kronrod weight wk
+    0.0, 0.417959183673469, 0.209482141084728,
+    0.991455371120813, 0.0, 0.022935322010529,
+    0.949107912342759, 0.129484966168870, 0.063092092629979,
+    0.864864423359769, 0.0, 0.104790010322250,
+    0.741531185599394, 0.279705391489277, 0.140653259715525,
+    0.586087235467691, 0.0, 0.169004726639267,
+    0.405845151377397, 0.381830050505119, 0.190350578064785,
+    0.207784955007898, 0.0, 0.204432940075298,
 )
-_GK_CENTER = (0.417959183673469, 0.209482141084728)  # gauss, kronrod weight at 0
-# Panel abscissae as offsets from the centre in units of the half-width, in
-# evaluation order: the centre, then -xi, +xi for each tabulated node.
-_GK_OFFSETS = (0.0,) + tuple(t for xi, _, _ in _GK_NODES for t in (-xi, xi))
 
 
 def _gk_panel(f: _Counted | _Compactified, a: float, b: float) -> tuple[float, float, bool]:
     """Kronrod value, |kronrod - gauss| estimate and whether [a, b] may split
     (15 evals, one batch).  Abscissae lie 0.042 h apart or more, so they merge
     only if h < 64 ulps of max(|a|, |b|); merged ones may hide a jump, so the
-    panel adds (b - a) times its samples' spread, and splits only if that is 0."""
+    panel adds (b - a) times its samples' spread, and splits only if that is 0.
+    Both sums add the centre's term, then each pair (c - h xi, c + h xi)'s."""
+    (_, g0, k0, x1, _, k1, x2, g2, k2, x3, _, k3,
+     x4, g4, k4, x5, _, k5, x6, g6, k6, x7, _, k7) = _GK
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = [c + h * t for t in _GK_OFFSETS]
+    d1, d2, d3, d4, d5, d6, d7 = h * x1, h * x2, h * x3, h * x4, h * x5, h * x6, h * x7
+    xs = [c, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3, c - d4, c + d4,
+          c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
     vs = f.many(xs)
-    gauss = _GK_CENTER[0] * vs[0]
-    kron = _GK_CENTER[1] * vs[0]
-    for v1, v2, (_, wg, wk) in zip(vs[1::2], vs[2::2], _GK_NODES):
-        s = v1 + v2
-        kron += wk * s
-        if wg != 0.0:
-            gauss += wg * s
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = vs
+    kron = (k0 * v0 + k1 * (v1 + v2) + k2 * (v3 + v4) + k3 * (v5 + v6) + k4 * (v7 + v8)
+            + k5 * (v9 + v10) + k6 * (v11 + v12) + k7 * (v13 + v14))
+    gauss = g0 * v0 + g2 * (v3 + v4) + g4 * (v7 + v8) + g6 * (v11 + v12)
     err = abs(h * (kron - gauss))
     scale = b if b > -a else -a  # max(|a|, |b|), as a < b
     if h > 1.5e-14 * scale + 64 * 5e-324 or len(set(xs)) == len(xs):
@@ -858,28 +857,36 @@ _OSC_MAX_TERMS = 60
 _OSC_WARMUP = 4
 
 
-def _wynn_best(sums: list[float]) -> float:
-    """Corner of Wynn's epsilon table for a partial-sum sequence."""
-    cur = list(sums)
-    prev = [0.0] * (len(sums) + 1)
-    best = cur[-1]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for j in range(len(cur) - 1):
-            den = cur[j + 1] - cur[j]
-            if den == 0.0 or not math.isfinite(den):
-                return best
-            cand = prev[j + 1] + 1.0 / den
+class _Epsilon:
+    """Wynn's epsilon table of a growing partial-sum sequence, kept as its
+    last anti-diagonal: ``diag[k]`` is the last entry of column k.
+
+    The full table stops at its first column with a zero or non-finite step
+    or a non-finite entry, so the diagonal ends for good before such a
+    column (``capped``); ``push`` returns the table's corner, the last entry
+    of its last even column."""
+
+    __slots__ = ("diag", "capped")
+
+    def __init__(self):
+        self.diag: list[float] = []
+        self.capped = False
+
+    def push(self, s: float) -> float:
+        old = self.diag
+        new = [s]
+        for k in range(1, len(old) if self.capped else len(old) + 1):
+            den = new[k - 1] - old[k - 1]
+            cand = math.nan
+            if den != 0.0 and math.isfinite(den):
+                # the rhombus: column k - 2's previous last entry, not its new one
+                cand = (old[k - 2] if k > 1 else 0.0) + 1.0 / den
             if not math.isfinite(cand):
-                return best
-            nxt.append(cand)
-        prev = cur
-        cur = nxt
-        col += 1
-        if col % 2 == 0:
-            best = cur[-1]
-    return best
+                self.capped = True
+                break
+            new.append(cand)
+        self.diag = new
+        return new[(len(new) - 1) & ~1]
 
 
 def integrate_oscillatory_improper(
@@ -921,7 +928,7 @@ def integrate_oscillatory_improper(
         return v, e
 
     head, head_err = segment(a, zero(k0))
-    sums: list[float] = []
+    table = _Epsilon()
     seg_errs: list[float] = [head_err]
     terms: list[float] = []
     running = head
@@ -936,7 +943,6 @@ def integrate_oscillatory_improper(
         terms.append(s)
         seg_errs.append(e)
         running += s
-        sums.append(running)
 
         if j >= _OSC_WARMUP:
             prev_term = terms[j - 1]
@@ -954,11 +960,12 @@ def integrate_oscillatory_improper(
                     QuadStatus.TAIL_TRUNCATED,
                 )
 
-        if len(sums) >= 2:
-            best = _wynn_best(sums)
+        corner = table.push(running)
+        if j >= 1:
+            best = corner
             if best_prev is not None:
                 increment = abs(best - best_prev)
-                if len(sums) >= _OSC_MIN_TERMS and increment <= 0.25 * _tol_for(cfg, best):
+                if j + 1 >= _OSC_MIN_TERMS and increment <= 0.25 * _tol_for(cfg, best):
                     break
             best_prev = best
 

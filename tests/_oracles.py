@@ -96,6 +96,30 @@ def ex3_alpha_truths() -> dict:
     }
 
 
+def item3_truths() -> dict:
+    """True values at the three catalog calls that ROADMAP item 3 lists as
+    dishonest or refused, by mpmath: ex1's I = pi sqrt(a) at a = 1e308 and
+    its dI/da = pi/(2 sqrt(a)) at a = 1e16, and ex4's
+    I = pi log((1 + sqrt(1 - a^2))/2) at a = 0.01678878558050519."""
+    import mpmath as mp
+
+    a4 = mp.mpf(0.01678878558050519)
+    return {
+        "ex1@1e+308.direct": mp_formula(lambda: mp.pi * mp.sqrt(mp.mpf(1e308))),
+        "ex1@1e+16.deriv": mp_formula(lambda: mp.pi / (2 * mp.sqrt(mp.mpf(1e16)))),
+        "ex4@0.01678878558050519.direct": mp_formula(
+            lambda: mp.pi * mp.log((1 + mp.sqrt(1 - a4**2)) / 2)),
+    }
+
+
+# item3_truths(), frozen
+ITEM3_TRUTHS = {
+    "ex1@1e+308.direct": 3.141592653589793e+154,
+    "ex1@1e+16.deriv": 1.5707963267948965e-08,
+    "ex4@0.01678878558050519.direct": -0.00022139833757077917,
+}
+
+
 # ex3_alpha_truths(), frozen
 EX3_ALPHA_TRUTHS = {
     0.0: 1.2533141373155003,

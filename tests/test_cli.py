@@ -384,3 +384,22 @@ class TestArgparsePlumbing:
         )
         assert proc.returncode == 1
         assert "overall: FAIL" in proc.stdout
+
+
+class TestRepeatedRuns:
+    def test_in_process_calls_leak_nothing(self, capsys):
+        # run builds its parser once per process; a second round of the same
+        # calls, errors and exits inside argparse included, must repeat the
+        # first round's output and exit codes exactly
+        calls = [
+            ("verify", "all", "--format", "json"),
+            ("verify", "ex1", "--format", "csv"),
+            ("eval", "ex2", "--alpha", "-1e-3"),
+            ("eval", "ex2"),
+            ("verify", "nope"),
+            ("verify", "-h"),
+            ("--version",),
+        ]
+        first, second = [[invoke(capsys, *args) for args in calls] for _ in range(2)]
+        assert [code for code, _, _ in first] == [0, 0, 3, 2, 2, 0, 0]
+        assert second == first

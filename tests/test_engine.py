@@ -32,6 +32,7 @@ from paramint import (
     QuadConfig,
     QuadResult,
     QuadStatus,
+    QuadratureError,
     deriv_under_integral,
     domination_scan,
     eval_direct,
@@ -42,7 +43,7 @@ from paramint import (
 )
 from paramint import catalog, engine
 
-from _oracles import EX3_ALPHA_TRUTHS
+from _oracles import EX3_ALPHA_TRUTHS, ITEM3_TRUTHS
 
 # --- gauss-type family -----------------------------------------------------
 
@@ -215,6 +216,33 @@ class TestEvalAndDeriv:
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - true) <= res.abs_err_est
         assert abs(res.value - true) <= 1e-14 * true
+
+    @pytest.mark.xfail(
+        raises=QuadratureError, strict=True,
+        reason="ROADMAP item 3: the integrand is ~alpha next to x = 0, so a "
+               "weighted term or partial sum of the kernel's fsum overflows")
+    def test_direct_at_the_largest_alpha(self):
+        res = eval_direct(catalog.get("ex1").parametric, 1e308)
+        assert abs(res.value - ITEM3_TRUTHS["ex1@1e+308.direct"]) <= res.abs_err_est
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 3: the mass of 1/(1 + a x^2) lies in x < a**-0.5, "
+               "which the half-line kernel's head panels on [0, 8] never resolve")
+    def test_deriv_at_huge_alpha_is_honest(self):
+        res = deriv_under_integral(catalog.get("ex1").parametric, 1e16)
+        err = abs(res.value - ITEM3_TRUTHS["ex1@1e+16.deriv"])
+        assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 3: the GK estimate's rounding floor scales with "
+               "|int f|, not int |f|")
+    def test_direct_with_cancelling_mass_is_honest(self):
+        alpha = 0.01678878558050519
+        res = eval_direct(catalog.get("ex4").parametric, alpha)
+        err = abs(res.value - ITEM3_TRUTHS[f"ex4@{alpha!r}.direct"])
+        assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
 
     def test_deriv_at_boundary_needs_analytic_rule(self):
         with pytest.raises(OneSidedDifferenceError):

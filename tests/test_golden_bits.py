@@ -41,6 +41,10 @@ running the inner quadrature at each tanh-sinh alpha-node at a tolerance
 scaled by the node's weight: ``n_evals`` 47,734 -> 21,579, and
 ``abs_err_est`` gained the weighted estimates of the loosened nodes; the
 value bits, and so the error against pi, are unchanged.
+The unrolled Gauss-Kronrod panel (the same operands in the same order)
+and the oscillatory kernel's epsilon table, grown one anti-diagonal per
+term instead of rebuilt, were checked against these records without
+re-recording any.
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it.

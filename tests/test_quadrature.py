@@ -9,6 +9,7 @@ marked with their oracle in a comment.
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -30,6 +31,7 @@ from paramint import (
     integrate_improper,
     integrate_oscillatory_improper,
     integrate_singular,
+    quadrature,
 )
 
 # frozen by tests/_oracles.py (mpmath, 30 digits; Simpson agrees to 1e-15)
@@ -397,6 +399,82 @@ class TestOscillatory:
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
             OscillatoryTail(phase_zero_rule=lambda k: 1.0)
+
+
+def _wynn_best(sums: list[float]) -> float:
+    """Corner of Wynn's epsilon table for a partial-sum sequence."""
+    cur = list(sums)
+    prev = [0.0] * (len(sums) + 1)
+    best = cur[-1]
+    col = 0
+    while len(cur) >= 2:
+        nxt = []
+        for j in range(len(cur) - 1):
+            den = cur[j + 1] - cur[j]
+            if den == 0.0 or not math.isfinite(den):
+                return best
+            cand = prev[j + 1] + 1.0 / den
+            if not math.isfinite(cand):
+                return best
+            nxt.append(cand)
+        prev = cur
+        cur = nxt
+        col += 1
+        if col % 2 == 0:
+            best = cur[-1]
+    return best
+
+
+def _alternating(rng: random.Random, n: int) -> tuple[list[float], float]:
+    p = rng.choice((0.5, 1.0, 2.0, 3.0))
+    r = rng.choice((1.0, 0.95, 0.7, 0.3))
+    head = rng.uniform(-2.0, 2.0)
+    scale = rng.uniform(0.1, 10.0)
+    return [scale * (-1) ** k * r**k / (k + 1) ** p for k in range(n)], head
+
+
+def _repeats(rng: random.Random, n: int) -> tuple[list[float], float]:
+    terms, head = _alternating(rng, n)
+    for k in rng.sample(range(n), rng.randint(1, 3)):
+        terms[k] = 0.0  # a repeated partial sum: a zero step in column 0
+    return terms, head
+
+
+def _jumps(rng: random.Random, n: int) -> tuple[list[float], float]:
+    terms, head = _alternating(rng, n)
+    for k in rng.sample(range(n), rng.randint(1, 2)):
+        terms[k] = rng.choice((1e300, -1e300))
+    return terms, head
+
+
+def _halving(rng: random.Random, n: int) -> tuple[list[float], float]:
+    t = rng.choice((1.0, -1.0, 0.75, 3.0))
+    terms = []
+    for _ in range(n):
+        terms.append(t)
+        t *= rng.choice((0.5, -0.5))
+    return terms, rng.choice((0.0, 1.0, -0.25))
+
+
+class TestEpsilonTable:
+    """The incremental table against the full rebuild it replaced, which is
+    kept above as the oracle: the same corner bits after every push."""
+
+    @pytest.mark.parametrize("kind", [_alternating, _repeats, _jumps, _halving],
+                             ids=lambda k: k.__name__.strip("_"))
+    def test_every_corner_matches_the_full_rebuild(self, kind):
+        rng = random.Random(20261018)
+        corners = 0
+        for case in range(150):
+            terms, running = kind(rng, rng.randint(2, 60))
+            table, sums = quadrature._Epsilon(), []
+            for t in terms:
+                running += t
+                sums.append(running)
+                got = table.push(running)
+                assert got.hex() == _wynn_best(sums).hex(), (case, len(sums))
+                corners += 1
+        assert corners > 4000
 
 
 # ---------------------------------------------------------------------------
