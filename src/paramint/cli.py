@@ -59,34 +59,20 @@ def _emit_json(obj) -> str:
     Non-finite floats become null; parsing the output and re-emitting it
     reproduces the same bytes.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return format(obj, ".17g")
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
         body = ",".join(f"{json.dumps(k)}:{_emit_json(v)}" for k, v in obj.items())
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit_json(v) for v in obj) + "]"
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_cell(v) -> str:
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _csv_cell(v: Optional[float]) -> str:
+    return "" if v is None or not math.isfinite(v) else format(v, ".17g")
 
 
 def _emit_csv(results: list[dict]) -> str:
@@ -101,10 +87,8 @@ def _emit_csv(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _fmt_text_num(v) -> str:
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return "-"
-    return format(v, ".12g")
+def _fmt_text_num(v: Optional[float]) -> str:
+    return "-" if v is None or not math.isfinite(v) else format(v, ".12g")
 
 
 def _emit_text_results(envelope: dict) -> str:
@@ -148,7 +132,10 @@ def _entry_report(ns, entry_id: str) -> dict:
         if not ns.from_ < ns.to:
             raise _UsageError("sweep requires --from < --to")
         span = ns.to - ns.from_
-        alphas = [ns.from_ + span * i / (ns.steps - 1) for i in range(ns.steps)]
+        if not math.isfinite(span * (ns.steps - 1)):
+            raise _UsageError("sweep grid overflows: (--to - --from) * (--steps - 1) is not finite")
+        # the last point is --to itself, which the formula can miss by an ulp
+        alphas = [ns.from_ + span * i / (ns.steps - 1) for i in range(ns.steps - 1)] + [ns.to]
     entry = catalog.get(entry_id)
     P = entry.parametric
     if ns.command == "verify":
@@ -194,9 +181,6 @@ def _cmd_list(ns) -> tuple[str, int]:
         return _emit_json({"tool_version": __version__, "entries": metas}), 0
     if ns.format == "csv":
         raise _UsageError("csv format is not defined for `list`; use json or text")
-    def bound(v: float) -> str:
-        return format(v, ".12g") if math.isfinite(v) else ("inf" if v > 0 else "-inf")
-
     lines = []
     for m in metas:
         pd = m["param_domain"]
@@ -208,8 +192,8 @@ def _cmd_list(ns) -> tuple[str, int]:
             else f"({_fmt_text_num(m['anchor']['alpha0'])}, {_fmt_text_num(m['anchor']['value0'])})"
         )
         lines.append(
-            f"{m['id']:<10s} {m['title']:<42s} alpha in {lb}{bound(pd['lo'])}, "
-            f"{bound(pd['hi'])}{rb}  anchor {anchor}  grid {m['verification_grid']}"
+            f"{m['id']:<10s} {m['title']:<42s} alpha in {lb}{pd['lo']:.12g}, "
+            f"{pd['hi']:.12g}{rb}  anchor {anchor}  grid {m['verification_grid']}"
         )
     return "\n".join(lines), 0
 

@@ -39,6 +39,8 @@ from .quadrature import (
     QuadStatus,
     QuadratureError,
     NonIntegrableSingularityError,
+    _DEFAULT_CFG,
+    _EPS,
     _STATUS_RANK,
     _Counted,
     _fit_endpoint,
@@ -66,9 +68,7 @@ __all__ = [
     "verify",
 ]
 
-_EPS = 2.220446049250313e-16
 _FD_SCALE = _EPS ** (1.0 / 3.0)  # ~ 6.06e-6, optimal for central differences
-_DEFAULT_CFG = QuadConfig()
 
 
 class ParameterDomainError(ValueError):
@@ -264,32 +264,25 @@ def eval_direct(
     return integrate(lambda x: f(x, alpha), P.domain_for(alpha), cfg)
 
 
-def _fd_step(P: ParametricIntegral, alpha: float) -> float:
+def _partial_alpha(
+    P: ParametricIntegral, alpha: float
+) -> Callable[[float], float]:
+    """Pointwise d f/d alpha at fixed alpha: the analytic rule, or a central
+    difference whose step is cut to half the room left to the nearest bound;
+    with no room (alpha on a bound, or infinite) it raises
+    OneSidedDifferenceError."""
+    if P.d_alpha is not None:
+        da = P.d_alpha
+        return lambda x: da(x, alpha)
     h = _FD_SCALE * max(1.0, abs(alpha))
-    room = P.param_domain.boundary_distance(alpha)  # alpha is interior
+    room = P.param_domain.boundary_distance(alpha)
     if room < h:
         h = 0.5 * room
-    if h <= 0.0 or alpha + h == alpha:
+    if not alpha - h < alpha < alpha + h:
         raise OneSidedDifferenceError(
             f"no room for a central difference in alpha at alpha={alpha!r}; "
             "provide an analytic d_alpha"
         )
-    return h
-
-
-def _partial_alpha(
-    P: ParametricIntegral, alpha: float
-) -> Callable[[float], float]:
-    """Pointwise d f/d alpha at fixed alpha: analytic rule or central difference."""
-    if P.d_alpha is not None:
-        da = P.d_alpha
-        return lambda x: da(x, alpha)
-    if not P.param_domain.is_interior(alpha):
-        raise OneSidedDifferenceError(
-            f"alpha={alpha!r} is on the parameter-domain boundary and the entry "
-            "has no analytic d_alpha; central differencing would step outside"
-        )
-    h = _fd_step(P, alpha)
     f = P.integrand
     return lambda x: (f(x, alpha + h) - f(x, alpha - h)) / (2.0 * h)
 

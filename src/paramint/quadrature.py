@@ -145,10 +145,6 @@ class DomainSpec:
             raise ValueError("lower endpoint is infinite iff lower_kind is INFINITE")
         if math.isinf(self.upper) != (self.upper_kind is EndpointKind.INFINITE):
             raise ValueError("upper endpoint is infinite iff upper_kind is INFINITE")
-        if self.lower_kind is EndpointKind.INFINITE and self.lower > 0:
-            raise ValueError("an infinite lower endpoint must be -inf")
-        if self.upper_kind is EndpointKind.INFINITE and self.upper < 0:
-            raise ValueError("an infinite upper endpoint must be +inf")
         if self.oscillatory_tail is not None and self.upper_kind is not EndpointKind.INFINITE:
             raise ValueError("oscillatory_tail requires an infinite upper endpoint")
 
@@ -240,8 +236,8 @@ class _Checked:
     """The checked-batch contract shared by the integrand wrappers.
 
     A wrapper has a checked per-node ``__call__``, which counts the node
-    and raises ``EvaluationError`` when it fails; the same map unchecked
-    and uncounted as ``raw``; and ``_count(n)``, which counts n nodes.
+    on the :class:`_Counted` ``fc`` and raises ``EvaluationError`` when it
+    fails, and the same map unchecked and uncounted as ``raw``.
     """
 
     __slots__ = ()
@@ -261,7 +257,7 @@ class _Checked:
         try:
             out = sweep(self.raw, arg)
             if math.isfinite(sum(out[0])):
-                self._count(len(out[0]))
+                self.fc.n += len(out[0])
                 return out
         except Exception:
             pass
@@ -279,54 +275,35 @@ class _Checked:
 
 
 class _Counted(_Checked):
-    """Wraps an integrand: counts calls and rejects non-finite values."""
+    """Wraps an integrand, or one of its two-argument forms: counts calls on
+    ``fc`` (itself by default) and rejects non-finite values.
 
-    __slots__ = ("raw", "n")
+    A form is the offset form ``near(end, d)`` = f(end + d), with
+    ``offset``, or the weighted form ``weighted(x, w)`` = f(x) at a node of
+    weight w; it is counted on the wrapper of f.  A failing call raises at
+    its abscissa: x, or end + d for an offset form.
+    """
 
-    def __init__(self, f: Callable[[float], float]):
+    __slots__ = ("raw", "n", "fc", "offset")
+
+    def __init__(
+        self, f: Callable[..., float], fc: Optional[_Counted] = None, offset: bool = False
+    ):
         self.raw = f
         self.n = 0
+        self.fc = fc or self
+        self.offset = offset
 
-    def __call__(self, x: float) -> float:
-        self.n += 1
+    def __call__(self, *args: float) -> float:
+        self.fc.n += 1
+        x = args[0] + args[1] if self.offset else args[0]
         try:
-            v = self.raw(x)
+            v = self.raw(*args)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(x, math.inf) from exc
         if not math.isfinite(v):
             raise EvaluationError(x, v)
         return v
-
-    def _count(self, n: int) -> None:
-        self.n += n
-
-
-class _Form(_Checked):
-    """An integrand's two-argument form, counted on ``fc``: its offset form
-    ``near(end, d)`` = f(end + d), or its weighted form ``weighted(x, w)``
-    = f(x) at a node of weight w.  A failing node raises at its abscissa,
-    end + d or x."""
-
-    __slots__ = ("fc", "raw", "offset")
-
-    def __init__(self, fc: _Counted, form: Callable[[float, float], float], offset: bool):
-        self.fc = fc
-        self.raw = form
-        self.offset = offset
-
-    def __call__(self, u: float, v: float) -> float:
-        self.fc.n += 1
-        x = u + v if self.offset else u
-        try:
-            y = self.raw(u, v)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(x, math.inf) from exc
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
-        return y
-
-    def _count(self, n: int) -> None:
-        self.fc.n += n
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +381,7 @@ def _adaptive_gk(
         _, _, lo, hi, v, e, split = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
         if not (split and lo < m < hi):
-            frozen.append((lo, hi, v, e))
+            frozen.append((v, e))
             continue
         v1, e1, split1 = _gk_panel(f, lo, m)
         v2, e2, split2 = _gk_panel(f, m, hi)
@@ -416,10 +393,9 @@ def _adaptive_gk(
         total_e += e1 + e2 - e
         n_panels += 1
 
-    panels = [(lo, hi, v, e) for (_, _, lo, hi, v, e, _) in heap] + frozen
-    panels.sort(key=lambda p: (p[0], p[1]))
-    value = _fsum(p[2] for p in panels)
-    err = _fsum(p[3] for p in panels)
+    panels = [(v, e) for (_, _, _, _, v, e, _) in heap] + frozen
+    value = _fsum(v for v, _ in panels)
+    err = _fsum(e for _, e in panels)
     if status is QuadStatus.CONVERGED and err > _tol_for(cfg, value):
         status = QuadStatus.MAX_DEPTH
     return value, err, status
@@ -432,8 +408,6 @@ def integrate_finite(
     cfg = cfg or _DEFAULT_CFG
     if domain.lower_kind is not EndpointKind.REGULAR or domain.upper_kind is not EndpointKind.REGULAR:
         raise ValueError("integrate_finite requires regular endpoints on both sides")
-    if domain.oscillatory_tail is not None:
-        raise ValueError("integrate_finite does not accept an oscillatory tail")
     fc = _Counted(f)
     value, err, status = _adaptive_gk(fc, domain.lower, domain.upper, cfg)
     return QuadResult(value, err, fc.n, status)
@@ -579,7 +553,7 @@ def _tanh_sinh(
     offset = near is not None
     form = near if offset else getattr(f.raw, "weighted", None)
     two_arg = form is not None
-    swept = _Form(f, form, offset) if two_arg else f
+    swept = _Counted(form, f.fc, offset) if two_arg else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``,
@@ -702,8 +676,6 @@ def integrate_singular(
     value times its weight.
     """
     cfg = cfg or _DEFAULT_CFG
-    if domain.oscillatory_tail is not None:
-        raise ValueError("integrate_singular does not accept an oscillatory tail")
     for kind in (domain.lower_kind, domain.upper_kind):
         if kind is EndpointKind.INFINITE:
             raise ValueError("integrate_singular requires finite endpoints")
@@ -755,9 +727,6 @@ class _Compactified(_Checked):
         if not math.isfinite(v):
             raise EvaluationError(s, v)
         return v
-
-    def _count(self, n: int) -> None:
-        self.fc.n += n
 
     def _batch(
         self, fn: Callable[[float], float], ss: Sequence[float]
@@ -811,7 +780,8 @@ def integrate_improper(
     infinite end.  Where its nodes pass the floor next to that end, the mass
     beyond is bounded by a fitted decay exponent and folded into
     ``abs_err_est``; a tail that decays like 1/x or slower gets an infinite
-    estimate and ``tail_truncated``.
+    estimate and ``tail_truncated``.  (-inf, b] is [-b, inf) for f(-u), and
+    (-inf, inf) is the sum of the half-lines from 0 for f(x) and for f(-u).
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:
@@ -821,31 +791,19 @@ def integrate_improper(
     if not (lo_inf or hi_inf):
         raise ValueError("integrate_improper requires an infinite endpoint")
 
-    if lo_inf and hi_inf:
-        right = integrate_improper(
-            f, DomainSpec.semi_infinite(0.0), cfg
-        )
-        left = integrate_improper(
-            lambda u: f(-u), DomainSpec.semi_infinite(0.0), cfg
-        )
-        status = max(left.status, right.status, key=_STATUS_RANK.get)
-        return QuadResult(
-            left.value + right.value,
-            left.abs_err_est + right.abs_err_est,
-            left.n_evals + right.n_evals,
-            status,
-        )
-    if lo_inf:
-        b = domain.upper
-        mirrored = DomainSpec(
-            -b,
-            math.inf,
-            lower_kind=domain.upper_kind,
-            upper_kind=EndpointKind.INFINITE,
-        )
-        return integrate_improper(lambda u: f(-u), mirrored, cfg)
-
-    return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
+    if not lo_inf:
+        return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
+    mirrored = _Counted(lambda u: f(-u))
+    if not hi_inf:
+        return _improper_semi(mirrored, -domain.upper, domain.upper_kind, cfg)
+    right = _improper_semi(_Counted(f), 0.0, EndpointKind.REGULAR, cfg)
+    left = _improper_semi(mirrored, 0.0, EndpointKind.REGULAR, cfg)
+    return QuadResult(
+        left.value + right.value,
+        left.abs_err_est + right.abs_err_est,
+        left.n_evals + right.n_evals,
+        max(left.status, right.status, key=_STATUS_RANK.get),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +861,6 @@ def integrate_oscillatory_improper(
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is None:
         raise ValueError("integrate_oscillatory_improper requires an oscillatory_tail")
-    if math.isinf(domain.lower):
-        raise ValueError("oscillatory domains must have a finite lower endpoint")
     if domain.lower_kind is not EndpointKind.REGULAR:
         raise ValueError("oscillatory domains require a regular lower endpoint")
 

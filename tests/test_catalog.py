@@ -6,6 +6,7 @@ central difference of the closed-form solution, removable-singularity
 values, anchor bookkeeping, and the validity windows of the helpers.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -56,6 +57,10 @@ class TestRegistry:
             pd = entry.parametric.param_domain
             for a in entry.verification_grid:
                 assert pd.closure_contains(a)
+
+    def test_grid_point_outside_the_domain_is_rejected(self):
+        with pytest.raises(ValueError, match="grid point 1.5 of entry 'ex4'"):
+            dataclasses.replace(catalog.get("ex4"), verification_grid=(0.5, 1.5))
 
     def test_anchors_consistent_with_closed_forms(self):
         for entry in catalog.entries():

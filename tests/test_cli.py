@@ -164,6 +164,30 @@ class TestSweepCommand:
         assert code == 3
         assert "0.5" in err
 
+    @pytest.mark.parametrize("entry_id, lo, hi, steps", [
+        ("ex4", "0.325", "1", 7),  # from + span * 6/6 is 1.0000000000000002
+        ("ex1", "0.866", "3.881", 4),  # 3.8809999999999993
+        ("ex2", "2.542", "3.892", 7),  # 3.8920000000000003
+    ])
+    def test_last_point_is_to_exactly(self, capsys, entry_id, lo, hi, steps):
+        code, out, _ = invoke(capsys, "sweep", entry_id, "--from", lo, "--to", hi,
+                              "--steps", str(steps), "--format", "json")
+        assert code == 0
+        alphas = [row["alpha"] for row in json.loads(out)["results"]]
+        a, b = float(lo), float(hi)
+        assert alphas == [a + (b - a) * i / (steps - 1) for i in range(steps - 1)] + [b]
+
+    @pytest.mark.parametrize("entry_id, lo, hi", [
+        ("gauss", "-1e308", "1e308"),  # the span itself overflows
+        ("gauss", "1e-300", "1e308"),  # span * (steps - 1) overflows
+    ])
+    def test_overflowing_grid_is_a_usage_error(self, capsys, entry_id, lo, hi):
+        code, out, err = invoke(capsys, "sweep", entry_id, "--from", lo, "--to", hi,
+                                "--steps", "3", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "--from" in err and "--to" in err
+
 
 class TestReconstructCommand:
     def test_matches_direct(self, capsys):
@@ -242,6 +266,10 @@ class TestSerialization:
             twice = _emit_json(json.loads(once))
             assert once == text
             assert twice == once
+
+    def test_unsupported_type_is_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            _emit_json({"grid": {1.0}})
 
     def test_nonfinite_floats_serialize_to_null(self):
         assert _emit_json(math.nan) == "null"

@@ -1,0 +1,81 @@
+"""The CLI's contractual bytes, frozen: each command's exit code and the
+SHA-256 of its stdout.
+
+JSON and CSV reports are a contract (17 significant digits, identical
+bytes for identical invocations), so a refactor that keeps every number
+must keep every digest here.  The battery runs ``verify`` on each catalog
+entry in JSON and in CSV, ``verify all``, ``list``, one ``eval``, one
+``sweep`` and the two reconstructions that take the offset-form and the
+oscillatory routes, all in-process through ``cli.run``.
+
+Regenerate the table only for a change that is meant to move printed
+numbers, and list the commands whose digests moved in CHANGES.md:
+``PYTHONPATH=src python tests/test_cli_bytes.py`` prints it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from paramint.cli import run
+
+_IDS = ("gauss", "ex1", "ex2", "ex3_beta", "ex3_alpha", "ex4")
+
+COMMANDS = [
+    *(f"verify {i} --format {fmt}" for i in _IDS for fmt in ("json", "csv")),
+    "verify all --format json",
+    "list --format json",
+    "eval ex2 --alpha 2 --format json",
+    "sweep ex2 --from 1.5 --to 5 --steps 8 --format csv",
+    "reconstruct ex4 --alpha 1 --format json",
+    "reconstruct ex3_alpha --alpha 0.5 --format json",
+]
+
+
+def _record(command: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(command.split())
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+FROZEN = {
+    'verify gauss --format json': (0, '7aa5bb7ed0528669b7f843fb0605b8caf8613a88bd234b461f9bf4f5b4c50226'),
+    'verify gauss --format csv': (0, '5bd62d9480d8d1e5f23a2bf7ad315d7445a10c6396de9bf740442b04a25f84d1'),
+    'verify ex1 --format json': (0, '6719ffc9e0d874f7d96285d6225e8ebaadf84f4e645ce3a6585defd04a2d2d57'),
+    'verify ex1 --format csv': (0, '2a8442816dec707a94a6089215c1501d104c520bd41ebf3c2567bca7cfffed68'),
+    'verify ex2 --format json': (0, 'aa1f39f8d6779ce51c81cc24e2a053a6b19ab7c3fe25f33920c22a9ea875c1bf'),
+    'verify ex2 --format csv': (0, '8fdbff8f95f6e014846c4d5a97a33483f25eb0e55f069169719a440aa83e4218'),
+    'verify ex3_beta --format json': (0, 'e968fdec4f182364c863198bfab57602fc6aa3e10cdefdd288557a18b9d2abeb'),
+    'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
+    'verify ex3_alpha --format json': (0, '226aa2caba26b59c624b167891ff7316fb4d94490392c83095073a049aad500a'),
+    'verify ex3_alpha --format csv': (0, '7c2832b0fdb715099017866bd91f33779a02e93be3179e47036e81fd457bf10e'),
+    'verify ex4 --format json': (0, '579a3172936fdba4d623c18af32a824e583fbfe8b28a21ef2dd1623793421651'),
+    'verify ex4 --format csv': (0, '5cb2f4ed2c0f5e2c740a8c86e85476ebd34a5ec6271489c63a4b7183d4bf3c05'),
+    'verify all --format json': (0, '9b3c3d0f3ab957d3e13a1f7630eda089e7700abbcbe652d380c0d4584755f97a'),
+    'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
+    'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
+    'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
+    'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),
+    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '4d5acac7967a8f8f638ee7b2c4d836cac6b99821df8cafc102f81f0e4fa20075'),
+}
+
+
+def test_the_battery_is_the_frozen_one():
+    assert list(FROZEN) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_bytes_are_frozen(command):
+    assert _record(command) == FROZEN[command]
+
+
+if __name__ == "__main__":
+    print("FROZEN = {")
+    for command in COMMANDS:
+        print(f"    {command!r}: {_record(command)!r},")
+    print("}")

@@ -156,6 +156,10 @@ class TestParamDomain:
         with pytest.raises(ValueError):
             ParamDomain(2.0, 1.0)
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ParamDomain(0.0, math.nan)
+
 
 class TestParametricIntegralValidation:
     def test_anchor_outside_domain_rejected(self):
@@ -244,8 +248,37 @@ class TestEvalAndDeriv:
         err = abs(res.value - ITEM3_TRUTHS[f"ex4@{alpha!r}.direct"])
         assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
 
+    def test_deriv_outside_the_closure(self):
+        with pytest.raises(ParameterDomainError, match="closure"):
+            deriv_under_integral(make_cos(), 2.5)
+
+    def test_central_difference_next_to_a_bound_halves_the_room(self):
+        # h = 6.06e-6 * alpha would step past 2: the step is half the room
+        seen = set()
+
+        def f(x: float, a: float) -> float:
+            seen.add(a)
+            return _cos_f(x, a)
+
+        alpha = 2.0 - 1e-7
+        P = dataclasses.replace(make_cos(with_da=False), integrand=f)
+        res = deriv_under_integral(P, alpha)
+        room = 2.0 - alpha
+        assert seen == {alpha + 0.5 * room, alpha - 0.5 * room}
+        assert abs(res.value - _cos_rhs(alpha)) < 1e-7
+
+    @pytest.mark.parametrize("param_domain, alpha", [
+        (ParamDomain(0.0, 2.0), 2.0),
+        (ParamDomain(0.0, math.inf), math.inf),
+        (ParamDomain(-math.inf, 2.0), -math.inf),
+    ])
+    def test_central_difference_without_room(self, param_domain, alpha):
+        P = dataclasses.replace(make_cos(with_da=False), param_domain=param_domain)
+        with pytest.raises(OneSidedDifferenceError, match="no room"):
+            deriv_under_integral(P, alpha)
+
     def test_deriv_at_boundary_needs_analytic_rule(self):
-        with pytest.raises(OneSidedDifferenceError):
+        with pytest.raises(OneSidedDifferenceError, match="no room"):
             deriv_under_integral(make_cos(with_da=False), 0.0)
         # with the rule supplied the same point is fine
         res = deriv_under_integral(make_cos(), 0.0)
@@ -317,6 +350,16 @@ class TestDomination:
         rep = domination_scan(P, (0.0, 1.0))
         assert rep.verdict is DominationVerdict.SUSPECT_DIVERGENT
         assert math.isinf(rep.envelope_integral_estimate)
+
+    @pytest.mark.parametrize("d_alpha, match", [
+        (lambda x, a: 1.0 / (a - 1.0), "failed"),
+        (lambda x, a: math.inf if a == 1.0 else x, "non-finite"),
+    ], ids=["raises", "non_finite"])
+    def test_derivative_failing_inside_the_window(self, d_alpha, match):
+        # alpha = 1 is the middle of the window's nine samples
+        P = dataclasses.replace(make_cos(), d_alpha=d_alpha)
+        with pytest.raises(DegenerateWindowError, match=match):
+            domination_scan(P, (0.5, 1.5))
 
     def test_window_validation(self):
         P = make_gauss()
@@ -883,6 +926,32 @@ class TestVerify:
         monkeypatch.setattr(engine, "deriv_under_integral", deriv)
         for p in verify(P, grid).points:
             assert p.reconstructed == reconstruct(P, p.alpha).value
+
+    @pytest.mark.parametrize("case", ["outside_closure", "inner_failure", "no_decay"])
+    def test_declined_grid_is_reconstructed_point_by_point(self, monkeypatch, case):
+        # A numeric rhs on [0, 4] anchored at I(0) = 0, whose grid declines:
+        # a point outside the closure; a Chebyshev sample that does not
+        # converge within 12 panels at the grid's node tolerance, although
+        # the probes do at theirs; or cos(8 alpha), whose samples at n = 8
+        # have a top quarter of coefficients no smaller than the second
+        cfg = QuadConfig()
+        P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
+        grid = [1.0, 2.0, 5.0]
+        if case == "inner_failure":
+            P = make_scaled(lambda x: 1.0 / (x * x + 1e-3), DomainSpec.finite(-1.0, 1.0),
+                            singular_anchor=False)
+            grid, cfg = [1.0, 2.0], QuadConfig(max_subdivisions=12)
+        elif case == "no_decay":
+            P = dataclasses.replace(P, integrand=lambda x, a: math.sin(8.0 * a) / 8.0,
+                                    d_alpha=lambda x, a: math.cos(8.0 * a))
+            grid = [1.0, 2.0]
+        assert engine._grid_reconstruct(P, grid, cfg) is None
+        rep = verify(P, grid, cfg=cfg)
+        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        assert rep == verify(P, grid, cfg=cfg)
+        for p in rep.points:
+            if p.alpha <= 4.0:
+                assert p.reconstructed == reconstruct(P, p.alpha, cfg).value
 
     def test_samples_without_error_chop_on_their_rounding(self, monkeypatch):
         # an inner quadrature that reports 0 error everywhere: the top

@@ -271,6 +271,18 @@ class TestSingular:
         w = 0.5 * (math.pi / 2.0) * math.cosh(1.0) / (math.cosh(u) * math.cosh(u))
         assert seen[0] == (_ts_upper_node(1.0, 0.0, 1.0), w)
 
+    def test_fit_stops_where_the_ladder_rounds_onto_the_endpoint(self):
+        # rungs d = 2**-28, 2**-32, ...: 1 - d is exact down to 2**-52, and
+        # 1 - 2**-56 rounds onto 1, so the ladder stops after 7 samples
+        xs = []
+
+        def g(x: float) -> float:
+            xs.append(x)
+            return (1.0 - x) ** -0.5
+
+        assert quadrature._fit_endpoint(g, 1.0, 0.0, 2.0 ** -20) == (-0.5, 1.0)
+        assert xs == [1.0 - 2.0 ** -j for j in range(28, 56, 4)]
+
 
 # ---------------------------------------------------------------------------
 # improper (infinite-endpoint) kernel
@@ -293,6 +305,21 @@ class TestImproper:
         spec = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
         res = integrate_improper(lambda x: math.exp(x), spec)
         assert abs(res.value - 1.0) < 1e-11
+
+    def test_lower_infinite_with_a_singular_upper_end_is_the_mirrored_half_line(self):
+        # (-inf, b] with a singular upper end is [-b, inf) for f(-u) with a
+        # singular lower end, to the bit and to the evaluation (b = 0)
+        def f(x: float) -> float:
+            return math.exp(x) / math.sqrt(-x)
+
+        left = integrate_improper(f, DomainSpec(
+            -math.inf, 0.0, EndpointKind.INFINITE, EndpointKind.INTEGRABLE_SINGULARITY))
+        right = integrate_improper(
+            lambda u: f(-u), DomainSpec.semi_infinite(-0.0, singular_lower=True))
+        assert (left.value.hex(), left.abs_err_est.hex(), left.n_evals, left.status) == (
+            right.value.hex(), right.abs_err_est.hex(), right.n_evals, right.status)
+        assert left.status is QuadStatus.CONVERGED
+        assert abs(left.value - math.sqrt(math.pi)) <= left.abs_err_est
 
     def test_slow_algebraic_tail_vs_oracle(self):
         res = integrate_improper(lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE)
@@ -395,6 +422,20 @@ class TestOscillatory:
             DomainSpec.oscillatory(0.0, _pi_zeros),
         )
         assert abs(res.value - 2.5) < 1e-8
+
+    def test_zeros_at_or_below_the_lower_end_are_skipped(self):
+        # pi < 2 pi = a = zero(2): the first segment ends at zero(3) = 3 pi,
+        # exactly as under a rule whose first zero is 3 pi
+        def sinc(x: float) -> float:
+            return math.sin(x) / x
+
+        a = 2.0 * math.pi
+        res = integrate_oscillatory_improper(sinc, DomainSpec.oscillatory(a, _pi_zeros))
+        shifted = integrate_oscillatory_improper(
+            sinc, DomainSpec.oscillatory(a, lambda k: (k + 2) * math.pi))
+        assert res == shifted
+        # mpmath: pi/2 - Si(2 pi)
+        assert abs(res.value - 0.15264475066226817) <= res.abs_err_est
 
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
@@ -521,6 +562,47 @@ class TestDispatch:
             DomainSpec.finite(2.0, 1.0)
         with pytest.raises(ValueError):
             DomainSpec(0.0, math.inf)  # missing INFINITE classification
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("lower, upper, kinds, match", [
+        (math.nan, 1.0, {}, "NaN"),
+        (-math.inf, 0.0, {}, "lower endpoint is infinite iff"),
+        (0.0, 1.0, {"upper_kind": EndpointKind.INFINITE}, "upper endpoint is infinite iff"),
+        (math.inf, math.inf, {"lower_kind": EndpointKind.INFINITE,
+                              "upper_kind": EndpointKind.INFINITE}, "lower < upper"),
+        (0.0, -math.inf, {"upper_kind": EndpointKind.INFINITE}, "lower < upper"),
+        (0.0, 1.0, {"oscillatory_tail": OscillatoryTail(_pi_zeros)}, "infinite upper"),
+    ], ids=["nan_end", "infinite_end_not_infinite_kind", "finite_end_infinite_kind",
+            "plus_inf_lower_end", "minus_inf_upper_end", "tail_on_finite_upper_end"])
+    def test_domain_spec_refuses(self, lower, upper, kinds, match):
+        with pytest.raises(ValueError, match=match):
+            DomainSpec(lower, upper, **kinds)
+
+    _TAIL = OscillatoryTail(_pi_zeros)
+    _INF = EndpointKind.INFINITE
+
+    @pytest.mark.parametrize("kernel, domain, match", [
+        (integrate_finite, DomainSpec.singular(0.0, 1.0, at_upper=True), "regular endpoints"),
+        (integrate_finite, DomainSpec.oscillatory(0.0, _pi_zeros), "regular endpoints"),
+        (integrate_singular, HALF_LINE, "finite endpoints"),
+        (integrate_singular, DomainSpec.oscillatory(0.0, _pi_zeros), "finite endpoints"),
+        (integrate_improper, DomainSpec.finite(0.0, 1.0), "an infinite endpoint"),
+        (integrate_improper, DomainSpec.oscillatory(0.0, _pi_zeros), "oscillatory tail"),
+        (integrate_oscillatory_improper, HALF_LINE, "requires an oscillatory_tail"),
+        (integrate_oscillatory_improper,
+         DomainSpec(-math.inf, math.inf, _INF, _INF, _TAIL), "regular lower endpoint"),
+        (integrate_oscillatory_improper,
+         DomainSpec(0.0, math.inf, EndpointKind.INTEGRABLE_SINGULARITY, _INF, _TAIL),
+         "regular lower endpoint"),
+    ], ids=["finite.singular_end", "finite.tail", "singular.infinite_end", "singular.tail",
+            "improper.no_infinite_end", "improper.tail", "oscillatory.no_tail",
+            "oscillatory.infinite_lower_end", "oscillatory.singular_lower_end"])
+    def test_kernel_refuses_a_domain_of_another_class(self, kernel, domain, match):
+        calls = []
+        with pytest.raises(ValueError, match=match):
+            kernel(lambda x: calls.append(x) or 1.0, domain)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
