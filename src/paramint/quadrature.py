@@ -38,7 +38,6 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, replace
-from statistics import median
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -487,12 +486,13 @@ def _fit_endpoint(
         if x == endpoint:
             break
         vals.append((d, abs(g(x))))
-    slopes = [
+    slopes = sorted(
         (math.log(v2) - math.log(v1)) / (math.log(d2) - math.log(d1))
         for (d1, v1), (d2, v2) in zip(vals, vals[1:])
         if v1 > 0.0 and v2 > 0.0
-    ]
-    p = median(slopes) if slopes else 0.0
+    )
+    i = len(slopes) // 2  # the middle slope, or the mean of the middle two
+    p = (slopes[i] if len(slopes) % 2 else (slopes[i - 1] + slopes[i]) / 2) if slopes else 0.0
     if p <= _REFUSE_EXPONENT:
         raise NonIntegrableSingularityError(endpoint, p)
     p = min(p, 0.0)

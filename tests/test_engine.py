@@ -12,6 +12,7 @@ reconstruction tests choose.
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -108,12 +109,16 @@ def make_cos(with_da: bool = True, anchored: bool = False) -> ParametricIntegral
 
 # --- scaled family ----------------------------------------------------------
 
-def make_scaled(shape, domain: DomainSpec, singular_anchor: bool) -> ParametricIntegral:
+def make_scaled(
+    shape, domain: DomainSpec, singular_anchor: bool, power: float = 0.7
+) -> ParametricIntegral:
     """f(x, a) = s(a) * shape(x), anchored at I(0) = 0, with no closed rhs:
-    s(a) = sqrt(a), whose dI/da blows up at the anchor (a tanh-sinh
-    parameter path), or s(a) = a*a/2 (a Gauss-Kronrod one)."""
+    s(a) = a**power, whose dI/da blows up at the anchor (a tanh-sinh
+    parameter path, except that power = 1/2, a square root, takes the
+    s-route: Gauss-Kronrod in s = sqrt(a)), or s(a) = a*a/2 (a
+    Gauss-Kronrod one)."""
     if singular_anchor:
-        s, ds = math.sqrt, lambda a: 0.5 / math.sqrt(a)
+        s, ds = (lambda a: a ** power), (lambda a: power * a ** (power - 1.0))
     else:
         s, ds = (lambda a: 0.5 * a * a), (lambda a: a)
     return ParametricIntegral(
@@ -123,6 +128,21 @@ def make_scaled(shape, domain: DomainSpec, singular_anchor: bool) -> ParametricI
         d_alpha=lambda x, a: ds(a) * shape(x),
         anchor=Anchor(0.0, 0.0),
     )
+
+
+def _alpha_routes(monkeypatch) -> list:
+    """reconstruct's own integrate calls, as they happen: the domain of the
+    alpha-quadrature, or "s" for the s-route's h(s) on [0, sqrt(path length)]."""
+    routes = []
+
+    def spy(f, dom, cfg=None):
+        if sys._getframe(1).f_code is reconstruct.__code__:
+            s_route = getattr(f, "__qualname__", "").startswith("reconstruct.")
+            routes.append("s" if s_route else dom)
+        return integrate(f, dom, cfg)
+
+    monkeypatch.setattr(engine, "integrate", spy)
+    return routes
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +596,8 @@ class TestReconstruct:
         assert res.n_evals == calls > 0
 
     def test_routes_to_the_singular_kernel_only_at_singular_ends(self, monkeypatch):
-        # record the x-domain of the alpha-quadrature (the integrate call
-        # over the parameter path) and skip it; the growth probes run for real
-        routes = []
-        path = None
-
-        def spy(f, dom, cfg=None):
-            if (dom.lower, dom.upper) == path:
-                routes.append((dom.lower_kind, dom.upper_kind))
-                return QuadResult(0.0, 0.0, 0, QuadStatus.CONVERGED)
-            return integrate(f, dom, cfg)
-
-        monkeypatch.setattr(engine, "integrate", spy)
+        # a numeric rhs with a square-root end takes the s-route instead
+        routes = _alpha_routes(monkeypatch)
         singular = {}
         for entry in catalog.entries():
             P = entry.parametric
@@ -599,18 +609,21 @@ class TestReconstruct:
                 for a in entry.verification_grid:
                     if a == a0:
                         continue
-                    path = (min(a, a0), max(a, a0))
                     routes.clear()
                     reconstruct(Q, a)
-                    [kinds] = routes
-                    if EndpointKind.INTEGRABLE_SINGULARITY in kinds:
-                        singular[entry.id, a, stripped] = kinds
+                    [route] = routes
+                    if route != "s":
+                        assert (route.lower, route.upper) == (min(a, a0), max(a, a0))
+                        route = (route.lower_kind, route.upper_kind)
+                    if route == "s" or EndpointKind.INTEGRABLE_SINGULARITY in route:
+                        singular[entry.id, a, stripped] = route
         sing, reg = EndpointKind.INTEGRABLE_SINGULARITY, EndpointKind.REGULAR
-        anchor_end = {
-            ("ex1", a, s): (sing, reg) for a in (0.25, 1.0, 4.0) for s in (False, True)
-        }
-        edge = {("ex4", 1.0, s): (reg, sing) for s in (False, True)}
-        assert singular == anchor_end | edge
+        # a closed rhs keeps tanh-sinh at either end; stripped, both ends
+        # take the s-route
+        anchor_end = {("ex1", a, False): (sing, reg) for a in (0.25, 1.0, 4.0)}
+        edge = {("ex4", 1.0, False): (reg, sing)}
+        s_route = {("ex1", a, True): "s" for a in (0.25, 1.0, 4.0)} | {("ex4", 1.0, True): "s"}
+        assert singular == anchor_end | edge | s_route
 
     def test_every_inner_quadrature_of_a_nested_half_line_converges(self, monkeypatch):
         # ex1 with rhs_closed stripped: the alpha-quadrature samples the
@@ -676,24 +689,34 @@ _ANCHORED_GRID = [
     (e.id, a) for e in catalog.entries() if e.parametric.anchor is not None
     for a in e.verification_grid
 ]
-# value bits of ex1's stripped reconstructions, which loosening the inner
-# quadratures by node weight must not move
+# value bits of ex1's stripped reconstructions, taken on the s-route
+# (errors against pi 7.5e-15, 1.6e-14 and 3.5e-14)
 _EX1_STRIPPED_BITS = {
-    0.25: "0x1.921fb54442d0bp+0",
-    1.0: "0x1.921fb54442d0cp+1",
-    4.0: "0x1.921fb54442d07p+2",
+    0.25: "0x1.921fb54442cf6p+0",
+    1.0: "0x1.921fb54442cf3p+1",
+    4.0: "0x1.921fb54442cf1p+2",
+}
+# a numeric rhs a**(power - 1) near a square root keeps the tanh-sinh
+# route: value and estimate bits, n_evals (the shrink ratios of h = 2 sqrt(d) g
+# at the probes are 0.76, 0.95 and 1.06)
+_NEAR_ROOT_BITS = {
+    0.4: ("0x1.fffffffffffe6p-1", "0x1.12e0c5840e39fp-29", 2460),
+    0.48: ("0x1.fffffffffffe5p-1", "0x1.12e0cb82ab989p-29", 2430),
+    0.52: ("0x1.fffffffffffe6p-1", "0x1.12e0cf8284bafp-29", 2430),
 }
 
 
 class TestNestedReconstruction:
     """reconstruct with no closed rhs: every alpha-node is an inner quadrature."""
 
-    @pytest.mark.parametrize("singular_anchor", [False, True], ids=["gk_path", "tanh_sinh_path"])
-    def test_inner_failure_is_not_reported_converged(self, singular_anchor):
+    @pytest.mark.parametrize("singular_anchor, power", [
+        (False, 0.7), (True, 0.7), (True, 0.5),
+    ], ids=["gk_path", "tanh_sinh_path", "s_route"])
+    def test_inner_failure_is_not_reported_converged(self, singular_anchor, power):
         # two panels cannot resolve the peak, so the inner quadratures end at
         # max_depth while the parameter quadrature itself converges
         P = make_scaled(
-            lambda x: 1.0 / (x * x + 1e-4), DomainSpec.finite(-1.0, 1.0), singular_anchor)
+            lambda x: 1.0 / (x * x + 1e-4), DomainSpec.finite(-1.0, 1.0), singular_anchor, power)
         cfg = QuadConfig(max_subdivisions=2)
         assert deriv_under_integral(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
         assert reconstruct(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
@@ -723,29 +746,80 @@ class TestNestedReconstruction:
         assert res.abs_err_est == pytest.approx(plain.abs_err_est + math.fsum(charged), rel=1e-9)
         assert res.abs_err_est > 1.1 * plain.abs_err_est
 
-    @pytest.mark.parametrize("entry_id, alpha", [
-        pytest.param(
-            i, a, marks=pytest.mark.xfail(
-                raises=NonIntegrableSingularityError, strict=True,
-                reason="ROADMAP item 3: the endpoint fit reads the steep but "
-                       "integrable rhs near alpha = 1 as non-integrable"))
-        if (i, a) == ("ex4", 1.0) else (i, a)
-        for i, a in _ANCHORED_GRID
-    ])
+    @pytest.mark.parametrize("entry_id, alpha", _ANCHORED_GRID)
     def test_stripped_rhs_is_honest(self, entry_id, alpha):
+        # ex4 at alpha = 1 included: its rhs blows up like 1/sqrt(1 - alpha)
+        # there, and the s-route integrates it
         P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
         res = reconstruct(P, alpha)
         err = abs(res.value - P.solution_closed(alpha))
         assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
 
+    def test_stripped_catalog_cost(self):
+        # every inner evaluation of the 17 stripped reconstructions off the
+        # anchors (161,989 when the singular ends ran tanh-sinh in alpha,
+        # with ex4 at 1 refused; 101,148 on the s-route)
+        total = 0
+        for entry_id, alpha in _ANCHORED_GRID:
+            P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
+            if alpha != P.anchor.alpha0:
+                total += reconstruct(P, alpha).n_evals
+        assert total <= 105_000
+
     @pytest.mark.parametrize("alpha", sorted(_EX1_STRIPPED_BITS))
     def test_stripped_ex1_cost_and_bits(self, alpha):
-        # the alpha-nodes next to the singular anchor weigh almost nothing,
-        # so their inner quadratures run loose
+        # the s-route: Gauss-Kronrod in s = sqrt(alpha), where the rhs
+        # pi/(2 sqrt(alpha)) becomes the constant pi, so no alpha-node comes
+        # near the anchor
         P = dataclasses.replace(catalog.get("ex1").parametric, rhs_closed=None)
         res = reconstruct(P, alpha)
         assert res.value.hex() == _EX1_STRIPPED_BITS[alpha]
-        assert res.n_evals <= 25_000
+        assert res.n_evals <= 7_000
+
+    @pytest.mark.parametrize("power", sorted(_NEAR_ROOT_BITS))
+    def test_near_root_rhs_keeps_tanh_sinh(self, monkeypatch, power):
+        # the fit reads p within 0.1 of -1/2, but h = 2 sqrt(d) g is neither
+        # flat nor smooth in s: Gauss-Kronrod in s would cost 5-9 times the
+        # alpha-nodes and lose six digits
+        P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), True, power)
+        routes = _alpha_routes(monkeypatch)
+        res = reconstruct(P, 1.0)
+        assert routes == [DomainSpec.singular(0.0, 1.0, at_lower=True)]
+        assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == _NEAR_ROOT_BITS[power]
+        assert res.status is QuadStatus.CONVERGED
+
+    def test_two_square_root_ends_keep_tanh_sinh(self, monkeypatch):
+        # dI/da = a**-0.5 + (1 - a)**-0.5: s = sqrt(d) removes only one blow-up
+        P = ParametricIntegral(
+            integrand=lambda x, a: 2.0 * math.sqrt(a) - 2.0 * math.sqrt(1.0 - a),
+            param_domain=ParamDomain(0.0, 1.0),
+            domain=DomainSpec.finite(0.0, 1.0),
+            d_alpha=lambda x, a: 1.0 / math.sqrt(a) + 1.0 / math.sqrt(1.0 - a),
+            anchor=Anchor(0.0, -2.0),
+        )
+        routes = _alpha_routes(monkeypatch)
+        res = reconstruct(P, 1.0)
+        assert routes == [DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True)]
+        assert abs(res.value - 2.0) <= res.abs_err_est
+
+    @pytest.mark.parametrize("p, h, root", [
+        (-0.5, (3.0, 3.0, 3.0), True),                        # flat
+        (-0.5, (3.0, 3.0 + 1e-9, 3.0 - 1e-9), True),          # flat to the tolerance
+        (-0.45, (1.0, 1.25, 1.3125), True),                   # smooth in s: 4-fold
+        (-0.55, (1.0, 1.3, 1.4), True),                       # exactly 3-fold
+        (-0.5, (1.0, 1.29, 1.39), False),                     # 2.9-fold
+        (-0.5, (1.0, 1.1, 1.2), False),                       # a leftover power
+        (-0.61, (3.0, 3.0, 3.0), False),                      # not a square root
+        (-0.39, (3.0, 3.0, 3.0), False),
+        (math.nan, (), False),                                # a failing sample
+    ])
+    def test_square_root_end_rule(self, p, h, root):
+        # samples (d, g) at the routing rungs d = 2**-8, 2**-12, 2**-16 whose
+        # h = 2 sqrt(d) g are these; the node tolerance is 1e-9
+        ds = (2.0 ** -8, 2.0 ** -12, 2.0 ** -16)
+        samples = [(d, v / (2.0 * math.sqrt(d))) for d, v in zip(ds, h)]
+        cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
+        assert engine._root_end((p, samples), cfg) is root
 
 
 # ---------------------------------------------------------------------------
@@ -868,11 +942,7 @@ class TestVerify:
             P = dataclasses.replace(P, rhs_closed=None)
         assert engine._grid_reconstruct(P, grid, QuadConfig()) is None
         for p in verify(P, grid).points:
-            try:
-                want = reconstruct(P, p.alpha).value.hex()
-            except NonIntegrableSingularityError:  # stripped ex4 at 1, ROADMAP item 3
-                want = None
-            assert (None if p.reconstructed is None else p.reconstructed.hex()) == want
+            assert p.reconstructed.hex() == reconstruct(P, p.alpha).value.hex()
 
     def test_numeric_rhs_that_fails_is_reconstructed_point_by_point(self, monkeypatch):
         # d f/d alpha cannot be evaluated below a = 0.5, so the probe at the
