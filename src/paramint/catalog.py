@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import Anchor, ParamDomain, ParameterDomainError, ParametricIntegral
+from .engine import Anchor, ParamDomain, ParametricIntegral
 from .quadrature import DomainSpec
 
 __all__ = [
@@ -436,11 +436,7 @@ def closed_form(entry_id: str, alpha: float) -> float:
     P = entry.parametric
     if P.solution_closed is None:
         raise ValueError(f"entry {entry_id!r} has no closed-form solution")
-    if not P.param_domain.contains(alpha):
-        raise ParameterDomainError(
-            f"alpha={alpha!r} outside the valid parameter domain "
-            f"{P.param_domain.describe()} of entry {entry_id!r}"
-        )
+    P.param_domain.require(alpha)
     return P.solution_closed(alpha)
 
 
@@ -452,11 +448,7 @@ def rhs_closed_form(entry_id: str, alpha: float) -> float:
             f"entry {entry_id!r} has no closed-form derivative; available for: "
             + ", ".join(sorted(e.id for e in _ENTRIES if e.rhs_domain is not None))
         )
-    if not entry.rhs_domain.contains(alpha):
-        raise ParameterDomainError(
-            f"alpha={alpha!r} outside the validity of the closed-form "
-            f"derivative of entry {entry_id!r}"
-        )
+    entry.rhs_domain.require(alpha, name="domain of the closed-form derivative")
     return entry.parametric.rhs_closed(alpha)
 
 

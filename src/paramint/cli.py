@@ -176,24 +176,23 @@ def _entry_report(ns, entry_id: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_list(ns) -> tuple[str, int]:
-    metas = [catalog.entry_metadata(e) for e in catalog.entries()]
+    entries = catalog.entries()
     if ns.format == "json":
+        metas = [catalog.entry_metadata(e) for e in entries]
         return _emit_json({"tool_version": __version__, "entries": metas}), 0
     if ns.format == "csv":
         raise _UsageError("csv format is not defined for `list`; use json or text")
     lines = []
-    for m in metas:
-        pd = m["param_domain"]
-        lb = "(" if pd["lo_open"] else "["
-        rb = ")" if pd["hi_open"] or math.isinf(pd["hi"]) else "]"
+    for e in entries:
+        P = e.parametric
         anchor = (
             "none"
-            if m["anchor"] is None
-            else f"({_fmt_text_num(m['anchor']['alpha0'])}, {_fmt_text_num(m['anchor']['value0'])})"
+            if P.anchor is None
+            else f"({_fmt_text_num(P.anchor.alpha0)}, {_fmt_text_num(P.anchor.value0)})"
         )
         lines.append(
-            f"{m['id']:<10s} {m['title']:<42s} alpha in {lb}{pd['lo']:.12g}, "
-            f"{pd['hi']:.12g}{rb}  anchor {anchor}  grid {m['verification_grid']}"
+            f"{e.id:<10s} {e.title:<42s} alpha in {P.param_domain.describe()}  "
+            f"anchor {anchor}  grid {list(e.verification_grid)}"
         )
     return "\n".join(lines), 0
 

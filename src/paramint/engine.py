@@ -44,6 +44,7 @@ from .quadrature import (
     _STATUS_RANK,
     _Counted,
     _fit_endpoint,
+    _scaled,
     _tol_for,
     integrate,
 )
@@ -126,9 +127,25 @@ class ParamDomain:
         return d
 
     def describe(self) -> str:
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        return f"{lb}{self.lo:g}, {self.hi:g}{rb}"
+        """The interval as text, ends at 12 significant digits; an infinite end
+        is never attained, so it closes with ( or )."""
+        lb = "(" if self.lo_open or math.isinf(self.lo) else "["
+        rb = ")" if self.hi_open or math.isinf(self.hi) else "]"
+        return f"{lb}{self.lo:.12g}, {self.hi:.12g}{rb}"
+
+    def require(
+        self, *alphas: float, closure: bool = False, name: str = "parameter domain"
+    ) -> None:
+        """Raise ParameterDomainError at the first of ``alphas`` outside this
+        domain, called ``name`` in the message, or with ``closure``, outside
+        its closure."""
+        inside = self.closure_contains if closure else self.contains
+        for alpha in alphas:
+            if not inside(alpha):
+                where = "the closure of the" if closure else "the valid"
+                raise ParameterDomainError(
+                    f"alpha={alpha!r} outside {where} {name} {self.describe()}"
+                )
 
 
 @dataclass(frozen=True)
@@ -248,19 +265,11 @@ class VerificationReport:
 # direct evaluation and the derivative under the integral
 # ---------------------------------------------------------------------------
 
-def _require_in_domain(P: ParametricIntegral, alpha: float) -> None:
-    if not P.param_domain.contains(alpha):
-        raise ParameterDomainError(
-            f"alpha={alpha!r} outside the valid parameter domain "
-            f"{P.param_domain.describe()}"
-        )
-
-
 def eval_direct(
     P: ParametricIntegral, alpha: float, cfg: QuadConfig | None = None
 ) -> QuadResult:
     """Quadrature of f(., alpha) over the x-domain, dispatched on endpoint kinds."""
-    _require_in_domain(P, alpha)
+    P.param_domain.require(alpha)
     f = P.integrand
     return integrate(lambda x: f(x, alpha), P.domain_for(alpha), cfg)
 
@@ -292,11 +301,7 @@ def deriv_under_integral(
     P: ParametricIntegral, alpha: float, cfg: QuadConfig | None = None
 ) -> QuadResult:
     """Quadrature of d f/d alpha (., alpha) over the same x-domain."""
-    if not P.param_domain.closure_contains(alpha):
-        raise ParameterDomainError(
-            f"alpha={alpha!r} outside the closure of the parameter domain "
-            f"{P.param_domain.describe()}"
-        )
+    P.param_domain.require(alpha, closure=True)
     g = _partial_alpha(P, alpha)
     return integrate(g, P.domain_for(alpha), cfg)
 
@@ -325,12 +330,7 @@ def interchange_check(
     divided by that distance before multiplying by h^2.
     """
     h = _INTERCHANGE_STEP
-    for a in (alpha - h, alpha + h):
-        if not P.param_domain.contains(a):
-            raise ParameterDomainError(
-                f"alpha +/- 1e-4 = {a!r} leaves the parameter domain "
-                f"{P.param_domain.describe()}"
-            )
+    P.param_domain.require(alpha - h, alpha + h)
     hi = eval_direct(P, alpha + h, cfg)
     lo = eval_direct(P, alpha - h, cfg)
     at = eval_direct(P, alpha, cfg)
@@ -405,11 +405,7 @@ def domination_scan(
         raise DegenerateWindowError(
             f"alpha window [{lo_a!r}, {hi_a!r}] is empty or unbounded"
         )
-    if not (P.param_domain.closure_contains(lo_a) and P.param_domain.closure_contains(hi_a)):
-        raise ParameterDomainError(
-            f"alpha window [{lo_a!r}, {hi_a!r}] is not contained in the "
-            f"parameter domain {P.param_domain.describe()}"
-        )
+    P.param_domain.require(lo_a, hi_a, closure=True)
 
     alphas = [
         lo_a + (hi_a - lo_a) * i / (_SCAN_N_ALPHA - 1) for i in range(_SCAN_N_ALPHA)
@@ -521,11 +517,7 @@ class _NestedRhs:
 
     def __init__(self, P: ParametricIntegral, cfg: QuadConfig, length: float, strict=False):
         self.P = P
-        self.cfg = replace(
-            cfg,
-            abs_tol=max(cfg.abs_tol, _DERIV_TOL_FLOOR),
-            rel_tol=max(cfg.rel_tol, _DERIV_TOL_FLOOR),
-        )
+        self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
         self.theta = _NODE_ERR_SHARE * length
         self.strict = strict
         self.n_evals = 0
@@ -632,14 +624,10 @@ def reconstruct(
         raise MissingAnchorError(
             "entry has no anchor value; reconstruction needs a known I(alpha0)"
         )
+    # the anchor lies in the closure, so the path does iff its target does
+    P.param_domain.require(alpha_target, closure=True)
     a0, v0 = P.anchor.alpha0, P.anchor.value0
     lo, hi = (a0, alpha_target) if a0 <= alpha_target else (alpha_target, a0)
-    pd = P.param_domain
-    if not (pd.closure_contains(lo) and pd.closure_contains(hi)):
-        raise ParameterDomainError(
-            f"reconstruction path [{lo!r}, {hi!r}] leaves the closure of the "
-            f"parameter domain {pd.describe()}"
-        )
     if alpha_target == a0:
         return QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
 
@@ -654,9 +642,7 @@ def reconstruct(
     else:
         g = _NestedRhs(P, cfg, hi - lo)
         g_cfg = replace(
-            cfg,
-            abs_tol=max(cfg.abs_tol, _ALPHA_TOL_FLOOR),
-            rel_tol=max(cfg.rel_tol, _ALPHA_TOL_FLOOR),
+            _scaled(cfg, 1.0, _ALPHA_TOL_FLOOR),
             max_subdivisions=min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV),
         )
 

@@ -34,6 +34,7 @@ do not depend on which tables are already built.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from array import array
@@ -220,6 +221,21 @@ def _tol_for(cfg: QuadConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
+def _status(cfg: QuadConfig, value: float, est: float, *parts: QuadStatus) -> QuadStatus:
+    """The worst status of the ``parts`` when one is not converged; else
+    converged if ``est`` meets the tolerance at ``value``, and max_depth if not."""
+    if parts.count(QuadStatus.CONVERGED) < len(parts):
+        return max(parts, key=_STATUS_RANK.get)
+    return QuadStatus.CONVERGED if est <= _tol_for(cfg, value) else QuadStatus.MAX_DEPTH
+
+
+def _scaled(cfg: QuadConfig, share: float, floor: float = 0.0) -> QuadConfig:
+    """``cfg`` with both tolerances times ``share``, and each at least ``floor``."""
+    return replace(
+        cfg, abs_tol=max(share * cfg.abs_tol, floor), rel_tol=max(share * cfg.rel_tol, floor)
+    )
+
+
 def _fsum(terms: Iterable[float]) -> float:
     """``math.fsum`` of ``terms``; a sum that is not finite is a QuadratureError."""
     try:
@@ -356,7 +372,7 @@ def _adaptive_gk(
     mid = 0.5 * (a + b)
     if not (a < mid < b):
         v, e, _ = _gk_panel(f, a, b)
-        return v, e, QuadStatus.CONVERGED if e <= _tol_for(cfg, v) else QuadStatus.MAX_DEPTH
+        return v, e, _status(cfg, v, e)
 
     seq = 0
     heap = []  # (-err, seq, a, b, value, err, may split)
@@ -395,9 +411,7 @@ def _adaptive_gk(
     panels = [(v, e) for (_, _, _, _, v, e, _) in heap] + frozen
     value = _fsum(v for v, _ in panels)
     err = _fsum(e for _, e in panels)
-    if status is QuadStatus.CONVERGED and err > _tol_for(cfg, value):
-        status = QuadStatus.MAX_DEPTH
-    return value, err, status
+    return value, err, _status(cfg, value, err, status)
 
 
 def integrate_finite(
@@ -418,9 +432,9 @@ def integrate_finite(
 
 _TS_MAX_LEVEL = 12
 _PI_HALF = math.pi / 2.0
-_ts_tables: dict[int, tuple[array, array, array]] = {}  # level -> columns (r, cosh t, cosh u)
 
 
+@functools.cache
 def _ts_level(m: int) -> tuple[array, array, array]:
     """Node table of tanh-sinh level m: columns r, cosh t and cosh u.
 
@@ -435,24 +449,20 @@ def _ts_level(m: int) -> tuple[array, array, array]:
     first use and kept, read-only, for the process (see the module
     docstring).
     """
-    table = _ts_tables.get(m)
-    if table is None:
-        h = 2.0 ** (-m)
-        r, cosh_t, cosh_u = array("d"), array("d"), array("d")
-        k = 1
-        while True:
-            t = k * h
-            u = _PI_HALF * math.sinh(t)
-            e2 = math.exp(-2.0 * u)
-            r.append(2.0 * e2 / (1.0 + e2))
-            cosh_t.append(math.cosh(t))
-            if u >= 350.0:
-                cosh_u.append(math.inf)
-                break
-            cosh_u.append(math.cosh(u))
-            k += 1 if m == 0 else 2
-        table = _ts_tables[m] = (r, cosh_t, cosh_u)
-    return table
+    h = 2.0 ** (-m)
+    r, cosh_t, cosh_u = array("d"), array("d"), array("d")
+    k = 1
+    while True:
+        t = k * h
+        u = _PI_HALF * math.sinh(t)
+        e2 = math.exp(-2.0 * u)
+        r.append(2.0 * e2 / (1.0 + e2))
+        cosh_t.append(math.cosh(t))
+        if u >= 350.0:
+            cosh_u.append(math.inf)
+            return r, cosh_t, cosh_u
+        cosh_u.append(math.cosh(u))
+        k += 1 if m == 0 else 2
 
 
 # An endpoint whose fitted exponent is at or below this is refused: |g| ~ d**p
@@ -750,23 +760,19 @@ def _improper_semi(
     """
     x_m = max(8.0, 2.0 * abs(a) + 8.0)
     s_m = x_m / (1.0 + x_m)
-    head_cfg = replace(cfg, abs_tol=0.9 * cfg.abs_tol, rel_tol=0.9 * cfg.rel_tol)
-    tail_cfg = replace(cfg, abs_tol=0.1 * cfg.abs_tol, rel_tol=0.1 * cfg.rel_tol)
     g = _Compactified(fc, a)
+    head_cfg = _scaled(cfg, 0.9)
     if lower_kind is EndpointKind.REGULAR:
         head = _adaptive_gk(g, 0.0, s_m, head_cfg)
     else:
         head = _tanh_sinh(g, 0.0, s_m, lower_kind, EndpointKind.REGULAR, head_cfg)
     tail = _tanh_sinh(
         _Compactified(fc, a, complement=True), 0.0, 1.0 - s_m,
-        EndpointKind.INFINITE, EndpointKind.REGULAR, tail_cfg,
+        EndpointKind.INFINITE, EndpointKind.REGULAR, _scaled(cfg, 0.1),
     )
     value = head[0] + tail[0]
     est = head[1] + tail[1]
-    status = max(head[2], tail[2], key=_STATUS_RANK.get)
-    if status is QuadStatus.CONVERGED and est > _tol_for(cfg, value):
-        status = QuadStatus.MAX_DEPTH
-    return QuadResult(value, est, fc.n, status)
+    return QuadResult(value, est, fc.n, _status(cfg, value, est, head[2], tail[2]))
 
 
 def integrate_improper(
@@ -798,12 +804,10 @@ def integrate_improper(
         return _improper_semi(mirrored, -domain.upper, domain.upper_kind, cfg)
     right = _improper_semi(_Counted(f), 0.0, EndpointKind.REGULAR, cfg)
     left = _improper_semi(mirrored, 0.0, EndpointKind.REGULAR, cfg)
-    return QuadResult(
-        left.value + right.value,
-        left.abs_err_est + right.abs_err_est,
-        left.n_evals + right.n_evals,
-        max(left.status, right.status, key=_STATUS_RANK.get),
-    )
+    value = left.value + right.value
+    est = left.abs_err_est + right.abs_err_est
+    status = _status(cfg, value, est, left.status, right.status)
+    return QuadResult(value, est, left.n_evals + right.n_evals, status)
 
 
 # ---------------------------------------------------------------------------
@@ -873,17 +877,8 @@ def integrate_oscillatory_improper(
             raise ValueError("phase_zero_rule produced no zeros beyond the lower endpoint")
 
     fc = _Counted(f)
-    seg_cfg = replace(
-        cfg,
-        abs_tol=max(0.02 * cfg.abs_tol, 1e-15),
-        rel_tol=max(0.02 * cfg.rel_tol, 1e-15),
-    )
-
-    def segment(lo: float, hi: float) -> tuple[float, float]:
-        v, e, _ = _adaptive_gk(fc, lo, hi, seg_cfg)
-        return v, e
-
-    head, head_err = segment(a, zero(k0))
+    seg_cfg = _scaled(cfg, 0.02, 1e-15)
+    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg)
     table = _Epsilon()
     seg_errs: list[float] = [head_err]
     terms: list[float] = []
@@ -895,7 +890,7 @@ def integrate_oscillatory_improper(
     for j in range(_OSC_MAX_TERMS):
         lo = zero(k0 + j)
         hi = zero(k0 + j + 1)
-        s, e = segment(lo, hi)
+        s, e, _ = _adaptive_gk(fc, lo, hi, seg_cfg)
         terms.append(s)
         seg_errs.append(e)
         running += s
@@ -927,10 +922,7 @@ def integrate_oscillatory_improper(
 
     err_sum = math.fsum(seg_errs)
     est = (4.0 * increment if math.isfinite(increment) else abs(best)) + err_sum
-    status = (
-        QuadStatus.CONVERGED if est <= _tol_for(cfg, best) else QuadStatus.MAX_DEPTH
-    )
-    return QuadResult(best, est, fc.n, status)
+    return QuadResult(best, est, fc.n, _status(cfg, best, est))
 
 
 # ---------------------------------------------------------------------------

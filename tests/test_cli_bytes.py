@@ -4,9 +4,9 @@ SHA-256 of its stdout.
 JSON and CSV reports are a contract (17 significant digits, identical
 bytes for identical invocations), so a refactor that keeps every number
 must keep every digest here.  The battery runs ``verify`` on each catalog
-entry in JSON and in CSV, ``verify all``, ``list``, one ``eval``, one
-``sweep`` and the two reconstructions that take the offset-form and the
-oscillatory routes, all in-process through ``cli.run``.
+entry in JSON and in CSV, ``verify all``, ``list`` in JSON and in text,
+one ``eval``, one ``sweep`` and the two reconstructions that take the
+offset-form and the oscillatory routes, all in-process through ``cli.run``.
 
 Regenerate the table only for a change that is meant to move printed
 numbers, and list the commands whose digests moved in CHANGES.md:
@@ -29,6 +29,7 @@ COMMANDS = [
     *(f"verify {i} --format {fmt}" for i in _IDS for fmt in ("json", "csv")),
     "verify all --format json",
     "list --format json",
+    "list --format text",
     "eval ex2 --alpha 2 --format json",
     "sweep ex2 --from 1.5 --to 5 --steps 8 --format csv",
     "reconstruct ex4 --alpha 1 --format json",
@@ -58,6 +59,7 @@ FROZEN = {
     'verify ex4 --format csv': (0, '5cb2f4ed2c0f5e2c740a8c86e85476ebd34a5ec6271489c63a4b7183d4bf3c05'),
     'verify all --format json': (0, '9b3c3d0f3ab957d3e13a1f7630eda089e7700abbcbe652d380c0d4584755f97a'),
     'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
+    'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
     'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
     'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),

@@ -180,6 +180,31 @@ class TestParamDomain:
         with pytest.raises(ValueError, match="NaN"):
             ParamDomain(0.0, math.nan)
 
+    @pytest.mark.parametrize("domain, text", [
+        # an infinite end is never attained, so it closes open whatever
+        # the flag says
+        (ParamDomain(1.0, math.inf), "[1, inf)"),
+        (ParamDomain(-math.inf, 0.0, hi_open=True), "(-inf, 0)"),
+        (ParamDomain(0.0, math.inf, lo_open=True), "(0, inf)"),
+        # 12 significant digits: :g rounded 0.9999999 to 1
+        (ParamDomain(0.0, 0.9999999), "[0, 0.9999999]"),
+        (ParamDomain(0.0, 1.0, hi_open=True), "[0, 1)"),
+    ])
+    def test_describe(self, domain, text):
+        assert domain.describe() == text
+
+    @pytest.mark.parametrize("closure, alpha, message", [
+        (False, 0.0, "alpha=0.0 outside the valid parameter domain (0, 2]"),
+        (True, 2.5, "alpha=2.5 outside the closure of the parameter domain (0, 2]"),
+        (True, math.nan, "alpha=nan outside the closure of the parameter domain (0, 2]"),
+    ])
+    def test_require_names_the_first_alpha_outside(self, closure, alpha, message):
+        d = ParamDomain(0.0, 2.0, lo_open=True)
+        d.require(1.0, 0.0, closure=True)  # the closure holds the open end
+        with pytest.raises(ParameterDomainError) as info:
+            d.require(1.0, alpha, 2.0, closure=closure)
+        assert str(info.value) == message
+
 
 class TestParametricIntegralValidation:
     def test_anchor_outside_domain_rejected(self):

@@ -8,16 +8,18 @@ report, not against fixed magic numbers.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paramint import (
     Anchor,
     DomainSpec,
+    EndpointKind,
     ParamDomain,
     ParametricIntegral,
     QuadConfig,
     QuadStatus,
     domination_scan,
+    integrate,
     integrate_finite,
     integrate_improper,
     integrate_oscillatory_improper,
@@ -75,6 +77,50 @@ class TestKernelInvariants:
             QuadConfig(abs_tol=bad)
         with pytest.raises(ValueError):
             QuadConfig(rel_tol=bad)
+
+
+# One family per public kernel route, (x - c) times a weight: c moves mass
+# between the parts a kernel adds up, and cancels them at c = 4 on the half-
+# lines, where (x - 4) e^(-x/4) on [0, inf) sets its head against its tail.
+_CONTRACT_FAMILIES = {
+    "finite": (
+        lambda c: lambda x: (x - c) * math.exp(-0.25 * x * x),
+        DomainSpec.finite(-3.0, 5.0),
+    ),
+    "singular": (
+        lambda c: lambda x: (x - c) / math.sqrt(x),
+        DomainSpec.singular(0.0, 2.0, at_lower=True),
+    ),
+    "half_line": (
+        lambda c: lambda x: (x - c) * math.exp(-0.25 * x),
+        DomainSpec.semi_infinite(0.0),
+    ),
+    "lower_half_line": (
+        lambda c: lambda x: (x + c) * math.exp(0.25 * x),
+        DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE),
+    ),
+    "full_line": (
+        lambda c: lambda x: (1e6 * x + c) * math.exp(-x * x),
+        DomainSpec(-math.inf, math.inf, EndpointKind.INFINITE, EndpointKind.INFINITE),
+    ),
+    "oscillatory": (
+        lambda c: lambda x: (x - c) * math.sin(x) / (1.0 + x * x * x),
+        DomainSpec.oscillatory(0.0, lambda k: k * math.pi),
+    ),
+}
+
+
+class TestConvergedContract:
+    @pytest.mark.parametrize("route", list(_CONTRACT_FAMILIES))
+    @given(c=st.floats(0.0, 8.0), tol_exp=st.integers(min_value=4, max_value=12))
+    @example(c=0.0, tol_exp=10)  # full line: the half-lines' estimates add past 1e-10
+    @example(c=4.0, tol_exp=9)  # half-lines: head and tail cancel past 1e-9
+    def test_converged_estimate_meets_the_tolerance(self, route, c, tol_exp):
+        family, domain = _CONTRACT_FAMILIES[route]
+        cfg = QuadConfig(abs_tol=10.0 ** -tol_exp, rel_tol=10.0 ** -tol_exp)
+        res = integrate(family(c), domain, cfg)
+        if res.status is QuadStatus.CONVERGED:
+            assert res.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
 class TestScalingIdentity:

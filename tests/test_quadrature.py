@@ -301,6 +301,32 @@ class TestImproper:
         res = integrate_improper(lambda x: math.exp(-x * x), FULL_LINE)
         assert abs(res.value - math.sqrt(math.pi)) < 1e-10
 
+    @pytest.mark.parametrize("f, bits", [
+        (lambda x: x * math.exp(-x * x), ("0x0.0p+0", "0x1.f8adc99fe38e5p-34", 326)),
+        (
+            lambda x: 1e6 * x * math.exp(-x * x) + 1e-3 * math.exp(-x * x),
+            ("0x1.d0a35d0000000p-10", "0x1.2b7873f44f5c2p-15", 386),
+        ),
+    ], ids=["odd", "odd_plus_small_even"])
+    def test_full_line_sum_past_its_tolerance_is_not_converged(self, f, bits):
+        # each half-line converges on its own, but their estimates add up
+        # past the tolerance of the sum, whose value cancels: 1.15e-10 and
+        # 3.6e-5 against 1e-10
+        res = integrate_improper(f, FULL_LINE)
+        assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == bits
+        assert res.abs_err_est > max(1e-10, 1e-10 * abs(res.value))
+        assert res.status is QuadStatus.MAX_DEPTH
+
+    def test_half_line_head_and_tail_that_cancel_past_the_tolerance(self):
+        # (x - 4) e^(-x/4) on [0, inf): head -4.33 and tail 4.33 each meet
+        # their share of 1e-9, but their estimates add to 1.04e-9 on a sum
+        # that is 0 to rounding
+        res = integrate_improper(
+            lambda x: (x - 4.0) * math.exp(-0.25 * x), HALF_LINE, QuadConfig(1e-9, 1e-9))
+        assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == (
+            "0x1.c000000000000p-47", "0x1.1dfb4a3638dccp-30", 237)
+        assert res.status is QuadStatus.MAX_DEPTH
+
     def test_lower_infinite_by_reflection(self):
         spec = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
         res = integrate_improper(lambda x: math.exp(x), spec)
@@ -825,11 +851,11 @@ class TestNodeTables:
         # this process, whose tables other tests have already built.
         code = (
             "from paramint import DomainSpec, QuadConfig, integrate, quadrature\n"
-            "built = len(quadrature._ts_tables)\n"
+            "built = quadrature._ts_level.cache_info().currsize\n"
             "recs = [integrate(lambda x: (1.0 - x) ** (-1.0 / 3.0),\n"
             "                  DomainSpec.singular(0.0, 1.0, at_upper=True),\n"
             "                  QuadConfig(1e-13, 1e-13)) for _ in range(2)]\n"
-            "print(built, len(quadrature._ts_tables))\n"
+            "print(built, quadrature._ts_level.cache_info().currsize)\n"
             "for r in recs:\n"
             "    print(r.value.hex(), r.abs_err_est.hex(), r.n_evals)\n"
         )
