@@ -45,6 +45,7 @@ from .quadrature import (
     _Counted,
     _fit_endpoint,
     _scaled,
+    _status,
     _tol_for,
     integrate,
 )
@@ -493,12 +494,6 @@ def domination_scan(
 _ALPHA_TOL_FLOOR = 2e-8  # parameter-quadrature tolerance when g is itself numeric
 _ALPHA_MAX_SUBDIV = 240
 _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
-# A tanh-sinh alpha-node of weight W runs its inner quadrature at abs_tol
-# theta/W when that is looser, theta = _NODE_ERR_SHARE * (hi - lo), so its
-# weighted tolerance is theta: about 2**-31 of the path's node-noise
-# allowance at the default tolerances, small enough that no catalog value
-# moves by a bit.
-_NODE_ERR_SHARE = 2.0 ** -60
 # An end of the parameter path goes to the singular kernel when the rhs
 # fits a growth exponent at or below this.  The fit uses 3 rungs: deeper
 # rungs of a numeric rhs read inner-quadrature noise as growth.
@@ -506,23 +501,19 @@ _ROUTE_EXPONENT = -0.05
 
 
 class _NestedRhs:
-    """dI/d alpha = deriv_under_integral(P, alpha) on a parameter path of
-    this length, and the account of its inner quadratures: ``n_evals`` (one
-    that raises reports none), the worst ``status``, and ``extra_est``, the
-    flat share 2 * length * node tolerance plus W * estimate of every node
-    that ``weighted`` ran looser.  The node tolerance ``cfg`` is the
-    caller's, floored at _DERIV_TOL_FLOOR.  With ``strict``, a sample that
-    is not converged raises QuadratureError once it is counted.
+    """dI/d alpha = deriv_under_integral(P, alpha), and the account of its
+    inner quadratures: ``n_evals`` (one that raises reports none) and the
+    worst ``status``.  The node tolerance ``cfg`` is the caller's, floored
+    at _DERIV_TOL_FLOOR.  With ``strict``, a sample that is not converged
+    raises QuadratureError once it is counted.
     """
 
-    def __init__(self, P: ParametricIntegral, cfg: QuadConfig, length: float, strict=False):
+    def __init__(self, P: ParametricIntegral, cfg: QuadConfig, strict=False):
         self.P = P
         self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
-        self.theta = _NODE_ERR_SHARE * length
         self.strict = strict
         self.n_evals = 0
         self.status = QuadStatus.CONVERGED
-        self.extra_est = 2.0 * length * self.cfg.abs_tol
 
     def sample(self, a: float, cfg: QuadConfig | None = None) -> QuadResult:
         """dI/d alpha at a, at ``cfg`` or else the node tolerance."""
@@ -535,16 +526,6 @@ class _NestedRhs:
 
     def __call__(self, a: float) -> float:
         return self.sample(a).value
-
-    def weighted(self, a: float, w: float) -> float:
-        """dI/d alpha at a tanh-sinh node of weight w: a looser inner
-        tolerance, whose weighted error joins the estimate."""
-        tol = self.theta / w  # < 1e287: w > 1e-305 * length on every node
-        if tol <= self.cfg.abs_tol:
-            return self(a)
-        res = self.sample(a, replace(self.cfg, abs_tol=tol))
-        self.extra_est += w * res.abs_err_est
-        return res.value
 
 
 def _singular_end(
@@ -601,17 +582,13 @@ def reconstruct(
     costly inner quadrature runs next to the end.  A closed rhs keeps
     tanh-sinh: a node at alpha = 1e-30 costs it one call, not ~800.
 
-    On the tanh-sinh route, a numeric rhs opts in to the node weights (the
-    ``weighted`` form of :func:`~paramint.quadrature.integrate_singular`):
-    an alpha-node of weight W runs its inner quadrature at abs_tol
-    max(node tolerance, theta/W), theta = 2**-60 * (path length), so the
-    nodes next to a singular anchor, which weigh almost nothing, stop
-    early.  Gauss-Kronrod nodes, the growth probes and the kernel's own
-    endpoint fits run at the node tolerance.  The estimate is the
+    With a numeric rhs, every inner quadrature (alpha-nodes and growth
+    probes alike) runs at the node tolerance.  The estimate is the
     parameter quadrature's, plus 2 * (path length) * node tolerance for
-    the inner noise, plus W * estimate of every node that ran looser; the
-    status is the worst of the parameter quadrature's and of every inner
-    quadrature's, probes included, so an inner failure is never hidden.
+    the inner noise.  The status is the worst of the parameter
+    quadrature's and of every inner quadrature's, probes included, so an
+    inner failure is never hidden; when all converged, it is converged
+    only if that estimate meets the parameter quadrature's tolerance.
 
     ``n_evals`` counts every evaluation the call causes, the growth
     probes included: closed-form rhs calls, or the summed ``n_evals`` of
@@ -640,7 +617,7 @@ def reconstruct(
             g.near = P.rhs_near
         g_cfg = cfg
     else:
-        g = _NestedRhs(P, cfg, hi - lo)
+        g = _NestedRhs(P, cfg)
         g_cfg = replace(
             _scaled(cfg, 1.0, _ALPHA_TOL_FLOOR),
             max_subdivisions=min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV),
@@ -668,8 +645,8 @@ def reconstruct(
     if P.rhs_closed is not None:
         # one evaluation per call of a closed rhs
         return QuadResult(value, q.abs_err_est, q.n_evals + probe.n, q.status)
-    status = max(q.status, g.status, key=_STATUS_RANK.get)
-    return QuadResult(value, q.abs_err_est + g.extra_est, g.n_evals, status)
+    est = q.abs_err_est + 2.0 * (hi - lo) * g.cfg.abs_tol  # the inner noise
+    return QuadResult(value, est, g.n_evals, _status(g_cfg, value, est, q.status, g.status))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +696,7 @@ def _grid_reconstruct(
     if not (h < math.inf and tau > 0.0 and lo < xs[-2] and xs[1] < hi):
         return None
     node_cfg = replace(cfg, abs_tol=tau, rel_tol=tau)
-    g = _NestedRhs(P, cfg, hi - lo, strict=True)  # probes run at its node tolerance
+    g = _NestedRhs(P, cfg, strict=True)  # probes run at its node tolerance
     got: dict[int, QuadResult] = {}  # converged samples, by their index into xs
     try:
         if _singular_end(g, lo, hi, hi - lo) or _singular_end(g, hi, lo, hi - lo):

@@ -10,8 +10,7 @@ produce in practice:
   rule for finite intervals whose integrand blows up integrably at
   one or both endpoints.  The integrand is never evaluated exactly
   at a singular endpoint; one that can take its distance to the
-  endpoint exactly opts in through ``near``, and one that is itself a
-  quadrature can learn each node's weight through ``weighted``.
+  endpoint exactly opts in through ``near``.
 * :func:`integrate_improper` -- compactifies a semi-infinite domain
   with x = s/(1-s); Gauss-Kronrod covers the head, and tanh-sinh covers
   the tail all the way to the infinite end, which it samples through the
@@ -290,13 +289,10 @@ class _Checked:
 
 
 class _Counted(_Checked):
-    """Wraps an integrand, or one of its two-argument forms: counts calls on
-    ``fc`` (itself by default) and rejects non-finite values.
-
-    A form is the offset form ``near(end, d)`` = f(end + d), with
-    ``offset``, or the weighted form ``weighted(x, w)`` = f(x) at a node of
-    weight w; it is counted on the wrapper of f.  A failing call raises at
-    its abscissa: x, or end + d for an offset form.
+    """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d)
+    with ``offset``: counts calls on ``fc`` (itself by default; the wrapper
+    of f for an offset form) and rejects non-finite values.  A failing call
+    raises at its abscissa: x, or end + d for an offset form.
     """
 
     __slots__ = ("raw", "n", "fc", "offset")
@@ -525,13 +521,11 @@ def _tanh_sinh(
     its end.  An integrand that carries ``near`` (see
     :func:`integrate_singular`) is called with that exact offset; any other
     is called at x = end + d, and only its nodes are also cut where x
-    rounds onto the end.  One that carries ``weighted`` instead is called
-    as ``weighted(x, h*w)``, told the weight of the node in the level's
-    sum; the middle node and the endpoint fits call it plainly.  A side of
-    kind ``INFINITE`` is the image of x = inf under a compactification: it
-    is fitted where a sweep is first cut there, on a ladder that ends at
-    the cut, and a fit that reads divergence charges an infinite allowance
-    and ends the refinement instead of raising.
+    rounds onto the end.  A side of kind ``INFINITE`` is the image of
+    x = inf under a compactification: it is fitted where a sweep is first
+    cut there, on a ladder that ends at the cut, and a fit that reads
+    divergence charges an infinite allowance and ends the refinement
+    instead of raising.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -558,12 +552,10 @@ def _tanh_sinh(
     # at an infinite end whose tail decays barely faster than 1/x.
     delta_floor = half * 2.0 ** -512
 
-    # The integrand's two-argument form, read once: the offset form wins.
+    # The integrand's offset form, read once.
     near = getattr(f.raw, "near", None)
     offset = near is not None
-    form = near if offset else getattr(f.raw, "weighted", None)
-    two_arg = form is not None
-    swept = _Counted(form, f.fc, offset) if two_arg else f
+    swept = _Counted(near, f.fc, True) if offset else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``,
@@ -571,8 +563,7 @@ def _tanh_sinh(
         charged for a cut node (0.0 when none was cut).  Each node lies at
         the signed offset d = +-half*r from the side's end, x = end + d; it
         is cut below the floor, or where x rounds onto the end unless the
-        sweep runs through the offset form fn(end, d).  A weighted form is
-        called as fn(x, h*w)."""
+        sweep runs through the offset form fn(end, d)."""
         end, _, kind, sign = sides[upper]
         terms = []
         small_run = 0
@@ -591,7 +582,7 @@ def _tanh_sinh(
             w = w_scale * cosh_t / (cosh_u * cosh_u)
             if w == 0.0:
                 break
-            c = w * ((fn(end, d) if offset else fn(x, h * w)) if two_arg else fn(x))
+            c = w * (fn(end, d) if offset else fn(x))
             terms.append(c)
             # A small term that is larger than the one before it is mid-sweep
             # (e.g. a slowly decaying tail still rising), not the end.
@@ -673,17 +664,6 @@ def integrate_singular(
     one).  Its nodes then never round onto an endpoint, so a singularity
     that depends on the distance to the end, like 1/sqrt(1 - x) at x = 1,
     is sampled down to offsets far below ulp(end).
-
-    ``f`` without ``near`` may instead carry ``weighted``:
-    ``f.weighted(x, w)`` must return f(x), and is told the weight w of the
-    node in the sum of the level that evaluates it (later levels halve
-    it, so w bounds the node's weight in the value), so that an integrand
-    that is itself a quadrature can spend less accuracy where its value
-    counts for little.  Only the sweeps call it; the middle node
-    and the endpoint fits call ``f(x)``.  The opt-in is read once per call
-    and changes neither the nodes nor the sum: the estimate and status are
-    this kernel's alone, and the caller owes the error of each weighted
-    value times its weight.
     """
     cfg = cfg or _DEFAULT_CFG
     for kind in (domain.lower_kind, domain.upper_kind):

@@ -620,10 +620,15 @@ class TestReconstruct:
         res = reconstruct(dataclasses.replace(P, **{counted_field: counted}), alpha)
         assert res.n_evals == calls > 0
 
-    def test_routes_to_the_singular_kernel_only_at_singular_ends(self, monkeypatch):
-        # a numeric rhs with a square-root end takes the s-route instead
+    def test_alpha_route_census(self, monkeypatch):
+        # the alpha-route of each of the 34 catalog reconstructions off the
+        # anchors, closed rhs and stripped: Gauss-Kronrod on the path unless
+        # an end is singular.  A closed rhs keeps tanh-sinh at such an end
+        # (ex4's reaches alpha = 1 through its offset form); stripped, both
+        # ends are square-root ends and take the s-route.  Of verify's
+        # grids, only ex3_alpha's (no closed rhs) is one interpolant.
         routes = _alpha_routes(monkeypatch)
-        singular = {}
+        census = {}
         for entry in catalog.entries():
             P = entry.parametric
             if P.anchor is None:
@@ -639,16 +644,39 @@ class TestReconstruct:
                     [route] = routes
                     if route != "s":
                         assert (route.lower, route.upper) == (min(a, a0), max(a, a0))
-                        route = (route.lower_kind, route.upper_kind)
-                    if route == "s" or EndpointKind.INTEGRABLE_SINGULARITY in route:
-                        singular[entry.id, a, stripped] = route
-        sing, reg = EndpointKind.INTEGRABLE_SINGULARITY, EndpointKind.REGULAR
-        # a closed rhs keeps tanh-sinh at either end; stripped, both ends
-        # take the s-route
-        anchor_end = {("ex1", a, False): (sing, reg) for a in (0.25, 1.0, 4.0)}
-        edge = {("ex4", 1.0, False): (reg, sing)}
-        s_route = {("ex1", a, True): "s" for a in (0.25, 1.0, 4.0)} | {("ex4", 1.0, True): "s"}
-        assert singular == anchor_end | edge | s_route
+                        route = {
+                            (EndpointKind.REGULAR, EndpointKind.REGULAR): "gk",
+                            (EndpointKind.INTEGRABLE_SINGULARITY, EndpointKind.REGULAR):
+                                "tanh-sinh lower",
+                            (EndpointKind.REGULAR, EndpointKind.INTEGRABLE_SINGULARITY):
+                                "tanh-sinh upper",
+                        }[route.lower_kind, route.upper_kind]
+                    census[entry.id, a, stripped] = route
+        expected = dict.fromkeys(census, "gk")
+        for a in (0.25, 1.0, 4.0):
+            expected["ex1", a, False] = "tanh-sinh lower"
+            expected["ex1", a, True] = "s"
+        expected["ex4", 1.0, False] = "tanh-sinh upper"
+        expected["ex4", 1.0, True] = "s"
+        assert len(census) == 34
+        assert census == expected
+
+        grids = []
+        grid_reconstruct = engine._grid_reconstruct
+
+        def spy(P, alphas, cfg):
+            got = grid_reconstruct(P, alphas, cfg)
+            grids.append(got is not None)
+            return got
+
+        monkeypatch.setattr(engine, "_grid_reconstruct", spy)
+        taken = set()
+        for entry in catalog.entries():
+            grids.clear()
+            verify(entry.parametric, entry.verification_grid)
+            if grids == [True]:
+                taken.add(entry.id)
+        assert taken == {"ex3_alpha"}
 
     def test_every_inner_quadrature_of_a_nested_half_line_converges(self, monkeypatch):
         # ex1 with rhs_closed stripped: the alpha-quadrature samples the
@@ -725,9 +753,9 @@ _EX1_STRIPPED_BITS = {
 # route: value and estimate bits, n_evals (the shrink ratios of h = 2 sqrt(d) g
 # at the probes are 0.76, 0.95 and 1.06)
 _NEAR_ROOT_BITS = {
-    0.4: ("0x1.fffffffffffe6p-1", "0x1.12e0c5840e39fp-29", 2460),
-    0.48: ("0x1.fffffffffffe5p-1", "0x1.12e0cb82ab989p-29", 2430),
-    0.52: ("0x1.fffffffffffe6p-1", "0x1.12e0cf8284bafp-29", 2430),
+    0.4: ("0x1.fffffffffffe6p-1", "0x1.12e0c5826d695p-29", 2460),
+    0.48: ("0x1.fffffffffffe5p-1", "0x1.12e0cb826d695p-29", 2430),
+    0.52: ("0x1.fffffffffffe6p-1", "0x1.12e0cf826d695p-29", 2430),
 }
 
 
@@ -746,30 +774,47 @@ class TestNestedReconstruction:
         assert deriv_under_integral(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
         assert reconstruct(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
 
-    def test_relaxed_node_estimate_enters_the_outer_estimate(self, monkeypatch):
-        # a tanh-sinh alpha-node of weight W whose inner tolerance theta/W is
-        # looser than the node tolerance runs at theta/W; the estimate it
-        # returns is charged to the outer estimate at weight W
+    def test_tanh_sinh_route_runs_every_inner_quadrature_at_the_node_tolerance(
+        self, monkeypatch
+    ):
+        # alpha-nodes, growth probes and the kernel's own endpoint fits alike;
+        # the estimate is the alpha-quadrature's plus the flat noise share
+        # 2 * (path length) * node tolerance
         P = make_scaled(
             lambda x: x ** -0.5, DomainSpec.singular(0.0, 1.0, at_lower=True), True)
-        plain = reconstruct(P, 1.0)
-        theta = engine._NODE_ERR_SHARE * 1.0  # the path [0, 1]
-        charged = []
+        tols = set()
+        outer = []
         deriv = engine.deriv_under_integral
 
-        def unsure(P, a, cfg):
-            res = deriv(P, a, cfg)
-            if cfg.abs_tol > engine._DERIV_TOL_FLOOR:  # a relaxed node
-                charged.append(theta / cfg.abs_tol)  # W, times the estimate 1.0
-                res = dataclasses.replace(res, abs_err_est=1.0)
+        def spy_deriv(P, a, cfg):
+            tols.add((cfg.abs_tol, cfg.rel_tol))
+            return deriv(P, a, cfg)
+
+        def spy_integrate(f, dom, cfg=None):
+            res = integrate(f, dom, cfg)
+            if sys._getframe(1).f_code is reconstruct.__code__:
+                outer.append((dom, res))
             return res
 
-        monkeypatch.setattr(engine, "deriv_under_integral", unsure)
+        monkeypatch.setattr(engine, "deriv_under_integral", spy_deriv)
+        monkeypatch.setattr(engine, "integrate", spy_integrate)
         res = reconstruct(P, 1.0)
-        assert charged
-        assert res.value == plain.value
-        assert res.abs_err_est == pytest.approx(plain.abs_err_est + math.fsum(charged), rel=1e-9)
-        assert res.abs_err_est > 1.1 * plain.abs_err_est
+        [(dom, q)] = outer
+        assert dom == DomainSpec.singular(0.0, 1.0, at_lower=True)
+        assert tols == {(engine._DERIV_TOL_FLOOR, engine._DERIV_TOL_FLOOR)}
+        assert res.abs_err_est == q.abs_err_est + 2.0 * 1.0 * engine._DERIV_TOL_FLOOR
+        assert res.status is QuadStatus.CONVERGED
+
+    def test_converged_only_within_the_alpha_tolerance(self):
+        # int_0^1 cos(alpha x) dx rebuilt from alpha = 1 on the Gauss-Kronrod
+        # route: every inner quadrature and the alpha-quadrature converge, but
+        # the noise share 2 * 49 * 1e-9 passes the alpha-tolerance 2e-8; the
+        # value is right to 4e-15
+        P = dataclasses.replace(make_cos(anchored=True), param_domain=ParamDomain(0.0, 64.0))
+        res = reconstruct(P, 50.0)
+        assert res.abs_err_est > 2e-8
+        assert res.status is QuadStatus.MAX_DEPTH
+        assert abs(res.value - _cos_sol(50.0)) <= res.abs_err_est
 
     @pytest.mark.parametrize("entry_id, alpha", _ANCHORED_GRID)
     def test_stripped_rhs_is_honest(self, entry_id, alpha):

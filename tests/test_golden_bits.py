@@ -47,6 +47,8 @@ s-route): ``n_evals`` 21,579 -> 5,312, ``abs_err_est`` 2.0e-9 (the flat
 node share alone), and the error against pi 5.3e-15 -> 1.6e-14 (12 -> 37
 ulp), because the 15-digit Gauss-Kronrod constants make the Kronrod
 weights sum to 2 - 6.0e-15 and the s-route's integrand is the constant pi.
+That node-weight tolerance was later deleted, since no record reached it
+any more; no record moved.
 The unrolled Gauss-Kronrod panel (the same operands in the same order)
 and the oscillatory kernel's epsilon table, grown one anti-diagonal per
 term instead of rebuilt, were checked against these records without

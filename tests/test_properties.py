@@ -18,12 +18,15 @@ from paramint import (
     ParametricIntegral,
     QuadConfig,
     QuadStatus,
+    QuadratureError,
     domination_scan,
     integrate,
     integrate_finite,
     integrate_improper,
     integrate_oscillatory_improper,
+    reconstruct,
 )
+from paramint import engine
 
 _EPS = 2.0 ** -52
 
@@ -109,6 +112,32 @@ _CONTRACT_FAMILIES = {
     ),
 }
 
+# One family per nested alpha-route of reconstruct (no closed rhs) on
+# alpha in [0, 64]: cos(alpha x) on [0, 1] from alpha = 1 (Gauss-Kronrod),
+# and from I(0) = 0, x sqrt(alpha) (the s-route) and x alpha**0.3 (tanh-sinh
+# in alpha, whose rhs blows up like alpha**-0.7 at the anchor).
+def _scaled_family(power: float) -> ParametricIntegral:
+    return ParametricIntegral(
+        integrand=lambda x, a: x * a ** power,
+        param_domain=ParamDomain(0.0, 64.0),
+        domain=DomainSpec.finite(0.0, 1.0),
+        d_alpha=lambda x, a: x * power * a ** (power - 1.0),
+        anchor=Anchor(0.0, 0.0),
+    )
+
+
+_NESTED_ROUTES = {
+    "gauss_kronrod": ParametricIntegral(
+        integrand=lambda x, a: math.cos(a * x),
+        param_domain=ParamDomain(0.0, 64.0),
+        domain=DomainSpec.finite(0.0, 1.0),
+        d_alpha=lambda x, a: -x * math.sin(a * x),
+        anchor=Anchor(1.0, math.sin(1.0)),
+    ),
+    "s_route": _scaled_family(0.5),
+    "tanh_sinh": _scaled_family(0.3),
+}
+
 
 class TestConvergedContract:
     @pytest.mark.parametrize("route", list(_CONTRACT_FAMILIES))
@@ -121,6 +150,23 @@ class TestConvergedContract:
         res = integrate(family(c), domain, cfg)
         if res.status is QuadStatus.CONVERGED:
             assert res.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+    @pytest.mark.parametrize("route", list(_NESTED_ROUTES))
+    @given(alpha=st.floats(0.0, 64.0), tol_exp=st.integers(min_value=4, max_value=12))
+    @example(alpha=50.0, tol_exp=10)  # the inner noise share 2 * 50 * 1e-9 passes 2e-8
+    def test_converged_nested_estimate_meets_the_alpha_tolerance(self, route, alpha, tol_exp):
+        # reconstruct with a numeric rhs: its alpha-quadrature runs at the
+        # caller's tolerances floored at 2e-8.  A refusal claims nothing: at
+        # alpha = 5e-324 an alpha-node rounds onto the blow-up at 0.
+        cfg = QuadConfig(abs_tol=10.0 ** -tol_exp, rel_tol=10.0 ** -tol_exp)
+        try:
+            res = reconstruct(_NESTED_ROUTES[route], alpha, cfg)
+        except QuadratureError:
+            return
+        if res.status is QuadStatus.CONVERGED:
+            floor = engine._ALPHA_TOL_FLOOR
+            tol = max(cfg.abs_tol, floor, max(cfg.rel_tol, floor) * abs(res.value))
+            assert res.abs_err_est <= tol
 
 
 class TestScalingIdentity:

@@ -248,29 +248,6 @@ class TestSingular:
         assert counted.near.calls > 0
         assert res.n_evals == counted.calls + counted.near.calls
 
-    def test_weighted_form_is_told_each_swept_node_weight(self):
-        # the weighted form moves no bit; it is called at every swept node,
-        # not at the middle node or the 9 fit rungs, with w = h * weight
-        dom = DomainSpec.singular(0.0, 1.0, at_lower=True)
-        plain = integrate_singular(lambda x: 1.0 / math.sqrt(x), dom)
-        seen = []
-
-        def f(x: float) -> float:
-            return 1.0 / math.sqrt(x)
-
-        def weighted(x: float, w: float) -> float:
-            seen.append((x, w))
-            return f(x)
-
-        f.weighted = weighted
-        res = integrate_singular(f, dom)
-        assert res == plain
-        assert len(seen) == res.n_evals - 1 - 9
-        # level 0 (h = 1) sweeps the upper side first, from t = 1
-        u = math.pi / 2.0 * math.sinh(1.0)
-        w = 0.5 * (math.pi / 2.0) * math.cosh(1.0) / (math.cosh(u) * math.cosh(u))
-        assert seen[0] == (_ts_upper_node(1.0, 0.0, 1.0), w)
-
     def test_fit_stops_where_the_ladder_rounds_onto_the_endpoint(self):
         # rungs d = 2**-28, 2**-32, ...: 1 - d is exact down to 2**-52, and
         # 1 - 2**-56 rounds onto 1, so the ladder stops after 7 samples
@@ -749,18 +726,6 @@ class TestBatchPath:
         with pytest.raises(EvaluationError) as info:
             integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_upper=True))
         assert info.value.abscissa == 1.0 + d1
-        assert math.isnan(info.value.value)
-
-    def test_failing_weighted_form_node_is_named_at_x(self):
-        x1 = _ts_upper_node(1.0, 0.0, 1.0)
-
-        def f(x: float) -> float:
-            return 1.0 / math.sqrt(x)
-
-        f.weighted = lambda x, w: math.nan if x == x1 else f(x)
-        with pytest.raises(EvaluationError) as info:
-            integrate_singular(f, DomainSpec.singular(0.0, 1.0, at_lower=True))
-        assert info.value.abscissa == x1
         assert math.isnan(info.value.value)
 
     def test_foreign_exception_surfaces_unchanged_from_a_sweep(self):
