@@ -336,8 +336,7 @@ def interchange_check(
     lo = eval_direct(P, alpha - h, cfg)
     at = eval_direct(P, alpha, cfg)
     lhs = (hi.value - lo.value) / (2.0 * h)
-    rhs_res = deriv_under_integral(P, alpha, cfg)
-    rhs = rhs_res.value
+    rhs = deriv_under_integral(P, alpha, cfg).value
     discrepancy = abs(lhs - rhs)
 
     curvature = abs(hi.value - 2.0 * at.value + lo.value) / (h * h)
@@ -503,15 +502,16 @@ _ROUTE_EXPONENT = -0.05
 class _NestedRhs:
     """dI/d alpha = deriv_under_integral(P, alpha), and the account of its
     inner quadratures: ``n_evals`` (one that raises reports none) and the
-    worst ``status``.  The node tolerance ``cfg`` is the caller's, floored
-    at _DERIV_TOL_FLOOR.  With ``strict``, a sample that is not converged
-    raises QuadratureError once it is counted.
+    worst ``status``.  Its node tolerance ``cfg`` and its alpha-quadrature's
+    ``alpha_cfg`` are the caller's, floored at _DERIV_TOL_FLOOR and at
+    _ALPHA_TOL_FLOOR; ``alpha_cfg`` allows at most _ALPHA_MAX_SUBDIV panels.
     """
 
-    def __init__(self, P: ParametricIntegral, cfg: QuadConfig, strict=False):
+    def __init__(self, P: ParametricIntegral, cfg: QuadConfig):
         self.P = P
         self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
-        self.strict = strict
+        sub = min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV)
+        self.alpha_cfg = replace(_scaled(cfg, 1.0, _ALPHA_TOL_FLOOR), max_subdivisions=sub)
         self.n_evals = 0
         self.status = QuadStatus.CONVERGED
 
@@ -520,8 +520,6 @@ class _NestedRhs:
         res = deriv_under_integral(self.P, a, cfg or self.cfg)
         self.n_evals += res.n_evals
         self.status = max(self.status, res.status, key=_STATUS_RANK.get)
-        if self.strict and res.status is not QuadStatus.CONVERGED:
-            raise QuadratureError(f"dI/d alpha at alpha={a!r} is {res.status.value}")
         return res
 
     def __call__(self, a: float) -> float:
@@ -587,8 +585,8 @@ def reconstruct(
     parameter quadrature's, plus 2 * (path length) * node tolerance for
     the inner noise.  The status is the worst of the parameter
     quadrature's and of every inner quadrature's, probes included, so an
-    inner failure is never hidden; when all converged, it is converged
-    only if that estimate meets the parameter quadrature's tolerance.
+    inner failure is never hidden.  With either rhs, the result is converged
+    only if its estimate meets the alpha-quadrature's tolerance at its value.
 
     ``n_evals`` counts every evaluation the call causes, the growth
     probes included: closed-form rhs calls, or the summed ``n_evals`` of
@@ -618,10 +616,7 @@ def reconstruct(
         g_cfg = cfg
     else:
         g = _NestedRhs(P, cfg)
-        g_cfg = replace(
-            _scaled(cfg, 1.0, _ALPHA_TOL_FLOOR),
-            max_subdivisions=min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV),
-        )
+        g_cfg = g.alpha_cfg
 
     probe = _Counted(g)  # counts the rhs calls of the growth probes
     anchor_side_lo = a0 <= alpha_target
@@ -642,11 +637,11 @@ def reconstruct(
 
     q = integrate(f, dom, g_cfg)
     value = v0 + (q.value if anchor_side_lo else -q.value)
-    if P.rhs_closed is not None:
-        # one evaluation per call of a closed rhs
-        return QuadResult(value, q.abs_err_est, q.n_evals + probe.n, q.status)
-    est = q.abs_err_est + 2.0 * (hi - lo) * g.cfg.abs_tol  # the inner noise
-    return QuadResult(value, est, g.n_evals, _status(g_cfg, value, est, q.status, g.status))
+    est, n, inner = q.abs_err_est, q.n_evals + probe.n, QuadStatus.CONVERGED  # closed rhs
+    if P.rhs_closed is None:
+        est += 2.0 * (hi - lo) * g.cfg.abs_tol  # the inner noise
+        n, inner = g.n_evals, g.status
+    return QuadResult(value, est, n, _status(g_cfg, value, est, q.status, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +667,15 @@ def _grid_reconstruct(
     samples: their largest estimate, or the rounding of the sum when that
     is larger.  I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with
     estimate sum |W_j| est_j over its sample weights, plus h sum 2 |b_k|/k
-    over that quarter, plus h sum |d_k| times the rounding of each b_k.
+    over that quarter, plus h sum |d_k| times the rounding of each b_k;
+    converged only if that meets reconstruct's alpha-tolerance at I.
 
     None, for reconstruct to take each point alone: when the grid has fewer
     than two points off the anchor (no sample to share), on a singular end,
-    a failed sample, or when the series cannot chop by n = 64 (it has not,
-    and the decay of its b_k from the second to the top quarter, carried
-    on geometrically, does not reach the noise by then).
+    a probe or sample that raises or is not converged, or when the series
+    cannot chop by n = 64 (it has not, and the decay of its b_k from the
+    second to the top quarter, carried on geometrically, does not reach the
+    noise by then).
     """
     pd = P.param_domain
     if P.anchor is None or P.rhs_closed is not None:
@@ -696,7 +693,7 @@ def _grid_reconstruct(
     if not (h < math.inf and tau > 0.0 and lo < xs[-2] and xs[1] < hi):
         return None
     node_cfg = replace(cfg, abs_tol=tau, rel_tol=tau)
-    g = _NestedRhs(P, cfg, strict=True)  # probes run at its node tolerance
+    g = _NestedRhs(P, cfg)  # probes run at its node tolerance
     got: dict[int, QuadResult] = {}  # converged samples, by their index into xs
     try:
         if _singular_end(g, lo, hi, hi - lo) or _singular_end(g, hi, lo, hi - lo):
@@ -706,6 +703,8 @@ def _grid_reconstruct(
             for j in range(step, top, step):
                 if j not in got:
                     got[j] = g.sample(xs[j], node_cfg)
+                    if g.status is not QuadStatus.CONVERGED:  # the probes' too
+                        return None
             samples = [got[j * step] for j in range(1, n)]
             sn = [math.sin(math.pi * m / n) for m in range(2 * n)]  # sin(m th_1)
             b = []
@@ -746,7 +745,7 @@ def _grid_reconstruct(
             w = 2.0 * h / n * sn[j] * math.fsum(terms)
             weighted.append(abs(w) * r.abs_err_est)
         est = math.fsum(weighted) + chop + h * rounding * math.fsum(map(abs, d))
-        out[a] = QuadResult(value, est, g.n_evals, QuadStatus.CONVERGED)
+        out[a] = QuadResult(value, est, g.n_evals, _status(g.alpha_cfg, value, est))
     return out
 
 

@@ -524,8 +524,8 @@ def _tanh_sinh(
     rounds onto the end.  A side of kind ``INFINITE`` is the image of
     x = inf under a compactification: it is fitted where a sweep is first
     cut there, on a ladder that ends at the cut, and a fit that reads
-    divergence charges an infinite allowance and ends the refinement
-    instead of raising.
+    divergence or fails to evaluate charges an infinite allowance and ends
+    the refinement instead of raising.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -617,7 +617,7 @@ def _tanh_sinh(
                     # says nothing about the mass below it.
                     try:
                         fits[upper] = _fit_endpoint(f, end, into, cut * 2.0 ** 40)
-                    except NonIntegrableSingularityError:
+                    except (NonIntegrableSingularityError, EvaluationError):
                         refused = True
         value = h * _fsum(contributions)
         if refused:
@@ -721,9 +721,9 @@ class _Compactified(_Checked):
     def _batch(
         self, fn: Callable[[float], float], ss: Sequence[float]
     ) -> tuple[list[float], None]:
-        # The unchecked pass writes ``raw`` out inline: a Python call per
-        # node would add a tenth to the improper kernel's cost per eval.
-        if fn is not self.raw or self.complement:
+        # The head's ``raw`` inline (a complement tail never batches): a
+        # Python call per node would add a tenth to the improper kernel's cost.
+        if fn is not self.raw:
             return super()._batch(fn, ss)
         f, a = self.fc.raw, self.a
         return [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss], None

@@ -139,6 +139,34 @@ _NESTED_ROUTES = {
 }
 
 
+# The verify grid on one Chebyshev interpolant: I(alpha) = v0 + scale
+# (cos alpha - 1) 2/3, the integral of v0 + scale (cos alpha - 1) sqrt(x) on
+# [0, 1] from the anchor I(0) = v0, with no closed rhs.
+_GRID = (0.5, math.pi / 2.0, 2.0, 3.0)
+
+
+def _grid_family(scale: float, v0: float) -> ParametricIntegral:
+    return ParametricIntegral(
+        integrand=lambda x, a: v0 + scale * (math.cos(a) - 1.0) * math.sqrt(x),
+        param_domain=ParamDomain(0.0, 4.0),
+        domain=DomainSpec.finite(0.0, 1.0),
+        d_alpha=lambda x, a: -scale * math.sin(a) * math.sqrt(x),
+        anchor=Anchor(0.0, v0),
+    )
+
+
+# One family per closed-rhs alpha-route of reconstruct, from I(0) = v0 to
+# alpha = 1: the rhs scale * g and I = v0 + scale * G.  A kink at 0.3 makes
+# Gauss-Kronrod subdivide; alpha**-0.5 at the anchor runs tanh-sinh there.
+_CLOSED_ROUTES = {
+    "gauss_kronrod": (
+        lambda a: 1.0 + abs(a - 0.3) ** 1.5,
+        lambda a: a + (math.copysign(abs(a - 0.3) ** 2.5, a - 0.3) + 0.3 ** 2.5) / 2.5,
+    ),
+    "tanh_sinh_root_end": (lambda a: a ** -0.5, lambda a: 2.0 * math.sqrt(a)),
+}
+
+
 class TestConvergedContract:
     @pytest.mark.parametrize("route", list(_CONTRACT_FAMILIES))
     @given(c=st.floats(0.0, 8.0), tol_exp=st.integers(min_value=4, max_value=12))
@@ -167,6 +195,40 @@ class TestConvergedContract:
             floor = engine._ALPHA_TOL_FLOOR
             tol = max(cfg.abs_tol, floor, max(cfg.rel_tol, floor) * abs(res.value))
             assert res.abs_err_est <= tol
+
+
+    @given(scale_exp=st.floats(-2.0, 8.0), shift=st.floats(0.0, 1.0))
+    @example(scale_exp=5.0, shift=2.0 / 3.0)  # I = 1e5 cos(alpha) 2/3 passes 0 at pi/2
+    def test_converged_grid_estimate_meets_the_alpha_tolerance(self, scale_exp, shift):
+        # every point of the grid, which runs at the alpha-tolerance of
+        # reconstruct with a numeric rhs; a declined grid claims nothing
+        scale = 10.0 ** scale_exp
+        got = engine._grid_reconstruct(_grid_family(scale, shift * scale), _GRID, QuadConfig())
+        floor = engine._ALPHA_TOL_FLOOR
+        for res in (got or {}).values():
+            if res.status is QuadStatus.CONVERGED:
+                assert res.abs_err_est <= max(floor, floor * abs(res.value))
+
+    @pytest.mark.parametrize("route", list(_CLOSED_ROUTES))
+    @given(scale_exp=st.floats(-2.0, 8.0), shift=st.floats(0.0, 2.5))
+    @example(scale_exp=3.0, shift=1.0)  # Gauss-Kronrod: 1183.7 - 1000
+    @example(scale_exp=6.0, shift=2.0)  # tanh-sinh: 2e6 - 2e6
+    def test_converged_closed_rhs_estimate_meets_the_tolerance(self, route, scale_exp, shift):
+        # at the value reconstruct returns, not at the alpha-integral's
+        rhs, primitive = _CLOSED_ROUTES[route]
+        scale = 10.0 ** scale_exp
+        v0 = -shift * scale
+        P = ParametricIntegral(
+            integrand=lambda x, a: v0 + scale * primitive(a),
+            param_domain=ParamDomain(0.0, 2.0),
+            domain=DomainSpec.finite(0.0, 1.0),
+            anchor=Anchor(0.0, v0),
+            rhs_closed=lambda a: scale * rhs(a),
+        )
+        cfg = QuadConfig()
+        res = reconstruct(P, 1.0, cfg)
+        if res.status is QuadStatus.CONVERGED:
+            assert res.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
 class TestScalingIdentity:

@@ -41,6 +41,7 @@ EXP_LORENTZ = 0.6214496242358134           # int_0^inf e^{-x}/(1+x^2) dx
 SIN_LORENTZ = 0.64676112277913012          # int_0^inf sin(x)/(1+x^2) dx
 
 HALF_LINE = DomainSpec.semi_infinite(0.0)
+LOWER_HALF_LINE = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
 FULL_LINE = DomainSpec(
     -math.inf, math.inf, EndpointKind.INFINITE, EndpointKind.INFINITE
 )
@@ -362,6 +363,42 @@ class TestImproper:
         assert res.status is QuadStatus.TAIL_TRUNCATED
         assert res.abs_err_est == math.inf
         assert res.n_evals == 108
+
+    @pytest.mark.parametrize("f, domain, n_evals", [
+        (lambda x: 1.0, HALF_LINE, 137),
+        (lambda x: x, HALF_LINE, 130),
+        (lambda x: math.log(2.0 + x), HALF_LINE, 136),
+        (lambda x: 1.0, LOWER_HALF_LINE, 137),
+        (lambda x: x, LOWER_HALF_LINE, 130),
+        (lambda x: 1.0, FULL_LINE, 274),
+        (lambda x: x, FULL_LINE, 260),
+    ], ids=["one", "x", "log", "lower_one", "lower_x", "full_one", "full_x"])
+    def test_tail_that_does_not_decay_is_truncated(self, f, domain, n_evals):
+        # The rungs of the tail's fit at its first cut overflow f(x)/om**2
+        # next to the infinite end; that refuses the fit, as divergence does.
+        res = integrate_improper(f, domain)
+        assert res.status is QuadStatus.TAIL_TRUNCATED
+        assert res.abs_err_est == math.inf
+        assert res.n_evals == n_evals
+
+    @pytest.mark.xfail(
+        raises=EvaluationError, strict=True,
+        reason="ROADMAP item 3: x*x overflows the tail's level-0 sweep before any "
+               "node is cut, so no fit is made")
+    def test_growing_tail_is_truncated(self):
+        res = integrate_improper(lambda x: x * x, HALF_LINE)
+        assert res.status is QuadStatus.TAIL_TRUNCATED
+        assert res.abs_err_est == math.inf
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 3: (-inf, b] runs as [-b, inf) for f(-u), and a "
+               "failing node is named by u, not by the declared x")
+    def test_lower_half_line_failure_names_the_declared_x(self):
+        # log(2 + x) is undefined below x = -2; the node x = -7.8488 fails
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(lambda x: math.log(2.0 + x), LOWER_HALF_LINE)
+        assert info.value.abscissa == -7.848780902312993
 
     @pytest.mark.parametrize(
         "f, true",
