@@ -290,31 +290,40 @@ class _Checked:
 
 class _Counted(_Checked):
     """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d)
-    with ``offset``: counts calls on ``fc`` (itself by default; the wrapper
-    of f for an offset form) and rejects non-finite values.  A failing call
-    raises at its abscissa: x, or end + d for an offset form.
+    with ``offset``, or its mirror f(-u) with ``mirror``: counts calls on
+    ``fc`` (itself by default; the wrapper of f for an offset form) and
+    rejects non-finite values.  A failing call raises at its abscissa: x,
+    end + d for an offset form, or x = -u for a mirror.
     """
 
-    __slots__ = ("raw", "n", "fc", "offset")
+    __slots__ = ("raw", "n", "fc", "offset", "mirror")
 
     def __init__(
-        self, f: Callable[..., float], fc: Optional[_Counted] = None, offset: bool = False
+        self,
+        f: Callable[..., float],
+        fc: Optional[_Counted] = None,
+        offset: bool = False,
+        mirror: bool = False,
     ):
         self.raw = f
         self.n = 0
         self.fc = fc or self
         self.offset = offset
+        self.mirror = mirror
 
     def __call__(self, *args: float) -> float:
         self.fc.n += 1
-        x = args[0] + args[1] if self.offset else args[0]
         try:
             v = self.raw(*args)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(x, math.inf) from exc
+            raise EvaluationError(self._at(args), math.inf) from exc
         if not math.isfinite(v):
-            raise EvaluationError(x, v)
+            raise EvaluationError(self._at(args), v)
         return v
+
+    def _at(self, args: tuple[float, ...]) -> float:
+        x = args[0] + args[1] if self.offset else args[0]
+        return -x if self.mirror else x
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +371,26 @@ def _gk_panel(f: _Counted | _Compactified, a: float, b: float) -> tuple[float, f
 
 
 def _adaptive_gk(
-    f: _Counted | _Compactified, a: float, b: float, cfg: QuadConfig
+    f: _Counted | _Compactified, a: float, b: float, cfg: QuadConfig, whole: bool = False
 ) -> tuple[float, float, QuadStatus]:
-    """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b]."""
+    """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b], seeded
+    with its two halves.  With ``whole``, one panel over [a, b] runs first
+    and is the result if it meets the tolerance; a miss costs its 15
+    evaluations, and the bisection then runs as without ``whole``."""
     mid = 0.5 * (a + b)
-    if not (a < mid < b):
+    if whole or not (a < mid < b):
         v, e, _ = _gk_panel(f, a, b)
-        return v, e, _status(cfg, v, e)
+        status = _status(cfg, v, e)
+        if status is QuadStatus.CONVERGED or not (a < mid < b):
+            return v, e, status
 
-    seq = 0
-    heap = []  # (-err, seq, a, b, value, err, may split)
+    (v1, e1, split1), (v2, e2, split2) = _gk_panel(f, a, mid), _gk_panel(f, mid, b)
+    # (-err, seq, a, b, value, err, may split)
+    heap = [(-e1, 0, a, mid, v1, e1, split1), (-e2, 1, mid, b, v2, e2, split2)]
+    heapq.heapify(heap)
     frozen = []  # panels that may not, or are too narrow to, split further
-    total_v = 0.0
-    total_e = 0.0
-    n_panels = 0
-    for lo, hi in ((a, mid), (mid, b)):
-        v, e, split = _gk_panel(f, lo, hi)
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e, split))
-        seq += 1
-        total_v += v
-        total_e += e
-        n_panels += 1
+    seq = n_panels = 2
+    total_v, total_e = v1 + v2, e1 + e2
 
     status = QuadStatus.CONVERGED
     while total_e > _tol_for(cfg, total_v):
@@ -397,9 +405,8 @@ def _adaptive_gk(
         v1, e1, split1 = _gk_panel(f, lo, m)
         v2, e2, split2 = _gk_panel(f, m, hi)
         heapq.heappush(heap, (-e1, seq, lo, m, v1, e1, split1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, m, hi, v2, e2, split2))
-        seq += 1
+        heapq.heappush(heap, (-e2, seq + 1, m, hi, v2, e2, split2))
+        seq += 2
         total_v += v1 + v2 - v
         total_e += e1 + e2 - e
         n_panels += 1
@@ -525,7 +532,8 @@ def _tanh_sinh(
     x = inf under a compactification: it is fitted where a sweep is first
     cut there, on a ladder that ends at the cut, and a fit that reads
     divergence or fails to evaluate charges an infinite allowance and ends
-    the refinement instead of raising.
+    the refinement instead of raising; so does a sweep there whose
+    Jacobian-weighted value overflows where f itself is finite.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -607,11 +615,16 @@ def _tanh_sinh(
         tiny = 1e-18 * (1.0 + abs(prev_value))
         table = _ts_level(m)
         for upper in (1, 0):
-            terms, cut = swept.run(sweep, upper)
+            end, into, kind, _ = sides[upper]
+            try:
+                terms, cut = swept.run(sweep, upper)
+            except EvaluationError:  # refused as a divergent fit is, if only f/om**2 failed
+                if kind is not EndpointKind.INFINITE or not swept.overflowed:
+                    raise
+                terms, cut, refused = [], 0.0, True
             contributions += terms
             if cut > cut_delta[upper]:
                 cut_delta[upper] = cut
-                end, into, kind, _ = sides[upper]
                 if kind is EndpointKind.INFINITE:
                     # The ladder ends at the cut: growth far from the cut
                     # says nothing about the mass below it.
@@ -687,17 +700,18 @@ class _Compactified(_Checked):
     the infinite end s = 1, so a node next to that end never rounds onto
     it: x = a + (1 - om)/om.  Evaluations are counted on ``fc``.  A failing
     node raises as two nested checks would: at x when f itself fails, at s
-    when only the Jacobian-weighted value does.  A checked batch needs one
-    finiteness test for both, because a non-finite f stays non-finite after
-    the division.
+    when only the Jacobian-weighted value does, which also sets
+    ``overflowed``.  A checked batch needs one finiteness test for both,
+    because a non-finite f stays non-finite after the division.
     """
 
-    __slots__ = ("fc", "a", "complement", "raw")
+    __slots__ = ("fc", "a", "complement", "raw", "overflowed")
 
     def __init__(self, fc: _Counted, a: float, complement: bool = False):
         self.fc = fc
         self.a = a
         self.complement = complement
+        self.overflowed = False
         f = fc.raw
 
         if complement:
@@ -715,6 +729,7 @@ class _Compactified(_Checked):
         s, om = (1.0 - t, t) if self.complement else (t, 1.0 - t)
         v = self.fc(self.a + s / om) / (om * om)
         if not math.isfinite(v):
+            self.overflowed = True
             raise EvaluationError(s, v)
         return v
 
@@ -766,8 +781,9 @@ def integrate_improper(
     infinite end.  Where its nodes pass the floor next to that end, the mass
     beyond is bounded by a fitted decay exponent and folded into
     ``abs_err_est``; a tail that decays like 1/x or slower gets an infinite
-    estimate and ``tail_truncated``.  (-inf, b] is [-b, inf) for f(-u), and
-    (-inf, inf) is the sum of the half-lines from 0 for f(x) and for f(-u).
+    estimate and ``tail_truncated``, as does one that overflows f/(1 - s)**2.
+    (-inf, b] is [-b, inf) for f(-u), and (-inf, inf) is the sum of the
+    half-lines from 0 for f(x) and for f(-u); f failing names x = -u.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:
@@ -779,7 +795,7 @@ def integrate_improper(
 
     if not lo_inf:
         return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
-    mirrored = _Counted(lambda u: f(-u))
+    mirrored = _Counted(lambda u: f(-u), mirror=True)
     if not hi_inf:
         return _improper_semi(mirrored, -domain.upper, domain.upper_kind, cfg)
     right = _improper_semi(_Counted(f), 0.0, EndpointKind.REGULAR, cfg)
@@ -797,6 +813,8 @@ def integrate_improper(
 _OSC_MIN_TERMS = 6
 _OSC_MAX_TERMS = 60
 _OSC_WARMUP = 4
+# Each segment's share of the tolerance: all _OSC_MAX_TERMS + 1 fit in a quarter.
+_OSC_SEG_SHARE = 0.25 / (_OSC_MAX_TERMS + 1)
 
 
 class _Epsilon:
@@ -838,9 +856,16 @@ def integrate_oscillatory_improper(
 
     Partial integrals between consecutive phase zeros are accelerated
     with Wynn's epsilon algorithm; ``abs_err_est`` tracks the last
-    extrapolation increment.  If the inter-zero terms stop alternating
-    after warm-up the kernel falls back to :func:`integrate_improper`
-    and flags the result ``tail_truncated``.
+    extrapolation increment plus every segment's estimate.  If the
+    inter-zero terms stop alternating after warm-up the kernel falls back
+    to :func:`integrate_improper` and flags the result ``tail_truncated``.
+
+    The head [a, first zero] and each inter-zero segment start from one
+    Gauss-Kronrod panel over the whole segment, since it holds no sign
+    change, and bisect only if that panel misses.  A one-panel |K - G| is a
+    much larger estimate than the sum over two halves, so each segment gets
+    _OSC_SEG_SHARE of the tolerance (floored at 1e-15): at that share, the
+    estimates of all _OSC_MAX_TERMS + 1 segments fit in a quarter of it.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is None:
@@ -857,32 +882,22 @@ def integrate_oscillatory_improper(
             raise ValueError("phase_zero_rule produced no zeros beyond the lower endpoint")
 
     fc = _Counted(f)
-    seg_cfg = _scaled(cfg, 0.02, 1e-15)
-    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg)
+    seg_cfg = _scaled(cfg, _OSC_SEG_SHARE, 1e-15)
+    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg, whole=True)
     table = _Epsilon()
     seg_errs: list[float] = [head_err]
-    terms: list[float] = []
-    running = head
+    running = prev = best = head
     best_prev = None
-    best = head
     increment = math.inf
 
     for j in range(_OSC_MAX_TERMS):
-        lo = zero(k0 + j)
-        hi = zero(k0 + j + 1)
-        s, e, _ = _adaptive_gk(fc, lo, hi, seg_cfg)
-        terms.append(s)
+        s, e, _ = _adaptive_gk(fc, zero(k0 + j), zero(k0 + j + 1), seg_cfg, whole=True)
         seg_errs.append(e)
         running += s
 
         if j >= _OSC_WARMUP:
-            prev_term = terms[j - 1]
-            noise = 10.0 * (seg_errs[j] + seg_errs[j + 1])
-            if (
-                abs(s) > noise
-                and abs(prev_term) > noise
-                and math.copysign(1.0, s) == math.copysign(1.0, prev_term)
-            ):
+            noise = 10.0 * (seg_errs[j] + e)
+            if min(abs(s), abs(prev)) > noise and math.copysign(1.0, s) == math.copysign(1.0, prev):
                 res = integrate_improper(f, DomainSpec.semi_infinite(a), cfg)
                 return QuadResult(
                     res.value,
@@ -890,6 +905,7 @@ def integrate_oscillatory_improper(
                     fc.n + res.n_evals,
                     QuadStatus.TAIL_TRUNCATED,
                 )
+        prev = s
 
         corner = table.push(running)
         if j >= 1:

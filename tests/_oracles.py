@@ -96,6 +96,31 @@ def ex3_alpha_truths() -> dict:
     }
 
 
+def oscillatory_truths() -> dict:
+    """True values of the golden records routed through the oscillatory
+    kernel that no other table holds, by mpmath: the three converging
+    ``oscillatory.*`` records (``sin_lorentz`` is
+    (Ei(1)/e - e Ei(-1))/2), ex3_alpha's I at its anchor a = 1 and its
+    dI/da = sqrt(pi/2) (a/r - 1) / (2 sqrt(r - a)), r = sqrt(a^2 + 1), at
+    every grid point."""
+    import mpmath as mp
+
+    out = {
+        "oscillatory.sinc": mp_formula(lambda: mp.pi / 2),
+        "oscillatory.sin_lorentz": mp_formula(
+            lambda: (mp.ei(1) / mp.e - mp.e * mp.ei(-1)) / 2),
+        "oscillatory.square_phase": mp_formula(lambda: mp.sqrt(mp.pi / 2)),
+        "ex3_alpha@1.0.direct": mp_formula(lambda: mp.sqrt(mp.pi / 2) * mp.sqrt(mp.sqrt(2) - 1)),
+    }
+    for a in (0.0, 0.5, 1.0, 2.0):
+        def deriv(a=mp.mpf(a)):
+            r = mp.sqrt(a * a + 1)
+            return mp.sqrt(mp.pi / 2) * (a / r - 1) / (2 * mp.sqrt(r - a))
+
+        out[f"ex3_alpha@{a!r}.deriv"] = mp_formula(deriv)
+    return out
+
+
 def item3_truths() -> dict:
     """True values at the three catalog calls that ROADMAP item 3 lists as
     dishonest or refused, by mpmath: ex1's I = pi sqrt(a) at a = 1e308 and
@@ -125,6 +150,19 @@ EX3_ALPHA_TRUTHS = {
     0.0: 1.2533141373155003,
     0.5: 0.9852946358134369,
     2.0: 0.6089455738656534,
+}
+
+
+# oscillatory_truths(), frozen
+OSCILLATORY_TRUTHS = {
+    'oscillatory.sinc': 1.5707963267948966,
+    'oscillatory.sin_lorentz': 0.6467611227791301,
+    'oscillatory.square_phase': 1.2533141373155003,
+    'ex3_alpha@1.0.direct': 0.8066257758615741,
+    'ex3_alpha@0.0.deriv': -0.6266570686577502,
+    'ex3_alpha@0.5.deriv': -0.44063715670894876,
+    'ex3_alpha@1.0.deriv': -0.28518527799578963,
+    'ex3_alpha@2.0.deriv': -0.13616436977612204,
 }
 
 

@@ -53,17 +53,17 @@ FROZEN = {
     'verify ex2 --format csv': (0, '8fdbff8f95f6e014846c4d5a97a33483f25eb0e55f069169719a440aa83e4218'),
     'verify ex3_beta --format json': (0, 'e968fdec4f182364c863198bfab57602fc6aa3e10cdefdd288557a18b9d2abeb'),
     'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
-    'verify ex3_alpha --format json': (0, '226aa2caba26b59c624b167891ff7316fb4d94490392c83095073a049aad500a'),
-    'verify ex3_alpha --format csv': (0, '7c2832b0fdb715099017866bd91f33779a02e93be3179e47036e81fd457bf10e'),
+    'verify ex3_alpha --format json': (0, 'fb8b64bf65b1c94b7b379583cb6d2a5622073a42cc9f382597b37b9036cc579b'),
+    'verify ex3_alpha --format csv': (0, '8462538522596b7389ee9946f631366a08b54eed4b5c16340fc8a53a7f7fd79a'),
     'verify ex4 --format json': (0, '579a3172936fdba4d623c18af32a824e583fbfe8b28a21ef2dd1623793421651'),
     'verify ex4 --format csv': (0, '5cb2f4ed2c0f5e2c740a8c86e85476ebd34a5ec6271489c63a4b7183d4bf3c05'),
-    'verify all --format json': (0, '9b3c3d0f3ab957d3e13a1f7630eda089e7700abbcbe652d380c0d4584755f97a'),
+    'verify all --format json': (0, 'a7b46ce1eef3dc2cd3776819927beab5c3041e228b7023e2adf9cd3c18b47238'),
     'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
     'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
     'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),
-    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '4d5acac7967a8f8f638ee7b2c4d836cac6b99821df8cafc102f81f0e4fa20075'),
+    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, 'df8551554ef100cc2030cc4144caeef414d8f50f09146d5afe1ec42d449b1d1d'),
 }
 
 

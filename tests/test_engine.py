@@ -868,13 +868,14 @@ class TestNestedReconstruction:
     def test_stripped_catalog_cost(self):
         # every inner evaluation of the 17 stripped reconstructions off the
         # anchors (161,989 when the singular ends ran tanh-sinh in alpha,
-        # with ex4 at 1 refused; 101,148 on the s-route)
+        # with ex4 at 1 refused; 101,148 on the s-route; 93,558 once each
+        # inter-zero segment of the oscillatory kernel starts from one panel)
         total = 0
         for entry_id, alpha in _ANCHORED_GRID:
             P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
             if alpha != P.anchor.alpha0:
                 total += reconstruct(P, alpha).n_evals
-        assert total <= 105_000
+        assert total <= 95_000
 
     @pytest.mark.parametrize("alpha", sorted(_EX1_STRIPPED_BITS))
     def test_stripped_ex1_cost_and_bits(self, alpha):
@@ -954,6 +955,37 @@ _EX3_ALPHA_GRID_BITS = {
     0.5: "0x1.f87889db7c666p-1",
     2.0: "0x1.37c7b6d998078p-1",
 }
+
+
+class TestOscillatoryRoute:
+    """ex3_alpha runs through the oscillatory kernel, whose head and
+    inter-zero segments each start from one Gauss-Kronrod panel, at a share
+    of the tolerance that all of them fit in together."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1.25e-11], ids=["node", "default", "sample"])
+    @pytest.mark.parametrize("alpha", [0.0, 2**-16, 2**-12, 2**-8, 0.01, 0.5, 1.0, 2.0])
+    def test_direct_and_deriv_converge(self, alpha, tol):
+        # the node tolerance of a numeric rhs, the default, and the grid's
+        # sample tolerance on the hull [0, 2]; a one-panel segment at the
+        # two-panel share (0.02) left dI/d alpha at 2**-8 and at 0.01 at
+        # max_depth
+        P = catalog.get("ex3_alpha").parametric
+        cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
+        assert eval_direct(P, alpha, cfg).status is QuadStatus.CONVERGED
+        assert deriv_under_integral(P, alpha, cfg).status is QuadStatus.CONVERGED
+
+    def test_stripped_reconstruct_converges(self):
+        P = dataclasses.replace(catalog.get("ex3_alpha").parametric, rhs_closed=None)
+        assert reconstruct(P, 0.0).status is QuadStatus.CONVERGED
+
+    def test_grid_cost(self):
+        # every evaluation behind ex3_alpha's grid interpolant (12,660 when
+        # each segment started from two panels)
+        entry = catalog.get("ex3_alpha")
+        grid = list(entry.verification_grid)
+        got = engine._grid_reconstruct(entry.parametric, grid, QuadConfig())
+        assert got is not None
+        assert max(r.n_evals for r in got.values()) <= 10_600
 
 
 class TestVerify:

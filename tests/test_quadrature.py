@@ -381,24 +381,38 @@ class TestImproper:
         assert res.abs_err_est == math.inf
         assert res.n_evals == n_evals
 
-    @pytest.mark.xfail(
-        raises=EvaluationError, strict=True,
-        reason="ROADMAP item 3: x*x overflows the tail's level-0 sweep before any "
-               "node is cut, so no fit is made")
-    def test_growing_tail_is_truncated(self):
-        res = integrate_improper(lambda x: x * x, HALF_LINE)
+    @pytest.mark.parametrize("f, domain", [
+        (lambda x: x * x, HALF_LINE),
+        (lambda x: 1e305, HALF_LINE),
+        (lambda x: 1e305, DomainSpec.semi_infinite(0.0, singular_lower=True)),
+    ], ids=["x_squared", "big_constant", "big_constant_singular_lower"])
+    def test_growing_tail_is_truncated(self, f, domain):
+        # f is finite, and f(x)/(1 - s)**2 overflows on the tail's infinite
+        # side before any node there is cut
+        res = integrate_improper(f, domain)
         assert res.status is QuadStatus.TAIL_TRUNCATED
         assert res.abs_err_est == math.inf
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="ROADMAP item 3: (-inf, b] runs as [-b, inf) for f(-u), and a "
-               "failing node is named by u, not by the declared x")
     def test_lower_half_line_failure_names_the_declared_x(self):
         # log(2 + x) is undefined below x = -2; the node x = -7.8488 fails
         with pytest.raises(EvaluationError) as info:
             integrate_improper(lambda x: math.log(2.0 + x), LOWER_HALF_LINE)
         assert info.value.abscissa == -7.848780902312993
+
+    def test_tail_failure_of_f_itself_still_raises(self):
+        # on the tail's infinite side, only an overflow of f(x)/(1 - s)**2
+        # is a truncation
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(lambda x: math.nan if x > 1e3 else 1.0, HALF_LINE)
+        assert info.value.abscissa > 1e3
+        assert math.isnan(info.value.value)
+
+    def test_full_line_left_half_failure_names_the_declared_x(self):
+        # the right half of log(2 + x) does not decay and is truncated; the
+        # left half runs f(-u) and fails below x = -2
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(lambda x: math.log(2.0 + x), FULL_LINE)
+        assert info.value.abscissa < -2.0
 
     @pytest.mark.parametrize(
         "f, true",
@@ -715,9 +729,10 @@ class TestBatchPath:
             integrate_finite(lambda x: 1e308, DomainSpec.finite(0.0, 8.0))
 
     def test_overflow_of_the_compactified_value_names_s(self):
-        # f is finite everywhere, f / (1 - s)**2 is not near s = 1
+        # f is finite everywhere, f / (1 - s)**2 is not in the head, next to
+        # s = 8/9 (an overflow on the tail's infinite side is a truncation)
         with pytest.raises(EvaluationError) as info:
-            integrate_improper(lambda x: 1e305, HALF_LINE)
+            integrate_improper(lambda x: 1e307, HALF_LINE)
         assert 0.5 < info.value.abscissa < 1.0
         assert info.value.value == math.inf
 
@@ -812,10 +827,11 @@ class TestBatchPath:
         assert math.isnan(info.value.value)
 
     def test_singular_lower_improper_overflow_names_s(self):
-        # f is finite everywhere, f / (1 - s)**2 is not near s = 1
+        # f is finite everywhere, f / (1 - s)**2 is not in the head, next to
+        # s = 8/9
         with pytest.raises(EvaluationError) as info:
             integrate_improper(
-                lambda x: 1e305, DomainSpec.semi_infinite(0.0, singular_lower=True)
+                lambda x: 1e307, DomainSpec.semi_infinite(0.0, singular_lower=True)
             )
         assert 0.5 < info.value.abscissa < 1.0
         assert info.value.value == math.inf
