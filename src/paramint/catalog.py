@@ -255,10 +255,13 @@ _EX3_ALPHA_DOMAIN = DomainSpec.oscillatory(0.0, _sine_square_zero)
 #
 # 1 + a sin t is computed as (1-a) + 2 a s^2 with s = sin(t/2 + pi/4):
 # both terms non-negative, so the log argument is exact even where
-# a -> 1 drives it toward zero at t = -pi/2.
+# a -> 1 drives it toward zero at t = -pi/2.  Below a = 0.25 (where the mean
+# errors cross) it is log1p(a sin t): log rounds to ~eps while I ~ -pi a^2/4.
 # ---------------------------------------------------------------------------
 
 def _f_ex4(x: float, a: float) -> float:
+    if a < 0.25:
+        return math.log1p(a * math.sin(x))
     s = math.sin(0.5 * x + _QUARTER_PI)
     return math.log((1.0 - a) + 2.0 * a * s * s)
 

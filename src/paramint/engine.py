@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -497,6 +498,8 @@ _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
 # fits a growth exponent at or below this.  The fit uses 3 rungs: deeper
 # rungs of a numeric rhs read inner-quadrature noise as growth.
 _ROUTE_EXPONENT = -0.05
+# Chebyshev levels of the interpolant of a numeric rhs, nested: a doubling reuses every sample
+_CHEB_LEVELS = (8, 16, 32, 64)
 
 
 class _NestedRhs:
@@ -526,25 +529,28 @@ class _NestedRhs:
         return self.sample(a).value
 
 
-def _singular_end(
-    g: Callable[[float], float], end: float, into: float, length: float
-) -> Optional[tuple[float, list[tuple[float, float]]]]:
-    """How an end of a parameter path of this length is routed: None for the
-    regular kernel, else the 3-rung fit of the rhs g there, (p, its samples
-    (d, g(end +- d))), whose exponent p is <= _ROUTE_EXPONENT, or (nan, [])
-    when it meets a failing sample or a non-integrable fit."""
-    samples = []
+def _probed(g: Callable[[float], float], lo: float, hi: float) -> tuple:
+    """(the counted rhs g the growth probes call, the fit at lo, at hi): a
+    fit is None for the regular kernel, else the 3-rung fit of g at that
+    end, (p, its samples (d, g(end +- d))) with p <= _ROUTE_EXPONENT, or
+    (nan, []) when it meets a failing sample or a non-integrable fit."""
+    probe = _Counted(g)
 
-    def sampled(x: float) -> float:
-        v = g(x)
-        samples.append((abs(x - end), v))
-        return v
+    def fit(end: float, into: float) -> Optional[tuple[float, list[tuple[float, float]]]]:
+        samples = []
 
-    try:
-        p, _ = _fit_endpoint(sampled, end, into, length, rungs=3)
-    except QuadratureError:
-        return math.nan, []
-    return (p, samples) if p <= _ROUTE_EXPONENT else None
+        def sampled(x: float) -> float:
+            v = probe(x)
+            samples.append((abs(x - end), v))
+            return v
+
+        try:
+            p, _ = _fit_endpoint(sampled, end, into, hi - lo, rungs=3)
+        except QuadratureError:
+            return math.nan, []
+        return (p, samples) if p <= _ROUTE_EXPONENT else None
+
+    return probe, fit(lo, hi), fit(hi, lo)
 
 
 def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> bool:
@@ -561,193 +567,186 @@ def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> 
     return max(step1, step2) <= _tol_for(cfg, h0) or step1 >= 3.0 * step2
 
 
-def reconstruct(
-    P: ParametricIntegral, alpha_target: float, cfg: QuadConfig | None = None
-) -> QuadResult:
-    """value0 + int_{alpha0}^{alpha_target} dI/d alpha, as plain quadrature.
-
-    The right-hand side is the closed form when the entry carries one,
-    otherwise deriv_under_integral evaluated pointwise (with slightly
-    relaxed tolerances so its noise floor stays below the parameter
-    integral's).  Each end of the parameter path, the anchor included, is
-    routed by a 3-rung endpoint fit of the rhs alone: an end whose fit
-    reads an exponent <= -0.05 or meets a failing sample is an integrable
-    blow-up, and switches the parameter integral to the singular kernel.
-
-    The s-route: a numeric rhs whose one such end is a square-root end
-    (_root_end, read off the probe samples) runs Gauss-Kronrod on
-    2 s g(end +- s*s), smooth in s, over [0, sqrt(path length)], so that no
-    costly inner quadrature runs next to the end.  A closed rhs keeps
-    tanh-sinh: a node at alpha = 1e-30 costs it one call, not ~800.
-
-    With a numeric rhs, every inner quadrature (alpha-nodes and growth
-    probes alike) runs at the node tolerance.  The estimate is the
-    parameter quadrature's, plus 2 * (path length) * node tolerance for
-    the inner noise.  The status is the worst of the parameter
-    quadrature's and of every inner quadrature's, probes included, so an
-    inner failure is never hidden.  With either rhs, the result is converged
-    only if its estimate meets the alpha-quadrature's tolerance at its value.
-
-    ``n_evals`` counts every evaluation the call causes, the growth
-    probes included: closed-form rhs calls, or the summed ``n_evals`` of
-    the inner quadratures behind a numeric rhs (an inner quadrature that
-    raises inside a probe reports no count, so its evaluations are left
-    out).
-    """
-    cfg = cfg or _DEFAULT_CFG
-    if P.anchor is None:
-        raise MissingAnchorError(
-            "entry has no anchor value; reconstruction needs a known I(alpha0)"
-        )
-    # the anchor lies in the closure, so the path does iff its target does
-    P.param_domain.require(alpha_target, closure=True)
-    a0, v0 = P.anchor.alpha0, P.anchor.value0
-    lo, hi = (a0, alpha_target) if a0 <= alpha_target else (alpha_target, a0)
-    if alpha_target == a0:
-        return QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
-
-    if P.rhs_closed is not None:
-        g = P.rhs_closed
-        if P.rhs_near is not None:
-            # a copy of the closed rhs that carries its offset form as
-            # ``near``, the kernels' contract
-            g = functools.partial(g)
-            g.near = P.rhs_near
-        g_cfg = cfg
-    else:
-        g = _NestedRhs(P, cfg)
-        g_cfg = g.alpha_cfg
-
-    probe = _Counted(g)  # counts the rhs calls of the growth probes
-    anchor_side_lo = a0 <= alpha_target
-    fit_lo = _singular_end(probe, lo, hi, hi - lo)
-    fit_hi = _singular_end(probe, hi, lo, hi - lo)
-    f, dom = g, DomainSpec.finite(lo, hi)
-    if (
-        P.rhs_closed is None
-        and (fit_lo is None) != (fit_hi is None)
-        and _root_end(fit_lo or fit_hi, g.cfg)
-    ):
-        # alpha = end +- s*s: h(s) = 2 s g(alpha) is smooth at s = 0
-        end, sign = (lo, 1.0) if fit_lo else (hi, -1.0)
-        f = lambda s: 2.0 * s * g(end + sign * s * s)  # noqa: E731
-        dom = DomainSpec.finite(0.0, math.sqrt(hi - lo))
-    elif fit_lo or fit_hi:
-        dom = DomainSpec.singular(lo, hi, at_lower=bool(fit_lo), at_upper=bool(fit_hi))
-
-    q = integrate(f, dom, g_cfg)
-    value = v0 + (q.value if anchor_side_lo else -q.value)
-    est, n, inner = q.abs_err_est, q.n_evals + probe.n, QuadStatus.CONVERGED  # closed rhs
-    if P.rhs_closed is None:
-        est += 2.0 * (hi - lo) * g.cfg.abs_tol  # the inner noise
-        n, inner = g.n_evals, g.status
-    return QuadResult(value, est, n, _status(g_cfg, value, est, q.status, inner))
-
-
-# ---------------------------------------------------------------------------
-# grid verification
-# ---------------------------------------------------------------------------
-
-# Chebyshev levels of verify's grid interpolant, nested: a doubling reuses every sample
-_CHEB_LEVELS = (8, 16, 32, 64)
-
-
-def _grid_reconstruct(
-    P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
+def _chebyshev(
+    g: _NestedRhs, lo: float, hi: float, alphas: Sequence[float], root: Optional[tuple] = None
 ) -> Optional[dict[float, QuadResult]]:
-    """reconstruct at every grid alpha from one interpolant of a numeric rhs.
+    """I at each of ``alphas`` from one Chebyshev interpolant of dI/du on the
+    hull [lo, hi] of the anchor and the points, or None when it declines.
 
-    Both ends of the hull [lo, hi] of the anchor and the grid are routed
-    once, as reconstruct routes its path's ends (at its node tolerance: the
-    fit reads an exponent, and a tight tolerance only makes it dear).
-    g = dI/d alpha, at abs_tol = rel_tol = cfg.abs_tol / (4 (hi - lo)), is
-    sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end, where the
-    interchange may fail), n doubling from 8 until the top quarter of the
-    b_k in p(cos th) sin th = sum b_k sin k th is within the noise of the
-    samples: their largest estimate, or the rounding of the sum when that
-    is larger.  I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with
-    estimate sum |W_j| est_j over its sample weights, plus h sum 2 |b_k|/k
-    over that quarter, plus h sum |d_k| times the rounding of each b_k;
-    converged only if that meets reconstruct's alpha-tolerance at I.
-
-    None, for reconstruct to take each point alone: when the grid has fewer
-    than two points off the anchor (no sample to share), on a singular end,
-    a probe or sample that raises or is not converged, or when the series
-    cannot chop by n = 64 (it has not, and the decay of its b_k from the
-    second to the top quarter, carried on geometrically, does not reach the
-    noise by then).
+    u is alpha, or with ``root`` = (end, sign) s in [0, sqrt(hi - lo)] for
+    alpha = end + sign s*s, where dI/ds = 2 sign s g(alpha) is smooth at a
+    square-root end.  dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1
+    (not at an end, where the interchange may fail), g at the node
+    tolerance times 0.25/(hi - lo), n doubling from 8 until the top quarter
+    of the b_k in p(cos th) sin th = sum b_k sin k th is within the noise of
+    the samples: their largest estimate, or the rounding of the sum when
+    that is larger.  I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k,
+    with estimate sum |W_j| est_j over its sample weights, plus
+    h sum 2 |b_k|/k over that quarter, plus h sum |d_k| times the rounding
+    of each b_k; converged only if that meets the alpha-tolerance at I.
+    n_evals counts every evaluation of g so far.  It declines on a sample
+    that raises or is not converged, and when the series cannot chop by
+    n = 64 (it has not, and the decay of its b_k from the second to the top
+    quarter, carried on geometrically, does not reach the noise by then).
     """
-    pd = P.param_domain
-    if P.anchor is None or P.rhs_closed is not None:
-        return None
-    if not all(pd.closure_contains(a) for a in alphas):
-        return None
-    a0, v0 = P.anchor.alpha0, P.anchor.value0
-    if len(set(alphas) - {a0}) < 2:
-        return None
-    lo, hi = min(a0, *alphas), max(a0, *alphas)
-    h = 0.5 * (hi - lo)
+    a0, v0 = g.P.anchor.alpha0, g.P.anchor.value0
+    end, sign = root or (0.0, 1.0)
+    u_lo, h = (0.0, 0.5 * math.sqrt(hi - lo)) if root else (lo, 0.5 * (hi - lo))
     top = _CHEB_LEVELS[-1]
-    xs = [lo + h + h * math.cos(math.pi * j / top) for j in range(top + 1)]
-    tau = 0.25 * cfg.abs_tol / (hi - lo)
-    if not (h < math.inf and tau > 0.0 and lo < xs[-2] and xs[1] < hi):
+    us = [u_lo + h + h * math.cos(math.pi * j / top) for j in range(top + 1)]
+    nodes = [end + sign * u * u if root else u for u in us]  # alpha at each u
+    if not (h < math.inf and lo < min(nodes[1:-1]) and max(nodes[1:-1]) < hi):
         return None
-    node_cfg = replace(cfg, abs_tol=tau, rel_tol=tau)
-    g = _NestedRhs(P, cfg)  # probes run at its node tolerance
-    got: dict[int, QuadResult] = {}  # converged samples, by their index into xs
+    got: dict[int, tuple[float, float]] = {}  # (dI/du, its estimate) by index into us
     try:
-        if _singular_end(g, lo, hi, hi - lo) or _singular_end(g, hi, lo, hi - lo):
-            return None
+        node_cfg = _scaled(g.cfg, 0.25 / (hi - lo))
         for n in _CHEB_LEVELS:
             step = top // n
             for j in range(step, top, step):
                 if j not in got:
-                    got[j] = g.sample(xs[j], node_cfg)
-                    if g.status is not QuadStatus.CONVERGED:  # the probes' too
+                    r = g.sample(nodes[j], node_cfg)
+                    if r.status is not QuadStatus.CONVERGED:
                         return None
+                    du = 2.0 * sign * us[j] if root else 1.0  # d alpha / du
+                    got[j] = (du * r.value, abs(du) * r.abs_err_est)
             samples = [got[j * step] for j in range(1, n)]
             sn = [math.sin(math.pi * m / n) for m in range(2 * n)]  # sin(m th_1)
-            b = []
-            for k in range(1, n):
-                terms = (r.value * sn[j] * sn[j * k % (2 * n)] for j, r in enumerate(samples, 1))
-                b.append(2.0 / n * math.fsum(terms))
-            rounding = n * _EPS * max(abs(r.value) for r in samples)  # of each b_k
-            noise = max(max(r.abs_err_est for r in samples), rounding)
+            ext = sn * (n // 2 + 1)  # sin(m th_1) up to m = n*n: sn has period 2n
+            rows = [ext[k:k * n:k] for k in range(1, n)]  # sin(j k th_1), symmetric in j, k
+            vs = [v * sn[j] for j, (v, _) in enumerate(samples, 1)]
+            b = [2.0 / n * math.fsum(map(operator.mul, vs, row)) for row in rows]
+            rounding = n * _EPS * max(abs(v) for v, _ in samples)  # of each b_k
+            noise = max(max(e for _, e in samples), rounding)
             quarter = range(n - n // 4, n)
             top_b = max(abs(b[k - 1]) for k in quarter)
             if top_b <= noise:
                 break
             second_b = max(abs(b[k - 1]) for k in range(n // 4, n // 2))
-            if second_b <= top_b:
-                return None
             # n/2 indices from the second quarter to the top one; 3 (top - n)/4
             # more to the top quarter at n = top
-            if top_b * (top_b / second_b) ** (1.5 * (top - n) / n) > noise:
+            if second_b <= top_b or top_b * (top_b / second_b) ** (1.5 * (top - n) / n) > noise:
                 return None
     except (QuadratureError, ValueError):
         return None
 
     def theta(a: float) -> float:
         # t = cos th on [-1, 1], so that T_k(t) = cos k th
-        return math.acos(max(-1.0, min(1.0, (a - lo - h) / h)))
+        u = math.sqrt(abs(a - end)) if root else a
+        return math.acos(max(-1.0, min(1.0, (u - u_lo - h) / h)))
 
     th0 = theta(a0)
     chop = h * math.fsum(2.0 * abs(b[k - 1]) / k for k in quarter)
-    out = {a0: QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)}
-    for a in set(alphas) - {a0}:
+    out = {}
+    for a in alphas:
         th = theta(a)
         d = [(math.cos(k * th) - math.cos(k * th0)) / k for k in range(1, n)]
-        value = v0 + h * math.fsum(bk * dk for bk, dk in zip(b, d))
+        value = v0 + h * math.fsum(map(operator.mul, b, d))
         # the weight of sample j in this value, for its share of the estimate
         weighted = []
-        for j, r in enumerate(samples, 1):
-            terms = (sn[j * k % (2 * n)] * dk for k, dk in enumerate(d, 1))
-            w = 2.0 * h / n * sn[j] * math.fsum(terms)
-            weighted.append(abs(w) * r.abs_err_est)
+        for j, (_, e) in enumerate(samples, 1):
+            terms = map(operator.mul, rows[j - 1], d)
+            weighted.append(abs(2.0 * h / n * sn[j] * math.fsum(terms)) * e)
         est = math.fsum(weighted) + chop + h * rounding * math.fsum(map(abs, d))
         out[a] = QuadResult(value, est, g.n_evals, _status(g.alpha_cfg, value, est))
     return out
 
+
+def _reconstruct_each(
+    P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
+) -> dict[float, Union[QuadResult, QuadratureError, ValueError]]:
+    """reconstruct at each of ``alphas``: its result, or the error it raises.
+
+    The ends of the hull [lo, hi] of the anchor and the points are probed
+    once.  A numeric rhs with regular ends, or one a square-root end
+    (_root_end) and one regular, is one _chebyshev interpolant for all
+    points; any other point is the rhs integrated over its own path (with
+    the hull's probes and rhs when it is the hull, so that its n_evals
+    counts a declined interpolant's too)."""
+    a0, v0 = P.anchor.alpha0, P.anchor.value0
+    out: dict[float, Union[QuadResult, QuadratureError, ValueError]] = {}
+    for a in alphas:
+        try:
+            # the anchor lies in the closure, so the path does iff its target does
+            P.param_domain.require(a, closure=True)
+        except ParameterDomainError as exc:
+            out[a] = exc
+        if a == a0:
+            out[a] = QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
+    off = [a for a in alphas if a not in out]
+    if not off:
+        return out
+    lo, hi = min(a0, *off), max(a0, *off)
+    if P.rhs_closed is None:
+        g = _NestedRhs(P, cfg)
+    else:  # a copy that carries the offset form as ``near``, the kernels' contract
+        g = functools.partial(P.rhs_closed)
+        g.near = P.rhs_near
+    hull = _probed(g, lo, hi)
+    fit = hull[1] or hull[2]
+    if P.rhs_closed is None and g.status is QuadStatus.CONVERGED and (
+        not fit or (not (hull[1] and hull[2]) and _root_end(fit, g.cfg))
+    ):
+        root = fit and ((lo, 1.0) if hull[1] else (hi, -1.0))
+        out.update(_chebyshev(g, lo, hi, off, root) or {})
+        g.status = QuadStatus.CONVERGED  # a declined interpolant's samples are not the fallback's
+    g_cfg = cfg if P.rhs_closed else g.alpha_cfg
+    for a in off:
+        if a in out:
+            continue
+        path = (a0, a) if a0 <= a else (a, a0)
+        own = path == (lo, hi)
+        pg = g if own or P.rhs_closed else _NestedRhs(P, cfg)
+        probe, fit_lo, fit_hi = hull if own else _probed(pg, *path)
+        kinds = (EndpointKind.INTEGRABLE_SINGULARITY if f else EndpointKind.REGULAR
+                 for f in (fit_lo, fit_hi))
+        try:
+            q = integrate(pg, DomainSpec(*path, *kinds), g_cfg)
+        except (QuadratureError, ValueError) as exc:
+            out[a] = exc
+            continue
+        value = v0 + (q.value if a0 <= a else -q.value)
+        est, n, inner = q.abs_err_est, q.n_evals + probe.n, QuadStatus.CONVERGED  # closed rhs
+        if P.rhs_closed is None:
+            est += 2.0 * (path[1] - path[0]) * pg.cfg.abs_tol  # the inner noise
+            n, inner = pg.n_evals, pg.status
+        out[a] = QuadResult(value, est, n, _status(g_cfg, value, est, q.status, inner))
+    return out
+
+
+def reconstruct(
+    P: ParametricIntegral, alpha_target: float, cfg: QuadConfig | None = None
+) -> QuadResult:
+    """value0 + int_{alpha0}^{alpha_target} dI/d alpha, as plain quadrature.
+
+    The rhs dI/d alpha is the closed form when the entry carries one, else
+    deriv_under_integral at each alpha.  Each end of the path, the anchor
+    included, is routed by a 3-rung endpoint fit of the rhs: an exponent
+    <= -0.05, or a failing sample, is an integrable blow-up.  A numeric rhs
+    with regular ends, or one square-root end, is one Chebyshev interpolant
+    of dI/d alpha, or of dI/ds with alpha = end +- s*s (see _chebyshev).
+    Otherwise, when that declines, and always for a closed rhs (a node at
+    alpha = 1e-30 costs it one call, not ~800), the rhs is integrated over
+    the path by Gauss-Kronrod, or tanh-sinh at a singular end; a numeric
+    one at the node tolerance, with 2 * (path length) * that tolerance in
+    the estimate for the inner noise.  A numeric rhs's status is the worst
+    of the inner quadratures its value rests on, probes included; either
+    way it is converged only if its estimate meets the alpha-tolerance at
+    its value.  ``n_evals`` counts every evaluation the call causes, the
+    probes and a declined interpolant's included (an inner quadrature that
+    raises inside a probe reports none)."""
+    if P.anchor is None:
+        raise MissingAnchorError(
+            "entry has no anchor value; reconstruction needs a known I(alpha0)"
+        )
+    res = _reconstruct_each(P, [alpha_target], cfg or _DEFAULT_CFG)[alpha_target]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+# ---------------------------------------------------------------------------
+# grid verification
+# ---------------------------------------------------------------------------
 
 def verify(
     P: ParametricIntegral,
@@ -764,7 +763,7 @@ def verify(
     """
     if not alphas:
         raise ValueError("verification grid must be nonempty")
-    grid = _grid_reconstruct(P, alphas, cfg or _DEFAULT_CFG)
+    recons = {} if P.anchor is None else _reconstruct_each(P, alphas, cfg or _DEFAULT_CFG)
     points: list[VerificationPoint] = []
     for alpha in alphas:
         notes: list[str] = []
@@ -785,13 +784,11 @@ def verify(
             except (ArithmeticError, ValueError) as exc:
                 notes.append(f"closed form undefined here: {exc}")
 
-        recon: Optional[float] = None
-        if P.anchor is not None:
-            try:
-                recon = (grid[alpha] if grid else reconstruct(P, alpha, cfg)).value
-            except (QuadratureError, ValueError) as exc:
-                notes.append(f"reconstruction failed: {exc} [{type(exc).__name__}]")
-                ok = False
+        rec = recons.get(alpha)
+        recon = rec.value if isinstance(rec, QuadResult) else None
+        if isinstance(rec, Exception):
+            notes.append(f"reconstruction failed: {rec} [{type(rec).__name__}]")
+            ok = False
 
         disc_dc = abs(direct - closed) if closed is not None and ok else None
         disc_rd = abs(recon - direct) if recon is not None and ok else None

@@ -137,6 +137,20 @@ def item3_truths() -> dict:
     }
 
 
+def catalog_truths() -> dict:
+    """ex2's I = 2 pi log(a) and ex4's I = pi log((1 + sqrt(1 - a^2))/2) at
+    their grid points off the anchors, by mpmath, keyed as the golden
+    records' points."""
+    import mpmath as mp
+
+    out = {f"ex2@{a!r}": mp_formula(lambda: 2 * mp.pi * mp.log(mp.mpf(a)))
+           for a in (1.5, 2.0, 5.0)}
+    for a in (0.2, 0.5, 0.9, 0.99, 1.0):
+        out[f"ex4@{a!r}"] = mp_formula(
+            lambda: mp.pi * mp.log((1 + mp.sqrt(1 - mp.mpf(a) ** 2)) / 2))
+    return out
+
+
 # item3_truths(), frozen
 ITEM3_TRUTHS = {
     "ex1@1e+308.direct": 3.141592653589793e+154,
@@ -163,6 +177,19 @@ OSCILLATORY_TRUTHS = {
     'ex3_alpha@0.5.deriv': -0.44063715670894876,
     'ex3_alpha@1.0.deriv': -0.28518527799578963,
     'ex3_alpha@2.0.deriv': -0.13616436977612204,
+}
+
+
+# catalog_truths(), frozen
+CATALOG_TRUTHS = {
+    'ex2@1.5': 2.5476124098392012,
+    'ex2@2.0': 4.355172180607204,
+    'ex2@5.0': 10.112396644223725,
+    'ex4@0.2': -0.03189792046548456,
+    'ex4@0.5': -0.21782692654113595,
+    'ex4@0.9': -1.0410056441765132,
+    'ex4@0.99': -1.7630086278355335,
+    'ex4@1.0': -2.177586090303602,
 }
 
 

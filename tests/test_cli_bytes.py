@@ -53,17 +53,17 @@ FROZEN = {
     'verify ex2 --format csv': (0, '8fdbff8f95f6e014846c4d5a97a33483f25eb0e55f069169719a440aa83e4218'),
     'verify ex3_beta --format json': (0, 'e968fdec4f182364c863198bfab57602fc6aa3e10cdefdd288557a18b9d2abeb'),
     'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
-    'verify ex3_alpha --format json': (0, 'fb8b64bf65b1c94b7b379583cb6d2a5622073a42cc9f382597b37b9036cc579b'),
+    'verify ex3_alpha --format json': (0, 'c355a42b4aa3aa6d0684389f2eada89977feebd564706e03d556d4887371d086'),
     'verify ex3_alpha --format csv': (0, '8462538522596b7389ee9946f631366a08b54eed4b5c16340fc8a53a7f7fd79a'),
-    'verify ex4 --format json': (0, '579a3172936fdba4d623c18af32a824e583fbfe8b28a21ef2dd1623793421651'),
-    'verify ex4 --format csv': (0, '5cb2f4ed2c0f5e2c740a8c86e85476ebd34a5ec6271489c63a4b7183d4bf3c05'),
-    'verify all --format json': (0, 'a7b46ce1eef3dc2cd3776819927beab5c3041e228b7023e2adf9cd3c18b47238'),
+    'verify ex4 --format json': (0, '0accaeb4b6f71d1a8cf595da7f5b27203d13cd3d7dd6ae707ccf781a07025e1d'),
+    'verify ex4 --format csv': (0, 'deb11b4c1b0ffe66d016f40d37c9a16347f171f5275e3bdfb755ff248f065b9e'),
+    'verify all --format json': (0, 'cfd11a5e53d2c3fea8a21781d9577373f21e38d62009cf8b36d378861e4e31f3'),
     'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
     'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
     'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),
-    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, 'df8551554ef100cc2030cc4144caeef414d8f50f09146d5afe1ec42d449b1d1d'),
+    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '05be215c169faafb35e66d469634e0802edaa5e6f9a5cb1c2bdf89b02074f5ae'),
 }
 
 

@@ -114,9 +114,8 @@ def make_scaled(
 ) -> ParametricIntegral:
     """f(x, a) = s(a) * shape(x), anchored at I(0) = 0, with no closed rhs:
     s(a) = a**power, whose dI/da blows up at the anchor (a tanh-sinh
-    parameter path, except that power = 1/2, a square root, takes the
-    s-route: Gauss-Kronrod in s = sqrt(a)), or s(a) = a*a/2 (a
-    Gauss-Kronrod one)."""
+    parameter path, except that power = 1/2, a square root, is interpolated
+    in s = sqrt(a)), or s(a) = a*a/2 (interpolated in alpha)."""
     if singular_anchor:
         s, ds = (lambda a: a ** power), (lambda a: power * a ** (power - 1.0))
     else:
@@ -148,18 +147,33 @@ def _cos_sqrt_sol(a: float) -> float:
 
 
 def _alpha_routes(monkeypatch) -> list:
-    """reconstruct's own integrate calls, as they happen: the domain of the
-    alpha-quadrature, or "s" for the s-route's h(s) on [0, sqrt(path length)]."""
+    """The alpha-routes of reconstruct and verify, as they happen: "grid-α" or
+    "grid-s" for a Chebyshev interpolant (in alpha, or in s at a square-root
+    end) that serves its points, else the domain of each fallback
+    alpha-quadrature."""
     routes = []
+    chebyshev = engine._chebyshev
+
+    def spy_chebyshev(g, lo, hi, alphas, root=None):
+        got = chebyshev(g, lo, hi, alphas, root)
+        if got is not None:
+            routes.append("grid-s" if root else "grid-α")
+        return got
 
     def spy(f, dom, cfg=None):
-        if sys._getframe(1).f_code is reconstruct.__code__:
-            s_route = getattr(f, "__qualname__", "").startswith("reconstruct.")
-            routes.append("s" if s_route else dom)
+        if sys._getframe(1).f_code is engine._reconstruct_each.__code__:
+            routes.append(dom)
         return integrate(f, dom, cfg)
 
+    monkeypatch.setattr(engine, "_chebyshev", spy_chebyshev)
     monkeypatch.setattr(engine, "integrate", spy)
     return routes
+
+
+def _declined(monkeypatch) -> None:
+    """Make every Chebyshev interpolant decline, so that each point takes
+    the fallback alpha-quadrature over its own path."""
+    monkeypatch.setattr(engine, "_chebyshev", lambda *args: None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +314,10 @@ class TestEvalAndDeriv:
         err = abs(res.value - ITEM3_TRUTHS["ex1@1e+16.deriv"])
         assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="ROADMAP item 3: the GK estimate's rounding floor scales with "
-               "|int f|, not int |f|")
     def test_direct_with_cancelling_mass_is_honest(self):
+        # I ~ -pi a**2/4 from an integrand near log(1) = 0: log((1 - a) +
+        # 2 a s**2) rounded each value to ~eps, an error of 1.1e-16 against
+        # an estimate of 6.5e-17; log1p(a sin t) leaves 1.2e-18
         alpha = 0.01678878558050519
         res = eval_direct(catalog.get("ex4").parametric, alpha)
         err = abs(res.value - ITEM3_TRUTHS[f"ex4@{alpha!r}.direct"])
@@ -616,13 +629,16 @@ class TestReconstruct:
         res = reconstruct(P, 2.0)
         assert abs(res.value - _cos_sol(2.0)) < 1e-6
 
-    @pytest.mark.parametrize(
-        "entry_id, alpha, stripped, counted_field",
-        [("ex2", 1.5, True, "d_alpha"), ("ex4", 0.5, False, "rhs_closed")],
-    )
+    @pytest.mark.parametrize("entry_id, alpha, stripped, counted_field", [
+        ("ex2", 1.5, True, "d_alpha"),  # the interpolant in alpha
+        ("ex1", 1.0, True, "d_alpha"),  # the interpolant in s
+        ("ex4", 0.99, True, "d_alpha"),  # a declined interpolant, then Gauss-Kronrod
+        ("ex4", 0.5, False, "rhs_closed"),
+    ])
     def test_n_evals_counts_every_evaluation(self, entry_id, alpha, stripped, counted_field):
-        # numeric rhs: every d f/d alpha call of the inner quadratures;
-        # closed rhs: every rhs call, the growth probes' included
+        # numeric rhs: every d f/d alpha call of the inner quadratures, a
+        # declined interpolant's samples included; closed rhs: every rhs
+        # call, the growth probes' included
         P = catalog.get(entry_id).parametric
         if stripped:
             P = dataclasses.replace(P, rhs_closed=None)
@@ -639,11 +655,14 @@ class TestReconstruct:
 
     def test_alpha_route_census(self, monkeypatch):
         # the alpha-route of each of the 34 catalog reconstructions off the
-        # anchors, closed rhs and stripped: Gauss-Kronrod on the path unless
-        # an end is singular.  A closed rhs keeps tanh-sinh at such an end
-        # (ex4's reaches alpha = 1 through its offset form); stripped, both
-        # ends are square-root ends and take the s-route.  Of verify's
-        # grids, only ex3_alpha's (no closed rhs) is one interpolant.
+        # anchors, closed rhs and stripped.  A closed rhs runs Gauss-Kronrod
+        # on the path unless an end is singular, where it keeps tanh-sinh
+        # (ex4's reaches alpha = 1 through its offset form).  Stripped, a
+        # path with regular ends is one interpolant in alpha, and one whose
+        # end is a square-root end (ex1's anchor, ex4's alpha = 1) one in s;
+        # ex4 at 0.99 reads regular, but its interpolant cannot resolve the
+        # blow-up 0.01 past its end and declines to Gauss-Kronrod.  Of
+        # verify's grids, only ex3_alpha's (no closed rhs) is one interpolant.
         routes = _alpha_routes(monkeypatch)
         census = {}
         for entry in catalog.entries():
@@ -659,7 +678,7 @@ class TestReconstruct:
                     routes.clear()
                     reconstruct(Q, a)
                     [route] = routes
-                    if route != "s":
+                    if not isinstance(route, str):
                         assert (route.lower, route.upper) == (min(a, a0), max(a, a0))
                         route = {
                             (EndpointKind.REGULAR, EndpointKind.REGULAR): "gk",
@@ -669,30 +688,26 @@ class TestReconstruct:
                                 "tanh-sinh upper",
                         }[route.lower_kind, route.upper_kind]
                     census[entry.id, a, stripped] = route
-        expected = dict.fromkeys(census, "gk")
+        # ex3_alpha has no closed rhs, so it is nested either way
+        expected = {(e, a, st): "grid-α" if st or e == "ex3_alpha" else "gk"
+                    for e, a, st in census}
         for a in (0.25, 1.0, 4.0):
             expected["ex1", a, False] = "tanh-sinh lower"
-            expected["ex1", a, True] = "s"
+            expected["ex1", a, True] = "grid-s"
+        expected["ex4", 0.99, True] = "gk"
         expected["ex4", 1.0, False] = "tanh-sinh upper"
-        expected["ex4", 1.0, True] = "s"
+        expected["ex4", 1.0, True] = "grid-s"
         assert len(census) == 34
         assert census == expected
 
-        grids = []
-        grid_reconstruct = engine._grid_reconstruct
-
-        def spy(P, alphas, cfg):
-            got = grid_reconstruct(P, alphas, cfg)
-            grids.append(got is not None)
-            return got
-
-        monkeypatch.setattr(engine, "_grid_reconstruct", spy)
         taken = set()
         for entry in catalog.entries():
-            grids.clear()
+            routes.clear()
             verify(entry.parametric, entry.verification_grid)
-            if grids == [True]:
+            if routes == ["grid-α"]:
                 taken.add(entry.id)
+            else:
+                assert not any(isinstance(route, str) for route in routes)
         assert taken == {"ex3_alpha"}
 
     def test_every_inner_quadrature_of_a_nested_half_line_converges(self, monkeypatch):
@@ -782,12 +797,13 @@ _ANCHORED_GRID = [
     (e.id, a) for e in catalog.entries() if e.parametric.anchor is not None
     for a in e.verification_grid
 ]
-# value bits of ex1's stripped reconstructions, taken on the s-route
-# (errors against pi 7.5e-15, 1.6e-14 and 3.5e-14)
+# value bits of ex1's stripped reconstructions, from one interpolant in s
+# (errors against pi sqrt(alpha) 2.9e-15, 7.5e-15 and 1.6e-14; on the
+# Gauss-Kronrod route in s that it replaced, 7.5e-15, 1.6e-14 and 3.5e-14)
 _EX1_STRIPPED_BITS = {
-    0.25: "0x1.921fb54442cf6p+0",
-    1.0: "0x1.921fb54442cf3p+1",
-    4.0: "0x1.921fb54442cf1p+2",
+    0.25: "0x1.921fb54442d0bp+0",
+    1.0: "0x1.921fb54442d07p+1",
+    4.0: "0x1.921fb54442d06p+2",
 }
 # a numeric rhs a**(power - 1) near a square root keeps the tanh-sinh
 # route: value and estimate bits, n_evals (the shrink ratios of h = 2 sqrt(d) g
@@ -804,10 +820,11 @@ class TestNestedReconstruction:
 
     @pytest.mark.parametrize("singular_anchor, power", [
         (False, 0.7), (True, 0.7), (True, 0.5),
-    ], ids=["gk_path", "tanh_sinh_path", "s_route"])
+    ], ids=["regular_anchor", "singular_anchor", "root_anchor"])
     def test_inner_failure_is_not_reported_converged(self, singular_anchor, power):
         # two panels cannot resolve the peak, so the inner quadratures end at
-        # max_depth while the parameter quadrature itself converges
+        # max_depth, the probes' included: no interpolant is tried, and the
+        # fallback alpha-quadrature itself converges
         P = make_scaled(
             lambda x: 1.0 / (x * x + 1e-4), DomainSpec.finite(-1.0, 1.0), singular_anchor, power)
         cfg = QuadConfig(max_subdivisions=2)
@@ -832,7 +849,7 @@ class TestNestedReconstruction:
 
         def spy_integrate(f, dom, cfg=None):
             res = integrate(f, dom, cfg)
-            if sys._getframe(1).f_code is reconstruct.__code__:
+            if sys._getframe(1).f_code is engine._reconstruct_each.__code__:
                 outer.append((dom, res))
             return res
 
@@ -846,10 +863,11 @@ class TestNestedReconstruction:
         assert res.status is QuadStatus.CONVERGED
 
     def test_converged_only_within_the_alpha_tolerance(self):
-        # int_0^1 cos(alpha x) dx rebuilt from alpha = 1 on the Gauss-Kronrod
-        # route: every inner quadrature and the alpha-quadrature converge, but
-        # the noise share 2 * 49 * 1e-9 passes the alpha-tolerance 2e-8; the
-        # value is right to 4e-15
+        # int_0^1 cos(alpha x) dx rebuilt from alpha = 1: the interpolant
+        # declines on [1, 50], and on the fallback Gauss-Kronrod route every
+        # inner quadrature and the alpha-quadrature converge, but the noise
+        # share 2 * 49 * 1e-9 passes the alpha-tolerance 2e-8; the value is
+        # right to 4e-15
         P = dataclasses.replace(make_cos(anchored=True), param_domain=ParamDomain(0.0, 64.0))
         res = reconstruct(P, 50.0)
         assert res.abs_err_est > 2e-8
@@ -859,7 +877,7 @@ class TestNestedReconstruction:
     @pytest.mark.parametrize("entry_id, alpha", _ANCHORED_GRID)
     def test_stripped_rhs_is_honest(self, entry_id, alpha):
         # ex4 at alpha = 1 included: its rhs blows up like 1/sqrt(1 - alpha)
-        # there, and the s-route integrates it
+        # there, and the interpolant in s rebuilds it
         P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
         res = reconstruct(P, alpha)
         err = abs(res.value - P.solution_closed(alpha))
@@ -868,33 +886,33 @@ class TestNestedReconstruction:
     def test_stripped_catalog_cost(self):
         # every inner evaluation of the 17 stripped reconstructions off the
         # anchors (161,989 when the singular ends ran tanh-sinh in alpha,
-        # with ex4 at 1 refused; 101,148 on the s-route; 93,558 once each
-        # inter-zero segment of the oscillatory kernel starts from one panel)
+        # with ex4 at 1 refused; 101,148 with Gauss-Kronrod in s at a
+        # square-root end; 93,558 once each inter-zero segment of the
+        # oscillatory kernel starts from one panel; 86,314 once each path is
+        # one Chebyshev interpolant, in alpha or in s, where it can be)
         total = 0
         for entry_id, alpha in _ANCHORED_GRID:
             P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
             if alpha != P.anchor.alpha0:
                 total += reconstruct(P, alpha).n_evals
-        assert total <= 95_000
+        assert total <= 88_000
 
     @pytest.mark.parametrize("alpha", sorted(_EX1_STRIPPED_BITS))
     def test_stripped_ex1_cost_and_bits(self, alpha):
-        # the s-route: Gauss-Kronrod in s = sqrt(alpha), where the rhs
-        # pi/(2 sqrt(alpha)) becomes the constant pi, so no alpha-node comes
-        # near the anchor
+        # one interpolant in s = sqrt(alpha), where the rhs pi/(2 sqrt(alpha))
+        # becomes the constant pi, so no sample comes near the anchor
         P = dataclasses.replace(catalog.get("ex1").parametric, rhs_closed=None)
         res = reconstruct(P, alpha)
         assert res.value.hex() == _EX1_STRIPPED_BITS[alpha]
-        assert res.n_evals <= 7_000
+        assert res.n_evals <= 2_500
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 5: the flat noise share 2 L (node abs_tol) ignores "
-               "rel_tol |dI/d alpha|, which reaches 6.7e4 here")
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_numeric_rhs_with_a_large_derivative_is_honest(self, alpha):
-        # I = 1e5 cos(a) 2/3 on the Gauss-Kronrod route reads converged with
-        # estimates 1.0e-9 and 4.3e-9 against true errors 2.2e-7 and 2.6e-6
+        # I = 1e5 cos(a) 2/3: on the Gauss-Kronrod route, whose flat noise
+        # share 2 L (node abs_tol) ignores rel_tol |dI/d alpha| (up to 6.7e4
+        # here), it read converged with estimates 1.0e-9 and 4.3e-9 against
+        # true errors 2.2e-7 and 2.6e-6; the interpolant weighs each
+        # sample's own estimate
         res = reconstruct(make_cos_sqrt(), alpha)
         err = abs(res.value - _cos_sqrt_sol(alpha))
         assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
@@ -950,10 +968,13 @@ class TestNestedReconstruction:
 # ---------------------------------------------------------------------------
 
 # value bits of ex3_alpha's grid reconstructions from one interpolant
+# (errors against mpmath 3.1e-13, 6.9e-14 and 2.2e-16; 4.3e-14, 6.2e-15
+# and 3.3e-16 when its samples ran at 0.25 abs_tol/L, for 1,620 more
+# evaluations)
 _EX3_ALPHA_GRID_BITS = {
-    0.0: "0x1.40d931ff627c6p+0",
-    0.5: "0x1.f87889db7c666p-1",
-    2.0: "0x1.37c7b6d998078p-1",
+    0.0: "0x1.40d931ff62c7fp+0",
+    0.5: "0x1.f87889db7c89cp-1",
+    2.0: "0x1.37c7b6d99807dp-1",
 }
 
 
@@ -980,12 +1001,12 @@ class TestOscillatoryRoute:
 
     def test_grid_cost(self):
         # every evaluation behind ex3_alpha's grid interpolant (12,660 when
-        # each segment started from two panels)
+        # each segment started from two panels; 10,470 while its samples ran
+        # at 0.25 abs_tol/L, not at 0.25 (node tolerance)/L)
         entry = catalog.get("ex3_alpha")
         grid = list(entry.verification_grid)
-        got = engine._grid_reconstruct(entry.parametric, grid, QuadConfig())
-        assert got is not None
-        assert max(r.n_evals for r in got.values()) <= 10_600
+        got = engine._reconstruct_each(entry.parametric, grid, QuadConfig())
+        assert max(r.n_evals for r in got.values()) <= 9_000
 
 
 class TestVerify:
@@ -1058,7 +1079,7 @@ class TestVerify:
     def test_numeric_rhs_grid_comes_from_one_interpolant(self, monkeypatch):
         # ex3_alpha has no closed rhs: one Chebyshev interpolant of dI/d alpha
         # on the hull [0, 2] serves the whole grid, where reconstructing each
-        # point alone took 108 inner quadratures and 26,730 evaluations
+        # point alone takes 18,690 evaluations (19,140 on Gauss-Kronrod paths)
         evals = []
         deriv = engine.deriv_under_integral
 
@@ -1072,9 +1093,9 @@ class TestVerify:
         P, grid = entry.parametric, list(entry.verification_grid)
         rep = verify(P, grid)
         assert rep.passed
-        assert len(evals) <= 40 and sum(evals) <= 14_000
+        assert len(evals) <= 40 and sum(evals) <= 9_000
         monkeypatch.setattr(engine, "deriv_under_integral", deriv)
-        got = engine._grid_reconstruct(P, grid, QuadConfig())
+        got = engine._reconstruct_each(P, grid, QuadConfig())
         assert [p.reconstructed for p in rep.points] == [got[a].value for a in grid]
         assert got[P.anchor.alpha0].value == P.anchor.value0
         for a, bits in _EX3_ALPHA_GRID_BITS.items():
@@ -1083,58 +1104,76 @@ class TestVerify:
             assert abs(res.value - EX3_ALPHA_TRUTHS[a]) <= res.abs_err_est <= 1e-10
             assert res.value.hex() == bits
 
-    @pytest.mark.parametrize("entry_id, stripped", [
-        ("ex1", True), ("ex4", True),
-        ("ex1", False), ("ex2", False), ("ex3_beta", False), ("ex4", False),
-    ])
-    def test_other_grids_reconstruct_point_by_point(self, entry_id, stripped):
-        # a singular hull end (stripped ex1's anchor, stripped ex4's alpha =
-        # 1) or a closed rhs: every point is reconstruct's alone, to the bit
+    @pytest.mark.parametrize("entry_id", ["ex1", "ex4"])
+    def test_square_root_hull_end_grid_is_one_interpolant_in_s(self, monkeypatch, entry_id):
+        # stripped ex1's anchor and stripped ex4's alpha = 1 are square-root
+        # hull ends: one interpolant in s = sqrt(|alpha - end|) serves the grid
+        entry = catalog.get(entry_id)
+        P = dataclasses.replace(entry.parametric, rhs_closed=None)
+        routes = _alpha_routes(monkeypatch)
+        for p in verify(P, entry.verification_grid).points:
+            assert abs(p.reconstructed - P.solution_closed(p.alpha)) <= 1e-13
+        assert routes == ["grid-s"]
+
+    @pytest.mark.parametrize("entry_id", ["ex1", "ex2", "ex3_beta", "ex4"])
+    def test_closed_rhs_grids_reconstruct_point_by_point(self, monkeypatch, entry_id):
+        # a closed rhs: every point is reconstruct's alone, to the bit, on an
+        # alpha-quadrature over its own path
         entry = catalog.get(entry_id)
         P, grid = entry.parametric, list(entry.verification_grid)
-        if stripped:
-            P = dataclasses.replace(P, rhs_closed=None)
-        assert engine._grid_reconstruct(P, grid, QuadConfig()) is None
-        for p in verify(P, grid).points:
+        routes = _alpha_routes(monkeypatch)
+        rep = verify(P, grid)
+        assert len(routes) == len(set(grid) - {P.anchor.alpha0})
+        assert not any(isinstance(route, str) for route in routes)
+        for p in rep.points:
             assert p.reconstructed.hex() == reconstruct(P, p.alpha).value.hex()
 
     def test_numeric_rhs_that_fails_is_reconstructed_point_by_point(self, monkeypatch):
         # d f/d alpha cannot be evaluated below a = 0.5, so the probe at the
-        # hull end 0.25 fails: the points and notes are those of
-        # reconstructing each point alone
+        # hull end 0.25 fails and no interpolant is tried: the points and
+        # notes are those of each point's own alpha-quadrature
         def da(x: float, a: float) -> float:
             return _cos_da(x, a) + 0.0 * math.sqrt(a - 0.5)
 
         P = dataclasses.replace(make_cos(anchored=True), d_alpha=da)
         grid = [0.25, 1.0, 2.0]
         rep = verify(P, grid)
-        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        _declined(monkeypatch)
         assert rep == verify(P, grid)
         assert rep.points[0].note.endswith("[EvaluationError]")
-        assert rep.points[2].reconstructed is not None
+        assert rep.points[2].reconstructed == reconstruct(P, 2.0).value
 
-    def test_underflowing_node_tolerance_is_reconstructed_point_by_point(self, monkeypatch):
-        # abs_tol / (4 (hi - lo)) is 0.0 on ex3_alpha's hull [0, 2]: the grid
-        # declines rather than build an invalid QuadConfig
-        P, grid = catalog.get("ex3_alpha").parametric, [0.0, 0.5, 1.0, 2.0]
-        cfg = QuadConfig(abs_tol=5e-324)
-        assert engine._grid_reconstruct(P, grid, cfg) is None
+    def test_invalid_sample_tolerance_is_reconstructed_point_by_point(self, monkeypatch):
+        # the samples run at the node tolerance times 0.25/(hi - lo), which
+        # cannot underflow (the node tolerance is floored at 1e-9) but
+        # overflows here: abs_tol 1e300 on a hull 2**-30 wide.  The
+        # interpolant declines rather than build an invalid QuadConfig.
+        P, grid = catalog.get("ex3_alpha").parametric, [1.0, 1.0 + 2.0 ** -30]
+        cfg = QuadConfig(abs_tol=1e300)
+        routes = _alpha_routes(monkeypatch)
         rep = verify(P, grid, cfg=cfg)
-        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        assert routes == [DomainSpec.finite(*grid)]
+        _declined(monkeypatch)
         assert rep == verify(P, grid, cfg=cfg)
+        # a caller abs_tol of 5e-324 samples as the default does
+        tiny = QuadConfig(abs_tol=5e-324)
+        grid = list(catalog.get("ex3_alpha").verification_grid)
+        assert engine._reconstruct_each(P, grid, tiny) == engine._reconstruct_each(
+            P, grid, QuadConfig())
 
-    @pytest.mark.parametrize("grid, most_calls, most_evals", [
-        ([5.0], 0, 0), ([0.0, 20.0], 13, 5_000), ([0.0, 100.0], 13, 5_000),
-        ([0.0, 1000.0], 3, 1_000),
+    @pytest.mark.parametrize("grid, served, most_calls, most_evals", [
+        ([5.0], True, 40, 7_500), ([0.0, 20.0], False, 7, 2_500),
+        ([0.0, 100.0], False, 7, 2_500), ([0.0, 1000.0], False, 0, 0),
     ])
-    def test_grid_that_shares_nothing_or_cannot_chop_declines_early(
-        self, monkeypatch, grid, most_calls, most_evals
+    def test_one_point_is_served_and_a_wide_grid_declines_early(
+        self, monkeypatch, grid, served, most_calls, most_evals
     ):
-        # one point off the anchor shares no sample; on a wide hull I(alpha)'s
-        # branch points at +-i slow the series, and the decay read at n = 8
-        # (or a hull end read as singular, by probes at reconstruct's own
-        # node tolerance: at the grid's, each probe near 0 takes ~60,000
-        # evaluations) declines before the next level
+        # one point off the anchor is one interpolant on its path (its cost
+        # probes included).  On a wide hull I(alpha)'s branch points at +-i
+        # slow the series, and the decay read at n = 8 declines before the
+        # next level, or the probes read a hull end as singular and no
+        # sample is taken.  A declined grid's points are
+        # each their own alpha-quadrature's, as with no interpolant at all.
         evals = []
         deriv = engine.deriv_under_integral
 
@@ -1143,39 +1182,62 @@ class TestVerify:
             evals.append(res.n_evals)
             return res
 
-        monkeypatch.setattr(engine, "deriv_under_integral", counted)
         P = catalog.get("ex3_alpha").parametric
-        assert engine._grid_reconstruct(P, grid, QuadConfig()) is None
-        assert len(evals) <= most_calls and sum(evals) <= most_evals
-        monkeypatch.setattr(engine, "deriv_under_integral", deriv)
-        for p in verify(P, grid).points:
+        routes = _alpha_routes(monkeypatch)
+        monkeypatch.setattr(engine, "deriv_under_integral", counted)
+        rep = verify(P, grid)
+        assert ("grid-α" in routes) is served
+        calls, total = len(evals), sum(evals)
+        if served:
+            assert rep.passed
+            assert calls <= most_calls and total <= most_evals
+            return
+        # the samples of the declined interpolant
+        _declined(monkeypatch)
+        evals.clear()
+        assert rep == verify(P, grid)
+        assert calls - len(evals) <= most_calls and total - sum(evals) <= most_evals
+        for p in rep.points:
             assert p.reconstructed == reconstruct(P, p.alpha).value
 
-    @pytest.mark.parametrize("case", ["outside_closure", "inner_failure", "no_decay"])
-    def test_declined_grid_is_reconstructed_point_by_point(self, monkeypatch, case):
-        # A numeric rhs on [0, 4] anchored at I(0) = 0, whose grid declines:
-        # a point outside the closure; a Chebyshev sample that does not
-        # converge within 12 panels at the grid's node tolerance, although
-        # the probes do at theirs; or cos(8 alpha), whose samples at n = 8
-        # have a top quarter of coefficients no smaller than the second
-        cfg = QuadConfig()
+    def test_point_outside_the_closure_is_noted_and_the_rest_interpolated(self, monkeypatch):
+        # alpha = 5 is outside [0, 4]: its note names the domain, and the
+        # hull of the others, [0, 2], is one interpolant
         P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
-        grid = [1.0, 2.0, 5.0]
+        routes = _alpha_routes(monkeypatch)
+        rep = verify(P, [1.0, 2.0, 5.0])
+        assert routes == ["grid-α"]
+        one, two, out = rep.points
+        assert abs(one.reconstructed - 0.5) <= 1e-13 and abs(two.reconstructed - 2.0) <= 1e-13
+        assert out.reconstructed is None
+        assert out.note.endswith(
+            "; reconstruction failed: alpha=5.0 outside the closure of the parameter "
+            "domain [0, 4] [ParameterDomainError]")
+
+    @pytest.mark.parametrize("case", ["inner_failure", "no_decay"])
+    def test_declined_grid_is_reconstructed_point_by_point(self, monkeypatch, case):
+        # A numeric rhs on [0, 4] anchored at I(0) = 0, whose interpolant
+        # declines: a Chebyshev sample that does not converge within 12
+        # panels at the samples' tolerance, although the probes do at
+        # theirs; or cos(8 alpha), whose samples at n = 8 have a top quarter
+        # of coefficients no smaller than the second
+        cfg = QuadConfig()
         if case == "inner_failure":
             P = make_scaled(lambda x: 1.0 / (x * x + 1e-3), DomainSpec.finite(-1.0, 1.0),
                             singular_anchor=False)
-            grid, cfg = [1.0, 2.0], QuadConfig(max_subdivisions=12)
-        elif case == "no_decay":
+            cfg = QuadConfig(max_subdivisions=12)
+        else:
+            P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
             P = dataclasses.replace(P, integrand=lambda x, a: math.sin(8.0 * a) / 8.0,
                                     d_alpha=lambda x, a: math.cos(8.0 * a))
-            grid = [1.0, 2.0]
-        assert engine._grid_reconstruct(P, grid, cfg) is None
+        grid = [1.0, 2.0]
+        routes = _alpha_routes(monkeypatch)
         rep = verify(P, grid, cfg=cfg)
-        monkeypatch.setattr(engine, "_grid_reconstruct", lambda *args: None)
+        assert routes == [DomainSpec.finite(0.0, 1.0), DomainSpec.finite(0.0, 2.0)]
+        _declined(monkeypatch)
         assert rep == verify(P, grid, cfg=cfg)
         for p in rep.points:
-            if p.alpha <= 4.0:
-                assert p.reconstructed == reconstruct(P, p.alpha, cfg).value
+            assert p.reconstructed == reconstruct(P, p.alpha, cfg).value
 
     def test_samples_without_error_chop_on_their_rounding(self, monkeypatch):
         # an inner quadrature that reports 0 error everywhere: the top
@@ -1188,18 +1250,19 @@ class TestVerify:
 
         monkeypatch.setattr(engine, "deriv_under_integral", exact)
         P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
-        got = engine._grid_reconstruct(P, [1.0, 2.0, 3.0], QuadConfig())
+        got = engine._reconstruct_each(P, [1.0, 2.0, 3.0], QuadConfig())
         assert len(calls) == 6 + 7
         for a in (1.0, 2.0, 3.0):
             assert abs(got[a].value - 0.5 * a * a) <= got[a].abs_err_est <= 1e-13
 
-    def test_grid_point_past_the_alpha_tolerance_is_not_converged(self):
+    def test_grid_point_past_the_alpha_tolerance_is_not_converged(self, monkeypatch):
         # I = 1e5 cos(a) 2/3 from one interpolant on the hull [0, 3]: at pi/2,
-        # where I passes 0, the estimate 5.1e-7 misses the alpha-tolerance
+        # where I passes 0, the estimate 4.0e-6 misses the alpha-tolerance
         # 2e-8 at the returned value; the other points meet theirs
         grid = [0.5, math.pi / 2.0, 2.0, 3.0]
-        got = engine._grid_reconstruct(make_cos_sqrt(), grid, QuadConfig())
-        assert got is not None
+        routes = _alpha_routes(monkeypatch)
+        got = engine._reconstruct_each(make_cos_sqrt(), grid, QuadConfig())
+        assert routes == ["grid-α"]
         for a in grid:
             res = got[a]
             assert abs(res.value - _cos_sqrt_sol(a)) <= res.abs_err_est

@@ -112,10 +112,12 @@ _CONTRACT_FAMILIES = {
     ),
 }
 
-# One family per nested alpha-route of reconstruct (no closed rhs) on
-# alpha in [0, 64]: cos(alpha x) on [0, 1] from alpha = 1 (Gauss-Kronrod),
-# and from I(0) = 0, x sqrt(alpha) (the s-route) and x alpha**0.3 (tanh-sinh
-# in alpha, whose rhs blows up like alpha**-0.7 at the anchor).
+# One family per kind of path end of reconstruct with no closed rhs, on
+# alpha in [0, 64]: cos(alpha x) on [0, 1] from alpha = 1 (regular ends:
+# one interpolant in alpha, or Gauss-Kronrod in alpha where it declines),
+# and from I(0) = 0, x sqrt(alpha) (a square-root end: one interpolant in
+# s = sqrt(alpha)) and x alpha**0.3 (tanh-sinh in alpha, whose rhs blows up
+# like alpha**-0.7 at the anchor).
 def _scaled_family(power: float) -> ParametricIntegral:
     return ParametricIntegral(
         integrand=lambda x, a: x * a ** power,
@@ -127,30 +129,37 @@ def _scaled_family(power: float) -> ParametricIntegral:
 
 
 _NESTED_ROUTES = {
-    "gauss_kronrod": ParametricIntegral(
+    "regular_ends": ParametricIntegral(
         integrand=lambda x, a: math.cos(a * x),
         param_domain=ParamDomain(0.0, 64.0),
         domain=DomainSpec.finite(0.0, 1.0),
         d_alpha=lambda x, a: -x * math.sin(a * x),
         anchor=Anchor(1.0, math.sin(1.0)),
     ),
-    "s_route": _scaled_family(0.5),
+    "root_end": _scaled_family(0.5),
     "tanh_sinh": _scaled_family(0.3),
 }
 
 
 # The verify grid on one Chebyshev interpolant: I(alpha) = v0 + scale
-# (cos alpha - 1) 2/3, the integral of v0 + scale (cos alpha - 1) sqrt(x) on
-# [0, 1] from the anchor I(0) = v0, with no closed rhs.
+# shape(alpha) 2/3, the integral of v0 + scale shape(alpha) sqrt(x) on
+# [0, 1] from the anchor I(0) = v0, with no closed rhs.  The shape
+# cos(alpha) - 1 has regular hull ends (an interpolant in alpha); -sqrt(alpha)
+# has a square-root end at the anchor (an interpolant in s = sqrt(alpha)).
 _GRID = (0.5, math.pi / 2.0, 2.0, 3.0)
+_GRID_SHAPES = {
+    "alpha": (lambda a: math.cos(a) - 1.0, lambda a: -math.sin(a)),
+    "s": (lambda a: -math.sqrt(a), lambda a: -0.5 / math.sqrt(a)),
+}
 
 
-def _grid_family(scale: float, v0: float) -> ParametricIntegral:
+def _grid_family(variable: str, scale: float, v0: float) -> ParametricIntegral:
+    shape, d_shape = _GRID_SHAPES[variable]
     return ParametricIntegral(
-        integrand=lambda x, a: v0 + scale * (math.cos(a) - 1.0) * math.sqrt(x),
+        integrand=lambda x, a: v0 + scale * shape(a) * math.sqrt(x),
         param_domain=ParamDomain(0.0, 4.0),
         domain=DomainSpec.finite(0.0, 1.0),
-        d_alpha=lambda x, a: -scale * math.sin(a) * math.sqrt(x),
+        d_alpha=lambda x, a: scale * d_shape(a) * math.sqrt(x),
         anchor=Anchor(0.0, v0),
     )
 
@@ -197,15 +206,18 @@ class TestConvergedContract:
             assert res.abs_err_est <= tol
 
 
+    @pytest.mark.parametrize("variable", list(_GRID_SHAPES))
     @given(scale_exp=st.floats(-2.0, 8.0), shift=st.floats(0.0, 1.0))
-    @example(scale_exp=5.0, shift=2.0 / 3.0)  # I = 1e5 cos(alpha) 2/3 passes 0 at pi/2
-    def test_converged_grid_estimate_meets_the_alpha_tolerance(self, scale_exp, shift):
-        # every point of the grid, which runs at the alpha-tolerance of
-        # reconstruct with a numeric rhs; a declined grid claims nothing
+    @example(scale_exp=5.0, shift=2.0 / 3.0)  # alpha: I = 1e5 cos(alpha) 2/3 passes 0 at pi/2
+    @example(scale_exp=5.0, shift=math.sqrt(math.pi / 2.0) * 2.0 / 3.0)  # s: I passes 0 at pi/2
+    def test_converged_grid_estimate_meets_the_alpha_tolerance(self, variable, scale_exp, shift):
+        # every point of verify's grid, at the alpha-tolerance of
+        # reconstruct with a numeric rhs: from one interpolant, or from its
+        # own alpha-quadrature where the interpolant declines
         scale = 10.0 ** scale_exp
-        got = engine._grid_reconstruct(_grid_family(scale, shift * scale), _GRID, QuadConfig())
+        P = _grid_family(variable, scale, shift * scale)
         floor = engine._ALPHA_TOL_FLOOR
-        for res in (got or {}).values():
+        for res in engine._reconstruct_each(P, _GRID, QuadConfig()).values():
             if res.status is QuadStatus.CONVERGED:
                 assert res.abs_err_est <= max(floor, floor * abs(res.value))
 
