@@ -287,8 +287,10 @@ def _rhs_ex4_near(end: float, d: float) -> float:
 
 
 def _sol_ex4(a: float) -> float:
+    # log((1 + root)/2) = log1p(-a^2/(2(1 + root))), with no cancellation near
+    # a = 0; 0.0 - ... keeps I(0) at +0.0
     root = math.sqrt((1.0 - a) * (1.0 + a))
-    return math.pi * math.log(0.5 * (1.0 + root))
+    return math.pi * math.log1p(0.0 - a * a / (2.0 * (1.0 + root)))
 
 
 _EX4_SINGULAR_BAND = 0.995  # lower endpoint treated as singular for a above this

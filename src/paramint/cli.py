@@ -56,11 +56,13 @@ class _NumericFailure(Exception):
 def _emit_json(obj) -> str:
     """Compact JSON with floats at 17 significant digits.
 
-    Non-finite floats become null; parsing the output and re-emitting it
+    Non-finite floats become null, and -0.0 is written "-0.0" (a bare "-0"
+    parses as the integer 0); parsing the output and re-emitting it
     reproduces the same bytes.
     """
     if isinstance(obj, float):
-        return format(obj, ".17g") if math.isfinite(obj) else "null"
+        text = format(obj, ".17g") if math.isfinite(obj) else "null"
+        return "-0.0" if text == "-0" else text
     if isinstance(obj, dict):
         body = ",".join(f"{json.dumps(k)}:{_emit_json(v)}" for k, v in obj.items())
         return "{" + body + "}"

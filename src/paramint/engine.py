@@ -39,6 +39,7 @@ from .quadrature import (
     QuadResult,
     QuadStatus,
     QuadratureError,
+    EvaluationError,
     NonIntegrableSingularityError,
     _DEFAULT_CFG,
     _EPS,
@@ -366,35 +367,16 @@ _SCAN_N_POINTS = 257
 _SCAN_SPAN = 32.0
 
 
-def _envelope_at(
-    pa_rules: Sequence[Callable[[float], float]], x: float
-) -> float:
-    m = 0.0
-    for pa in pa_rules:
-        try:
-            v = abs(pa(x))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DegenerateWindowError(
-                f"derivative sample failed at x={x!r}: the window touches a "
-                f"singular parameter value ({exc})"
-            ) from exc
-        if not math.isfinite(v):
-            raise DegenerateWindowError(
-                f"derivative sample non-finite at x={x!r}: the window touches "
-                "a singular parameter value"
-            )
-        m = max(m, v)
-    return m
-
-
 def domination_scan(
     P: ParametricIntegral, alpha_window: tuple[float, float]
 ) -> DominationReport:
     """Build an empirical envelope max_alpha |d f/d alpha| and size it up.
 
+    Each alpha's d f/d alpha is sampled through the kernels' checked call at
+    the declared x.  A sample that fails or is not finite, or an envelope
+    that grows non-integrably at a finite end, raises DegenerateWindowError.
     Finite domains: midpoint-rule estimate of the envelope integral,
-    verdict `dominated` (after checking the envelope does not blow up
-    non-integrably at an endpoint).  Infinite domains: finite part plus
+    verdict `dominated`.  Infinite domains: finite part plus
     the kernels' endpoint fit of each tail in t = 1/x, where the envelope
     beyond x = base becomes env(1/t)/t**2 on (0, 1/base] — decay faster
     than 1/x gives `dominated` and the fitted mass C * base**-(1+p)/(1+p),
@@ -411,7 +393,7 @@ def domination_scan(
     alphas = [
         lo_a + (hi_a - lo_a) * i / (_SCAN_N_ALPHA - 1) for i in range(_SCAN_N_ALPHA)
     ]
-    pa_rules = [_partial_alpha(P, a) for a in alphas]
+    rules = [_Counted(_partial_alpha(P, a)) for a in alphas]
     dom = P.domain_for(0.5 * (lo_a + hi_a))
 
     a, a_kind = dom.lower, dom.lower_kind
@@ -429,55 +411,59 @@ def domination_scan(
     width = _SCAN_SPAN if hi_inf else dom.upper - a
     step = width / _SCAN_N_POINTS
     xs = [sgn * (a + (i + 0.5) * step) for i in range(_SCAN_N_POINTS)]
-    samples = [(x, _envelope_at(pa_rules, x)) for x in xs]
-    finite_part = step * math.fsum(m for _, m in samples)
+    base = max(a + width, 1.0)
 
-    def check_growth(endpoint: float, into: float) -> None:
-        """Refuse the window if the envelope is non-integrable at ``endpoint``."""
+    def envelope(x: float) -> float:
+        return max(abs(r(x)) for r in rules)
+
+    def tail(side: float) -> tuple[float, float]:
+        """The tail's fitted exponent in t (the refusal's, if any) and mass."""
+        def g(t: float) -> float:
+            x = side / t
+            m = envelope(x)
+            samples.append((x, m))
+            return m / t / t  # t * t is 0.0 at the last rung once base > 6e149
+
         try:
-            _fit_endpoint(lambda x: _envelope_at(pa_rules, x), endpoint, into, width)
+            p, c = _fit_endpoint(g, 0.0, 1.0, 1.0 / base)
         except NonIntegrableSingularityError as exc:
-            raise DegenerateWindowError(
-                f"envelope grows non-integrably toward x={endpoint!r} "
-                f"(local exponent {exc.exponent:.3f}); the window touches a "
-                "singular parameter value"
-            ) from exc
+            return exc.exponent, math.inf
+        return p, c * base ** -(1.0 + p) / (1.0 + p)
 
-    if not hi_inf:
-        check_growth(a, dom.upper)
-        check_growth(dom.upper, a)
-        estimate, verdict = finite_part, DominationVerdict.DOMINATED
+    try:
+        columns = [r.many(xs) for r in rules]
+        samples = [(x, max(map(abs, vs))) for x, *vs in zip(xs, *columns)]
+        finite_part = step * math.fsum(m for _, m in samples)
+        if not hi_inf:
+            _fit_endpoint(envelope, a, dom.upper, width)
+            _fit_endpoint(envelope, dom.upper, a, width)
+        elif a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
+            _fit_endpoint(envelope, sgn * a, sgn * (a + width), width)
+        sides = (sgn, -sgn) if lo_inf else (sgn,) if hi_inf else ()
+        tails = [tail(side) for side in sides]
+    except EvaluationError as exc:
+        why = exc.__cause__ or f"non-finite value {exc.value!r}"
+        raise DegenerateWindowError(
+            f"derivative sample failed at x={exc.abscissa!r} ({why}): the window "
+            "touches a singular parameter value"
+        ) from exc
+    except NonIntegrableSingularityError as exc:
+        raise DegenerateWindowError(
+            f"envelope grows non-integrably toward x={exc.endpoint!r} "
+            f"(local exponent {exc.exponent:.3f}); the window touches a "
+            "singular parameter value"
+        ) from exc
+
+    # the slowest tail decides; within 0.05 of p = -1 (1/x decay) is too close
+    # to call
+    p = min((p for p, _ in tails), default=0.0)
+    if p <= -1.05:
+        estimate, verdict = math.inf, DominationVerdict.SUSPECT_DIVERGENT
+    elif p < -0.95:
+        estimate, verdict = math.nan, DominationVerdict.INCONCLUSIVE
     else:
-        x0 = a + width
-        if a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            check_growth(sgn * a, sgn * x0)
-        base = max(x0, 1.0)
-
-        def tail(side: float) -> tuple[float, float]:
-            """The tail's fitted exponent in t (the refusal's, if any) and mass."""
-            def g(t: float) -> float:
-                x = side / t
-                m = _envelope_at(pa_rules, x)
-                samples.append((x, m))
-                return m / t / t  # t * t is 0.0 at the last rung once base > 6e149
-
-            try:
-                p, c = _fit_endpoint(g, 0.0, 1.0, 1.0 / base)
-            except NonIntegrableSingularityError as exc:
-                return exc.exponent, math.inf
-            return p, c * base ** -(1.0 + p) / (1.0 + p)
-
-        tails = [tail(side) for side in ((sgn, -sgn) if lo_inf else (sgn,))]
-        # the slowest tail decides; within 0.05 of p = -1 (1/x decay) is too
-        # close to call
-        p = min(p for p, _ in tails)
-        if p <= -1.05:
-            estimate, verdict = math.inf, DominationVerdict.SUSPECT_DIVERGENT
-        elif p < -0.95:
-            estimate, verdict = math.nan, DominationVerdict.INCONCLUSIVE
-        else:
-            estimate = finite_part + sum(mass for _, mass in tails)
-            verdict = DominationVerdict.DOMINATED
+        estimate = finite_part + sum(mass for _, mass in tails)
+        verdict = DominationVerdict.DOMINATED
 
     return DominationReport(
         alpha_window=(lo_a, hi_a),

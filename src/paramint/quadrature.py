@@ -12,9 +12,9 @@ produce in practice:
   at a singular endpoint; one that can take its distance to the
   endpoint exactly opts in through ``near``.
 * :func:`integrate_improper` -- compactifies a semi-infinite domain
-  with x = s/(1-s); Gauss-Kronrod covers the head, and tanh-sinh covers
-  the tail all the way to the infinite end, which it samples through the
-  exact complement 1 - s.
+  with x = s/(1-s); Gauss-Kronrod covers the head (tanh-sinh on x itself
+  at a singular lower end), and tanh-sinh covers the tail all the way to
+  the infinite end, which it samples through the exact complement 1 - s.
 * :func:`integrate_oscillatory_improper` -- sums the integral between
   consecutive phase zeros and accelerates the alternating partial
   sums with Wynn's epsilon extrapolation.
@@ -289,26 +289,21 @@ class _Checked:
 
 
 class _Counted(_Checked):
-    """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d)
-    with ``offset``, or its mirror f(-u) with ``mirror``: counts calls on
-    ``fc`` (itself by default; the wrapper of f for an offset form) and
-    rejects non-finite values.  A failing call raises at its abscissa: x,
-    end + d for an offset form, or x = -u for a mirror.
+    """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d),
+    or its mirror f(-u) with ``mirror``: counts calls on ``fc`` (itself by
+    default; the wrapper of f for an offset form) and rejects non-finite
+    values.  A failing call raises at its abscissa: x, end + d for a
+    two-argument (offset) call, or x = -u for a mirror.
     """
 
-    __slots__ = ("raw", "n", "fc", "offset", "mirror")
+    __slots__ = ("raw", "n", "fc", "mirror")
 
     def __init__(
-        self,
-        f: Callable[..., float],
-        fc: Optional[_Counted] = None,
-        offset: bool = False,
-        mirror: bool = False,
+        self, f: Callable[..., float], fc: Optional[_Counted] = None, mirror: bool = False
     ):
         self.raw = f
         self.n = 0
         self.fc = fc or self
-        self.offset = offset
         self.mirror = mirror
 
     def __call__(self, *args: float) -> float:
@@ -322,7 +317,7 @@ class _Counted(_Checked):
         return v
 
     def _at(self, args: tuple[float, ...]) -> float:
-        x = args[0] + args[1] if self.offset else args[0]
+        x = args[0] + args[1] if len(args) == 2 else args[0]
         return -x if self.mirror else x
 
 
@@ -563,7 +558,7 @@ def _tanh_sinh(
     # The integrand's offset form, read once.
     near = getattr(f.raw, "near", None)
     offset = near is not None
-    swept = _Counted(near, f.fc, True) if offset else f
+    swept = _Counted(near, f.fc) if offset else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``,
@@ -747,20 +742,19 @@ class _Compactified(_Checked):
 def _improper_semi(
     fc: _Counted, a: float, lower_kind: EndpointKind, cfg: QuadConfig
 ) -> QuadResult:
-    """[a, inf) as s in [0, 1), x = a + s/(1 - s), split at x = a + x_m.
-
-    The head s in [0, s_m] runs Gauss-Kronrod (tanh-sinh when the lower end
-    is singular) at 0.9 of the tolerance; the tail runs tanh-sinh at 0.1 of
-    it, over om = 1 - s in [0, 1 - s_m], out to the infinite end om = 0.
+    """[a, inf) split at x = a + x_m into a head at 0.9 of the tolerance and
+    a tail at 0.1 of it.  A regular head runs Gauss-Kronrod on s in [0, s_m],
+    x = a + s/(1 - s); a singular one runs tanh-sinh on x in [a, a + x_m]
+    itself, as any finite singular end does.  The tail runs tanh-sinh over
+    om = 1 - s in [0, 1 - s_m], out to the infinite end om = 0.
     """
     x_m = max(8.0, 2.0 * abs(a) + 8.0)
     s_m = x_m / (1.0 + x_m)
-    g = _Compactified(fc, a)
     head_cfg = _scaled(cfg, 0.9)
     if lower_kind is EndpointKind.REGULAR:
-        head = _adaptive_gk(g, 0.0, s_m, head_cfg)
+        head = _adaptive_gk(_Compactified(fc, a), 0.0, s_m, head_cfg)
     else:
-        head = _tanh_sinh(g, 0.0, s_m, lower_kind, EndpointKind.REGULAR, head_cfg)
+        head = _tanh_sinh(fc, a, a + x_m, lower_kind, EndpointKind.REGULAR, head_cfg)
     tail = _tanh_sinh(
         _Compactified(fc, a, complement=True), 0.0, 1.0 - s_m,
         EndpointKind.INFINITE, EndpointKind.REGULAR, _scaled(cfg, 0.1),
@@ -776,10 +770,11 @@ def integrate_improper(
     """Integrate over a domain with at least one infinite endpoint.
 
     [a, inf) is mapped to s in [0, 1) through x = a + s/(1-s).  The head,
-    x up to a + max(8, 2|a| + 8), runs Gauss-Kronrod (tanh-sinh when the
-    lower end is singular); the tail runs tanh-sinh all the way to the
-    infinite end.  Where its nodes pass the floor next to that end, the mass
-    beyond is bounded by a fitted decay exponent and folded into
+    x up to a + max(8, 2|a| + 8), runs Gauss-Kronrod in s; at a singular
+    lower end it runs tanh-sinh on x itself, which takes ``near`` as
+    :func:`integrate_singular` does.  The tail runs tanh-sinh all the way
+    to the infinite end.  Where its nodes pass the floor next to that end,
+    the mass beyond is bounded by a fitted decay exponent and folded into
     ``abs_err_est``; a tail that decays like 1/x or slower gets an infinite
     estimate and ``tail_truncated``, as does one that overflows f/(1 - s)**2.
     (-inf, b] is [-b, inf) for f(-u), and (-inf, inf) is the sum of the

@@ -4,6 +4,8 @@ Everything here cross-checks the registry against itself and against
 the kernels: closed forms vs quadrature, closed-form derivatives vs a
 central difference of the closed-form solution, removable-singularity
 values, anchor bookkeeping, and the validity windows of the helpers.
+Every integrand and d_alpha is also audited against mpmath at seeded
+nodes (``INTEGRAND_TRUTHS`` in ``_oracles.py``).
 """
 
 import dataclasses
@@ -22,8 +24,12 @@ from paramint import (
 from paramint import catalog
 
 from _identities import inner_sine_integral, realpart_cancellation_integral
+from _oracles import (
+    AUDIT_DOMAINS, AUDIT_GRIDS, CATALOG_TRUTHS, INTEGRAND_TRUTHS, ITEM3_TRUTHS, audit_nodes,
+)
 
 ALL_IDS = ["gauss", "ex1", "ex2", "ex3_beta", "ex3_alpha", "ex4"]
+_EPS = 2.220446049250313e-16
 
 
 def interior_grid(entry) -> list[float]:
@@ -155,6 +161,16 @@ class TestClosedFormConsistency:
                 fd = (sol(a + h) - sol(a - h)) / (2.0 * h)
                 assert abs(fd - rhs) < 1e-6, (entry_id, a)
 
+    def test_ex4_closed_form_matches_mpmath(self):
+        # log1p(-a^2/(2(1 + root))), not log((1 + root)/2), which cancels near
+        # a = 0; and +0.0 at a = 0, where a JSON "-0" would not round-trip
+        sol = catalog.get("ex4").parametric.solution_closed
+        truths = {float(k[4:]): v for k, v in CATALOG_TRUTHS.items() if k.startswith("ex4@")}
+        truths[0.01678878558050519] = ITEM3_TRUTHS["ex4@0.01678878558050519.direct"]
+        for a, true in truths.items():
+            assert abs(sol(a) - true) <= 2.0 * _EPS * abs(true), a
+        assert math.copysign(1.0, sol(0.0)) == 1.0
+
     def test_two_parameterizations_agree_at_one(self):
         assert catalog.closed_form("ex3_alpha", 1.0) == catalog.closed_form(
             "ex3_beta", 1.0
@@ -251,3 +267,37 @@ class TestStandaloneIdentities:
     def test_realpart_cancellation_window(self):
         with pytest.raises(ValueError):
             realpart_cancellation_integral(1.0)
+
+
+
+def audit_ratios(entry_id: str) -> list[float]:
+    """|float - mpmath| over its bound at each audited value of the entry's
+    integrand and d_alpha, the bound being 4 eps times the largest |truth|
+    of that function at that alpha (its scale) plus 2 eps |x d/dx| for the
+    rounding of an argument such as x*x or b*x*x."""
+    seed = list(AUDIT_DOMAINS).index(entry_id)
+    entry = catalog.get(entry_id)
+    P = entry.parametric
+    assert entry.verification_grid == AUDIT_GRIDS[entry_id]
+    ratios = []
+    for a in entry.verification_grid:
+        dom = P.domain_for(a)
+        hi = dom.lower + 32.0 if math.isinf(dom.upper) else dom.upper
+        assert (dom.lower, hi) == AUDIT_DOMAINS[entry_id]
+        rows = [(x, INTEGRAND_TRUTHS[(entry_id, a, x)])
+                for x in audit_nodes(dom.lower, hi, seed)]
+        for k, fn in ((0, P.integrand), (2, P.d_alpha)):
+            scale = max(abs(truth[k]) for _, truth in rows)
+            for x, truth in rows:
+                bound = 4.0 * _EPS * scale + 2.0 * _EPS * abs(truth[k + 1])
+                err = abs(fn(x, a) - truth[k])
+                ratios.append(err / bound if bound else 0.0 if err == 0.0 else math.inf)
+    return ratios
+
+
+class TestIntegrandAudit:
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_integrand_and_derivative_match_mpmath(self, entry_id):
+        # seeded nodes across the x-domain (a half-line's first 32 units) at
+        # every grid alpha, each error within rounding of the function's scale
+        assert max(audit_ratios(entry_id)) <= 1.0

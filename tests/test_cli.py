@@ -275,6 +275,14 @@ class TestSerialization:
         assert _emit_json(math.nan) == "null"
         assert _emit_json(math.inf) == "null"
 
+    def test_negative_zero_round_trips(self):
+        # "-0" would re-parse as the integer 0 and re-emit as "0"
+        text = _emit_json({"closed_form": -0.0, "direct": [0.0, -0.0]})
+        assert text == '{"closed_form":-0.0,"direct":[0,-0.0]}'
+        again = json.loads(text)
+        assert math.copysign(1.0, again["closed_form"]) == -1.0
+        assert _emit_json(again) == text
+
     def test_seventeen_significant_digits(self):
         x = 0.1 + 0.2
         assert _emit_json(x) == "0.30000000000000004"

@@ -10,7 +10,9 @@ offset-form and the oscillatory routes, all in-process through ``cli.run``.
 
 Regenerate the table only for a change that is meant to move printed
 numbers, and list the commands whose digests moved in CHANGES.md:
-``PYTHONPATH=src python tests/test_cli_bytes.py`` prints it.
+``PYTHONPATH=src python tests/test_cli_bytes.py`` prints it, and with
+``--diff`` prints only the commands whose exit code or digest differs
+from it, old -> new.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -55,9 +58,9 @@ FROZEN = {
     'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
     'verify ex3_alpha --format json': (0, 'c355a42b4aa3aa6d0684389f2eada89977feebd564706e03d556d4887371d086'),
     'verify ex3_alpha --format csv': (0, '8462538522596b7389ee9946f631366a08b54eed4b5c16340fc8a53a7f7fd79a'),
-    'verify ex4 --format json': (0, '0accaeb4b6f71d1a8cf595da7f5b27203d13cd3d7dd6ae707ccf781a07025e1d'),
-    'verify ex4 --format csv': (0, 'deb11b4c1b0ffe66d016f40d37c9a16347f171f5275e3bdfb755ff248f065b9e'),
-    'verify all --format json': (0, 'cfd11a5e53d2c3fea8a21781d9577373f21e38d62009cf8b36d378861e4e31f3'),
+    'verify ex4 --format json': (0, 'b92367e0f9887748f881e023734e46d9e989dd8ef43afad4fc102a24a42dc000'),
+    'verify ex4 --format csv': (0, '459ff5baed20b51cd16ac27eef57c86ad2366b42dcd2633c5204a471313eea02'),
+    'verify all --format json': (0, '36f50f8fbe62eed0f64cabccc1ede8da4c0f8c9bf27a953eefdaf1a8ace9d4e4'),
     'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
@@ -76,8 +79,23 @@ def test_command_bytes_are_frozen(command):
     assert _record(command) == FROZEN[command]
 
 
+def print_diff() -> None:
+    """Print each command whose record differs from FROZEN, old -> new
+    (None for a command only one side has)."""
+    for command in dict.fromkeys([*FROZEN, *COMMANDS]):
+        old = FROZEN.get(command)
+        new = _record(command) if command in COMMANDS else None
+        if old != new:
+            print(command)
+            print(f"  old {old!r}")
+            print(f"  new {new!r}")
+
+
 if __name__ == "__main__":
-    print("FROZEN = {")
-    for command in COMMANDS:
-        print(f"    {command!r}: {_record(command)!r},")
-    print("}")
+    if sys.argv[1:] == ["--diff"]:
+        print_diff()
+    else:
+        print("FROZEN = {")
+        for command in COMMANDS:
+            print(f"    {command!r}: {_record(command)!r},")
+        print("}")

@@ -436,6 +436,24 @@ class TestDomination:
         with pytest.raises(DegenerateWindowError, match=match):
             domination_scan(P, (0.5, 1.5))
 
+    @pytest.mark.parametrize("d_alpha", [
+        lambda x, a: math.log(x + 2.0) if a == 1.0 else x,
+        lambda x, a: math.inf if a == 1.0 and x < -2.0 else x,
+    ], ids=["raises", "non_finite"])
+    def test_failing_sample_names_the_declared_x(self, d_alpha):
+        # (-inf, 0] is scanned mirrored; the first midpoint past x = -2 fails,
+        # and both the message and the cause name it in the declared frame
+        P = dataclasses.replace(
+            make_gauss(),
+            domain=DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE),
+            d_alpha=d_alpha,
+        )
+        x = -(16.5 * (32.0 / 257))
+        with pytest.raises(DegenerateWindowError, match="failed at x=") as info:
+            domination_scan(P, (0.5, 1.5))
+        assert f"x={x!r} " in str(info.value)
+        assert info.value.__cause__.abscissa == x
+
     def test_window_validation(self):
         P = make_gauss()
         with pytest.raises(DegenerateWindowError):

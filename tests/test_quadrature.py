@@ -39,6 +39,7 @@ EXP_COS5_0_1 = -0.510079168817682          # int_0^1 e^x cos(5x) dx
 LOG_OVER_CIRCLE = -1.0887930451518011      # int_0^1 ln(x)/sqrt(1-x^2) dx
 EXP_LORENTZ = 0.6214496242358134           # int_0^inf e^{-x}/(1+x^2) dx
 SIN_LORENTZ = 0.64676112277913012          # int_0^inf sin(x)/(1+x^2) dx
+SHIFTED_GAMMA_HALF = 0.6520493321732922    # int_1^inf e^{-x}/sqrt(x-1) dx = sqrt(pi)/e
 
 HALF_LINE = DomainSpec.semi_infinite(0.0)
 LOWER_HALF_LINE = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
@@ -324,6 +325,37 @@ class TestImproper:
             right.value.hex(), right.abs_err_est.hex(), right.n_evals, right.status)
         assert left.status is QuadStatus.CONVERGED
         assert abs(left.value - math.sqrt(math.pi)) <= left.abs_err_est
+
+    def test_singular_lower_end_off_the_origin(self):
+        # [1, inf): the head runs tanh-sinh on x itself, so a node where x
+        # rounds onto 1 is cut and its mass charged, never evaluated
+        res = integrate_improper(
+            lambda x: math.exp(-x) / math.sqrt(x - 1.0),
+            DomainSpec.semi_infinite(1.0, singular_lower=True))
+        assert abs(res.value - SHIFTED_GAMMA_HALF) <= res.abs_err_est < 1e-7
+
+    def test_singular_lower_end_off_the_origin_takes_the_offset_form(self):
+        # with near, the head samples offsets below ulp(1) and converges
+        def f(x: float) -> float:
+            return math.exp(-x) / math.sqrt(x - 1.0)
+
+        f.near = lambda end, d: math.exp(-(end + d)) / math.sqrt((end - 1.0) + d)
+        res = integrate_improper(f, DomainSpec.semi_infinite(1.0, singular_lower=True))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - SHIFTED_GAMMA_HALF) <= res.abs_err_est <= 1e-15
+
+    def test_singular_upper_end_off_the_origin_is_the_mirrored_half_line(self):
+        # (-inf, -1] for e^x/sqrt(-1 - x) is [1, inf) for e^-u/sqrt(u - 1),
+        # to the bit
+        left = integrate_improper(
+            lambda x: math.exp(x) / math.sqrt(-1.0 - x),
+            DomainSpec(-math.inf, -1.0, EndpointKind.INFINITE,
+                       EndpointKind.INTEGRABLE_SINGULARITY))
+        right = integrate_improper(
+            lambda u: math.exp(-u) / math.sqrt(u - 1.0),
+            DomainSpec.semi_infinite(1.0, singular_lower=True))
+        assert left == right
+        assert abs(left.value - SHIFTED_GAMMA_HALF) <= left.abs_err_est
 
     def test_slow_algebraic_tail_vs_oracle(self):
         res = integrate_improper(lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE)
@@ -826,15 +858,14 @@ class TestBatchPath:
         assert 1.0 < info.value.abscissa < 2.0
         assert math.isnan(info.value.value)
 
-    def test_singular_lower_improper_overflow_names_s(self):
-        # f is finite everywhere, f / (1 - s)**2 is not in the head, next to
-        # s = 8/9
-        with pytest.raises(EvaluationError) as info:
+    def test_singular_lower_improper_overflow_is_refused(self):
+        # a singular head runs on x, with no Jacobian to overflow: 1e307 is
+        # finite at every node, and the sum of the head's terms is not
+        with pytest.raises(QuadratureError, match="not finite") as info:
             integrate_improper(
                 lambda x: 1e307, DomainSpec.semi_infinite(0.0, singular_lower=True)
             )
-        assert 0.5 < info.value.abscissa < 1.0
-        assert info.value.value == math.inf
+        assert not isinstance(info.value, EvaluationError)
 
     @pytest.mark.parametrize(
         "f, domain",
