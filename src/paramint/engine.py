@@ -172,8 +172,8 @@ class ParametricIntegral:
     ``rhs_closed`` / ``solution_closed`` are optional closed forms for
     dI/d alpha and I; when absent, the engine falls back to quadrature
     of ``d_alpha`` (or a central difference of the integrand).  No field
-    says where the rhs blows up: :func:`reconstruct` fits each end of the
-    parameter path, the anchor included.
+    says where the rhs blows up: :func:`reconstruct` fits the ends of the
+    parameter path, the anchor included, where it needs to know.
     ``rhs_near(end, d)``, used only alongside ``rhs_closed``, is that rhs
     at alpha = end + d computed from the exact offset d: the tanh-sinh
     kernel samples a singular end of the parameter path through it (see
@@ -515,28 +515,23 @@ class _NestedRhs:
         return self.sample(a).value
 
 
-def _probed(g: Callable[[float], float], lo: float, hi: float) -> tuple:
-    """(the counted rhs g the growth probes call, the fit at lo, at hi): a
-    fit is None for the regular kernel, else the 3-rung fit of g at that
-    end, (p, its samples (d, g(end +- d))) with p <= _ROUTE_EXPONENT, or
-    (nan, []) when it meets a failing sample or a non-integrable fit."""
-    probe = _Counted(g)
+def _fit(probe: _Counted, end: float, lo: float, hi: float) -> Optional[tuple]:
+    """The 3-rung growth fit of the counted rhs ``probe`` at ``end`` of the
+    path [lo, hi], into the path: None for the regular kernel, else (p, its
+    samples (d, g(end +- d))) with p <= _ROUTE_EXPONENT, or (nan, []) when it
+    meets a failing sample or a non-integrable fit."""
+    samples = []
 
-    def fit(end: float, into: float) -> Optional[tuple[float, list[tuple[float, float]]]]:
-        samples = []
+    def sampled(x: float) -> float:
+        v = probe(x)
+        samples.append((abs(x - end), v))
+        return v
 
-        def sampled(x: float) -> float:
-            v = probe(x)
-            samples.append((abs(x - end), v))
-            return v
-
-        try:
-            p, _ = _fit_endpoint(sampled, end, into, hi - lo, rungs=3)
-        except QuadratureError:
-            return math.nan, []
-        return (p, samples) if p <= _ROUTE_EXPONENT else None
-
-    return probe, fit(lo, hi), fit(hi, lo)
+    try:
+        p, _ = _fit_endpoint(sampled, end, hi if end == lo else lo, hi - lo, rungs=3)
+    except QuadratureError:
+        return math.nan, []
+    return (p, samples) if p <= _ROUTE_EXPONENT else None
 
 
 def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> bool:
@@ -554,29 +549,37 @@ def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> 
 
 
 def _chebyshev(
-    g: _NestedRhs, lo: float, hi: float, alphas: Sequence[float], root: Optional[tuple] = None
+    g: _NestedRhs, lo: float, hi: float, alphas: Sequence[float], fits: Sequence
 ) -> Optional[dict[float, QuadResult]]:
-    """I at each of ``alphas`` from one Chebyshev interpolant of dI/du on the
-    hull [lo, hi] of the anchor and the points, or None when it declines.
+    """I at each of ``alphas`` from one Chebyshev interpolant of dI/du on
+    [lo, hi], which holds the anchor and the points, or None when it declines.
 
-    u is alpha, or with ``root`` = (end, sign) s in [0, sqrt(hi - lo)] for
-    alpha = end + sign s*s, where dI/ds = 2 sign s g(alpha) is smooth at a
-    square-root end.  dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1
-    (not at an end, where the interchange may fail), g at the node
-    tolerance times 0.25/(hi - lo), n doubling from 8 until the top quarter
-    of the b_k in p(cos th) sin th = sum b_k sin k th is within the noise of
-    the samples: their largest estimate, or the rounding of the sum when
-    that is larger.  I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k,
-    with estimate sum |W_j| est_j over its sample weights, plus
-    h sum 2 |b_k|/k over that quarter, plus h sum |d_k| times the rounding
-    of each b_k; converged only if that meets the alpha-tolerance at I.
+    u is alpha when the _fit of each end, ``fits``, reads regular.  When one
+    reads a square-root end (_root_end) and the other regular, u is s in
+    [0, sqrt(hi - lo)] for alpha = end + sign s*s about that end, where
+    dI/ds = 2 sign s g(alpha) is smooth.  Other fits decline at once, as
+    does g whose inner quadratures so far have not all converged.  dI/du is
+    sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end, where the
+    interchange may fail), g at the node tolerance times 0.25/(hi - lo), n
+    doubling from 8 until the top quarter of the b_k in
+    p(cos th) sin th = sum b_k sin k th is within the noise of the samples:
+    their largest estimate, or the rounding of the sum when that is larger.
+    I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with estimate
+    sum |W_j| est_j over its sample weights, plus h sum 2 |b_k|/k over that
+    quarter, plus h sum |d_k| times the rounding of each b_k; converged
+    only if that meets the alpha-tolerance at I.
     n_evals counts every evaluation of g so far.  It declines on a sample
-    that raises or is not converged, and when the series cannot chop by
-    n = 64 (it has not, and the decay of its b_k from the second to the top
-    quarter, carried on geometrically, does not reach the noise by then).
+    that raises or is not converged (which leaves g's status as it was: a
+    declined interpolant's samples are not the fallback's), and when the
+    series cannot chop by n = 64 (it has not, and the decay of its b_k from
+    the second to the top quarter, carried on geometrically, does not reach
+    the noise by then).
     """
     a0, v0 = g.P.anchor.alpha0, g.P.anchor.value0
-    end, sign = root or (0.0, 1.0)
+    root = fits[0] or fits[1]
+    if g.status is not QuadStatus.CONVERGED or root and (all(fits) or not _root_end(root, g.cfg)):
+        return None
+    end, sign = (lo, 1.0) if fits[0] else (hi, -1.0)
     u_lo, h = (0.0, 0.5 * math.sqrt(hi - lo)) if root else (lo, 0.5 * (hi - lo))
     top = _CHEB_LEVELS[-1]
     us = [u_lo + h + h * math.cos(math.pi * j / top) for j in range(top + 1)]
@@ -592,6 +595,7 @@ def _chebyshev(
                 if j not in got:
                     r = g.sample(nodes[j], node_cfg)
                     if r.status is not QuadStatus.CONVERGED:
+                        g.status = QuadStatus.CONVERGED
                         return None
                     du = 2.0 * sign * us[j] if root else 1.0  # d alpha / du
                     got[j] = (du * r.value, abs(du) * r.abs_err_est)
@@ -642,12 +646,10 @@ def _reconstruct_each(
 ) -> dict[float, Union[QuadResult, QuadratureError, ValueError]]:
     """reconstruct at each of ``alphas``: its result, or the error it raises.
 
-    The ends of the hull [lo, hi] of the anchor and the points are probed
-    once.  A numeric rhs with regular ends, or one a square-root end
-    (_root_end) and one regular, is one _chebyshev interpolant for all
-    points; any other point is the rhs integrated over its own path (with
-    the hull's probes and rhs when it is the hull, so that its n_evals
-    counts a declined interpolant's too)."""
+    The routing is reconstruct's, on the hull [lo, hi] of the anchor and the
+    points.  A point no interpolant serves is the rhs integrated over its
+    own path, with the hull's fits and rhs when that is the hull (so that
+    its n_evals counts the declined interpolants' too)."""
     a0, v0 = P.anchor.alpha0, P.anchor.value0
     out: dict[float, Union[QuadResult, QuadratureError, ValueError]] = {}
     for a in alphas:
@@ -662,36 +664,46 @@ def _reconstruct_each(
     if not off:
         return out
     lo, hi = min(a0, *off), max(a0, *off)
+    dom, ends = P.param_domain, (lo, hi)
     if P.rhs_closed is None:
         g = _NestedRhs(P, cfg)
     else:  # a copy that carries the offset form as ``near``, the kernels' contract
         g = functools.partial(P.rhs_closed)
         g.near = P.rhs_near
-    hull = _probed(g, lo, hi)
-    fit = hull[1] or hull[2]
-    if P.rhs_closed is None and g.status is QuadStatus.CONVERGED and (
-        not fit or (not (hull[1] and hull[2]) and _root_end(fit, g.cfg))
-    ):
-        root = fit and ((lo, 1.0) if hull[1] else (hi, -1.0))
-        out.update(_chebyshev(g, lo, hi, off, root) or {})
-        g.status = QuadStatus.CONVERGED  # a declined interpolant's samples are not the fallback's
+    probe = _Counted(g)
+    inside = [P.rhs_closed is None and dom.is_interior(e) for e in ends]
+    fits = [None if z else _fit(probe, e, lo, hi) for z, e in zip(inside, ends)]
+    got = P.rhs_closed is None and _chebyshev(g, lo, hi, off, fits)
+    if P.rhs_closed is None and not got:
+        fits = [_fit(probe, e, lo, hi) if z else f for z, f, e in zip(inside, fits, ends)]
+        past = [(gap, e) for gap, e in ((lo - dom.lo, dom.lo), (dom.hi - hi, dom.hi))
+                if 0.0 < gap <= hi - lo]
+        if any(f for f, z in zip(fits, inside) if z):
+            got = _chebyshev(g, lo, hi, off, fits)
+        elif not any(fits) and past and g.status is QuadStatus.CONVERGED:
+            end = min(past)[1]
+            ext = (min(lo, end), max(hi, end))
+            fit = _fit(probe, end, *ext)
+            got = fit and _chebyshev(g, *ext, off, (fit, None) if end < lo else (None, fit))
+            g.status = QuadStatus.CONVERGED  # the fit at end is not the fallback's
+    out.update(got or {})
     g_cfg = cfg if P.rhs_closed else g.alpha_cfg
     for a in off:
         if a in out:
             continue
         path = (a0, a) if a0 <= a else (a, a0)
-        own = path == (lo, hi)
+        own = path == ends
         pg = g if own or P.rhs_closed else _NestedRhs(P, cfg)
-        probe, fit_lo, fit_hi = hull if own else _probed(pg, *path)
+        pc = probe if own else _Counted(pg)
         kinds = (EndpointKind.INTEGRABLE_SINGULARITY if f else EndpointKind.REGULAR
-                 for f in (fit_lo, fit_hi))
+                 for f in (fits if own else [_fit(pc, e, *path) for e in path]))
         try:
             q = integrate(pg, DomainSpec(*path, *kinds), g_cfg)
         except (QuadratureError, ValueError) as exc:
             out[a] = exc
             continue
         value = v0 + (q.value if a0 <= a else -q.value)
-        est, n, inner = q.abs_err_est, q.n_evals + probe.n, QuadStatus.CONVERGED  # closed rhs
+        est, n, inner = q.abs_err_est, q.n_evals + pc.n, QuadStatus.CONVERGED  # closed rhs
         if P.rhs_closed is None:
             est += 2.0 * (path[1] - path[0]) * pg.cfg.abs_tol  # the inner noise
             n, inner = pg.n_evals, pg.status
@@ -705,21 +717,26 @@ def reconstruct(
     """value0 + int_{alpha0}^{alpha_target} dI/d alpha, as plain quadrature.
 
     The rhs dI/d alpha is the closed form when the entry carries one, else
-    deriv_under_integral at each alpha.  Each end of the path, the anchor
-    included, is routed by a 3-rung endpoint fit of the rhs: an exponent
-    <= -0.05, or a failing sample, is an integrable blow-up.  A numeric rhs
-    with regular ends, or one square-root end, is one Chebyshev interpolant
-    of dI/d alpha, or of dI/ds with alpha = end +- s*s (see _chebyshev).
-    Otherwise, when that declines, and always for a closed rhs (a node at
-    alpha = 1e-30 costs it one call, not ~800), the rhs is integrated over
-    the path by Gauss-Kronrod, or tanh-sinh at a singular end; a numeric
-    one at the node tolerance, with 2 * (path length) * that tolerance in
-    the estimate for the inner noise.  A numeric rhs's status is the worst
-    of the inner quadratures its value rests on, probes included; either
-    way it is converged only if its estimate meets the alpha-tolerance at
-    its value.  ``n_evals`` counts every evaluation the call causes, the
-    probes and a declined interpolant's included (an inner quadrature that
-    raises inside a probe reports none)."""
+    deriv_under_integral at each alpha.  An end of the path is routed by a
+    3-rung endpoint fit of the rhs: an exponent <= -0.05, or a failing
+    sample, is an integrable blow-up.  A closed rhs fits both ends.  A
+    numeric one fits up front only an end on a finite end of the parameter
+    domain, and is one Chebyshev interpolant of dI/d alpha, or of dI/ds
+    with alpha = end +- s*s about one square-root end (see _chebyshev).  An
+    end inside the domain is fitted only when that declines, since a
+    blow-up there keeps the series from chopping: one that reads singular
+    gets its own interpolant, and with both ends regular, a square-root end
+    of the domain past the path, within one path length, gets one in s on
+    the path extended to it.  Otherwise, and always for a closed rhs (a
+    node at alpha = 1e-30 costs it one call, not ~800), the rhs is
+    integrated over the path by Gauss-Kronrod, or tanh-sinh at a singular
+    end; a numeric one at the node tolerance, with 2 * (path length) * that
+    tolerance in the estimate for the inner noise.  A numeric rhs's status
+    is the worst of the inner quadratures its value rests on, its path's
+    fits included; either way it is converged only if its estimate meets
+    the alpha-tolerance at its value.  ``n_evals`` counts every evaluation
+    the call causes, every fit and declined interpolant included (an inner
+    quadrature that raises inside a fit reports none)."""
     if P.anchor is None:
         raise MissingAnchorError(
             "entry has no anchor value; reconstruction needs a known I(alpha0)"

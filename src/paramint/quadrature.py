@@ -558,7 +558,7 @@ def _tanh_sinh(
     # The integrand's offset form, read once.
     near = getattr(f.raw, "near", None)
     offset = near is not None
-    swept = _Counted(near, f.fc) if offset else f
+    swept = _Counted(near, f.fc, f.mirror) if offset else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``,
@@ -777,8 +777,9 @@ def integrate_improper(
     the mass beyond is bounded by a fitted decay exponent and folded into
     ``abs_err_est``; a tail that decays like 1/x or slower gets an infinite
     estimate and ``tail_truncated``, as does one that overflows f/(1 - s)**2.
-    (-inf, b] is [-b, inf) for f(-u), and (-inf, inf) is the sum of the
-    half-lines from 0 for f(x) and for f(-u); f failing names x = -u.
+    (-inf, b] is [-b, inf) for f(-u), with near(end, d) = f.near(-end, -d),
+    and (-inf, inf) is the sum of the half-lines from 0 for f(x) and for
+    f(-u); f failing names x = -u.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is not None:
@@ -791,6 +792,8 @@ def integrate_improper(
     if not lo_inf:
         return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
     mirrored = _Counted(lambda u: f(-u), mirror=True)
+    if hasattr(f, "near"):
+        mirrored.raw.near = lambda end, d: f.near(-end, -d)
     if not hi_inf:
         return _improper_semi(mirrored, -domain.upper, domain.upper_kind, cfg)
     right = _improper_semi(_Counted(f), 0.0, EndpointKind.REGULAR, cfg)

@@ -87,6 +87,12 @@ exact, and the loose one kept its value bits, with 116 evaluations
 instead of 176 and an estimate of 5.9e-9 instead of 2.1e-9 (loose
 tolerance: 1e-6).
 
+Five records moved only in ``n_evals`` when a numeric rhs began to fit a
+path end inside the parameter domain only after an interpolant declines:
+``ex3_alpha@*.reconstruct`` at 0, 0.5 and 2 (8,325 -> 7,920, 3,420 ->
+2,520 and 6,945 -> 5,955), ``ex2@1.5.reconstruct_stripped`` (3,676 ->
+3,406) and ``ex1@1.0.reconstruct_stripped`` (2,166 -> 1,890).
+
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it, and with
 ``--diff`` prints only the records that differ from it, old -> new, each
@@ -308,16 +314,16 @@ GOLDEN = {
     'ex3_beta@2.0.reconstruct': ('0x1.64b6fa9b2da0ep+0', '0x1.a8b2a00000000p-34', 36, 'converged'),
     'ex3_alpha@0.0.direct': ('0x1.40d931ff6524dp+0', '0x1.ce7b4fc54362ap-35', 315, 'converged'),
     'ex3_alpha@0.0.deriv': ('-0x1.40d931ff60b8bp-1', '0x1.11548185914b3p-35', 420, 'converged'),
-    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff63444p+0', '0x1.428ef935da690p-34', 8325, 'converged'),
+    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff63444p+0', '0x1.428ef935da690p-34', 7920, 'converged'),
     'ex3_alpha@0.5.direct': ('0x1.f87889db7d704p-1', '0x1.09ac9818c72b2p-35', 195, 'converged'),
     'ex3_alpha@0.5.deriv': ('-0x1.c3366305de558p-2', '0x1.18cd5444d860cp-37', 270, 'converged'),
-    'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7d0adp-1', '0x1.385f023ffb4a5p-34', 3420, 'converged'),
+    'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7d0adp-1', '0x1.385f023ffb4a5p-34', 2520, 'converged'),
     'ex3_alpha@1.0.direct': ('0x1.9cfe0dbedf478p-1', '0x1.4fc26a8ddccc7p-40', 165, 'converged'),
     'ex3_alpha@1.0.deriv': ('-0x1.24079c092bae6p-2', '0x1.201b6dffaf728p-38', 195, 'converged'),
     'ex3_alpha@1.0.reconstruct': ('0x1.9cfe0dbedf46dp-1', '0x0.0p+0', 0, 'converged'),
     'ex3_alpha@2.0.direct': ('0x1.37c7b6d99806ap-1', '0x1.13dae6077885bp-44', 195, 'converged'),
     'ex3_alpha@2.0.deriv': ('-0x1.16dd58588d17fp-3', '0x1.4eededf0a619cp-42', 195, 'converged'),
-    'ex3_alpha@2.0.reconstruct': ('0x1.37c7b6d998079p-1', '0x1.48dbf59e105f7p-41', 6945, 'converged'),
+    'ex3_alpha@2.0.reconstruct': ('0x1.37c7b6d998079p-1', '0x1.48dbf59e105f7p-41', 5955, 'converged'),
     'ex4@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 30, 'converged'),
     'ex4@0.0.deriv': ('0x0.0p+0', '0x1.019c501fbace4p-47', 30, 'converged'),
     'ex4@0.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
@@ -336,8 +342,8 @@ GOLDEN = {
     'ex4@1.0.direct': ('-0x1.16bb24190a0acp+1', '0x1.7f8d048e7d983p-36', 60, 'converged'),
     'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
     'ex4@1.0.reconstruct': ('-0x1.16bb24190a0b7p+1', '0x1.1348b5d920c85p-38', 88, 'converged'),
-    'ex2@1.5.reconstruct_stripped': ('0x1.461829d79250ap+1', '0x1.6356a512ab9c0p-32', 3676, 'converged'),
-    'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d07p+1', '0x1.11b8e7fb8a7f5p-34', 2166, 'converged'),
+    'ex2@1.5.reconstruct_stripped': ('0x1.461829d79250ap+1', '0x1.6356a512ab9c0p-32', 3406, 'converged'),
+    'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d07p+1', '0x1.11b8e7fb8a7f5p-34', 1890, 'converged'),
 }
 
 

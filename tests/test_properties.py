@@ -117,7 +117,13 @@ _CONTRACT_FAMILIES = {
 # one interpolant in alpha, or Gauss-Kronrod in alpha where it declines),
 # and from I(0) = 0, x sqrt(alpha) (a square-root end: one interpolant in
 # s = sqrt(alpha)) and x alpha**0.3 (tanh-sinh in alpha, whose rhs blows up
-# like alpha**-0.7 at the anchor).
+# like alpha**-0.7 at the anchor).  Two more are x times a root shape r:
+# from I(16) = 0, sgn(alpha - 16) sqrt|alpha - 16|, whose blow-up sits at an
+# anchor inside the domain (fitted only once the interpolant in alpha
+# declines, then one in s about it), and from I(0) = 0, 8 - sqrt(64 - alpha)
+# = alpha/(8 + sqrt(64 - alpha)), whose blow-up sits at the domain end 64
+# (past a path that ends within one path length of it, the path extended to
+# it is one interpolant in s).
 def _scaled_family(power: float) -> ParametricIntegral:
     return ParametricIntegral(
         integrand=lambda x, a: x * a ** power,
@@ -125,6 +131,18 @@ def _scaled_family(power: float) -> ParametricIntegral:
         domain=DomainSpec.finite(0.0, 1.0),
         d_alpha=lambda x, a: x * power * a ** (power - 1.0),
         anchor=Anchor(0.0, 0.0),
+        solution_closed=lambda a: 0.5 * a ** power,
+    )
+
+
+def _root_family(a0: float, r, dr) -> ParametricIntegral:
+    return ParametricIntegral(
+        integrand=lambda x, a: x * 2.0 * r(a),
+        param_domain=ParamDomain(0.0, 64.0),
+        domain=DomainSpec.finite(0.0, 1.0),
+        d_alpha=lambda x, a: x * 2.0 * dr(a),
+        anchor=Anchor(a0, 0.0),
+        solution_closed=r,
     )
 
 
@@ -135,9 +153,15 @@ _NESTED_ROUTES = {
         domain=DomainSpec.finite(0.0, 1.0),
         d_alpha=lambda x, a: -x * math.sin(a * x),
         anchor=Anchor(1.0, math.sin(1.0)),
+        solution_closed=lambda a: math.sin(a) / a if a else 1.0,
     ),
     "root_end": _scaled_family(0.5),
     "tanh_sinh": _scaled_family(0.3),
+    "interior_root": _root_family(
+        16.0, lambda a: math.copysign(math.sqrt(abs(a - 16.0)), a - 16.0),
+        lambda a: 0.5 / math.sqrt(abs(a - 16.0))),
+    "root_past_path": _root_family(
+        0.0, lambda a: a / (8.0 + math.sqrt(64.0 - a)), lambda a: 0.5 / math.sqrt(64.0 - a)),
 }
 
 
@@ -191,19 +215,26 @@ class TestConvergedContract:
     @pytest.mark.parametrize("route", list(_NESTED_ROUTES))
     @given(alpha=st.floats(0.0, 64.0), tol_exp=st.integers(min_value=4, max_value=12))
     @example(alpha=50.0, tol_exp=10)  # the inner noise share 2 * 50 * 1e-9 passes 2e-8
+    @example(alpha=40.0, tol_exp=10)  # 24 short of the domain end 64, on a path of 40
+    @example(alpha=63.36, tol_exp=10)
     def test_converged_nested_estimate_meets_the_alpha_tolerance(self, route, alpha, tol_exp):
         # reconstruct with a numeric rhs: its alpha-quadrature runs at the
-        # caller's tolerances floored at 2e-8.  A refusal claims nothing: at
-        # alpha = 5e-324 an alpha-node rounds onto the blow-up at 0.
+        # caller's tolerances floored at 2e-8, and a converged value lies
+        # within its estimate of the closed form, give or take 4 ulp of
+        # either's rounding.  A refusal claims nothing: at alpha = 5e-324 an
+        # alpha-node rounds onto the blow-up at 0.
+        P = _NESTED_ROUTES[route]
         cfg = QuadConfig(abs_tol=10.0 ** -tol_exp, rel_tol=10.0 ** -tol_exp)
         try:
-            res = reconstruct(_NESTED_ROUTES[route], alpha, cfg)
+            res = reconstruct(P, alpha, cfg)
         except QuadratureError:
             return
         if res.status is QuadStatus.CONVERGED:
             floor = engine._ALPHA_TOL_FLOOR
             tol = max(cfg.abs_tol, floor, max(cfg.rel_tol, floor) * abs(res.value))
             assert res.abs_err_est <= tol
+            err = abs(res.value - P.solution_closed(alpha))
+            assert err <= res.abs_err_est + 4.0 * _EPS * abs(res.value)
 
 
     @pytest.mark.parametrize("variable", list(_GRID_SHAPES))

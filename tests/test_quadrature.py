@@ -357,6 +357,26 @@ class TestImproper:
         assert left == right
         assert abs(left.value - SHIFTED_GAMMA_HALF) <= left.abs_err_est
 
+    def test_mirrored_half_line_takes_the_offset_form(self):
+        # (-inf, -1] runs [1, inf) for f(-u), whose offset form is
+        # f.near(-end, -d): its head samples offsets below ulp(1) and
+        # converges, as the integral on [1, inf) does (without it:
+        # tail_truncated, 8.0e-9 within 2.3e-8, in 13,022 evaluations)
+        def f(x: float) -> float:
+            return math.exp(x) / math.sqrt(-1.0 - x)
+
+        f.near = lambda end, d: math.exp(end + d) / math.sqrt((-1.0 - end) - d)
+        dom = DomainSpec(-math.inf, -1.0, EndpointKind.INFINITE,
+                         EndpointKind.INTEGRABLE_SINGULARITY)
+        res = integrate_improper(f, dom)
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - SHIFTED_GAMMA_HALF) <= res.abs_err_est <= 1e-15
+        # an offset sample next to -1 that fails names its declared x
+        f.near = lambda end, d: 1.0 / (end != -1.0 or abs(d) > 1e-3)
+        with pytest.raises(EvaluationError) as info:
+            integrate_improper(f, dom)
+        assert -1.001 < info.value.abscissa < -1.0
+
     def test_slow_algebraic_tail_vs_oracle(self):
         res = integrate_improper(lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE)
         assert abs(res.value - EXP_LORENTZ) < 1e-10
