@@ -122,12 +122,8 @@ class ParamDomain:
 
     def boundary_distance(self, alpha: float) -> float:
         """Distance to the nearest finite endpoint (inf if none)."""
-        d = math.inf
-        if math.isfinite(self.lo):
-            d = min(d, abs(alpha - self.lo))
-        if math.isfinite(self.hi):
-            d = min(d, abs(alpha - self.hi))
-        return d
+        ends = (e for e in (self.lo, self.hi) if math.isfinite(e))
+        return min((abs(alpha - e) for e in ends), default=math.inf)
 
     def describe(self) -> str:
         """The interval as text, ends at 12 significant digits; an infinite end
@@ -484,8 +480,20 @@ _DERIV_TOL_FLOOR = 1e-9  # per-node tolerance for numeric dI/d alpha
 # fits a growth exponent at or below this.  The fit uses 3 rungs: deeper
 # rungs of a numeric rhs read inner-quadrature noise as growth.
 _ROUTE_EXPONENT = -0.05
+# A numeric rhs's relative tolerance at a routing fit's rungs: rungs 16x apart move
+# the slope by <= ~0.72 x that, far inside the margin above and _root_end's window.
+_FIT_REL_TOL = 1e-4
 # Chebyshev levels of the interpolant of a numeric rhs, nested: a doubling reuses every sample
 _CHEB_LEVELS = (8, 16, 32, 64)
+
+
+@functools.cache
+def _sines(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """sin(m th_1), th_1 = pi/n, for m < 2n, and the rows sin(j k th_1) of the
+    sine transform at level n (k, j = 1 .. n-1): built once per level, read-only."""
+    sn = tuple(math.sin(math.pi * m / n) for m in range(2 * n))
+    ext = sn * (n // 2 + 1)  # sin(m th_1) up to m = n*n: sn has period 2n
+    return sn, tuple(ext[k:k * n:k] for k in range(1, n))  # symmetric in j, k
 
 
 class _NestedRhs:
@@ -494,11 +502,13 @@ class _NestedRhs:
     worst ``status``.  Its node tolerance ``cfg`` and its alpha-quadrature's
     ``alpha_cfg`` are the caller's, floored at _DERIV_TOL_FLOOR and at
     _ALPHA_TOL_FLOOR; ``alpha_cfg`` allows at most _ALPHA_MAX_SUBDIV panels.
-    """
+    ``fit`` samples it for a routing fit, at ``fit_cfg``: ``cfg`` with
+    rel_tol floored at _FIT_REL_TOL."""
 
     def __init__(self, P: ParametricIntegral, cfg: QuadConfig):
         self.P = P
         self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
+        self.fit_cfg = replace(self.cfg, rel_tol=max(self.cfg.rel_tol, _FIT_REL_TOL))
         sub = min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV)
         self.alpha_cfg = replace(_scaled(cfg, 1.0, _ALPHA_TOL_FLOOR), max_subdivisions=sub)
         self.n_evals = 0
@@ -514,12 +524,16 @@ class _NestedRhs:
     def __call__(self, a: float) -> float:
         return self.sample(a).value
 
+    def fit(self, a: float) -> float:
+        return self.sample(a, self.fit_cfg).value
+
 
 def _fit(probe: _Counted, end: float, lo: float, hi: float) -> Optional[tuple]:
     """The 3-rung growth fit of the counted rhs ``probe`` at ``end`` of the
     path [lo, hi], into the path: None for the regular kernel, else (p, its
     samples (d, g(end +- d))) with p <= _ROUTE_EXPONENT, or (nan, []) when it
-    meets a failing sample or a non-integrable fit."""
+    meets a failing sample or a non-integrable fit.  A numeric rhs's probe
+    is its ``fit``, at the fit tolerance: the fit only routes."""
     samples = []
 
     def sampled(x: float) -> float:
@@ -537,9 +551,9 @@ def _fit(probe: _Counted, end: float, lo: float, hi: float) -> Optional[tuple]:
 def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> bool:
     """Whether a singular end's fit reads a square-root blow-up, which
     alpha = end +- s*s removes: p within 0.1 of -1/2, and h = 2 sqrt(d) g at
-    its three samples flat to the tolerance ``cfg`` or with successive
-    differences that shrink at least 3-fold (about 4-fold when h is smooth
-    in s = sqrt(d), about 4**eps-fold for a leftover power s**eps)."""
+    its three samples flat to ``cfg`` (a numeric rhs's fit tolerance) or
+    with successive differences that shrink at least 3-fold (about 4-fold
+    when h is smooth in s = sqrt(d), 4**eps-fold for a leftover s**eps)."""
     p, samples = fit
     if not (abs(p + 0.5) <= 0.1 and len(samples) == 3):
         return False
@@ -577,7 +591,7 @@ def _chebyshev(
     """
     a0, v0 = g.P.anchor.alpha0, g.P.anchor.value0
     root = fits[0] or fits[1]
-    if g.status is not QuadStatus.CONVERGED or root and (all(fits) or not _root_end(root, g.cfg)):
+    if g.status is not QuadStatus.CONVERGED or root and (all(fits) or not _root_end(root, g.fit_cfg)):
         return None
     end, sign = (lo, 1.0) if fits[0] else (hi, -1.0)
     u_lo, h = (0.0, 0.5 * math.sqrt(hi - lo)) if root else (lo, 0.5 * (hi - lo))
@@ -600,9 +614,7 @@ def _chebyshev(
                     du = 2.0 * sign * us[j] if root else 1.0  # d alpha / du
                     got[j] = (du * r.value, abs(du) * r.abs_err_est)
             samples = [got[j * step] for j in range(1, n)]
-            sn = [math.sin(math.pi * m / n) for m in range(2 * n)]  # sin(m th_1)
-            ext = sn * (n // 2 + 1)  # sin(m th_1) up to m = n*n: sn has period 2n
-            rows = [ext[k:k * n:k] for k in range(1, n)]  # sin(j k th_1), symmetric in j, k
+            sn, rows = _sines(n)
             vs = [v * sn[j] for j, (v, _) in enumerate(samples, 1)]
             b = [2.0 / n * math.fsum(map(operator.mul, vs, row)) for row in rows]
             rounding = n * _EPS * max(abs(v) for v, _ in samples)  # of each b_k
@@ -670,7 +682,7 @@ def _reconstruct_each(
     else:  # a copy that carries the offset form as ``near``, the kernels' contract
         g = functools.partial(P.rhs_closed)
         g.near = P.rhs_near
-    probe = _Counted(g)
+    probe = _Counted(g if P.rhs_closed else g.fit)  # a numeric rhs at its fit tolerance
     inside = [P.rhs_closed is None and dom.is_interior(e) for e in ends]
     fits = [None if z else _fit(probe, e, lo, hi) for z, e in zip(inside, ends)]
     got = P.rhs_closed is None and _chebyshev(g, lo, hi, off, fits)
@@ -694,7 +706,7 @@ def _reconstruct_each(
         path = (a0, a) if a0 <= a else (a, a0)
         own = path == ends
         pg = g if own or P.rhs_closed else _NestedRhs(P, cfg)
-        pc = probe if own else _Counted(pg)
+        pc = probe if own else _Counted(pg if P.rhs_closed else pg.fit)
         kinds = (EndpointKind.INTEGRABLE_SINGULARITY if f else EndpointKind.REGULAR
                  for f in (fits if own else [_fit(pc, e, *path) for e in path]))
         try:
@@ -718,8 +730,9 @@ def reconstruct(
 
     The rhs dI/d alpha is the closed form when the entry carries one, else
     deriv_under_integral at each alpha.  An end of the path is routed by a
-    3-rung endpoint fit of the rhs: an exponent <= -0.05, or a failing
-    sample, is an integrable blow-up.  A closed rhs fits both ends.  A
+    3-rung endpoint fit of the rhs (a numeric one at the fit tolerance, rel
+    1e-4): an exponent <= -0.05, or a failing sample, is an integrable
+    blow-up.  A closed rhs fits both ends.  A
     numeric one fits up front only an end on a finite end of the parameter
     domain, and is one Chebyshev interpolant of dI/d alpha, or of dI/ds
     with alpha = end +- s*s about one square-root end (see _chebyshev).  An
@@ -770,8 +783,7 @@ def verify(
     points: list[VerificationPoint] = []
     for alpha in alphas:
         notes: list[str] = []
-        direct = math.nan
-        direct_err = math.nan
+        direct = direct_err = math.nan
         ok = True
         try:
             res = eval_direct(P, alpha, cfg)
@@ -795,11 +807,8 @@ def verify(
 
         disc_dc = abs(direct - closed) if closed is not None and ok else None
         disc_rd = abs(recon - direct) if recon is not None and ok else None
-        passed = ok
-        if disc_dc is not None and not disc_dc <= tol_direct:
-            passed = False
-        if disc_rd is not None and not disc_rd <= tol_reconstruct:
-            passed = False
+        passed = ok and (disc_dc is None or disc_dc <= tol_direct) and (
+            disc_rd is None or disc_rd <= tol_reconstruct)
         points.append(
             VerificationPoint(
                 alpha=alpha,

@@ -228,8 +228,9 @@ def _status(cfg: QuadConfig, value: float, est: float, *parts: QuadStatus) -> Qu
     return QuadStatus.CONVERGED if est <= _tol_for(cfg, value) else QuadStatus.MAX_DEPTH
 
 
+@functools.lru_cache(maxsize=256)
 def _scaled(cfg: QuadConfig, share: float, floor: float = 0.0) -> QuadConfig:
-    """``cfg`` with both tolerances times ``share``, and each at least ``floor``."""
+    """``cfg`` with both tolerances times ``share``, and each at least ``floor``; cached."""
     return replace(
         cfg, abs_tol=max(share * cfg.abs_tol, floor), rel_tol=max(share * cfg.rel_tol, floor)
     )
@@ -251,7 +252,13 @@ class _Checked:
 
     A wrapper has a checked per-node ``__call__``, which counts the node
     on the :class:`_Counted` ``fc`` and raises ``EvaluationError`` when it
-    fails, and the same map unchecked and uncounted as ``raw``.
+    fails, and the same map unchecked and uncounted as ``raw``.  A batch
+    runs first on ``raw``.  A non-finite value makes the plain sum
+    non-finite, so one test covers the batch, which then counts as one call
+    per value.  If the batch raises or fails that test, it is rerun once on
+    the checked ``__call__``, which raises at the first failing node in
+    batch order; a batch of finite values whose sum merely overflows costs
+    that rerun and nothing else.
     """
 
     __slots__ = ()
@@ -259,15 +266,8 @@ class _Checked:
     def run(
         self, sweep: Callable[..., tuple[list[float], object]], arg: object
     ) -> tuple[list[float], object]:
-        """``sweep(fn, arg)``, whose first item lists one value per node.
-
-        The sweep runs first on ``raw``.  A non-finite value makes the sum
-        non-finite, so one test covers the sweep, which then counts as one
-        call per value.  If the sweep raises or fails that test, it is
-        rerun on the checked ``__call__``, which raises at the first
-        failing node in sweep order; a sweep of finite values whose sum
-        merely overflows costs that rerun and nothing else.
-        """
+        """``sweep(fn, arg)``, whose first item lists one value per node (a
+        tanh-sinh sweep), as one checked batch."""
         try:
             out = sweep(self.raw, arg)
             if math.isfinite(sum(out[0])):
@@ -278,14 +278,15 @@ class _Checked:
         return sweep(self, arg)
 
     def many(self, xs: Sequence[float]) -> list[float]:
-        """The map at every node of ``xs`` (a Gauss-Kronrod panel) as one
-        checked batch."""
-        return self.run(self._batch, xs)[0]
-
-    def _batch(
-        self, fn: Callable[[float], float], xs: Sequence[float]
-    ) -> tuple[list[float], None]:
-        return [fn(x) for x in xs], None
+        """The map at every node of ``xs`` (a Gauss-Kronrod panel) as one checked batch."""
+        try:
+            vs = list(map(self.raw, xs))
+            if math.isfinite(sum(vs)):
+                self.fc.n += len(vs)
+                return vs
+        except Exception:
+            pass
+        return [self(x) for x in xs]
 
 
 class _Counted(_Checked):
@@ -728,16 +729,6 @@ class _Compactified(_Checked):
             raise EvaluationError(s, v)
         return v
 
-    def _batch(
-        self, fn: Callable[[float], float], ss: Sequence[float]
-    ) -> tuple[list[float], None]:
-        # The head's ``raw`` inline (a complement tail never batches): a
-        # Python call per node would add a tenth to the improper kernel's cost.
-        if fn is not self.raw:
-            return super()._batch(fn, ss)
-        f, a = self.fc.raw, self.a
-        return [f(a + s / (om := 1.0 - s)) / (om * om) for s in ss], None
-
 
 def _improper_semi(
     fc: _Counted, a: float, lower_kind: EndpointKind, cfg: QuadConfig
@@ -858,12 +849,14 @@ def integrate_oscillatory_improper(
     inter-zero terms stop alternating after warm-up the kernel falls back
     to :func:`integrate_improper` and flags the result ``tail_truncated``.
 
-    The head [a, first zero] and each inter-zero segment start from one
-    Gauss-Kronrod panel over the whole segment, since it holds no sign
-    change, and bisect only if that panel misses.  A one-panel |K - G| is a
-    much larger estimate than the sum over two halves, so each segment gets
-    _OSC_SEG_SHARE of the tolerance (floored at 1e-15): at that share, the
-    estimates of all _OSC_MAX_TERMS + 1 segments fit in a quarter of it.
+    The first zero past a is found by doubling k, then bisecting.  The
+    head [a, first zero] is bisected from its two halves; each inter-zero
+    segment starts from one Gauss-Kronrod panel over it, since it holds no
+    sign change, and bisects only if that panel misses (a head's one panel
+    almost always does).  A one-panel |K - G| is a much larger estimate than
+    the sum over two halves, so each segment gets _OSC_SEG_SHARE of the
+    tolerance (floored at 1e-15): at that share, the estimates of all
+    _OSC_MAX_TERMS + 1 segments fit in a quarter of it.
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is None:
@@ -873,15 +866,18 @@ def integrate_oscillatory_improper(
 
     zero = domain.oscillatory_tail.phase_zero_rule
     a = domain.lower
-    k0 = 1
-    while zero(k0) <= a:
-        k0 += 1
-        if k0 > 1_000_000:
-            raise ValueError("phase_zero_rule produced no zeros beyond the lower endpoint")
+    lo, k0 = 0, 1  # the bisection keeps zero(lo) <= a < zero(k0); zero(0) stands for a
+    while (z := zero(k0)) <= a and k0 < 1 << 62:
+        lo, k0 = k0, 2 * k0
+    if not a < z < math.inf:
+        raise ValueError("phase_zero_rule produced no zeros beyond the lower endpoint")
+    while k0 - lo > 1:
+        mid = (lo + k0) // 2
+        lo, k0 = (lo, mid) if zero(mid) > a else (mid, k0)
 
     fc = _Counted(f)
     seg_cfg = _scaled(cfg, _OSC_SEG_SHARE, 1e-15)
-    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg, whole=True)
+    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg)
     table = _Epsilon()
     seg_errs: list[float] = [head_err]
     running = prev = best = head
@@ -897,12 +893,7 @@ def integrate_oscillatory_improper(
             noise = 10.0 * (seg_errs[j] + e)
             if min(abs(s), abs(prev)) > noise and math.copysign(1.0, s) == math.copysign(1.0, prev):
                 res = integrate_improper(f, DomainSpec.semi_infinite(a), cfg)
-                return QuadResult(
-                    res.value,
-                    res.abs_err_est,
-                    fc.n + res.n_evals,
-                    QuadStatus.TAIL_TRUNCATED,
-                )
+                return replace(res, n_evals=fc.n + res.n_evals, status=QuadStatus.TAIL_TRUNCATED)
         prev = s
 
         corner = table.push(running)
@@ -914,8 +905,7 @@ def integrate_oscillatory_improper(
                     break
             best_prev = best
 
-    err_sum = math.fsum(seg_errs)
-    est = (4.0 * increment if math.isfinite(increment) else abs(best)) + err_sum
+    est = (4.0 * increment if math.isfinite(increment) else abs(best)) + math.fsum(seg_errs)
     return QuadResult(best, est, fc.n, _status(cfg, best, est))
 
 

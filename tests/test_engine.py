@@ -42,7 +42,7 @@ from paramint import (
     reconstruct,
     verify,
 )
-from paramint import catalog, engine
+from paramint import catalog, engine, quadrature
 
 from _oracles import CATALOG_TRUTHS, EX3_ALPHA_TRUTHS, ITEM3_TRUTHS
 
@@ -892,35 +892,67 @@ class TestNestedReconstruction:
         assert deriv_under_integral(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
         assert reconstruct(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
 
-    def test_tanh_sinh_route_runs_every_inner_quadrature_at_the_node_tolerance(
+    def test_tanh_sinh_route_fits_at_the_fit_tolerance_and_runs_the_rest_at_the_node_tolerance(
         self, monkeypatch
     ):
-        # alpha-nodes, growth probes and the kernel's own endpoint fits alike;
-        # the estimate is the alpha-quadrature's plus the flat noise share
-        # 2 * (path length) * node tolerance
+        # only the routing fits' rungs, 3 at each end of the path [0, 1]
+        # (the domain end 0 up front, the inner end 1 after the interpolant
+        # declines), run at the fit tolerance, rel_tol 1e-4: their values
+        # only route.  The tanh-sinh kernel's own 9-rung endpoint fit and the
+        # alpha-nodes run at the node tolerance; the estimate is the
+        # alpha-quadrature's plus the flat noise share 2 * (path length) *
+        # node tolerance
         P = make_scaled(
             lambda x: x ** -0.5, DomainSpec.singular(0.0, 1.0, at_lower=True), True)
-        tols = set()
+        calls = []  # (alpha, abs_tol, rel_tol) of every inner quadrature
         outer = []
         deriv = engine.deriv_under_integral
 
         def spy_deriv(P, a, cfg):
-            tols.add((cfg.abs_tol, cfg.rel_tol))
+            calls.append((a, cfg.abs_tol, cfg.rel_tol))
             return deriv(P, a, cfg)
 
         def spy_integrate(f, dom, cfg=None):
+            before = len(calls)
             res = integrate(f, dom, cfg)
             if sys._getframe(1).f_code is engine._reconstruct_each.__code__:
-                outer.append((dom, res))
+                outer.append((dom, res, before))
             return res
 
         monkeypatch.setattr(engine, "deriv_under_integral", spy_deriv)
         monkeypatch.setattr(engine, "integrate", spy_integrate)
         res = reconstruct(P, 1.0)
-        [(dom, q)] = outer
+        [(dom, q, before)] = outer
         assert dom == DomainSpec.singular(0.0, 1.0, at_lower=True)
-        assert tols == {(engine._DERIV_TOL_FLOOR, engine._DERIV_TOL_FLOOR)}
-        assert res.abs_err_est == q.abs_err_est + 2.0 * 1.0 * engine._DERIV_TOL_FLOOR
+        node, fit = engine._DERIV_TOL_FLOOR, engine._FIT_REL_TOL
+        rungs = [2.0 ** -8, 2.0 ** -12, 2.0 ** -16]
+        assert calls[:before] == (
+            [(d, node, fit) for d in rungs] + [(1.0 - d, node, fit) for d in rungs])
+        kernel_fit = [(2.0 ** -j, node, node) for j in range(8, 44, 4)]
+        assert calls[before:before + 9] == kernel_fit
+        assert {(t, r) for _, t, r in calls[before:]} == {(node, node)}
+        assert res.abs_err_est == q.abs_err_est + 2.0 * 1.0 * node
+        assert res.status is QuadStatus.CONVERGED
+
+    @pytest.mark.parametrize("blow_up, route", [
+        (-0.45, "tanh-sinh lower"), (-0.48, "tanh-sinh lower"), (-0.5, "grid-s"),
+        (-0.52, "tanh-sinh lower"), (-0.55, "tanh-sinh lower"), ("log", "tanh-sinh lower"),
+    ])
+    def test_routing_fits_keep_every_route(self, monkeypatch, blow_up, route):
+        # dI/da = a**blow_up (a scaled family) or log(a) + 1 from I(0) = 0:
+        # only the square root takes the s-route; the others keep tanh-sinh
+        # in alpha.  At -0.48 and -0.52 the steps of h = 2 sqrt(d) g at the
+        # fit's rungs shrink 1.06- and 0.95-fold, far from the 3-fold rule,
+        # and are 5% of h, far past the fit tolerance 1e-4
+        if blow_up == "log":
+            P = dataclasses.replace(
+                make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), True),
+                integrand=lambda x, a: a * math.log(a), d_alpha=lambda x, a: math.log(a) + 1.0)
+        else:
+            P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), True, 1.0 + blow_up)
+        routes = _alpha_routes(monkeypatch)
+        res = reconstruct(P, 1.0)
+        assert list(map(_route_name, routes)) == [route]
         assert res.status is QuadStatus.CONVERGED
 
     def test_converged_only_within_the_alpha_tolerance(self):
@@ -953,37 +985,40 @@ class TestNestedReconstruction:
         # one Chebyshev interpolant, in alpha or in s, where it can be;
         # 70,352 once a hull end inside the parameter domain is fitted only
         # after an interpolant declines, and ex4 at 0.99 is one in s about
-        # the domain end 1 past its path)
+        # the domain end 1 past its path; 64,027 once the routing fits run
+        # at the fit tolerance and an oscillatory head starts from its halves)
         total = 0
         for entry_id, alpha in _ANCHORED_GRID:
             P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
             if alpha != P.anchor.alpha0:
                 total += reconstruct(P, alpha).n_evals
-        assert total <= 71_760
+        assert total <= 65_310
 
     @pytest.mark.parametrize("alpha", sorted(_EX1_STRIPPED_BITS))
     def test_stripped_ex1_cost_and_bits(self, alpha):
         # one interpolant in s = sqrt(alpha), where the rhs pi/(2 sqrt(alpha))
         # becomes the constant pi, so no sample comes near the anchor; only
-        # the anchor, an end of the parameter domain, is fitted (2,452,
-        # 2,166 and 2,092 evaluations when alpha was fitted too)
+        # the anchor, an end of the parameter domain, is fitted, at the fit
+        # tolerance (2,086, 1,890 and 1,726 evaluations at the node
+        # tolerance; 2,452, 2,166 and 2,092 when alpha was fitted too)
         P = dataclasses.replace(catalog.get("ex1").parametric, rhs_closed=None)
         res = reconstruct(P, alpha)
         assert res.value.hex() == _EX1_STRIPPED_BITS[alpha]
-        assert res.n_evals <= 2_200
+        assert res.n_evals <= 1_730
 
     def test_stripped_ex4_short_of_its_root_end(self, monkeypatch):
         # ex4's rhs blows up like 1/sqrt(1 - alpha) 0.01 past the path
         # [0, 0.99]: its ends read regular and the interpolant in alpha
         # declines, so the domain end 1 is fitted, and the interpolant in s
-        # about it on [0, 1] serves the point (on Gauss-Kronrod in alpha:
-        # 15,270 evaluations, error 8.0e-15 against an estimate of 2.7e-8)
+        # about it on [0, 1] serves the point (5,788 evaluations while the
+        # fits ran at the node tolerance; on Gauss-Kronrod in alpha: 15,270
+        # evaluations, error 8.0e-15 against an estimate of 2.7e-8)
         P = dataclasses.replace(catalog.get("ex4").parametric, rhs_closed=None)
         routes = _alpha_routes(monkeypatch)
         res = reconstruct(P, 0.99)
         assert routes == ["grid-s"]
         assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == (
-            "-0x1.c354888f1e930p+0", "0x1.f407039311781p-35", 5788)
+            "-0x1.c354888f1e930p+0", "0x1.f407039311781p-35", 5008)
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - CATALOG_TRUTHS["ex4@0.99"]) <= res.abs_err_est <= 1e-10
 
@@ -1102,10 +1137,34 @@ _EX3_ALPHA_GRID_BITS = {
 }
 
 
+# eval_direct of ex3_alpha at its grid: value and estimate bits and n_evals.
+# A head started from one panel over [0, sqrt(pi)] gave the same bits for 15
+# more evaluations each (315, 195, 165 and 195).
+_EX3_ALPHA_DIRECT = {
+    0.0: ("0x1.40d931ff6524dp+0", "0x1.ce7b4fc54362ap-35", 300),
+    0.5: ("0x1.f87889db7d704p-1", "0x1.09ac9818c72b2p-35", 180),
+    1.0: ("0x1.9cfe0dbedf478p-1", "0x1.4fc26a8ddccc7p-40", 150),
+    2.0: ("0x1.37c7b6d99806ap-1", "0x1.13dae6077885bp-44", 180),
+}
+
+
 class TestOscillatoryRoute:
-    """ex3_alpha runs through the oscillatory kernel, whose head and
-    inter-zero segments each start from one Gauss-Kronrod panel, at a share
-    of the tolerance that all of them fit in together."""
+    """ex3_alpha runs through the oscillatory kernel, whose head starts from
+    its two halves and whose inter-zero segments each start from one
+    Gauss-Kronrod panel, at a share of the tolerance that all of them fit in
+    together."""
+
+    @pytest.mark.parametrize("alpha", sorted(_EX3_ALPHA_DIRECT))
+    def test_head_starts_from_its_two_halves(self, alpha):
+        # one panel over the head [0, sqrt(pi)] misses the segment share, so
+        # starting from it bought nothing but its 15 evaluations
+        P = catalog.get("ex3_alpha").parametric
+        res = eval_direct(P, alpha)
+        assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == _EX3_ALPHA_DIRECT[alpha]
+        v, e, _ = quadrature._gk_panel(
+            quadrature._Counted(lambda x: P.integrand(x, alpha)), 0.0, math.sqrt(math.pi))
+        share = quadrature._scaled(QuadConfig(), quadrature._OSC_SEG_SHARE, 1e-15)
+        assert quadrature._status(share, v, e) is QuadStatus.MAX_DEPTH
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1.25e-11], ids=["node", "default", "sample"])
     @pytest.mark.parametrize("alpha", [0.0, 2**-16, 2**-12, 2**-8, 0.01, 0.5, 1.0, 2.0])
@@ -1127,11 +1186,12 @@ class TestOscillatoryRoute:
         # every evaluation behind ex3_alpha's grid interpolant (12,660 when
         # each segment started from two panels; 10,470 while its samples ran
         # at 0.25 abs_tol/L, not at 0.25 (node tolerance)/L; 8,850 while the
-        # hull end 2, inside the parameter domain, was fitted too)
+        # hull end 2, inside the parameter domain, was fitted too; 8,265
+        # while each head started from one panel over the whole head)
         entry = catalog.get("ex3_alpha")
         grid = list(entry.verification_grid)
         got = engine._reconstruct_each(entry.parametric, grid, QuadConfig())
-        assert max(r.n_evals for r in got.values()) <= 8_300
+        assert max(r.n_evals for r in got.values()) <= 7_560
 
 
 class TestVerify:
@@ -1218,7 +1278,7 @@ class TestVerify:
         P, grid = entry.parametric, list(entry.verification_grid)
         rep = verify(P, grid)
         assert rep.passed
-        assert len(evals) <= 34 and sum(evals) <= 8_300
+        assert len(evals) <= 34 and sum(evals) <= 7_560
         monkeypatch.setattr(engine, "deriv_under_integral", deriv)
         got = engine._reconstruct_each(P, grid, QuadConfig())
         assert [p.reconstructed for p in rep.points] == [got[a].value for a in grid]
@@ -1288,7 +1348,7 @@ class TestVerify:
             P, grid, QuadConfig())
 
     @pytest.mark.parametrize("grid, served, most_calls, most_evals", [
-        ([5.0], True, 31, 6_400), ([0.0, 20.0], False, 7, 2_500),
+        ([5.0], True, 31, 6_030), ([0.0, 20.0], False, 7, 2_500),
         ([0.0, 100.0], False, 7, 2_500), ([0.0, 1000.0], False, 0, 0),
     ])
     def test_one_point_is_served_and_a_wide_grid_declines_early(
@@ -1404,20 +1464,30 @@ def print_census() -> None:
     per stripped reconstruction off an anchor, and one per verify grid of an
     entry with no closed rhs, each with its alpha-routes ("grid-α" or
     "grid-s" for an interpolant, else each fallback's kernel), its inner
-    evaluations, its largest estimate and its largest error against the
-    closed form; then the total evaluations of each kind."""
+    evaluations, the share of them spent on routing fits, its largest
+    estimate and its largest error against the closed form; then the total
+    evaluations of each kind, and the routing fits' share of them."""
     evals = []
-    deriv = engine.deriv_under_integral
+    fitted = []  # the evaluations of each routing fit
+    deriv, fit = engine.deriv_under_integral, engine._fit
 
     def counted(P, a, cfg=None):
         res = deriv(P, a, cfg)
         evals.append(res.n_evals)
         return res
 
-    totals = {"stripped": 0, "grid": 0}
+    def counted_fit(probe, end, lo, hi):
+        before = len(evals)
+        try:
+            return fit(probe, end, lo, hi)
+        finally:
+            fitted.append(sum(evals[before:]))
+
+    totals = {"stripped": [0, 0], "grid": [0, 0]}  # evaluations, the fits' of them
     with pytest.MonkeyPatch.context() as mp:
         routes = _alpha_routes(mp)
         mp.setattr(engine, "deriv_under_integral", counted)
+        mp.setattr(engine, "_fit", counted_fit)
         for entry in catalog.entries():
             P = entry.parametric
             if P.anchor is None:
@@ -1429,16 +1499,20 @@ def print_census() -> None:
             for kind, alphas in runs:
                 routes.clear()
                 evals.clear()
+                fitted.clear()
                 got = engine._reconstruct_each(Q, alphas, QuadConfig())
                 est = max(r.abs_err_est for r in got.values())
                 err = max(abs(r.value - P.solution_closed(a)) for a, r in got.items())
-                totals[kind] += sum(evals)
+                totals[kind][0] += sum(evals)
+                totals[kind][1] += sum(fitted)
                 where = " ".join(map(repr, alphas))
                 route = " + ".join(map(_route_name, routes))
+                share = sum(fitted) / sum(evals)
                 print(f"{entry.id:<10} {kind:<8} {where:<20} {route:<16} "
-                      f"n_evals {sum(evals):>6}  est {est:.2e}  err {err:.2e}")
-    for kind, total in totals.items():
-        print(f"total {kind}: n_evals {total}")
+                      f"n_evals {sum(evals):>6}  fits {share:>4.0%}  "
+                      f"est {est:.2e}  err {err:.2e}")
+    for kind, (total, fits) in totals.items():
+        print(f"total {kind}: n_evals {total}, routing fits {fits} ({fits / total:.0%})")
 
 
 if __name__ == "__main__":

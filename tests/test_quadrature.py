@@ -34,6 +34,8 @@ from paramint import (
     quadrature,
 )
 
+from _oracles import FAR_SQUARE_PHASE  # int_2000^inf sin(x^2)/x^2 dx, mpmath
+
 # frozen by tests/_oracles.py (mpmath, 30 digits; Simpson agrees to 1e-15)
 EXP_COS5_0_1 = -0.510079168817682          # int_0^1 e^x cos(5x) dx
 LOG_OVER_CIRCLE = -1.0887930451518011      # int_0^1 ln(x)/sqrt(1-x^2) dx
@@ -542,6 +544,46 @@ class TestOscillatory:
         assert res == shifted
         # mpmath: pi/2 - Si(2 pi)
         assert abs(res.value - 0.15264475066226817) <= res.abs_err_est
+
+    def test_far_lower_end_finds_its_first_zero(self):
+        # the first zero sqrt(k pi) past 2000 has k = 1,273,240, past the
+        # million zeros a scan from k = 1 tried before refusing the domain
+        res = integrate_oscillatory_improper(
+            lambda x: math.sin(x * x) / (x * x),
+            DomainSpec.oscillatory(2000.0, lambda k: math.sqrt(k * math.pi)))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - FAR_SQUARE_PHASE) <= res.abs_err_est <= 1e-18
+
+    def test_first_zero_is_found_by_doubling_and_bisection(self):
+        # at a = 500 the first zero past a is sqrt(k pi) at k = 79,578: the
+        # search reaches it in 34 rule calls (79,578 on a scan from k = 1),
+        # and the result is the one of a rule that starts there
+        calls = []
+
+        def zero(k: int) -> float:
+            calls.append(k)
+            return math.sqrt(k * math.pi)
+
+        def f(x: float) -> float:
+            calls.append(None)
+            return math.sin(x * x) / (x * x)
+
+        dom = DomainSpec.oscillatory(500.0, zero)
+        calls.clear()
+        res = integrate_oscillatory_improper(f, dom)
+        searched = calls[:calls.index(None)]
+        assert len(searched) <= 40 and searched[-1] == 79_578
+        shifted = DomainSpec.oscillatory(500.0, lambda k: math.sqrt((k + 79_577) * math.pi))
+        assert res == integrate_oscillatory_improper(f, shifted)
+
+    @pytest.mark.parametrize("rule", [
+        lambda k: 1.0 - 1.0 / k,                         # bounded below a
+        lambda k: float(k) if k < 10 else math.inf,      # stops being finite
+        lambda k: float(k) if k < 10 else math.nan,
+    ], ids=["bounded", "inf", "nan"])
+    def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule):
+        with pytest.raises(ValueError, match="no zeros beyond the lower endpoint"):
+            integrate_oscillatory_improper(math.sin, DomainSpec.oscillatory(50.0, rule))
 
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
