@@ -30,7 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .quadrature import (
     DomainSpec,
@@ -498,12 +498,12 @@ def _sines(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
 
 class _NestedRhs:
     """dI/d alpha = deriv_under_integral(P, alpha), and the account of its
-    inner quadratures: ``n_evals`` (one that raises reports none) and the
-    worst ``status``.  Its node tolerance ``cfg`` and its alpha-quadrature's
-    ``alpha_cfg`` are the caller's, floored at _DERIV_TOL_FLOOR and at
-    _ALPHA_TOL_FLOOR; ``alpha_cfg`` allows at most _ALPHA_MAX_SUBDIV panels.
-    ``fit`` samples it for a routing fit, at ``fit_cfg``: ``cfg`` with
-    rel_tol floored at _FIT_REL_TOL."""
+    inner quadratures: ``n_evals`` of all (one that raises reports none),
+    and the worst ``status`` of its calls, the nodes of an alpha-quadrature.
+    Its node tolerance ``cfg`` and its alpha-quadrature's ``alpha_cfg`` are
+    the caller's, floored at _DERIV_TOL_FLOOR and at _ALPHA_TOL_FLOOR;
+    ``alpha_cfg`` allows at most _ALPHA_MAX_SUBDIV panels.  A routing fit
+    samples it at ``fit_cfg``: ``cfg`` with rel_tol floored at _FIT_REL_TOL."""
 
     def __init__(self, P: ParametricIntegral, cfg: QuadConfig):
         self.P = P
@@ -518,34 +518,51 @@ class _NestedRhs:
         """dI/d alpha at a, at ``cfg`` or else the node tolerance."""
         res = deriv_under_integral(self.P, a, cfg or self.cfg)
         self.n_evals += res.n_evals
-        self.status = max(self.status, res.status, key=_STATUS_RANK.get)
         return res
 
     def __call__(self, a: float) -> float:
-        return self.sample(a).value
+        res = self.sample(a)
+        self.status = max(self.status, res.status, key=_STATUS_RANK.get)
+        return res.value
 
-    def fit(self, a: float) -> float:
-        return self.sample(a, self.fit_cfg).value
+    def fit(self, a: float) -> tuple[float, QuadStatus]:
+        res = self.sample(a, self.fit_cfg)
+        return res.value, res.status
 
 
-def _fit(probe: _Counted, end: float, lo: float, hi: float) -> Optional[tuple]:
-    """The 3-rung growth fit of the counted rhs ``probe`` at ``end`` of the
-    path [lo, hi], into the path: None for the regular kernel, else (p, its
-    samples (d, g(end +- d))) with p <= _ROUTE_EXPONENT, or (nan, []) when it
-    meets a failing sample or a non-integrable fit.  A numeric rhs's probe
-    is its ``fit``, at the fit tolerance: the fit only routes."""
-    samples = []
+class _Fit(NamedTuple):
+    """What a routing fit (_fit) reads at a path end; the default: taken as regular."""
+
+    kind: EndpointKind = EndpointKind.REGULAR  # for the kernel
+    root: bool = False  # a square-root end (_root_end)
+    status: QuadStatus = QuadStatus.CONVERGED  # the worst of its samples'
+    calls: int = 0  # of the rhs
+
+
+def _fit(rhs: Union[_NestedRhs, Callable], end: float, lo: float, hi: float) -> _Fit:
+    """The 3-rung growth fit of ``rhs`` (a numeric one at its fit tolerance:
+    the fit only routes) at ``end`` of the path [lo, hi], into the path;
+    singular at p <= _ROUTE_EXPONENT, a failing sample or a refused fit."""
+    nested = isinstance(rhs, _NestedRhs)
+    samples, failed = [], []  # (d, rhs at end +- d), and statuses other than converged
 
     def sampled(x: float) -> float:
-        v = probe(x)
+        v, status = rhs.fit(x) if nested else (rhs(x), QuadStatus.CONVERGED)
         samples.append((abs(x - end), v))
+        if status is not QuadStatus.CONVERGED:
+            failed.append(status)
         return v
 
+    probe = _Counted(sampled)
     try:
-        p, _ = _fit_endpoint(sampled, end, hi if end == lo else lo, hi - lo, rungs=3)
+        p, _ = _fit_endpoint(probe, end, hi if end == lo else lo, hi - lo, rungs=3)
     except QuadratureError:
-        return math.nan, []
-    return (p, samples) if p <= _ROUTE_EXPONENT else None
+        p = math.nan
+    status = max(failed, key=_STATUS_RANK.get) if failed else QuadStatus.CONVERGED
+    if p > _ROUTE_EXPONENT:
+        return _Fit(status=status, calls=probe.n)
+    root = nested and _root_end((p, samples), rhs.fit_cfg)  # a closed rhs is not interpolated
+    return _Fit(EndpointKind.INTEGRABLE_SINGULARITY, root, status, probe.n)
 
 
 def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> bool:
@@ -562,20 +579,59 @@ def _root_end(fit: tuple[float, list[tuple[float, float]]], cfg: QuadConfig) -> 
     return max(step1, step2) <= _tol_for(cfg, h0) or step1 >= 3.0 * step2
 
 
-def _chebyshev(
-    g: _NestedRhs, lo: float, hi: float, alphas: Sequence[float], fits: Sequence
-) -> Optional[dict[float, QuadResult]]:
-    """I at each of ``alphas`` from one Chebyshev interpolant of dI/du on
-    [lo, hi], which holds the anchor and the points, or None when it declines.
+class _Route(NamedTuple):
+    """How _reconstruct_each rebuilt a point: a ``name`` of reconstruct's
+    route table, and the ``path`` it ran on, with its ends' kinds."""
 
-    u is alpha when the _fit of each end, ``fits``, reads regular.  When one
-    reads a square-root end (_root_end) and the other regular, u is s in
-    [0, sqrt(hi - lo)] for alpha = end + sign s*s about that end, where
-    dI/ds = 2 sign s g(alpha) is smooth.  Other fits decline at once, as
-    does g whose inner quadratures so far have not all converged.  dI/du is
-    sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end, where the
-    interchange may fail), g at the node tolerance times 0.25/(hi - lo), n
-    doubling from 8 until the top quarter of the b_k in
+    name: str
+    path: DomainSpec
+
+
+def _interpolant(lo: float, hi: float, fits: dict[float, _Fit]) -> Optional[_Route]:
+    """The interpolant of reconstruct's table on [lo, hi] that the ``fits``
+    of its ends allow (an end not in them reads regular), if one."""
+    ends = [fits.get(e, _Fit()) for e in (lo, hi)]
+    singular = [f.root for f in ends if f.kind is not EndpointKind.REGULAR]
+    if singular in ([], [True]) and all(f.status is QuadStatus.CONVERGED for f in ends):
+        path = DomainSpec(lo, hi, *(f.kind for f in ends))
+        return _Route("grid-s" if singular else "grid-α", path)
+    return None
+
+
+def _interpolants(
+    g: _NestedRhs, dom: ParamDomain, lo: float, hi: float, fits: dict[float, _Fit]
+) -> Iterator[Optional[_Route]]:
+    """The interpolants of reconstruct's table for a numeric rhs on the hull
+    [lo, hi], each decided once the one before declined; ``fits``, of the
+    hull ends on ends of the domain, gets the others after the first."""
+    yield (first := _interpolant(lo, hi, fits))
+    fits.update({e: _fit(g, e, lo, hi) for e in (lo, hi) if e not in fits})
+    past = [(gap, e) for gap, e in ((lo - dom.lo, dom.lo), (dom.hi - hi, dom.hi))
+            if 0.0 < gap <= hi - lo]
+    again = _interpolant(lo, hi, fits)
+    # every hull end reads regular, with converged samples, yet grid-α declined:
+    # a square-root end of the domain just past the hull may be why
+    unexplained = again == _Route("grid-α", DomainSpec(lo, hi)) and past
+    if again != first:  # a fit of an end inside the domain changed the interpolant
+        yield again
+    elif unexplained:
+        end = min(past)[1]
+        ext = (min(lo, end), max(hi, end))
+        if (fit := _fit(g, end, *ext)).root:
+            yield _interpolant(*ext, {end: fit})
+
+
+def _chebyshev(
+    g: _NestedRhs, route: _Route, alphas: Sequence[float]
+) -> Optional[dict[float, QuadResult]]:
+    """I at each of ``alphas`` from the interpolant ``route`` of dI/du on its
+    path [lo, hi], which holds the anchor and the points, or None when it
+    declines.  u is alpha, or s for alpha = end + sign s*s about the end the
+    path marks singular, where dI/ds = 2 sign s g(alpha) is smooth.
+
+    dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end,
+    where the interchange may fail), g at the node tolerance times
+    0.25/(hi - lo), n doubling from 8 until the top quarter of the b_k in
     p(cos th) sin th = sum b_k sin k th is within the noise of the samples:
     their largest estimate, or the rounding of the sum when that is larger.
     I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with estimate
@@ -583,17 +639,13 @@ def _chebyshev(
     quarter, plus h sum |d_k| times the rounding of each b_k; converged
     only if that meets the alpha-tolerance at I.
     n_evals counts every evaluation of g so far.  It declines on a sample
-    that raises or is not converged (which leaves g's status as it was: a
-    declined interpolant's samples are not the fallback's), and when the
-    series cannot chop by n = 64 (it has not, and the decay of its b_k from
-    the second to the top quarter, carried on geometrically, does not reach
-    the noise by then).
+    that raises or is not converged, and when the series cannot chop by
+    n = 64 (it has not, and the decay of its b_k from the second to the top
+    quarter, carried on geometrically, does not reach the noise by then).
     """
     a0, v0 = g.P.anchor.alpha0, g.P.anchor.value0
-    root = fits[0] or fits[1]
-    if g.status is not QuadStatus.CONVERGED or root and (all(fits) or not _root_end(root, g.fit_cfg)):
-        return None
-    end, sign = (lo, 1.0) if fits[0] else (hi, -1.0)
+    lo, hi, root = route.path.lower, route.path.upper, route.name == "grid-s"
+    end, sign = (hi, -1.0) if route.path.lower_kind is EndpointKind.REGULAR else (lo, 1.0)
     u_lo, h = (0.0, 0.5 * math.sqrt(hi - lo)) if root else (lo, 0.5 * (hi - lo))
     top = _CHEB_LEVELS[-1]
     us = [u_lo + h + h * math.cos(math.pi * j / top) for j in range(top + 1)]
@@ -609,7 +661,6 @@ def _chebyshev(
                 if j not in got:
                     r = g.sample(nodes[j], node_cfg)
                     if r.status is not QuadStatus.CONVERGED:
-                        g.status = QuadStatus.CONVERGED
                         return None
                     du = 2.0 * sign * us[j] if root else 1.0  # d alpha / du
                     got[j] = (du * r.value, abs(du) * r.abs_err_est)
@@ -655,71 +706,59 @@ def _chebyshev(
 
 def _reconstruct_each(
     P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
-) -> dict[float, Union[QuadResult, QuadratureError, ValueError]]:
-    """reconstruct at each of ``alphas``: its result, or the error it raises.
-
-    The routing is reconstruct's, on the hull [lo, hi] of the anchor and the
-    points.  A point no interpolant serves is the rhs integrated over its
-    own path, with the hull's fits and rhs when that is the hull (so that
-    its n_evals counts the declined interpolants' too)."""
+) -> dict[float, tuple[Union[QuadResult, QuadratureError, ValueError], Optional[_Route]]]:
+    """reconstruct at each of ``alphas``: its result, or the error it raises,
+    and its route (None at the anchor and outside the domain's closure).  A
+    fallback on the hull of the anchor and the points reuses the hull's fits
+    and rhs, so that its n_evals counts the declined interpolants' too."""
     a0, v0 = P.anchor.alpha0, P.anchor.value0
-    out: dict[float, Union[QuadResult, QuadratureError, ValueError]] = {}
+    out: dict = {}
     for a in alphas:
         try:
             # the anchor lies in the closure, so the path does iff its target does
             P.param_domain.require(a, closure=True)
         except ParameterDomainError as exc:
-            out[a] = exc
+            out[a] = exc, None
         if a == a0:
-            out[a] = QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED)
+            out[a] = QuadResult(v0, 0.0, 0, QuadStatus.CONVERGED), None
     off = [a for a in alphas if a not in out]
     if not off:
         return out
     lo, hi = min(a0, *off), max(a0, *off)
-    dom, ends = P.param_domain, (lo, hi)
-    if P.rhs_closed is None:
-        g = _NestedRhs(P, cfg)
-    else:  # a copy that carries the offset form as ``near``, the kernels' contract
+    dom, closed = P.param_domain, P.rhs_closed is not None
+    if closed:  # a copy that carries the offset form as ``near``, the kernels' contract
         g = functools.partial(P.rhs_closed)
         g.near = P.rhs_near
-    probe = _Counted(g if P.rhs_closed else g.fit)  # a numeric rhs at its fit tolerance
-    inside = [P.rhs_closed is None and dom.is_interior(e) for e in ends]
-    fits = [None if z else _fit(probe, e, lo, hi) for z, e in zip(inside, ends)]
-    got = P.rhs_closed is None and _chebyshev(g, lo, hi, off, fits)
-    if P.rhs_closed is None and not got:
-        fits = [_fit(probe, e, lo, hi) if z else f for z, f, e in zip(inside, fits, ends)]
-        past = [(gap, e) for gap, e in ((lo - dom.lo, dom.lo), (dom.hi - hi, dom.hi))
-                if 0.0 < gap <= hi - lo]
-        if any(f for f, z in zip(fits, inside) if z):
-            got = _chebyshev(g, lo, hi, off, fits)
-        elif not any(fits) and past and g.status is QuadStatus.CONVERGED:
-            end = min(past)[1]
-            ext = (min(lo, end), max(hi, end))
-            fit = _fit(probe, end, *ext)
-            got = fit and _chebyshev(g, *ext, off, (fit, None) if end < lo else (None, fit))
-            g.status = QuadStatus.CONVERGED  # the fit at end is not the fallback's
-    out.update(got or {})
-    g_cfg = cfg if P.rhs_closed else g.alpha_cfg
+    else:
+        g = _NestedRhs(P, cfg)
+    fits = {e: _fit(g, e, lo, hi) for e in (lo, hi) if closed or not dom.is_interior(e)}
+    for route in () if closed else filter(None, _interpolants(g, dom, lo, hi, fits)):
+        if got := _chebyshev(g, route, off):
+            out.update((a, (res, route)) for a, res in got.items())
+            break
+    g_cfg = cfg if closed else g.alpha_cfg
     for a in off:
         if a in out:
             continue
         path = (a0, a) if a0 <= a else (a, a0)
-        own = path == ends
-        pg = g if own or P.rhs_closed else _NestedRhs(P, cfg)
-        pc = probe if own else _Counted(pg if P.rhs_closed else pg.fit)
-        kinds = (EndpointKind.INTEGRABLE_SINGULARITY if f else EndpointKind.REGULAR
-                 for f in (fits if own else [_fit(pc, e, *path) for e in path]))
+        own = path == (lo, hi)
+        pg = g if own or closed else _NestedRhs(P, cfg)
+        f0, f1 = (fits[e] if own else _fit(pg, e, *path) for e in path)
+        sides = [s for s, f in (("lower", f0), ("upper", f1))
+                 if f.kind is not EndpointKind.REGULAR]
+        route = _Route(" ".join(["tanh-sinh", *sides]) if sides else "gk",
+                       DomainSpec(*path, f0.kind, f1.kind))
         try:
-            q = integrate(pg, DomainSpec(*path, *kinds), g_cfg)
+            q = integrate(pg, route.path, g_cfg)
         except (QuadratureError, ValueError) as exc:
-            out[a] = exc
+            out[a] = exc, route
             continue
         value = v0 + (q.value if a0 <= a else -q.value)
-        est, n, inner = q.abs_err_est, q.n_evals + pc.n, QuadStatus.CONVERGED  # closed rhs
-        if P.rhs_closed is None:
+        est, n, parts = q.abs_err_est, q.n_evals + f0.calls + f1.calls, [q.status]
+        if not closed:  # the worst status of the samples its value rests on
             est += 2.0 * (path[1] - path[0]) * pg.cfg.abs_tol  # the inner noise
-            n, inner = pg.n_evals, pg.status
-        out[a] = QuadResult(value, est, n, _status(g_cfg, value, est, q.status, inner))
+            n, parts = pg.n_evals, [q.status, f0.status, f1.status, pg.status]
+        out[a] = QuadResult(value, est, n, _status(g_cfg, value, est, *parts)), route
     return out
 
 
@@ -728,33 +767,34 @@ def reconstruct(
 ) -> QuadResult:
     """value0 + int_{alpha0}^{alpha_target} dI/d alpha, as plain quadrature.
 
-    The rhs dI/d alpha is the closed form when the entry carries one, else
-    deriv_under_integral at each alpha.  An end of the path is routed by a
-    3-rung endpoint fit of the rhs (a numeric one at the fit tolerance, rel
-    1e-4): an exponent <= -0.05, or a failing sample, is an integrable
-    blow-up.  A closed rhs fits both ends.  A
-    numeric one fits up front only an end on a finite end of the parameter
-    domain, and is one Chebyshev interpolant of dI/d alpha, or of dI/ds
-    with alpha = end +- s*s about one square-root end (see _chebyshev).  An
-    end inside the domain is fitted only when that declines, since a
-    blow-up there keeps the series from chopping: one that reads singular
-    gets its own interpolant, and with both ends regular, a square-root end
-    of the domain past the path, within one path length, gets one in s on
-    the path extended to it.  Otherwise, and always for a closed rhs (a
-    node at alpha = 1e-30 costs it one call, not ~800), the rhs is
-    integrated over the path by Gauss-Kronrod, or tanh-sinh at a singular
-    end; a numeric one at the node tolerance, with 2 * (path length) * that
-    tolerance in the estimate for the inner noise.  A numeric rhs's status
-    is the worst of the inner quadratures its value rests on, its path's
-    fits included; either way it is converged only if its estimate meets
-    the alpha-tolerance at its value.  ``n_evals`` counts every evaluation
-    the call causes, every fit and declined interpolant included (an inner
-    quadrature that raises inside a fit reports none)."""
+    The rhs is rhs_closed, else numeric: deriv_under_integral at each alpha.
+    _fit reads each path end regular, singular or a square-root end (when:
+    see _interpolants).  The first route that serves the point is taken (L:
+    the path's length; tol: the node tolerance; u: alpha, or s for
+    alpha = end +- s*s):
+
+    route      taken                              samples; estimate
+    grid-α     numeric rhs, hull ends regular     dI/du at Chebyshev nodes,
+    grid-s     numeric rhs, one hull end a root   at tol 0.25/L; their share,
+               end, the other regular; or, once   the chop and the rounding
+               grid-α declined, the nearer root   (see _chebyshev)
+               end of the domain within L past
+               the hull, on the hull extended to it
+    gk,        closed rhs, or numeric rhs that    the rhs on the path (numeric
+    tanh-sinh  no interpolant serves; tanh-sinh   at tol); the kernel's, + 2 L
+               at an end that reads singular      tol for a numeric rhs
+
+    Status: the worst of the samples the value rests on (a fallback's nodes
+    and fits; an interpolant needs converged fits and samples, or declines),
+    else converged only if the estimate meets the alpha-tolerance at the
+    value.  ``n_evals`` counts every evaluation the call causes, fits and
+    declined interpolants included (an inner quadrature that raises inside
+    a fit reports none)."""
     if P.anchor is None:
         raise MissingAnchorError(
             "entry has no anchor value; reconstruction needs a known I(alpha0)"
         )
-    res = _reconstruct_each(P, [alpha_target], cfg or _DEFAULT_CFG)[alpha_target]
+    res, _ = _reconstruct_each(P, [alpha_target], cfg or _DEFAULT_CFG)[alpha_target]
     if isinstance(res, Exception):
         raise res
     return res
@@ -799,7 +839,7 @@ def verify(
             except (ArithmeticError, ValueError) as exc:
                 notes.append(f"closed form undefined here: {exc}")
 
-        rec = recons.get(alpha)
+        rec, _ = recons.get(alpha, (None, None))
         recon = rec.value if isinstance(rec, QuadResult) else None
         if isinstance(rec, Exception):
             notes.append(f"reconstruction failed: {rec} [{type(rec).__name__}]")

@@ -864,7 +864,14 @@ def integrate_oscillatory_improper(
     if domain.lower_kind is not EndpointKind.REGULAR:
         raise ValueError("oscillatory domains require a regular lower endpoint")
 
-    zero = domain.oscillatory_tail.phase_zero_rule
+    rule = domain.oscillatory_tail.phase_zero_rule
+
+    def zero(k: int) -> float:
+        try:
+            return rule(k)
+        except ArithmeticError:  # exp(k) past the float range, say: no zero, as with inf
+            return math.inf
+
     a = domain.lower
     lo, k0 = 0, 1  # the bisection keeps zero(lo) <= a < zero(k0); zero(0) stands for a
     while (z := zero(k0)) <= a and k0 < 1 << 62:

@@ -160,40 +160,12 @@ def make_interior_root() -> ParametricIntegral:
     )
 
 
-def _alpha_routes(monkeypatch) -> list:
-    """The alpha-routes of reconstruct and verify, as they happen: "grid-α" or
-    "grid-s" for a Chebyshev interpolant (in alpha, or in s at a square-root
-    end) that serves its points, else the domain of each fallback
-    alpha-quadrature."""
-    routes = []
-    chebyshev = engine._chebyshev
-
-    def spy_chebyshev(g, lo, hi, alphas, fits):
-        got = chebyshev(g, lo, hi, alphas, fits)
-        if got is not None:
-            routes.append("grid-s" if any(fits) else "grid-α")
-        return got
-
-    def spy(f, dom, cfg=None):
-        if sys._getframe(1).f_code is engine._reconstruct_each.__code__:
-            routes.append(dom)
-        return integrate(f, dom, cfg)
-
-    monkeypatch.setattr(engine, "_chebyshev", spy_chebyshev)
-    monkeypatch.setattr(engine, "integrate", spy)
-    return routes
-
-
-def _route_name(route) -> str:
-    """An alpha-route of _alpha_routes by name: an interpolant's own, or the
-    fallback's kernel on its path's ends."""
-    if isinstance(route, str):
-        return route
-    return {
-        (EndpointKind.REGULAR, EndpointKind.REGULAR): "gk",
-        (EndpointKind.INTEGRABLE_SINGULARITY, EndpointKind.REGULAR): "tanh-sinh lower",
-        (EndpointKind.REGULAR, EndpointKind.INTEGRABLE_SINGULARITY): "tanh-sinh upper",
-    }[route.lower_kind, route.upper_kind]
+def _routes(P: ParametricIntegral, alphas, cfg: QuadConfig | None = None) -> list:
+    """The routes by which reconstruct and verify rebuild ``alphas``, each
+    once, in order: one interpolant that serves every point off the anchor,
+    or the fallback alpha-quadrature of each."""
+    got = engine._reconstruct_each(P, list(alphas), cfg or QuadConfig())
+    return list(dict.fromkeys(route for _, route in got.values() if route is not None))
 
 
 def _declined(monkeypatch) -> None:
@@ -719,7 +691,7 @@ class TestReconstruct:
         assert reconstruct(P, alpha).status is QuadStatus.CONVERGED
         assert ends == fitted
 
-    def test_alpha_route_census(self, monkeypatch):
+    def test_alpha_route_census(self):
         # the alpha-route of each of the 34 catalog reconstructions off the
         # anchors, closed rhs and stripped.  A closed rhs runs Gauss-Kronrod
         # on the path unless an end is singular, where it keeps tanh-sinh
@@ -731,7 +703,6 @@ class TestReconstruct:
         # end alpha = 1 is fitted and the path extended to it is one
         # interpolant in s.  Of verify's grids, only ex3_alpha's (no closed
         # rhs) is one interpolant.
-        routes = _alpha_routes(monkeypatch)
         census = {}
         for entry in catalog.entries():
             P = entry.parametric
@@ -743,12 +714,10 @@ class TestReconstruct:
                 for a in entry.verification_grid:
                     if a == a0:
                         continue
-                    routes.clear()
-                    reconstruct(Q, a)
-                    [route] = routes
-                    if not isinstance(route, str):
-                        assert (route.lower, route.upper) == (min(a, a0), max(a, a0))
-                    census[entry.id, a, stripped] = _route_name(route)
+                    _, route = engine._reconstruct_each(Q, [a], QuadConfig())[a]
+                    if not route.name.startswith("grid"):
+                        assert (route.path.lower, route.path.upper) == (min(a, a0), max(a, a0))
+                    census[entry.id, a, stripped] = route.name
         # ex3_alpha has no closed rhs, so it is nested either way
         expected = {(e, a, st): "grid-α" if st or e == "ex3_alpha" else "gk"
                     for e, a, st in census}
@@ -763,12 +732,13 @@ class TestReconstruct:
 
         taken = set()
         for entry in catalog.entries():
-            routes.clear()
-            verify(entry.parametric, entry.verification_grid)
-            if routes == ["grid-α"]:
+            if entry.parametric.anchor is None:
+                continue
+            routes = _routes(entry.parametric, entry.verification_grid)
+            if [route.name for route in routes] == ["grid-α"]:
                 taken.add(entry.id)
             else:
-                assert not any(isinstance(route, str) for route in routes)
+                assert not any(route.name.startswith("grid") for route in routes)
         assert taken == {"ex3_alpha"}
 
     def test_every_inner_quadrature_of_a_nested_half_line_converges(self, monkeypatch):
@@ -904,33 +874,26 @@ class TestNestedReconstruction:
         # node tolerance
         P = make_scaled(
             lambda x: x ** -0.5, DomainSpec.singular(0.0, 1.0, at_lower=True), True)
+        path = DomainSpec.singular(0.0, 1.0, at_lower=True)
+        g = engine._NestedRhs(P, QuadConfig())
+        q = integrate(g, path, g.alpha_cfg)  # the alpha-quadrature alone
         calls = []  # (alpha, abs_tol, rel_tol) of every inner quadrature
-        outer = []
         deriv = engine.deriv_under_integral
 
         def spy_deriv(P, a, cfg):
             calls.append((a, cfg.abs_tol, cfg.rel_tol))
             return deriv(P, a, cfg)
 
-        def spy_integrate(f, dom, cfg=None):
-            before = len(calls)
-            res = integrate(f, dom, cfg)
-            if sys._getframe(1).f_code is engine._reconstruct_each.__code__:
-                outer.append((dom, res, before))
-            return res
-
         monkeypatch.setattr(engine, "deriv_under_integral", spy_deriv)
-        monkeypatch.setattr(engine, "integrate", spy_integrate)
-        res = reconstruct(P, 1.0)
-        [(dom, q, before)] = outer
-        assert dom == DomainSpec.singular(0.0, 1.0, at_lower=True)
+        res, route = engine._reconstruct_each(P, [1.0], QuadConfig())[1.0]
+        assert route == engine._Route("tanh-sinh lower", path)
         node, fit = engine._DERIV_TOL_FLOOR, engine._FIT_REL_TOL
         rungs = [2.0 ** -8, 2.0 ** -12, 2.0 ** -16]
-        assert calls[:before] == (
+        assert calls[:6] == (
             [(d, node, fit) for d in rungs] + [(1.0 - d, node, fit) for d in rungs])
         kernel_fit = [(2.0 ** -j, node, node) for j in range(8, 44, 4)]
-        assert calls[before:before + 9] == kernel_fit
-        assert {(t, r) for _, t, r in calls[before:]} == {(node, node)}
+        assert calls[6:15] == kernel_fit
+        assert {(t, r) for _, t, r in calls[6:]} == {(node, node)}
         assert res.abs_err_est == q.abs_err_est + 2.0 * 1.0 * node
         assert res.status is QuadStatus.CONVERGED
 
@@ -938,7 +901,7 @@ class TestNestedReconstruction:
         (-0.45, "tanh-sinh lower"), (-0.48, "tanh-sinh lower"), (-0.5, "grid-s"),
         (-0.52, "tanh-sinh lower"), (-0.55, "tanh-sinh lower"), ("log", "tanh-sinh lower"),
     ])
-    def test_routing_fits_keep_every_route(self, monkeypatch, blow_up, route):
+    def test_routing_fits_keep_every_route(self, blow_up, route):
         # dI/da = a**blow_up (a scaled family) or log(a) + 1 from I(0) = 0:
         # only the square root takes the s-route; the others keep tanh-sinh
         # in alpha.  At -0.48 and -0.52 the steps of h = 2 sqrt(d) g at the
@@ -950,9 +913,8 @@ class TestNestedReconstruction:
                 integrand=lambda x, a: a * math.log(a), d_alpha=lambda x, a: math.log(a) + 1.0)
         else:
             P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), True, 1.0 + blow_up)
-        routes = _alpha_routes(monkeypatch)
-        res = reconstruct(P, 1.0)
-        assert list(map(_route_name, routes)) == [route]
+        res, taken = engine._reconstruct_each(P, [1.0], QuadConfig())[1.0]
+        assert taken.name == route
         assert res.status is QuadStatus.CONVERGED
 
     def test_converged_only_within_the_alpha_tolerance(self):
@@ -966,6 +928,28 @@ class TestNestedReconstruction:
         assert res.abs_err_est > 2e-8
         assert res.status is QuadStatus.MAX_DEPTH
         assert abs(res.value - _cos_sol(50.0)) <= res.abs_err_est
+
+    def test_past_hull_fit_status_is_not_the_fallbacks(self):
+        # dI/d alpha = |alpha - 0.7|**1.5 + int w/(x^2 + w^2) dx, w = 2 - alpha,
+        # from I(0) = 0: the kink keeps the interpolant on [0, 1.5] from
+        # chopping, the hull ends read regular, and the fit at the domain end
+        # 2 past the hull reads regular too, from inner quadratures that end
+        # at max_depth within 12 panels.  The fallback's own samples all
+        # converge, and its status is theirs, not the past-hull fit's
+        def da(x: float, a: float) -> float:
+            w = 2.0 - a
+            return abs(a - 0.7) ** 1.5 + w / (x * x + w * w)
+
+        P = ParametricIntegral(
+            integrand=lambda x, a: 0.0,  # only d_alpha is read
+            param_domain=ParamDomain(0.0, 2.0),
+            domain=DomainSpec.finite(-1.0, 1.0),
+            d_alpha=da,
+            anchor=Anchor(0.0, 0.0),
+        )
+        res, route = engine._reconstruct_each(P, [1.5], QuadConfig(max_subdivisions=12))[1.5]
+        assert route == engine._Route("gk", DomainSpec.finite(0.0, 1.5))
+        assert (res.status, res.n_evals) == (QuadStatus.CONVERGED, 9_780)
 
     @pytest.mark.parametrize("entry_id, alpha", _ANCHORED_GRID)
     def test_stripped_rhs_is_honest(self, entry_id, alpha):
@@ -1006,7 +990,7 @@ class TestNestedReconstruction:
         assert res.value.hex() == _EX1_STRIPPED_BITS[alpha]
         assert res.n_evals <= 1_730
 
-    def test_stripped_ex4_short_of_its_root_end(self, monkeypatch):
+    def test_stripped_ex4_short_of_its_root_end(self):
         # ex4's rhs blows up like 1/sqrt(1 - alpha) 0.01 past the path
         # [0, 0.99]: its ends read regular and the interpolant in alpha
         # declines, so the domain end 1 is fitted, and the interpolant in s
@@ -1014,9 +998,8 @@ class TestNestedReconstruction:
         # fits ran at the node tolerance; on Gauss-Kronrod in alpha: 15,270
         # evaluations, error 8.0e-15 against an estimate of 2.7e-8)
         P = dataclasses.replace(catalog.get("ex4").parametric, rhs_closed=None)
-        routes = _alpha_routes(monkeypatch)
-        res = reconstruct(P, 0.99)
-        assert routes == ["grid-s"]
+        res, route = engine._reconstruct_each(P, [0.99], QuadConfig())[0.99]
+        assert route == engine._Route("grid-s", DomainSpec.singular(0.0, 1.0, at_upper=True))
         assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == (
             "-0x1.c354888f1e930p+0", "0x1.f407039311781p-35", 5008)
         assert res.status is QuadStatus.CONVERGED
@@ -1032,25 +1015,24 @@ class TestNestedReconstruction:
         # serves the point.  A path end on the domain's ends (0 or 4) is
         # fitted up front.
         P = make_interior_root()
-        tries, ends = [], []
-        chebyshev, fit = engine._chebyshev, engine._fit_endpoint
-
-        def spy_chebyshev(g, lo, hi, alphas, fits):
-            got = chebyshev(g, lo, hi, alphas, fits)
-            tries.append(("s" if any(fits) else "α", got is not None))
-            return got
+        ends = []
+        fit = engine._fit_endpoint
 
         def spy_fit(g, end, into, width, rungs=9):
             ends.append(end)
             return fit(g, end, into, width, rungs)
 
-        monkeypatch.setattr(engine, "_chebyshev", spy_chebyshev)
         monkeypatch.setattr(engine, "_fit_endpoint", spy_fit)
-        res = reconstruct(P, alpha)
-        assert tries == [("α", False), ("s", True)]
+        res, route = engine._reconstruct_each(P, [alpha], QuadConfig())[alpha]
         assert ends == fitted
+        lo, hi = min(alpha, 1.0), max(alpha, 1.0)
+        about_anchor = {"at_upper": True} if alpha < 1.0 else {"at_lower": True}
+        assert route == engine._Route("grid-s", DomainSpec.singular(lo, hi, **about_anchor))
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - P.solution_closed(alpha)) <= res.abs_err_est <= 1e-12
+        # the interpolant in alpha that the late fit of the anchor followed
+        in_alpha = engine._Route("grid-α", DomainSpec.finite(lo, hi))
+        assert engine._chebyshev(engine._NestedRhs(P, QuadConfig()), in_alpha, [alpha]) is None
 
     @pytest.mark.xfail(
         raises=AssertionError, strict=True,
@@ -1077,18 +1059,17 @@ class TestNestedReconstruction:
         assert err <= res.abs_err_est or res.status is not QuadStatus.CONVERGED
 
     @pytest.mark.parametrize("power", sorted(_NEAR_ROOT_BITS))
-    def test_near_root_rhs_keeps_tanh_sinh(self, monkeypatch, power):
+    def test_near_root_rhs_keeps_tanh_sinh(self, power):
         # the fit reads p within 0.1 of -1/2, but h = 2 sqrt(d) g is neither
         # flat nor smooth in s: Gauss-Kronrod in s would cost 5-9 times the
         # alpha-nodes and lose six digits
         P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), True, power)
-        routes = _alpha_routes(monkeypatch)
-        res = reconstruct(P, 1.0)
-        assert routes == [DomainSpec.singular(0.0, 1.0, at_lower=True)]
+        res, route = engine._reconstruct_each(P, [1.0], QuadConfig())[1.0]
+        assert route == engine._Route("tanh-sinh lower", DomainSpec.singular(0.0, 1.0, at_lower=True))
         assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == _NEAR_ROOT_BITS[power]
         assert res.status is QuadStatus.CONVERGED
 
-    def test_two_square_root_ends_keep_tanh_sinh(self, monkeypatch):
+    def test_two_square_root_ends_keep_tanh_sinh(self):
         # dI/da = a**-0.5 + (1 - a)**-0.5: s = sqrt(d) removes only one blow-up
         P = ParametricIntegral(
             integrand=lambda x, a: 2.0 * math.sqrt(a) - 2.0 * math.sqrt(1.0 - a),
@@ -1097,9 +1078,9 @@ class TestNestedReconstruction:
             d_alpha=lambda x, a: 1.0 / math.sqrt(a) + 1.0 / math.sqrt(1.0 - a),
             anchor=Anchor(0.0, -2.0),
         )
-        routes = _alpha_routes(monkeypatch)
-        res = reconstruct(P, 1.0)
-        assert routes == [DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True)]
+        res, route = engine._reconstruct_each(P, [1.0], QuadConfig())[1.0]
+        assert route == engine._Route(
+            "tanh-sinh lower upper", DomainSpec.singular(0.0, 1.0, at_lower=True, at_upper=True))
         assert abs(res.value - 2.0) <= res.abs_err_est
 
     @pytest.mark.parametrize("p, h, root", [
@@ -1191,7 +1172,7 @@ class TestOscillatoryRoute:
         entry = catalog.get("ex3_alpha")
         grid = list(entry.verification_grid)
         got = engine._reconstruct_each(entry.parametric, grid, QuadConfig())
-        assert max(r.n_evals for r in got.values()) <= 7_560
+        assert max(r.n_evals for r, _ in got.values()) <= 7_560
 
 
 class TestVerify:
@@ -1281,35 +1262,34 @@ class TestVerify:
         assert len(evals) <= 34 and sum(evals) <= 7_560
         monkeypatch.setattr(engine, "deriv_under_integral", deriv)
         got = engine._reconstruct_each(P, grid, QuadConfig())
-        assert [p.reconstructed for p in rep.points] == [got[a].value for a in grid]
-        assert got[P.anchor.alpha0].value == P.anchor.value0
+        assert [p.reconstructed for p in rep.points] == [got[a][0].value for a in grid]
+        assert got[P.anchor.alpha0][0].value == P.anchor.value0
         for a, bits in _EX3_ALPHA_GRID_BITS.items():
-            res = got[a]
+            res, _ = got[a]
             assert res.status is QuadStatus.CONVERGED
             assert abs(res.value - EX3_ALPHA_TRUTHS[a]) <= res.abs_err_est <= 1e-10
             assert res.value.hex() == bits
 
     @pytest.mark.parametrize("entry_id", ["ex1", "ex4"])
-    def test_square_root_hull_end_grid_is_one_interpolant_in_s(self, monkeypatch, entry_id):
+    def test_square_root_hull_end_grid_is_one_interpolant_in_s(self, entry_id):
         # stripped ex1's anchor and stripped ex4's alpha = 1 are square-root
         # hull ends: one interpolant in s = sqrt(|alpha - end|) serves the grid
         entry = catalog.get(entry_id)
         P = dataclasses.replace(entry.parametric, rhs_closed=None)
-        routes = _alpha_routes(monkeypatch)
         for p in verify(P, entry.verification_grid).points:
             assert abs(p.reconstructed - P.solution_closed(p.alpha)) <= 1e-13
-        assert routes == ["grid-s"]
+        assert [route.name for route in _routes(P, entry.verification_grid)] == ["grid-s"]
 
     @pytest.mark.parametrize("entry_id", ["ex1", "ex2", "ex3_beta", "ex4"])
-    def test_closed_rhs_grids_reconstruct_point_by_point(self, monkeypatch, entry_id):
+    def test_closed_rhs_grids_reconstruct_point_by_point(self, entry_id):
         # a closed rhs: every point is reconstruct's alone, to the bit, on an
         # alpha-quadrature over its own path
         entry = catalog.get(entry_id)
         P, grid = entry.parametric, list(entry.verification_grid)
-        routes = _alpha_routes(monkeypatch)
         rep = verify(P, grid)
+        routes = _routes(P, grid)
         assert len(routes) == len(set(grid) - {P.anchor.alpha0})
-        assert not any(isinstance(route, str) for route in routes)
+        assert not any(route.name.startswith("grid") for route in routes)
         for p in rep.points:
             assert p.reconstructed.hex() == reconstruct(P, p.alpha).value.hex()
 
@@ -1336,9 +1316,8 @@ class TestVerify:
         # interpolant declines rather than build an invalid QuadConfig.
         P, grid = catalog.get("ex3_alpha").parametric, [1.0, 1.0 + 2.0 ** -30]
         cfg = QuadConfig(abs_tol=1e300)
-        routes = _alpha_routes(monkeypatch)
         rep = verify(P, grid, cfg=cfg)
-        assert routes == [DomainSpec.finite(*grid)]
+        assert _routes(P, grid, cfg) == [engine._Route("gk", DomainSpec.finite(*grid))]
         _declined(monkeypatch)
         assert rep == verify(P, grid, cfg=cfg)
         # a caller abs_tol of 5e-324 samples as the default does
@@ -1370,10 +1349,9 @@ class TestVerify:
             return res
 
         P = catalog.get("ex3_alpha").parametric
-        routes = _alpha_routes(monkeypatch)
+        assert ("grid-α" in [route.name for route in _routes(P, grid)]) is served
         monkeypatch.setattr(engine, "deriv_under_integral", counted)
         rep = verify(P, grid)
-        assert ("grid-α" in routes) is served
         calls, total = len(evals), sum(evals)
         if served:
             assert rep.passed
@@ -1387,13 +1365,12 @@ class TestVerify:
         for p in rep.points:
             assert p.reconstructed == reconstruct(P, p.alpha).value
 
-    def test_point_outside_the_closure_is_noted_and_the_rest_interpolated(self, monkeypatch):
+    def test_point_outside_the_closure_is_noted_and_the_rest_interpolated(self):
         # alpha = 5 is outside [0, 4]: its note names the domain, and the
         # hull of the others, [0, 2], is one interpolant
         P = make_scaled(lambda x: 1.0, DomainSpec.finite(0.0, 1.0), singular_anchor=False)
-        routes = _alpha_routes(monkeypatch)
         rep = verify(P, [1.0, 2.0, 5.0])
-        assert routes == ["grid-α"]
+        assert [route.name for route in _routes(P, [1.0, 2.0, 5.0])] == ["grid-α"]
         one, two, out = rep.points
         assert abs(one.reconstructed - 0.5) <= 1e-13 and abs(two.reconstructed - 2.0) <= 1e-13
         assert out.reconstructed is None
@@ -1418,9 +1395,18 @@ class TestVerify:
             P = dataclasses.replace(P, integrand=lambda x, a: math.sin(8.0 * a) / 8.0,
                                     d_alpha=lambda x, a: math.cos(8.0 * a))
         grid = [1.0, 2.0]
-        routes = _alpha_routes(monkeypatch)
         rep = verify(P, grid, cfg=cfg)
-        assert routes == [DomainSpec.finite(0.0, 1.0), DomainSpec.finite(0.0, 2.0)]
+        got = engine._reconstruct_each(P, grid, cfg)
+        assert [route for _, route in got.values()] == [
+            engine._Route("gk", DomainSpec.finite(0.0, 1.0)),
+            engine._Route("gk", DomainSpec.finite(0.0, 2.0))]
+        if case == "inner_failure":
+            # a point's status is that of the samples its value rests on: the
+            # declined interpolant's max_depth sample is not the fallback's on
+            # alpha = 2, whose path is the hull, so the past-hull fit at the
+            # domain end 4 is still taken
+            assert {a: (res.status, res.n_evals) for a, (res, _) in got.items()} == {
+                1.0: (QuadStatus.CONVERGED, 11_160), 2.0: (QuadStatus.CONVERGED, 12_120)}
         _declined(monkeypatch)
         assert rep == verify(P, grid, cfg=cfg)
         for p in rep.points:
@@ -1440,18 +1426,18 @@ class TestVerify:
         got = engine._reconstruct_each(P, [1.0, 2.0, 3.0], QuadConfig())
         assert len(calls) == 3 + 7  # the fit at the domain end 0, and the samples
         for a in (1.0, 2.0, 3.0):
-            assert abs(got[a].value - 0.5 * a * a) <= got[a].abs_err_est <= 1e-13
+            res, _ = got[a]
+            assert abs(res.value - 0.5 * a * a) <= res.abs_err_est <= 1e-13
 
-    def test_grid_point_past_the_alpha_tolerance_is_not_converged(self, monkeypatch):
+    def test_grid_point_past_the_alpha_tolerance_is_not_converged(self):
         # I = 1e5 cos(a) 2/3 from one interpolant on the hull [0, 3]: at pi/2,
         # where I passes 0, the estimate 4.0e-6 misses the alpha-tolerance
         # 2e-8 at the returned value; the other points meet theirs
         grid = [0.5, math.pi / 2.0, 2.0, 3.0]
-        routes = _alpha_routes(monkeypatch)
         got = engine._reconstruct_each(make_cos_sqrt(), grid, QuadConfig())
-        assert routes == ["grid-α"]
+        assert {route.name for _, route in got.values()} == {"grid-α"}
         for a in grid:
-            res = got[a]
+            res, _ = got[a]
             assert abs(res.value - _cos_sqrt_sol(a)) <= res.abs_err_est
             tol = max(2e-8, 2e-8 * abs(res.value))
             assert (res.abs_err_est <= tol) is (a != math.pi / 2.0)
@@ -1476,16 +1462,15 @@ def print_census() -> None:
         evals.append(res.n_evals)
         return res
 
-    def counted_fit(probe, end, lo, hi):
+    def counted_fit(rhs, end, lo, hi):
         before = len(evals)
         try:
-            return fit(probe, end, lo, hi)
+            return fit(rhs, end, lo, hi)
         finally:
             fitted.append(sum(evals[before:]))
 
     totals = {"stripped": [0, 0], "grid": [0, 0]}  # evaluations, the fits' of them
     with pytest.MonkeyPatch.context() as mp:
-        routes = _alpha_routes(mp)
         mp.setattr(engine, "deriv_under_integral", counted)
         mp.setattr(engine, "_fit", counted_fit)
         for entry in catalog.entries():
@@ -1497,16 +1482,16 @@ def print_census() -> None:
                 runs.append(("grid", list(entry.verification_grid)))
             Q = dataclasses.replace(P, rhs_closed=None)
             for kind, alphas in runs:
-                routes.clear()
                 evals.clear()
                 fitted.clear()
                 got = engine._reconstruct_each(Q, alphas, QuadConfig())
-                est = max(r.abs_err_est for r in got.values())
-                err = max(abs(r.value - P.solution_closed(a)) for a, r in got.items())
+                est = max(r.abs_err_est for r, _ in got.values())
+                err = max(abs(r.value - P.solution_closed(a)) for a, (r, _) in got.items())
+                routes = dict.fromkeys(route for _, route in got.values() if route)
                 totals[kind][0] += sum(evals)
                 totals[kind][1] += sum(fitted)
                 where = " ".join(map(repr, alphas))
-                route = " + ".join(map(_route_name, routes))
+                route = " + ".join(route.name for route in routes)
                 share = sum(fitted) / sum(evals)
                 print(f"{entry.id:<10} {kind:<8} {where:<20} {route:<16} "
                       f"n_evals {sum(evals):>6}  fits {share:>4.0%}  "

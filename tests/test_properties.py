@@ -248,7 +248,7 @@ class TestConvergedContract:
         scale = 10.0 ** scale_exp
         P = _grid_family(variable, scale, shift * scale)
         floor = engine._ALPHA_TOL_FLOOR
-        for res in engine._reconstruct_each(P, _GRID, QuadConfig()).values():
+        for res, _ in engine._reconstruct_each(P, _GRID, QuadConfig()).values():
             if res.status is QuadStatus.CONVERGED:
                 assert res.abs_err_est <= max(floor, floor * abs(res.value))
 

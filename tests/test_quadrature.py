@@ -576,14 +576,28 @@ class TestOscillatory:
         shifted = DomainSpec.oscillatory(500.0, lambda k: math.sqrt((k + 79_577) * math.pi))
         assert res == integrate_oscillatory_improper(f, shifted)
 
-    @pytest.mark.parametrize("rule", [
-        lambda k: 1.0 - 1.0 / k,                         # bounded below a
-        lambda k: float(k) if k < 10 else math.inf,      # stops being finite
-        lambda k: float(k) if k < 10 else math.nan,
-    ], ids=["bounded", "inf", "nan"])
-    def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule):
+    @pytest.mark.parametrize("rule, a", [
+        (lambda k: 1.0 - 1.0 / k, 50.0),                     # bounded below a
+        (lambda k: float(k) if k < 10 else math.inf, 50.0),  # stops being finite
+        (lambda k: float(k) if k < 10 else math.nan, 50.0),
+        # raises OverflowError from k = 710, where the doubling first asks at 1024
+        (math.exp, 1e300),
+        (math.exp, 1e308),
+    ], ids=["bounded", "inf", "nan", "overflow_1e300", "overflow_1e308"])
+    def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule, a):
         with pytest.raises(ValueError, match="no zeros beyond the lower endpoint"):
-            integrate_oscillatory_improper(math.sin, DomainSpec.oscillatory(50.0, rule))
+            integrate_oscillatory_improper(math.sin, DomainSpec.oscillatory(a, rule))
+
+    def test_rule_that_raises_past_the_head_is_refused(self):
+        # past the first zero, a rule that raises an arithmetic error reads as
+        # inf too, as for a rule that returns it: the kernel refuses rather
+        # than let the OverflowError out
+        def rule(k: int) -> float:
+            return k * math.pi if k < 9 else math.exp(1e4)
+
+        with pytest.raises(QuadratureError):
+            integrate_oscillatory_improper(
+                lambda x: math.sin(x) / x, DomainSpec.oscillatory(0.5, rule))
 
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
