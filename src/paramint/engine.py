@@ -392,22 +392,17 @@ def domination_scan(
     rules = [_Counted(_partial_alpha(P, a)) for a in alphas]
     dom = P.domain_for(0.5 * (lo_a + hi_a))
 
-    a, a_kind = dom.lower, dom.lower_kind
-    lo_inf = a_kind is EndpointKind.INFINITE
+    lo_inf = dom.lower_kind is EndpointKind.INFINITE
     hi_inf = dom.upper_kind is EndpointKind.INFINITE
-    sgn = 1.0  # declared x = sgn * scan-frame x
-    if lo_inf and not hi_inf:
-        # scan x -> -x so the infinite side is always on the right; samples
-        # and messages are mapped back into the declared frame
-        sgn = -1.0
-        a, a_kind = -dom.upper, dom.upper_kind
-        lo_inf, hi_inf = False, True
-    if lo_inf:
-        a = -0.5 * _SCAN_SPAN  # doubly infinite: the finite part is centred on 0
-    width = _SCAN_SPAN if hi_inf else dom.upper - a
+    # the finite part runs from `start` to `far` in the direction sgn: on a
+    # half-line from its finite end, on (-inf, inf) from -16 up
+    sgn, start, kind = ((-1.0, dom.upper, dom.upper_kind) if lo_inf and not hi_inf
+                        else (1.0, -0.5 * _SCAN_SPAN if lo_inf else dom.lower, dom.lower_kind))
+    width, far = ((_SCAN_SPAN, start + sgn * _SCAN_SPAN) if lo_inf or hi_inf
+                  else (dom.upper - start, dom.upper))
     step = width / _SCAN_N_POINTS
-    xs = [sgn * (a + (i + 0.5) * step) for i in range(_SCAN_N_POINTS)]
-    base = max(a + width, 1.0)
+    xs = [start + sgn * ((i + 0.5) * step) for i in range(_SCAN_N_POINTS)]
+    base = max(sgn * far, 1.0)
 
     def envelope(x: float) -> float:
         return max(abs(r(x)) for r in rules)
@@ -430,12 +425,11 @@ def domination_scan(
         columns = [r.many(xs) for r in rules]
         samples = [(x, max(map(abs, vs))) for x, *vs in zip(xs, *columns)]
         finite_part = step * math.fsum(m for _, m in samples)
-        if not hi_inf:
-            _fit_endpoint(envelope, a, dom.upper, width)
-            _fit_endpoint(envelope, dom.upper, a, width)
-        elif a_kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            _fit_endpoint(envelope, sgn * a, sgn * (a + width), width)
-        sides = (sgn, -sgn) if lo_inf else (sgn,) if hi_inf else ()
+        if not (lo_inf or hi_inf) or kind is EndpointKind.INTEGRABLE_SINGULARITY:
+            _fit_endpoint(envelope, start, far, width)
+        if not (lo_inf or hi_inf):
+            _fit_endpoint(envelope, far, start, width)
+        sides = (1.0, -1.0) if lo_inf and hi_inf else (sgn,) if lo_inf or hi_inf else ()
         tails = [tail(side) for side in sides]
     except EvaluationError as exc:
         why = exc.__cause__ or f"non-finite value {exc.value!r}"
@@ -708,9 +702,9 @@ def _reconstruct_each(
     P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
 ) -> dict[float, tuple[Union[QuadResult, QuadratureError, ValueError], Optional[_Route]]]:
     """reconstruct at each of ``alphas``: its result, or the error it raises,
-    and its route (None at the anchor and outside the domain's closure).  A
-    fallback on the hull of the anchor and the points reuses the hull's fits
-    and rhs, so that its n_evals counts the declined interpolants' too."""
+    and its route (None at the anchor and outside the domain's closure).  Each
+    path fits its own ends; a numeric rhs's fallback on the hull reuses the
+    hull's fits and rhs, so that its n_evals counts declined interpolants' too."""
     a0, v0 = P.anchor.alpha0, P.anchor.value0
     out: dict = {}
     for a in alphas:
@@ -731,7 +725,7 @@ def _reconstruct_each(
         g.near = P.rhs_near
     else:
         g = _NestedRhs(P, cfg)
-    fits = {e: _fit(g, e, lo, hi) for e in (lo, hi) if closed or not dom.is_interior(e)}
+    fits = {e: _fit(g, e, lo, hi) for e in (lo, hi) if not (closed or dom.is_interior(e))}
     for route in () if closed else filter(None, _interpolants(g, dom, lo, hi, fits)):
         if got := _chebyshev(g, route, off):
             out.update((a, (res, route)) for a, res in got.items())
@@ -741,7 +735,7 @@ def _reconstruct_each(
         if a in out:
             continue
         path = (a0, a) if a0 <= a else (a, a0)
-        own = path == (lo, hi)
+        own = path == (lo, hi) and not closed
         pg = g if own or closed else _NestedRhs(P, cfg)
         f0, f1 = (fits[e] if own else _fit(pg, e, *path) for e in path)
         sides = [s for s, f in (("lower", f0), ("upper", f1))

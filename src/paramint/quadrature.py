@@ -112,17 +112,27 @@ class OscillatoryTail:
     """Describes the sign structure of an oscillatory tail.
 
     ``phase_zero_rule(k)`` must return the k-th zero (k = 1, 2, ...) of
-    the oscillation on the tail, strictly increasing and unbounded.
+    the oscillation on the tail, strictly increasing and unbounded.  Every
+    zero is checked as it is read (``_zero``): the first six here.
     """
 
     phase_zero_rule: Callable[[int], float]
 
     def __post_init__(self):
-        zs = [self.phase_zero_rule(k) for k in range(1, 7)]
-        if any(not math.isfinite(z) for z in zs) or any(
-            b <= a for a, b in zip(zs, zs[1:])
-        ):
+        z = -math.inf
+        for k in range(1, 7):
+            z = self._zero(k, z)
+
+    def _zero(self, k: int, past: Optional[float] = None) -> float:
+        """The k-th zero, the rule's one reader: an arithmetic error reads as
+        inf; given the zero before it, ``past``, one not finite and past it raises."""
+        try:
+            z = self.phase_zero_rule(k)
+        except ArithmeticError:
+            z = math.inf
+        if past is not None and not past < z < math.inf:
             raise ValueError("phase_zero_rule must be strictly increasing")
+        return z
 
 
 @dataclass(frozen=True)
@@ -849,7 +859,8 @@ def integrate_oscillatory_improper(
     inter-zero terms stop alternating after warm-up the kernel falls back
     to :func:`integrate_improper` and flags the result ``tail_truncated``.
 
-    The first zero past a is found by doubling k, then bisecting.  The
+    The first zero past a is found by doubling k, then bisecting; each zero
+    a segment ends at is checked as it is read (see OscillatoryTail).  The
     head [a, first zero] is bisected from its two halves; each inter-zero
     segment starts from one Gauss-Kronrod panel over it, since it holds no
     sign change, and bisects only if that panel misses (a head's one panel
@@ -864,27 +875,20 @@ def integrate_oscillatory_improper(
     if domain.lower_kind is not EndpointKind.REGULAR:
         raise ValueError("oscillatory domains require a regular lower endpoint")
 
-    rule = domain.oscillatory_tail.phase_zero_rule
-
-    def zero(k: int) -> float:
-        try:
-            return rule(k)
-        except ArithmeticError:  # exp(k) past the float range, say: no zero, as with inf
-            return math.inf
-
-    a = domain.lower
+    tail, a = domain.oscillatory_tail, domain.lower
     lo, k0 = 0, 1  # the bisection keeps zero(lo) <= a < zero(k0); zero(0) stands for a
-    while (z := zero(k0)) <= a and k0 < 1 << 62:
+    while (z := tail._zero(k0)) <= a and k0 < 1 << 62:
         lo, k0 = k0, 2 * k0
     if not a < z < math.inf:
         raise ValueError("phase_zero_rule produced no zeros beyond the lower endpoint")
     while k0 - lo > 1:
         mid = (lo + k0) // 2
-        lo, k0 = (lo, mid) if zero(mid) > a else (mid, k0)
+        lo, k0 = (lo, mid) if tail._zero(mid) > a else (mid, k0)
 
     fc = _Counted(f)
     seg_cfg = _scaled(cfg, _OSC_SEG_SHARE, 1e-15)
-    head, head_err, _ = _adaptive_gk(fc, a, zero(k0), seg_cfg)
+    z = tail._zero(k0, a)
+    head, head_err, _ = _adaptive_gk(fc, a, z, seg_cfg)
     table = _Epsilon()
     seg_errs: list[float] = [head_err]
     running = prev = best = head
@@ -892,7 +896,8 @@ def integrate_oscillatory_improper(
     increment = math.inf
 
     for j in range(_OSC_MAX_TERMS):
-        s, e, _ = _adaptive_gk(fc, zero(k0 + j), zero(k0 + j + 1), seg_cfg, whole=True)
+        lower, z = z, tail._zero(k0 + j + 1, z)
+        s, e, _ = _adaptive_gk(fc, lower, z, seg_cfg, whole=True)
         seg_errs.append(e)
         running += s
 

@@ -107,6 +107,18 @@ def make_cos(with_da: bool = True, anchored: bool = False) -> ParametricIntegral
     )
 
 
+def _left_singular() -> ParametricIntegral:
+    """d/da of (2.5 - x)**(a - 1) e^(x - 2.5) on (-inf, 2.5], whose upper
+    end is singular: integrable for a > 0, not as a window reaches a ~ 0."""
+    return ParametricIntegral(
+        integrand=lambda x, a: (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5),
+        param_domain=ParamDomain(0.0, math.inf, lo_open=True),
+        domain=DomainSpec(-math.inf, 2.5, lower_kind=EndpointKind.INFINITE,
+                          upper_kind=EndpointKind.INTEGRABLE_SINGULARITY),
+        d_alpha=lambda x, a: math.log(2.5 - x) * (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5),
+    )
+
+
 # --- scaled family ----------------------------------------------------------
 
 def make_scaled(
@@ -439,8 +451,8 @@ class TestDomination:
         lambda x, a: math.inf if a == 1.0 and x < -2.0 else x,
     ], ids=["raises", "non_finite"])
     def test_failing_sample_names_the_declared_x(self, d_alpha):
-        # (-inf, 0] is scanned mirrored; the first midpoint past x = -2 fails,
-        # and both the message and the cause name it in the declared frame
+        # (-inf, 0] is scanned from 0 down; the first midpoint past x = -2
+        # fails, and both the message and the cause name it in the declared frame
         P = dataclasses.replace(
             make_gauss(),
             domain=DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE),
@@ -461,7 +473,7 @@ class TestDomination:
 
     @pytest.mark.parametrize("upper_inf, sides", [(False, 1), (True, 2)])
     def test_infinite_lower_end_dominated(self, upper_inf, sides):
-        # (-inf, 0] is scanned mirrored, (-inf, inf) on both sides of 0
+        # (-inf, 0] is scanned from 0 down, (-inf, inf) on both sides of 0
         domain = DomainSpec(
             -math.inf, math.inf if upper_inf else 0.0,
             lower_kind=EndpointKind.INFINITE,
@@ -526,23 +538,11 @@ class TestDomination:
             domination_scan(catalog.get("ex4").parametric, (0.0, 1.0))
 
     def test_mirrored_scan_messages_use_the_declared_frame(self):
-        # (-inf, 2.5] is scanned as [-2.5, inf); the errors must still name
-        # abscissae of the declared domain
-        left = DomainSpec(
-            -math.inf, 2.5, lower_kind=EndpointKind.INFINITE,
-            upper_kind=EndpointKind.INTEGRABLE_SINGULARITY,
-        )
-        P = ParametricIntegral(
-            integrand=lambda x, a: (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5),
-            param_domain=ParamDomain(0.0, math.inf, lo_open=True),
-            domain=left,
-            d_alpha=lambda x, a: (
-                math.log(2.5 - x) * (2.5 - x) ** (a - 1.0) * math.exp(x - 2.5)
-            ),
-        )
+        # (-inf, 2.5] is scanned from its singular end 2.5 down; the errors
+        # name abscissae of the declared domain
         with pytest.raises(DegenerateWindowError, match=r"toward x=2\.5 "):
-            domination_scan(P, (1e-300, 2.0))
-        # log(x + 3) fails for x <= -3, which the mirrored scan reaches
+            domination_scan(_left_singular(), (1e-300, 2.0))
+        # log(x + 3) fails for x <= -3, which the scan down from 0 reaches
         Q = dataclasses.replace(
             make_gauss(),
             domain=DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE),
@@ -551,6 +551,45 @@ class TestDomination:
         with pytest.raises(DegenerateWindowError, match=r"failed at x=-3\.") as info:
             domination_scan(Q, (0.5, 2.0))
         assert "x=3." not in str(info.value)
+
+    @pytest.mark.parametrize("case, window, pins", [
+        ("left", (0.5, 2.0), ("0x1.40d931ff62705p+0", "-0x1.fe01fe01fe020p-5",
+                              "0x1.fb0a2c98addcbp-9", "-0x1.0000000000000p+45")),
+        ("line", (0.5, 2.0), ("0x1.40d931ff62705p+1", "-0x1.fe01fe01fe020p+3",
+                              "0x1.b0f452b6efd02p-176", "-0x1.0000000000000p+44")),
+        ("left_singular", (0.5, 2.0), ("0x1.576666282e9fap+1", "0x1.3807f807f8080p+1",
+                                       "0x1.4e97562e7a1f9p+3", "-0x1.d800000000000p+44")),
+        ("left_singular", (1e-300, 2.0),
+         "envelope grows non-integrably toward x=2.5 (local exponent -1.077); "
+         "the window touches a singular parameter value"),
+        ("left_log", (0.5, 2.0),
+         "derivative sample failed at x=-3.0505836575875485 (math domain error): "
+         "the window touches a singular parameter value"),
+    ], ids=["left", "line", "left_singular", "left_singular_refused", "left_log_refused"])
+    def test_lower_infinite_scan_bits(self, case, window, pins):
+        # the estimate, the first and last samples (the last tail rung reads
+        # 0.0) and the messages on (-inf, 0] and (-inf, inf), and on
+        # (-inf, 2.5] with a singular end, to the bit: sampling down from b
+        # rounds as sampling [-b, inf) up and negating, since rounding is
+        # symmetric under negation
+        left = DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)
+        line = dataclasses.replace(left, upper=math.inf, upper_kind=EndpointKind.INFINITE)
+        P = {"left": dataclasses.replace(make_gauss(), domain=left),
+             "line": dataclasses.replace(make_gauss(), domain=line),
+             "left_singular": _left_singular(),
+             "left_log": dataclasses.replace(
+                 make_gauss(), domain=left,
+                 d_alpha=lambda x, a: math.log(x + 3.0) * math.exp(a * x))}[case]
+        if isinstance(pins, str):
+            with pytest.raises(DegenerateWindowError) as info:
+                domination_scan(P, window)
+            assert str(info.value) == pins
+            return
+        rep = domination_scan(P, window)
+        assert rep.verdict is DominationVerdict.DOMINATED
+        first, last = rep.envelope_samples[0], rep.envelope_samples[-1]
+        got = (rep.envelope_integral_estimate, *first, *last)
+        assert tuple(map(float.hex, got)) == (*pins, "0x0.0p+0")
 
     @pytest.mark.parametrize("p, integrable", [
         (-0.5, True), (-0.99, True), (-1.01, False), (-2.0, False),
@@ -668,6 +707,21 @@ class TestReconstruct:
 
         res = reconstruct(dataclasses.replace(P, **{counted_field: counted}), alpha)
         assert res.n_evals == calls > 0
+
+    def test_closed_rhs_fits_only_the_paths_it_integrates(self):
+        # verify's grid [0.5, 2] about the anchor 1: each point's path fits
+        # its own ends, so every rhs call is in some point's n_evals (the
+        # hull [0.5, 2], which no point takes, was fitted too: 78 calls for
+        # 72 reported)
+        calls = []
+
+        def rhs(a: float) -> float:
+            calls.append(a)
+            return _gauss_rhs(a)
+
+        P = dataclasses.replace(make_gauss(), rhs_closed=rhs)
+        got = engine._reconstruct_each(P, [0.5, 2.0], QuadConfig())
+        assert sum(res.n_evals for res, _ in got.values()) == len(calls) == 72
 
     @pytest.mark.parametrize("entry_id, alpha, fitted", [
         ("ex3_alpha", 0.5, []), ("ex3_alpha", 2.0, []), ("ex2", 1.5, [1.0]),

@@ -590,18 +590,41 @@ class TestOscillatory:
 
     def test_rule_that_raises_past_the_head_is_refused(self):
         # past the first zero, a rule that raises an arithmetic error reads as
-        # inf too, as for a rule that returns it: the kernel refuses rather
-        # than let the OverflowError out
+        # inf too, as for a rule that returns it: the kernel refuses the rule
+        # rather than let the OverflowError out or blame the integrand
         def rule(k: int) -> float:
             return k * math.pi if k < 9 else math.exp(1e4)
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
             integrate_oscillatory_improper(
                 lambda x: math.sin(x) / x, DomainSpec.oscillatory(0.5, rule))
+
+    @pytest.mark.parametrize("rule, a", [
+        (lambda k: k * math.pi if k < 9 else 8.0 * math.pi, 0.0),
+        (lambda k: k * math.pi if k < 9 else 5.0, 0.0),
+        (lambda k: k * math.pi if k < 9 else math.inf, 0.0),
+        # the search for the first zero past 100 reads inf at k = 24 and 20,
+        # below the finite zero 32 pi that the doubling found
+        (lambda k: math.inf if 20 <= k <= 30 else k * math.pi, 100.0),
+    ], ids=["repeats", "drops", "inf", "inf_in_the_search"])
+    def test_rule_that_fails_its_contract_past_the_head_is_refused(self, rule, a):
+        # a zero that is not finite and past the one before: each zero is
+        # checked as it is read, so the kernel refuses the rule (a repeat of
+        # 8 pi from k = 9 read converged 1.5311312849906613 against pi/2, a
+        # drop to 5.0 max_depth, and inf an EvaluationError at x=inf)
+        with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
+            integrate_oscillatory_improper(
+                lambda x: math.sin(x) / x, DomainSpec.oscillatory(a, rule))
 
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
             OscillatoryTail(phase_zero_rule=lambda k: 1.0)
+
+    def test_rule_that_overflows_is_refused_at_construction(self):
+        # exp(1400) overflows at k = 2: the construction check reads the rule
+        # as the kernel does, an arithmetic error as inf
+        with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
+            DomainSpec.oscillatory(0.0, lambda k: math.exp(700 * k))
 
 
 def _wynn_best(sums: list[float]) -> float:
