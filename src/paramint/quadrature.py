@@ -25,9 +25,10 @@ kernels are pure functions of their arguments: integrands must be
 stateless, and identical inputs produce bit-identical results.  The one
 state the module keeps is the tanh-sinh node tables, built lazily, one
 per level, the first time a level is reached, then shared by the whole
-process and never written again (about 0.6 MB once level 12 exists).  A
-table holds exactly what each node would compute for itself, so results
-do not depend on which tables are already built.
+process and never written again (about 0.53 MB once level 12 exists);
+each ends at the first row that every sweep cuts.  A table holds exactly
+what each node would compute for itself, so results do not depend on
+which tables are already built.
 """
 
 from __future__ import annotations
@@ -257,21 +258,48 @@ def _fsum(terms: Iterable[float]) -> float:
     return total
 
 
-class _Checked:
-    """The checked-batch contract shared by the integrand wrappers.
+class _Counted:
+    """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d),
+    or its mirror f(-u) with ``mirror``: counts calls on ``fc`` (itself by
+    default; the wrapper of f for an offset form) and rejects non-finite
+    values.  A failing call raises at its abscissa: x, end + d for a
+    two-argument (offset) call, or x = -u for a mirror.  ``near``, if
+    given, is the map's own offset form, read once where f is wrapped.
 
-    A wrapper has a checked per-node ``__call__``, which counts the node
-    on the :class:`_Counted` ``fc`` and raises ``EvaluationError`` when it
-    fails, and the same map unchecked and uncounted as ``raw``.  A batch
-    runs first on ``raw``.  A non-finite value makes the plain sum
-    non-finite, so one test covers the batch, which then counts as one call
-    per value.  If the batch raises or fails that test, it is rerun once on
-    the checked ``__call__``, which raises at the first failing node in
-    batch order; a batch of finite values whose sum merely overflows costs
-    that rerun and nothing else.
+    A batch runs first on ``raw``, the map unchecked and uncounted.  A
+    non-finite value makes the plain sum non-finite, so one test covers
+    the batch, which then counts as one call per value.  If the batch
+    raises or fails that test, it is rerun once on the checked
+    ``__call__``, which raises at the first failing node in batch order; a
+    batch of finite values whose sum merely overflows costs that rerun and
+    nothing else.
     """
 
-    __slots__ = ()
+    __slots__ = ("raw", "n", "fc", "mirror", "near")
+
+    def __init__(
+        self, f: Callable[..., float], fc: Optional[_Counted] = None,
+        mirror: bool = False, near: Optional[Callable[[float, float], float]] = None,
+    ):
+        self.raw = f
+        self.n = 0
+        self.fc = fc or self
+        self.mirror = mirror
+        self.near = near
+
+    def __call__(self, *args: float) -> float:
+        self.fc.n += 1
+        try:
+            v = self.raw(*args)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise EvaluationError(self._at(args), math.inf) from exc
+        if not math.isfinite(v):
+            raise EvaluationError(self._at(args), v)
+        return v
+
+    def _at(self, args: tuple[float, ...]) -> float:
+        x = args[0] + args[1] if len(args) == 2 else args[0]
+        return -x if self.mirror else x
 
     def run(
         self, sweep: Callable[..., tuple[list[float], object]], arg: object
@@ -299,39 +327,6 @@ class _Checked:
         return [self(x) for x in xs]
 
 
-class _Counted(_Checked):
-    """Wraps an integrand, or its offset form ``near(end, d)`` = f(end + d),
-    or its mirror f(-u) with ``mirror``: counts calls on ``fc`` (itself by
-    default; the wrapper of f for an offset form) and rejects non-finite
-    values.  A failing call raises at its abscissa: x, end + d for a
-    two-argument (offset) call, or x = -u for a mirror.
-    """
-
-    __slots__ = ("raw", "n", "fc", "mirror")
-
-    def __init__(
-        self, f: Callable[..., float], fc: Optional[_Counted] = None, mirror: bool = False
-    ):
-        self.raw = f
-        self.n = 0
-        self.fc = fc or self
-        self.mirror = mirror
-
-    def __call__(self, *args: float) -> float:
-        self.fc.n += 1
-        try:
-            v = self.raw(*args)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(self._at(args), math.inf) from exc
-        if not math.isfinite(v):
-            raise EvaluationError(self._at(args), v)
-        return v
-
-    def _at(self, args: tuple[float, ...]) -> float:
-        x = args[0] + args[1] if len(args) == 2 else args[0]
-        return -x if self.mirror else x
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod (7, 15) pair on [-1, 1]: the centre, then the symmetric nodes'
 # positive abscissae from the outside in.  wg is zero on Kronrod-only nodes.
@@ -350,7 +345,7 @@ _GK = (
 )
 
 
-def _gk_panel(f: _Counted | _Compactified, a: float, b: float) -> tuple[float, float, bool]:
+def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float, bool]:
     """Kronrod value, |kronrod - gauss| estimate and whether [a, b] may split
     (15 evals, one batch).  Abscissae lie 0.042 h apart or more, so they merge
     only if h < 64 ulps of max(|a|, |b|); merged ones may hide a jump, so the
@@ -377,18 +372,14 @@ def _gk_panel(f: _Counted | _Compactified, a: float, b: float) -> tuple[float, f
 
 
 def _adaptive_gk(
-    f: _Counted | _Compactified, a: float, b: float, cfg: QuadConfig, whole: bool = False
+    f: _Counted, a: float, b: float, cfg: QuadConfig
 ) -> tuple[float, float, QuadStatus]:
     """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b], seeded
-    with its two halves.  With ``whole``, one panel over [a, b] runs first
-    and is the result if it meets the tolerance; a miss costs its 15
-    evaluations, and the bisection then runs as without ``whole``."""
+    with its two halves; an interval too narrow to halve is one panel."""
     mid = 0.5 * (a + b)
-    if whole or not (a < mid < b):
+    if not a < mid < b:
         v, e, _ = _gk_panel(f, a, b)
-        status = _status(cfg, v, e)
-        if status is QuadStatus.CONVERGED or not (a < mid < b):
-            return v, e, status
+        return v, e, _status(cfg, v, e)
 
     (v1, e1, split1), (v2, e2, split2) = _gk_panel(f, a, mid), _gk_panel(f, mid, b)
     # (-err, seq, a, b, value, err, may split)
@@ -441,6 +432,7 @@ def integrate_finite(
 
 _TS_MAX_LEVEL = 12
 _PI_HALF = math.pi / 2.0
+_TS_FLOOR = 2.0 ** -512  # a node at most this many half-widths from its end is cut
 
 
 @functools.cache
@@ -453,10 +445,10 @@ def _ts_level(m: int) -> tuple[array, array, array]:
     endpoints, r = 2 e**(-2u) / (1 + e**(-2u)), and weigh
     ``half * pi/2 * cosh t / cosh(u)**2``.  The values depend on t alone
     and are odd or even in t, so one table serves both sides.  The last
-    row is the first with u >= 350, where cosh u is stored as inf: its
-    weight is 0 on every interval, so no sweep runs past it.  Built on
-    first use and kept, read-only, for the process (see the module
-    docstring).
+    row is the first with r < _TS_FLOOR (u near 178), which every sweep
+    cuts.  Each row's weight per half-width is at least its r, so every
+    node the floor lets through weighs more than 0.  Built on first use
+    and kept, read-only, for the process (see the module docstring).
     """
     h = 2.0 ** (-m)
     r, cosh_t, cosh_u = array("d"), array("d"), array("d")
@@ -467,10 +459,9 @@ def _ts_level(m: int) -> tuple[array, array, array]:
         e2 = math.exp(-2.0 * u)
         r.append(2.0 * e2 / (1.0 + e2))
         cosh_t.append(math.cosh(t))
-        if u >= 350.0:
-            cosh_u.append(math.inf)
-            return r, cosh_t, cosh_u
         cosh_u.append(math.cosh(u))
+        if r[-1] < _TS_FLOOR:
+            return r, cosh_t, cosh_u
         k += 1 if m == 0 else 2
 
 
@@ -520,7 +511,7 @@ def _fit_endpoint(
 
 
 def _tanh_sinh(
-    f: _Counted | _Compactified,
+    f: _Counted,
     a: float,
     b: float,
     lower_kind: EndpointKind,
@@ -531,7 +522,8 @@ def _tanh_sinh(
 
     Each side of each level is one checked sweep (``f.run``) over the
     level's node table.  Every node is computed as its signed offset d from
-    its end.  An integrand that carries ``near`` (see
+    its end, and cut at or below the floor ``half * _TS_FLOOR``, as every
+    table's last row is.  A wrapper that carries ``near`` (see
     :func:`integrate_singular`) is called with that exact offset; any other
     is called at x = end + d, and only its nodes are also cut where x
     rounds onto the end.  A side of kind ``INFINITE`` is the image of
@@ -561,22 +553,20 @@ def _tanh_sinh(
     # Endpoints at zero never round onto the endpoint, so without a floor
     # the node ladder descends until squared-distance terms inside the
     # integrand underflow to 0.0 (e.g. log(s*s) at s ~ 1e-160).  Nodes
-    # below the floor are dropped and charged to the truncation allowance;
+    # at or below the floor are dropped and charged to the truncation allowance;
     # at 2^-512 * half the charged mass is far below any tolerance, except
     # at an infinite end whose tail decays barely faster than 1/x.
-    delta_floor = half * 2.0 ** -512
+    delta_floor = half * _TS_FLOOR
 
-    # The integrand's offset form, read once.
-    near = getattr(f.raw, "near", None)
-    offset = near is not None
-    swept = _Counted(near, f.fc, f.mirror) if offset else f
+    offset = f.near is not None
+    swept = _Counted(f.near, f.fc, f.mirror) if offset else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
         """The w*f terms of one side of the current level (its ``table``,
         ``h`` and ``tiny``), outward from the middle, and the distance
         charged for a cut node (0.0 when none was cut).  Each node lies at
         the signed offset d = +-half*r from the side's end, x = end + d; it
-        is cut below the floor, or where x rounds onto the end unless the
+        is cut at or below the floor, or where x rounds onto the end unless the
         sweep runs through the offset form fn(end, d)."""
         end, _, kind, sign = sides[upper]
         terms = []
@@ -586,7 +576,7 @@ def _tanh_sinh(
             delta = half * r
             d = sign * delta
             x = end + d
-            if delta < delta_floor or x == end and not offset:
+            if delta <= delta_floor or x == end and not offset:
                 if small_run and kind is EndpointKind.INFINITE:
                     # A small-term stop: the terms had already vanished, and
                     # a fit at the cut would sample x near 1e155, where many
@@ -594,8 +584,6 @@ def _tanh_sinh(
                     break
                 return terms, max(delta_floor, delta)
             w = w_scale * cosh_t / (cosh_u * cosh_u)
-            if w == 0.0:
-                break
             c = w * (fn(end, d) if offset else fn(x))
             terms.append(c)
             # A small term that is larger than the one before it is mid-sweep
@@ -688,7 +676,7 @@ def integrate_singular(
     for kind in (domain.lower_kind, domain.upper_kind):
         if kind is EndpointKind.INFINITE:
             raise ValueError("integrate_singular requires finite endpoints")
-    fc = _Counted(f)
+    fc = _Counted(f, near=getattr(f, "near", None))
     value, err, status = _tanh_sinh(
         fc, domain.lower, domain.upper, domain.lower_kind, domain.upper_kind, cfg
     )
@@ -699,27 +687,23 @@ def integrate_singular(
 # semi-infinite domains
 # ---------------------------------------------------------------------------
 
-class _Compactified(_Checked):
+class _Compactified(_Counted):
     """g(s) = f(a + s/om) / (om*om), om = 1 - s, over a counted f on [a, inf).
 
     With ``complement`` the argument is om itself, the exact distance to
     the infinite end s = 1, so a node next to that end never rounds onto
-    it: x = a + (1 - om)/om.  Evaluations are counted on ``fc``.  A failing
-    node raises as two nested checks would: at x when f itself fails, at s
-    when only the Jacobian-weighted value does, which also sets
-    ``overflowed``.  A checked batch needs one finiteness test for both,
-    because a non-finite f stays non-finite after the division.
+    it: x = a + (1 - om)/om.  Evaluations are counted on ``fc``, and g has
+    no offset form.  A failing node raises as two nested checks would: at
+    x when f itself fails, at s when only the Jacobian-weighted value does,
+    which also sets ``overflowed``.  A checked batch needs one finiteness
+    test for both, because a non-finite f stays non-finite after the
+    division.
     """
 
-    __slots__ = ("fc", "a", "complement", "raw", "overflowed")
+    __slots__ = ("a", "complement", "overflowed")
 
     def __init__(self, fc: _Counted, a: float, complement: bool = False):
-        self.fc = fc
-        self.a = a
-        self.complement = complement
-        self.overflowed = False
         f = fc.raw
-
         if complement:
             def raw(om: float) -> float:
                 return f(a + (1.0 - om) / om) / (om * om)
@@ -728,7 +712,10 @@ class _Compactified(_Checked):
                 om = 1.0 - s
                 return f(a + s / om) / (om * om)
 
-        self.raw = raw
+        super().__init__(raw, fc)
+        self.a = a
+        self.complement = complement
+        self.overflowed = False
 
     def __call__(self, t: float) -> float:
         # om > 0 on every node: the division cannot raise
@@ -790,15 +777,16 @@ def integrate_improper(
     if not (lo_inf or hi_inf):
         raise ValueError("integrate_improper requires an infinite endpoint")
 
+    near = getattr(f, "near", None)
     if not lo_inf:
-        return _improper_semi(_Counted(f), domain.lower, domain.lower_kind, cfg)
-    mirrored = _Counted(lambda u: f(-u), mirror=True)
-    if hasattr(f, "near"):
-        mirrored.raw.near = lambda end, d: f.near(-end, -d)
+        return _improper_semi(_Counted(f, near=near), domain.lower, domain.lower_kind, cfg)
+    if hi_inf:  # [0, inf) for f, then (-inf, 0] as any (-inf, b] runs
+        right = _improper_semi(_Counted(f, near=near), 0.0, EndpointKind.REGULAR, cfg)
+    b, kind = (0.0, EndpointKind.REGULAR) if hi_inf else (domain.upper, domain.upper_kind)
+    mirrored = _Counted(lambda u: f(-u), mirror=True, near=near and (lambda end, d: near(-end, -d)))
+    left = _improper_semi(mirrored, -b, kind, cfg)
     if not hi_inf:
-        return _improper_semi(mirrored, -domain.upper, domain.upper_kind, cfg)
-    right = _improper_semi(_Counted(f), 0.0, EndpointKind.REGULAR, cfg)
-    left = _improper_semi(mirrored, 0.0, EndpointKind.REGULAR, cfg)
+        return left
     value = left.value + right.value
     est = left.abs_err_est + right.abs_err_est
     status = _status(cfg, value, est, left.status, right.status)
@@ -897,7 +885,9 @@ def integrate_oscillatory_improper(
 
     for j in range(_OSC_MAX_TERMS):
         lower, z = z, tail._zero(k0 + j + 1, z)
-        s, e, _ = _adaptive_gk(fc, lower, z, seg_cfg, whole=True)
+        s, e, _ = _gk_panel(fc, lower, z)
+        if _status(seg_cfg, s, e) is not QuadStatus.CONVERGED and lower < 0.5 * (lower + z) < z:
+            s, e, _ = _adaptive_gk(fc, lower, z, seg_cfg)
         seg_errs.append(e)
         running += s
 
