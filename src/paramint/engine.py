@@ -621,7 +621,8 @@ def _chebyshev(
     """I at each of ``alphas`` from the interpolant ``route`` of dI/du on its
     path [lo, hi], which holds the anchor and the points, or None when it
     declines.  u is alpha, or s for alpha = end + sign s*s about the end the
-    path marks singular, where dI/ds = 2 sign s g(alpha) is smooth.
+    path marks singular, where dI/ds = 2 sign s g(alpha) is smooth; its s
+    is read back from the rounded alpha, so node rounding errs in s alone.
 
     dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end,
     where the interchange may fail), g at the node tolerance times
@@ -656,7 +657,7 @@ def _chebyshev(
                     r = g.sample(nodes[j], node_cfg)
                     if r.status is not QuadStatus.CONVERGED:
                         return None
-                    du = 2.0 * sign * us[j] if root else 1.0  # d alpha / du
+                    du = 2.0 * sign * math.sqrt(abs(nodes[j] - end)) if root else 1.0
                     got[j] = (du * r.value, abs(du) * r.abs_err_est)
             samples = [got[j * step] for j in range(1, n)]
             sn, rows = _sines(n)

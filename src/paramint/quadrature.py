@@ -266,13 +266,12 @@ class _Counted:
     two-argument (offset) call, or x = -u for a mirror.  ``near``, if
     given, is the map's own offset form, read once where f is wrapped.
 
-    A batch runs first on ``raw``, the map unchecked and uncounted.  A
-    non-finite value makes the plain sum non-finite, so one test covers
-    the batch, which then counts as one call per value.  If the batch
-    raises or fails that test, it is rerun once on the checked
-    ``__call__``, which raises at the first failing node in batch order; a
-    batch of finite values whose sum merely overflows costs that rerun and
-    nothing else.
+    A batch (``run``, ``many``) runs first on ``raw``, the map unchecked
+    and uncounted; a non-finite value makes the plain sum non-finite, so
+    one test covers it, and a batch that passes counts one call per value.
+    One that raises or fails is rerun once on the checked call, which
+    raises at its first failing node in batch order; a batch of finite
+    values whose sum merely overflows costs that rerun and nothing else.
     """
 
     __slots__ = ("raw", "n", "fc", "mirror", "near")
