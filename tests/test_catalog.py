@@ -192,6 +192,15 @@ class TestClosedFormConsistency:
                 closed = P.solution_closed(a)
                 assert abs(res.value - closed) < 1e-5, (entry.id, a)
 
+    def test_closed_form_of_an_entry_without_one_is_refused(self, monkeypatch):
+        entry = catalog.get("ex2")
+        bare = dataclasses.replace(
+            entry, id="bare", parametric=dataclasses.replace(entry.parametric, solution_closed=None)
+        )
+        monkeypatch.setitem(catalog._BY_ID, "bare", bare)
+        with pytest.raises(ValueError, match="'bare' has no closed-form solution"):
+            catalog.closed_form("bare", 2.0)
+
     def test_closed_form_domain_checked(self):
         with pytest.raises(ParameterDomainError):
             catalog.closed_form("ex2", 0.5)

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -420,6 +421,26 @@ class TestArgparsePlumbing:
         )
         assert proc.returncode == 1
         assert "overall: FAIL" in proc.stdout
+
+    @pytest.mark.parametrize("argv, code", [
+        (["list", "--format", "json"], 0),
+        (["eval", "nope", "--alpha", "1"], 2),
+    ], ids=["list", "unknown_id"])
+    def test_module_main_exits_with_the_run_code_in_process(
+        self, monkeypatch, capsys, argv, code
+    ):
+        # `python -m paramint.cli` reads sys.argv and exits with run's code;
+        # the module runs afresh as __main__, so its entry guard runs too
+        monkeypatch.setattr(sys, "argv", ["pil", *argv])
+        monkeypatch.delitem(sys.modules, "paramint.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("paramint.cli", run_name="__main__")
+        out, err = capsys.readouterr()
+        assert exc.value.code == code
+        if code == 0:
+            assert [e["id"] for e in json.loads(out)["entries"]] == ALL_IDS
+        else:
+            assert out == "" and "nope" in err
 
 
 class TestRepeatedRuns:

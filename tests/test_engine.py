@@ -1099,6 +1099,19 @@ class TestNestedReconstruction:
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - P.solution_closed(alpha)) <= res.abs_err_est
 
+    def test_path_of_four_ulps_declines_the_interpolant(self):
+        # the Chebyshev nodes of [1, 1 + 4 ulp] round onto its ends, where
+        # the interchange may fail, so the interpolant declines and
+        # Gauss-Kronrod in alpha integrates the numeric rhs over the path
+        P = make_cos(anchored=True)
+        alpha = 1.0 + 4.0 * math.ulp(1.0)
+        route = engine._Route("grid-α", DomainSpec.finite(1.0, alpha))
+        assert engine._chebyshev(engine._NestedRhs(P, QuadConfig()), route, [alpha]) is None
+        res, route = engine._reconstruct_each(P, [alpha], QuadConfig())[alpha]
+        assert route == engine._Route("gk", DomainSpec.finite(1.0, alpha))
+        assert (res.status, res.n_evals) == (QuadStatus.CONVERGED, 900)
+        assert abs(res.value - _cos_sol(alpha)) <= 2.0 * math.ulp(res.value)
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_numeric_rhs_with_a_large_derivative_is_honest(self, alpha):
         # I = 1e5 cos(a) 2/3: on the Gauss-Kronrod route, whose flat noise

@@ -993,6 +993,22 @@ class TestBatchPath:
 
 
 class TestNodeTables:
+    @pytest.mark.parametrize("m", range(quadrature._TS_MAX_LEVEL + 1))
+    def test_each_table_is_its_formula_and_ends_at_its_first_row_below_the_floor(self, m):
+        # Row for row what each node would compute for itself.  Only the last
+        # row lies below the floor, so every sweep is cut there; and a row's
+        # weight per half-width, pi/2 cosh t / cosh(u)**2, is at least its r,
+        # so a node the floor lets through never weighs 0.
+        table = quadrature._ts_level(m)
+        for i, (r, cosh_t, cosh_u) in enumerate(zip(*table)):
+            t = (i + 1 if m == 0 else 2 * i + 1) * 2.0 ** -m
+            u = math.pi / 2.0 * math.sinh(t)
+            e2 = math.exp(-2.0 * u)
+            assert (r, cosh_t, cosh_u) == (2.0 * e2 / (1.0 + e2), math.cosh(t), math.cosh(u))
+            assert math.pi / 2.0 * cosh_t / (cosh_u * cosh_u) >= r
+        below = [r < quadrature._TS_FLOOR for r in table[0]]
+        assert below == [False] * (len(below) - 1) + [True]
+
     def test_cold_tables_give_the_bits_of_warm_ones(self):
         # A fresh interpreter builds no table at import; its first call
         # builds levels 0-12 and must give the bits of a repeat, and of
