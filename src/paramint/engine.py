@@ -81,7 +81,8 @@ class ParameterDomainError(ValueError):
 
 
 class OneSidedDifferenceError(ValueError):
-    """Finite differencing was requested at a parameter-domain boundary."""
+    """A central difference in alpha has no room: alpha lies on a
+    parameter-domain bound, or alpha +/- the step rounds onto alpha."""
 
 
 class DegenerateWindowError(ValueError):
@@ -209,13 +210,13 @@ class ParametricIntegral:
 
 @dataclass(frozen=True)
 class InterchangeReport:
-    """Outcome of one numeric derivative-integral interchange comparison."""
+    """One derivative-integral interchange comparison, and the gate its verdict needed."""
 
     alpha: float
     lhs: float  # central difference of the direct integral
     rhs: float  # integral of the alpha-derivative of the integrand
     discrepancy: float
-    tolerance_used: float
+    tolerance_used: float  # 1e-5, plus the curvature allowance only past 1e-5
     passed: bool
 
 
@@ -273,6 +274,13 @@ def eval_direct(
     return integrate(lambda x: f(x, alpha), P.domain_for(alpha), cfg)
 
 
+def _require_step(alpha: float, h: float, hint: str) -> None:
+    """Refuse a central difference whose step alpha +/- h rounds onto alpha."""
+    if not alpha - h < alpha < alpha + h:
+        raise OneSidedDifferenceError(
+            f"no room for a central difference in alpha at alpha={alpha!r}{hint}")
+
+
 def _partial_alpha(
     P: ParametricIntegral, alpha: float
 ) -> Callable[[float], float]:
@@ -287,11 +295,7 @@ def _partial_alpha(
     room = P.param_domain.boundary_distance(alpha)
     if room < h:
         h = 0.5 * room
-    if not alpha - h < alpha < alpha + h:
-        raise OneSidedDifferenceError(
-            f"no room for a central difference in alpha at alpha={alpha!r}; "
-            "provide an analytic d_alpha"
-        )
+    _require_step(alpha, h, "; provide an analytic d_alpha")
     f = P.integrand
     return lambda x: (f(x, alpha + h) - f(x, alpha - h)) / (2.0 * h)
 
@@ -321,26 +325,29 @@ def interchange_check(
     """Compare d/d alpha of the integral against the integral of d f/d alpha.
 
     lhs is a central difference of eval_direct across a step of 1e-4; rhs
-    is deriv_under_integral.  The pass threshold is 1e-5 plus an allowance
-    for the central difference's own O(h^2) bias, scaled from the measured
-    second difference at alpha (a third direct evaluation): near a
-    parameter-domain edge the solution's higher derivatives grow like
-    inverse powers of the distance to the edge, so the curvature is
-    divided by that distance before multiplying by h^2.
+    is deriv_under_integral; an alpha where alpha +/- 1e-4 rounds onto
+    alpha raises OneSidedDifferenceError before any quadrature.  The gate
+    is 1e-5.  Only a discrepancy past it pays for a third direct evaluation,
+    at alpha: its second difference sizes an allowance, never negative, for
+    the central difference's own O(h^2) bias.  Near a parameter-domain edge
+    the solution's higher derivatives grow like inverse powers of the
+    distance to the edge, so the curvature is divided by that distance
+    before multiplying by h^2.
     """
     h = _INTERCHANGE_STEP
     P.param_domain.require(alpha - h, alpha + h)
+    _require_step(alpha, h, f"; a step of {h!r} rounds away")
     hi = eval_direct(P, alpha + h, cfg)
     lo = eval_direct(P, alpha - h, cfg)
-    at = eval_direct(P, alpha, cfg)
     lhs = (hi.value - lo.value) / (2.0 * h)
     rhs = deriv_under_integral(P, alpha, cfg).value
     discrepancy = abs(lhs - rhs)
-
-    curvature = abs(hi.value - 2.0 * at.value + lo.value) / (h * h)
-    dist = P.param_domain.boundary_distance(alpha)
-    allowance = h * h * curvature / max(dist, 2.0 * h)
-    tolerance_used = _INTERCHANGE_TOL + allowance
+    tolerance_used = _INTERCHANGE_TOL
+    if discrepancy > tolerance_used:
+        at = eval_direct(P, alpha, cfg)
+        curvature = abs(hi.value - 2.0 * at.value + lo.value) / (h * h)
+        dist = P.param_domain.boundary_distance(alpha)
+        tolerance_used += h * h * curvature / max(dist, 2.0 * h)
     return InterchangeReport(
         alpha=alpha,
         lhs=lhs,

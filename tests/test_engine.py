@@ -12,6 +12,7 @@ reconstruction tests choose.
 
 import dataclasses
 import math
+import random
 import sys
 
 import pytest
@@ -374,7 +375,101 @@ class TestEvalAndDeriv:
 # interchange check
 # ---------------------------------------------------------------------------
 
+def _interchange_reference(P, alpha):
+    """The check with all four quadratures always run: (passed, lhs, rhs,
+    discrepancy, tolerance_used)."""
+    h = 1e-4
+    hi = eval_direct(P, alpha + h).value
+    lo = eval_direct(P, alpha - h).value
+    at = eval_direct(P, alpha).value
+    lhs = (hi - lo) / (2.0 * h)
+    rhs = deriv_under_integral(P, alpha).value
+    discrepancy = abs(lhs - rhs)
+    curvature = abs(hi - 2.0 * at + lo) / (h * h)
+    dist = P.param_domain.boundary_distance(alpha)
+    tolerance = 1e-5 + h * h * curvature / max(dist, 2.0 * h)
+    return discrepancy <= tolerance, lhs, rhs, discrepancy, tolerance
+
+
+def _interchange_points():
+    """Every interior catalog grid point; 6 alphas per entry drawn inside its
+    grid hull where alpha +/- 1e-4 is valid; ex4 where the allowance
+    decides; and make_cos next to its upper bound."""
+    rng = random.Random(0)
+    points = []
+    for e in catalog.entries():
+        P, grid = e.parametric, e.verification_grid
+        points += [(e.id, a) for a in grid if P.param_domain.is_interior(a)]
+        drawn = []
+        while len(drawn) < 6:
+            a = rng.uniform(min(grid), max(grid))
+            if P.param_domain.contains(a - 1e-4) and P.param_domain.contains(a + 1e-4):
+                drawn.append(a)
+        points += [(e.id, a) for a in drawn]
+    points += [("ex4", a) for a in (0.97, 0.999)]  # and the grid point 0.99
+    return points + [("make_cos", 2.0 - 1e-3)]
+
+
+def _recording(P, seen):
+    """P whose integrand and d_alpha append ("f" or "d", alpha) to seen."""
+    f, d = P.integrand, P.d_alpha
+
+    def fr(x, a):
+        seen.append(("f", a))
+        return f(x, a)
+
+    def dr(x, a):
+        seen.append(("d", a))
+        return d(x, a)
+    return dataclasses.replace(P, integrand=fr, d_alpha=dr)
+
+
 class TestInterchange:
+    @pytest.mark.parametrize("entry, alpha", _interchange_points(),
+                             ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_matches_the_four_quadrature_check(self, entry, alpha):
+        # the third direct evaluation runs only past the 1e-5 gate, where
+        # the allowance can change the verdict; every other field keeps its bits
+        P = make_cos() if entry == "make_cos" else catalog.get(entry).parametric
+        rep = interchange_check(P, alpha)
+        passed, lhs, rhs, discrepancy, tolerance = _interchange_reference(P, alpha)
+        assert rep.passed == passed
+        assert [float.hex(v) for v in (rep.lhs, rep.rhs, rep.discrepancy)] == [
+            float.hex(v) for v in (lhs, rhs, discrepancy)]
+        expected = tolerance if discrepancy > 1e-5 else 1e-5
+        assert float.hex(rep.tolerance_used) == float.hex(expected)
+
+    def test_direct_evaluation_at_alpha_only_past_the_gate(self):
+        seen = []
+        rep = interchange_check(_recording(catalog.get("gauss").parametric, seen), 1.0)
+        assert rep.discrepancy <= 1e-5 and rep.tolerance_used == 1e-5
+        f_alphas = {a for k, a in seen if k == "f"}
+        assert f_alphas == {1.0 - 1e-4, 1.0 + 1e-4}
+        seen = []
+        rep = interchange_check(_recording(catalog.get("ex4").parametric, seen), 0.99)
+        assert rep.discrepancy > 1e-5 and ("f", 0.99) in seen
+
+    def test_calls_over_the_interior_grid(self):
+        # 8,061 integrand calls when every check ran the third quadrature
+        seen = []
+        for e in catalog.entries():
+            P = _recording(e.parametric, seen)
+            for a in e.verification_grid:
+                if P.param_domain.is_interior(a):
+                    interchange_check(P, a)
+        assert [sum(k == kind for k, _ in seen) for kind in "fd"] == [5514, 2859]
+
+    @pytest.mark.parametrize("entry, alpha", [
+        ("ex1", 1e13), ("gauss", 1e13), ("ex2", 1e13), ("ex3_beta", 1e13),
+        ("ex1", 2.0 ** 40),  # alpha + 1e-4 rounds onto alpha, alpha - 1e-4 does not
+    ])
+    def test_step_lost_to_rounding_is_refused(self, entry, alpha):
+        seen = []
+        P = _recording(catalog.get(entry).parametric, seen)
+        with pytest.raises(OneSidedDifferenceError, match="rounds away"):
+            interchange_check(P, alpha)
+        assert seen == []
+
     def test_passes_on_smooth_family(self):
         rep = interchange_check(make_gauss(), 1.0)
         assert isinstance(rep, InterchangeReport)
@@ -393,10 +488,13 @@ class TestInterchange:
         with pytest.raises(ParameterDomainError):
             interchange_check(make_cos(), 0.0)
 
-    def test_inflated_tolerance_near_boundary(self):
-        # close to the edge the curvature allowance must widen the gate
-        rep = interchange_check(make_cos(), 2.0 - 1e-3)
-        assert rep.tolerance_used >= 1e-5
+    @pytest.mark.parametrize("alpha", [0.99, 0.999])
+    def test_inflated_tolerance_near_boundary(self, alpha):
+        # close to ex4's edge at 1 the discrepancy passes only because the
+        # curvature allowance widens the gate (1.1e-3 and 0.35)
+        rep = interchange_check(catalog.get("ex4").parametric, alpha)
+        assert rep.discrepancy > 1e-5
+        assert rep.tolerance_used > rep.discrepancy
         assert rep.passed
 
 
