@@ -488,14 +488,14 @@ class TestInterchange:
         with pytest.raises(ParameterDomainError):
             interchange_check(make_cos(), 0.0)
 
-    @pytest.mark.parametrize("alpha", [0.99, 0.999])
-    def test_inflated_tolerance_near_boundary(self, alpha):
+    def test_inflated_tolerance_near_boundary(self):
         # close to ex4's edge at 1 the discrepancy passes only because the
         # curvature allowance widens the gate (1.1e-3 and 0.35)
-        rep = interchange_check(catalog.get("ex4").parametric, alpha)
-        assert rep.discrepancy > 1e-5
-        assert rep.tolerance_used > rep.discrepancy
-        assert rep.passed
+        for alpha in (0.99, 0.999):
+            rep = interchange_check(catalog.get("ex4").parametric, alpha)
+            assert rep.discrepancy > 1e-5
+            assert rep.tolerance_used > rep.discrepancy
+            assert rep.passed
 
 
 # ---------------------------------------------------------------------------
