@@ -215,8 +215,9 @@ def _sol_ex3_beta(b: float) -> float:
 #          = sqrt(pi/2) sqrt(sqrt(a^2+1) - a)
 #
 # The tail oscillates with phase x^2, so the domain carries the zeros
-# x_k = sqrt(k pi) and the oscillatory kernel does the summation; this
-# keeps a = 0 (pure sin(x^2)/x^2, only conditionally convergent in the
+# x_k = sqrt(k pi), with dx/dk = pi/(2 sqrt(k pi)), and the oscillatory
+# kernel sums over the phase index k from the zero k = 0; this keeps
+# a = 0 (pure sin(x^2)/x^2, only conditionally convergent in the
 # derivative) inside the valid range.
 # ---------------------------------------------------------------------------
 
@@ -243,11 +244,15 @@ def _sol_ex3_alpha(a: float) -> float:
     return math.sqrt(_HALF_PI) * math.sqrt(inner)
 
 
-def _sine_square_zero(k: int) -> float:
+def _sine_square_zero(k: float) -> float:
     return math.sqrt(k * math.pi)
 
 
-_EX3_ALPHA_DOMAIN = DomainSpec.oscillatory(0.0, _sine_square_zero)
+def _sine_square_zero_rate(k: float) -> float:
+    return _HALF_PI / math.sqrt(k * math.pi)
+
+
+_EX3_ALPHA_DOMAIN = DomainSpec.oscillatory(0.0, _sine_square_zero, _sine_square_zero_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,8 @@ def interchange_check(
 ) -> InterchangeReport:
     """Compare d/d alpha of the integral against the integral of d f/d alpha.
 
-    lhs is a central difference of eval_direct across a step of 1e-4; rhs
+    lhs is a central difference of eval_direct across a step of 1e-4,
+    divided by the step as represented, (alpha + h) - (alpha - h); rhs
     is deriv_under_integral; an alpha where alpha +/- 1e-4 rounds onto
     alpha raises OneSidedDifferenceError before any quadrature.  The gate
     is 1e-5.  Only a discrepancy past it pays for a third direct evaluation,
@@ -339,7 +340,7 @@ def interchange_check(
     _require_step(alpha, h, f"; a step of {h!r} rounds away")
     hi = eval_direct(P, alpha + h, cfg)
     lo = eval_direct(P, alpha - h, cfg)
-    lhs = (hi.value - lo.value) / (2.0 * h)
+    lhs = (hi.value - lo.value) / ((alpha + h) - (alpha - h))
     rhs = deriv_under_integral(P, alpha, cfg).value
     discrepancy = abs(lhs - rhs)
     tolerance_used = _INTERCHANGE_TOL

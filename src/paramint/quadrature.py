@@ -15,20 +15,22 @@ produce in practice:
   with x = s/(1-s); Gauss-Kronrod covers the head (tanh-sinh on x itself
   at a singular lower end), and tanh-sinh covers the tail all the way to
   the infinite end, which it samples through the exact complement 1 - s.
-* :func:`integrate_oscillatory_improper` -- sums the integral between
-  consecutive phase zeros and accelerates the alternating partial
-  sums with Wynn's epsilon extrapolation.
+* :func:`integrate_oscillatory_improper` -- one Ooura-Mori
+  double-exponential sum in the tail's phase index, whose nodes approach
+  the oscillation's zeros double exponentially, after a Gauss-Kronrod
+  head when the lower end is not itself a zero.
 
 Every kernel returns a :class:`QuadResult` carrying the value, an
 absolute error estimate, the evaluation count, and a status.  All
 kernels are pure functions of their arguments: integrands must be
 stateless, and identical inputs produce bit-identical results.  The one
-state the module keeps is the tanh-sinh node tables, built lazily, one
-per level, the first time a level is reached, then shared by the whole
-process and never written again (about 0.53 MB once level 12 exists);
-each ends at the first row that every sweep cuts.  A table holds exactly
-what each node would compute for itself, so results do not depend on
-which tables are already built.
+state the module keeps is node tables, built lazily the first time they
+are reached and never written again: the tanh-sinh tables, one per level,
+shared by the whole process (about 0.53 MB once level 12 exists), each
+ending at the first row that every sweep cuts; and the oscillatory
+levels mapped through a tail, kept for the last 32 (tail, first zero,
+level) keys.  A table holds exactly what each node would compute for
+itself, so results do not depend on which tables are already built.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import enum
 import functools
 import heapq
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -112,21 +115,27 @@ _STATUS_RANK = {
 class OscillatoryTail:
     """Describes the sign structure of an oscillatory tail.
 
-    ``phase_zero_rule(k)`` must return the k-th zero (k = 1, 2, ...) of
-    the oscillation on the tail, strictly increasing and unbounded.  Every
-    zero is checked as it is read (``_zero``): the first six here.
+    ``phase_zero_rule(kappa)`` maps the phase index kappa to x: the zeros
+    of the oscillation on the tail sit at the integers (k = 1, 2, ...; the
+    lower end may be k = 0), and the kernel reads the rule at real kappa
+    too, so it must be strictly increasing and unbounded there.
+    ``zero_rate(kappa)`` is its derivative dx/dkappa, finite and positive
+    past k = 0.  Every zero and rate is checked as it is read (``_zero``,
+    ``_rate``): the first six here.
     """
 
-    phase_zero_rule: Callable[[int], float]
+    phase_zero_rule: Callable[[float], float]
+    zero_rate: Callable[[float], float]
 
     def __post_init__(self):
         z = -math.inf
         for k in range(1, 7):
             z = self._zero(k, z)
+            self._rate(k)
 
-    def _zero(self, k: int, past: Optional[float] = None) -> float:
-        """The k-th zero, the rule's one reader: an arithmetic error reads as
-        inf; given the zero before it, ``past``, one not finite and past it raises."""
+    def _zero(self, k: float, past: Optional[float] = None) -> float:
+        """rule(k), the rule's one reader: an arithmetic error reads as inf;
+        given the zero before it, ``past``, one not finite and past it raises."""
         try:
             z = self.phase_zero_rule(k)
         except ArithmeticError:
@@ -134,6 +143,17 @@ class OscillatoryTail:
         if past is not None and not past < z < math.inf:
             raise ValueError("phase_zero_rule must be strictly increasing")
         return z
+
+    def _rate(self, k: float) -> float:
+        """dx/dkappa at k, the rate's one reader: one that is not finite and
+        positive, or raises an arithmetic error, raises ValueError."""
+        try:
+            r = self.zero_rate(k)
+        except ArithmeticError:
+            r = math.nan
+        if not 0.0 < r < math.inf:
+            raise ValueError("zero_rate must be finite and positive")
+        return r
 
 
 @dataclass(frozen=True)
@@ -189,13 +209,14 @@ class DomainSpec:
 
     @classmethod
     def oscillatory(
-        cls, lower: float, phase_zero_rule: Callable[[int], float]
+        cls, lower: float, phase_zero_rule: Callable[[float], float],
+        zero_rate: Callable[[float], float],
     ) -> "DomainSpec":
         return cls(
             lower,
             math.inf,
             upper_kind=EndpointKind.INFINITE,
-            oscillatory_tail=OscillatoryTail(phase_zero_rule),
+            oscillatory_tail=OscillatoryTail(phase_zero_rule, zero_rate),
         )
 
 
@@ -605,7 +626,7 @@ def _tanh_sinh(
     refused = False  # an infinite side's fit read divergence
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
-        tiny = 1e-18 * (1.0 + abs(prev_value))
+        tiny = 1e-18 * (abs(prev_value) or max(map(abs, contributions), default=0.0))
         table = _ts_level(m)
         for upper in (1, 0):
             end, into, kind, _ = sides[upper]
@@ -796,43 +817,71 @@ def integrate_improper(
 # oscillatory tails
 # ---------------------------------------------------------------------------
 
-_OSC_MIN_TERMS = 6
-_OSC_MAX_TERMS = 60
-_OSC_WARMUP = 4
-# Each segment's share of the tolerance: all _OSC_MAX_TERMS + 1 fit in a quarter.
-_OSC_SEG_SHARE = 0.25 / (_OSC_MAX_TERMS + 1)
+# The Ooura-Mori transformation's beta, and its finest level: h = 2**-9.
+_DE_BETA = 0.25
+_DE_MAX_LEVEL = 7
 
 
-class _Epsilon:
-    """Wynn's epsilon table of a growing partial-sum sequence, kept as its
-    last anti-diagonal: ``diag[k]`` is the last entry of column k.
+def _de_row(n: int, h: float, alpha: float) -> tuple[float, float]:
+    """Phase offset phi(t)/h and weight phi'(t) at t = n h, where
+    phi(t) = t / (1 - e**-u), u = 2t + alpha (1 - e**-t) + beta (e**t - 1)
+    (Ooura & Mori, J. Comput. Appl. Math. 112, 1999); at t = 0, their limits."""
+    if n == 0:
+        du, d2u = 2.0 + alpha + _DE_BETA, _DE_BETA - alpha
+        return 1.0 / (h * du), 0.5 - d2u / (2.0 * du * du)
+    t = n * h
+    et = math.exp(t)
+    u = 2.0 * t + alpha * (1.0 - 1.0 / et) + _DE_BETA * (et - 1.0)
+    du = 2.0 + alpha / et + _DE_BETA * et
+    if u > 0.0:  # d = 1 - e**-u, with no cancellation at small u
+        e, d = math.exp(-u), -math.expm1(-u)
+        return n / d, (d - t * du * e) / (d * d)
+    e, d = math.exp(u), math.expm1(u)  # divided through by e**-u, which overflows as t falls
+    return n * e / d, e * (d - t * du) / (d * d)
 
-    The full table stops at its first column with a zero or non-finite step
-    or a non-finite entry, so the diagonal ends for good before such a
-    column (``capped``); ``push`` returns the table's corner, the last entry
-    of its last even column."""
 
-    __slots__ = ("diag", "capped")
+@functools.lru_cache(maxsize=32)
+def _de_nodes(tail: OscillatoryTail, k0: int, m: int) -> tuple[array, array, array]:
+    """Level m's nodes over the tail from its zero k0: abscissae x =
+    rule(k0 + kappa), weights phi' dx/dkappa, and phi' |x|, which sizes the
+    node rounding; the rows n = 0, 1, ..., then n = -1, -2, ...
 
-    def __init__(self):
-        self.diag: list[float] = []
-        self.capped = False
+    Level m has step h = 2**-(m + 2), M = pi/h and alpha = beta / sqrt(1 +
+    M log(1 + M) / (4 pi)), beta = 1/4; row n lies at kappa = phi(nh)/h
+    (``_de_row``).  As n grows, kappa tends to n, a zero, double
+    exponentially, and the rows end before the first that rounds onto n;
+    each x there is checked against the one before.  As n falls, kappa
+    tends to 0: the rows end before the first below the smallest normal
+    float, or at the first whose x rounds onto rule(k0) or onto the x
+    above; each x must lie strictly between the two.  Kept, read-only, for
+    the last 32 (tail, k0, level) keys.
+    """
+    h = 2.0 ** -(m + 2)
+    big_m = math.pi / h
+    alpha = _DE_BETA / math.sqrt(1.0 + big_m * math.log1p(big_m) / (4.0 * math.pi))
+    z0 = tail._zero(k0)
+    xs, ws, spread = array("d"), array("d"), array("d")
 
-    def push(self, s: float) -> float:
-        old = self.diag
-        new = [s]
-        for k in range(1, len(old) if self.capped else len(old) + 1):
-            den = new[k - 1] - old[k - 1]
-            cand = math.nan
-            if den != 0.0 and math.isfinite(den):
-                # the rhombus: column k - 2's previous last entry, not its new one
-                cand = (old[k - 2] if k > 1 else 0.0) + 1.0 / den
-            if not math.isfinite(cand):
-                self.capped = True
-                break
-            new.append(cand)
-        self.diag = new
-        return new[(len(new) - 1) & ~1]
+    def add(x: float, k: float, w: float) -> None:
+        xs.append(x)
+        ws.append(w * tail._rate(k0 + k))
+        spread.append(w * abs(x))
+
+    n, past = 0, z0
+    while (row := _de_row(n, h, alpha))[0] != n:
+        past = tail._zero(k0 + row[0], past)
+        add(past, *row)
+        n += 1
+    n, past = -1, xs[0]
+    while (row := _de_row(n, h, alpha))[0] >= 2.0 ** -1022:
+        x = tail._zero(k0 + row[0])
+        if x == z0 or x == past:
+            break
+        if not z0 < x < past:
+            raise ValueError("phase_zero_rule must be strictly increasing")
+        add(x, *row)
+        past, n = x, n - 1
+    return xs, ws, spread
 
 
 def integrate_oscillatory_improper(
@@ -840,21 +889,19 @@ def integrate_oscillatory_improper(
 ) -> QuadResult:
     """Integrate a decaying oscillation over [a, inf).
 
-    Partial integrals between consecutive phase zeros are accelerated
-    with Wynn's epsilon algorithm; ``abs_err_est`` tracks the last
-    extrapolation increment plus every segment's estimate.  If the
-    inter-zero terms stop alternating after warm-up the kernel falls back
-    to :func:`integrate_improper` and flags the result ``tail_truncated``.
+    The tail from the first zero k0 at or past a is one Ooura-Mori sum in
+    the phase index kappa: I = int f(rule(kappa)) rate(kappa) dkappa over
+    kappa >= k0, on the nodes of ``_de_nodes``, which approach the zeros
+    at integer kappa double exponentially, so no extrapolation is needed.
+    Levels h = 1/4, 1/8, ... each run their own M = pi/h until
+    |I_h - I_{h/2}| + eps |I| meets the tolerance; the finer sum is the
+    value, and the estimate adds to that difference the phase error of
+    abscissae known to eps |x|.  A lower end that is not a zero adds a
+    Gauss-Kronrod head [a, rule(k0)] at half the tolerance, and the sum
+    then runs at the other half.
 
     The first zero past a is found by doubling k, then bisecting; each zero
-    a segment ends at is checked as it is read (see OscillatoryTail).  The
-    head [a, first zero] is bisected from its two halves; each inter-zero
-    segment starts from one Gauss-Kronrod panel over it, since it holds no
-    sign change, and bisects only if that panel misses (a head's one panel
-    almost always does).  A one-panel |K - G| is a much larger estimate than
-    the sum over two halves, so each segment gets _OSC_SEG_SHARE of the
-    tolerance (floored at 1e-15): at that share, the estimates of all
-    _OSC_MAX_TERMS + 1 segments fit in a quarter of it.
+    is checked as it is read (see OscillatoryTail).
     """
     cfg = cfg or _DEFAULT_CFG
     if domain.oscillatory_tail is None:
@@ -873,41 +920,25 @@ def integrate_oscillatory_improper(
         lo, k0 = (lo, mid) if tail._zero(mid) > a else (mid, k0)
 
     fc = _Counted(f)
-    seg_cfg = _scaled(cfg, _OSC_SEG_SHARE, 1e-15)
-    z = tail._zero(k0, a)
-    head, head_err, _ = _adaptive_gk(fc, a, z, seg_cfg)
-    table = _Epsilon()
-    seg_errs: list[float] = [head_err]
-    running = prev = best = head
-    best_prev = None
-    increment = math.inf
-
-    for j in range(_OSC_MAX_TERMS):
-        lower, z = z, tail._zero(k0 + j + 1, z)
-        s, e, _ = _gk_panel(fc, lower, z)
-        if _status(seg_cfg, s, e) is not QuadStatus.CONVERGED and lower < 0.5 * (lower + z) < z:
-            s, e, _ = _adaptive_gk(fc, lower, z, seg_cfg)
-        seg_errs.append(e)
-        running += s
-
-        if j >= _OSC_WARMUP:
-            noise = 10.0 * (seg_errs[j] + e)
-            if min(abs(s), abs(prev)) > noise and math.copysign(1.0, s) == math.copysign(1.0, prev):
-                res = integrate_improper(f, DomainSpec.semi_infinite(a), cfg)
-                return replace(res, n_evals=fc.n + res.n_evals, status=QuadStatus.TAIL_TRUNCATED)
-        prev = s
-
-        corner = table.push(running)
-        if j >= 1:
-            best = corner
-            if best_prev is not None:
-                increment = abs(best - best_prev)
-                if j + 1 >= _OSC_MIN_TERMS and increment <= 0.25 * _tol_for(cfg, best):
-                    break
-            best_prev = best
-
-    est = (4.0 * increment if math.isfinite(increment) else abs(best)) + math.fsum(seg_errs)
-    return QuadResult(best, est, fc.n, _status(cfg, best, est))
+    if tail._zero(lo) == a:  # the lower end is itself a zero: no head
+        k0, head, sum_cfg = lo, (0.0, 0.0, QuadStatus.CONVERGED), cfg
+    else:
+        sum_cfg = _scaled(cfg, 0.5)
+        head = _adaptive_gk(fc, a, tail._zero(k0, a), sum_cfg)
+    prev = math.nan
+    for m in range(_DE_MAX_LEVEL + 1):
+        xs, ws, spread = _de_nodes(tail, k0, m)
+        vs = fc.many(xs)
+        total = _fsum(map(operator.mul, ws, vs))
+        value = head[0] + total
+        diff = abs(total - prev) + _EPS * abs(value)
+        if diff <= _tol_for(sum_cfg, value):
+            break
+        prev = total
+    # each x is known to eps |x|: a phase of pi eps |x| / rate at its node
+    rounding = math.pi * _EPS * sum(map(abs, map(operator.mul, spread, vs)))
+    est = head[1] + diff + rounding
+    return QuadResult(value, est, fc.n, _status(cfg, value, est, head[2]))
 
 
 # ---------------------------------------------------------------------------

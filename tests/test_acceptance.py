@@ -112,7 +112,8 @@ def test_criterion_05_oscillatory_limit():
     t0 = time.perf_counter()
     res = integrate_oscillatory_improper(
         lambda x: math.sin(x * x) / (x * x) if x != 0.0 else 1.0,
-        DomainSpec.oscillatory(0.0, lambda k: math.sqrt(k * math.pi)),
+        DomainSpec.oscillatory(
+            0.0, lambda k: math.sqrt(k * math.pi), lambda k: 0.5 * math.pi / math.sqrt(k * math.pi)),
     )
     elapsed = time.perf_counter() - t0
     failures = []

@@ -108,7 +108,13 @@ _CONTRACT_FAMILIES = {
     ),
     "oscillatory": (
         lambda c: lambda x: (x - c) * math.sin(x) / (1.0 + x * x * x),
-        DomainSpec.oscillatory(0.0, lambda k: k * math.pi),
+        DomainSpec.oscillatory(0.0, lambda k: k * math.pi, lambda k: math.pi),
+    ),
+    # ex3_alpha's integrand at alpha = c: the mass moves onto the lower end
+    "oscillatory_square": (
+        lambda c: lambda x: math.exp(-c * x * x) * math.sin(x * x) / (x * x) if x else 1.0,
+        DomainSpec.oscillatory(
+            0.0, lambda k: math.sqrt(k * math.pi), lambda k: 0.5 * math.pi / math.sqrt(k * math.pi)),
     ),
 }
 
@@ -212,6 +218,19 @@ class TestConvergedContract:
         if res.status is QuadStatus.CONVERGED:
             assert res.abs_err_est <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
+    @given(c=st.floats(0.0, 8.0), tol_exp=st.integers(min_value=4, max_value=12))
+    def test_oscillatory_square_family_lies_within_its_estimate(self, c, tol_exp):
+        # the double-exponential estimate is a difference of two levels, not
+        # a bound: hold it to mpmath's sqrt(pi/2) / sqrt(c + sqrt(c^2 + 1))
+        import mpmath as mp
+
+        family, domain = _CONTRACT_FAMILIES["oscillatory_square"]
+        cfg = QuadConfig(abs_tol=10.0 ** -tol_exp, rel_tol=10.0 ** -tol_exp)
+        res = integrate(family(c), domain, cfg)
+        with mp.workdps(30):
+            true = mp.sqrt(mp.pi / 2) / mp.sqrt(c + mp.sqrt(mp.mpf(c) ** 2 + 1))
+            assert abs(true - res.value) <= res.abs_err_est
+
     @pytest.mark.parametrize("route", list(_NESTED_ROUTES))
     @given(alpha=st.floats(0.0, 64.0), tol_exp=st.integers(min_value=4, max_value=12))
     @example(alpha=50.0, tol_exp=10)  # the inner noise share 2 * 50 * 1e-9 passes 2e-8
@@ -291,7 +310,7 @@ class TestImproperAndOscillatoryDeterminism:
         assert integrate_improper(f, spec) == integrate_improper(f, spec)
 
     def test_oscillatory(self):
-        spec = DomainSpec.oscillatory(0.0, lambda k: k * math.pi)
+        spec = DomainSpec.oscillatory(0.0, lambda k: k * math.pi, lambda k: math.pi)
         f = lambda x: math.sin(x) / (1.0 + x * x)
         assert integrate_oscillatory_improper(
             f, spec

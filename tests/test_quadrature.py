@@ -9,7 +9,6 @@ marked with their oracle in a comment.
 
 import math
 import os
-import random
 import subprocess
 import sys
 
@@ -68,6 +67,23 @@ def _inv_sqrt_from_minus_half_pi(x: float) -> float:
 # the offset forms f(end + d), from the exact offset d
 _inv_sqrt_to_one.near = lambda end, d: 1.0 / math.sqrt((1.0 - end) - d)
 _inv_sqrt_from_minus_half_pi.near = lambda end, d: 1.0 / math.sqrt((end + HALF_PI) + d)
+
+
+# phase-zero rules and their rates dx/dk: x = k pi and x = sqrt(k pi)
+def _pi_zeros(k: float) -> float:
+    return k * math.pi
+
+
+def _pi_rate(k: float) -> float:
+    return math.pi
+
+
+def _square_zeros(k: float) -> float:
+    return math.sqrt(k * math.pi)
+
+
+def _square_rate(k: float) -> float:
+    return HALF_PI / math.sqrt(k * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +284,39 @@ class TestSingular:
 # ---------------------------------------------------------------------------
 # improper (infinite-endpoint) kernel
 # ---------------------------------------------------------------------------
+
+class TestScale:
+    """A kernel run on 2**k f, at 2**k times the absolute tolerance, returns
+    2**k times the value and the estimate, with the same evaluations and
+    status: every cutoff is relative to the integrand's own scale."""
+
+    def test_small_term_cutoff_is_relative_to_the_level(self):
+        # an absolute cutoff of 1e-18 ended every sweep after three terms:
+        # 3.9e-21 +- 1.6e-22, max_depth, in 1,349 evaluations
+        res = integrate_singular(
+            lambda x: 1e-20 / math.sqrt(x), DomainSpec.singular(0.0, 1.0, at_lower=True),
+            QuadConfig(abs_tol=1e-40, rel_tol=1e-10))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 2e-20) <= res.abs_err_est
+
+    @pytest.mark.parametrize("k", [-600, -60, 60, 600])
+    @pytest.mark.parametrize("f, domain", [
+        (lambda x: math.exp(x) * math.cos(5.0 * x), DomainSpec.finite(0.0, 1.0)),
+        (lambda x: 1.0 / math.sqrt(x), DomainSpec.singular(0.0, 1.0, at_lower=True)),
+        (math.log, DomainSpec.singular(0.0, 1.0, at_lower=True)),
+        (lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE),
+        (lambda x: math.exp(-x) / math.sqrt(x), DomainSpec.semi_infinite(0.0, singular_lower=True)),
+        (lambda x: 1.0 / (1.0 + x * x), FULL_LINE),
+        (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate)),
+    ], ids=["finite", "singular", "singular_log", "half_line", "singular_half_line",
+            "full_line", "oscillatory"])
+    def test_scaling_the_integrand_scales_the_result(self, f, domain, k):
+        scale = 2.0 ** k
+        base = integrate(f, domain)
+        res = integrate(lambda x: scale * f(x), domain, QuadConfig(abs_tol=scale * 1e-10))
+        assert (res.value, res.abs_err_est) == (scale * base.value, scale * base.abs_err_est)
+        assert (res.n_evals, res.status) == (base.n_evals, base.status)
+
 
 class TestImproper:
     def test_exponential(self):
@@ -489,78 +538,97 @@ class TestImproper:
 # oscillatory kernel
 # ---------------------------------------------------------------------------
 
-def _pi_zeros(k: int) -> float:
-    return k * math.pi
-
-
 class TestOscillatory:
     def test_sinc(self):
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x) / x if x != 0.0 else 1.0,
-            DomainSpec.oscillatory(0.0, _pi_zeros),
+            DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate),
         )
         assert abs(res.value - math.pi / 2.0) < 1e-9
 
     def test_sin_lorentz_vs_oracle(self):
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x) / (1.0 + x * x),
-            DomainSpec.oscillatory(0.0, _pi_zeros),
+            DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate),
         )
         assert abs(res.value - SIN_LORENTZ) < 1e-9
 
     def test_fresnel_like_square_phase(self):
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x * x) / (x * x) if x != 0.0 else 1.0,
-            DomainSpec.oscillatory(0.0, lambda k: math.sqrt(k * math.pi)),
+            DomainSpec.oscillatory(0.0, _square_zeros, _square_rate),
         )
         assert abs(res.value - math.sqrt(2.0 * math.pi) / 2.0) < 1e-8
 
     def test_slow_sqrt_decay(self):
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x) / math.sqrt(x) if x > 0.0 else 0.0,
-            DomainSpec.oscillatory(0.0, _pi_zeros),
+            DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate),
         )
         assert abs(res.value - math.sqrt(math.pi / 2.0)) < 1e-8
 
-    def test_non_alternating_tail_falls_back(self):
-        # positive integrand: partial sums never alternate, so the
-        # accelerator must hand off to the plain improper kernel
+    def test_non_alternating_tail_is_summed_like_any_other(self):
+        # a positive integrand: its terms never alternate, and the one sum
+        # over the phase index treats it as any decaying integrand
         res = integrate_oscillatory_improper(
             lambda x: math.exp(-x) * (2.0 + math.sin(x)),
-            DomainSpec.oscillatory(0.0, _pi_zeros),
+            DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate),
         )
-        assert abs(res.value - 2.5) < 1e-8
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - 2.5) <= res.abs_err_est
 
     def test_zeros_at_or_below_the_lower_end_are_skipped(self):
-        # pi < 2 pi = a = zero(2): the first segment ends at zero(3) = 3 pi,
-        # exactly as under a rule whose first zero is 3 pi
+        # pi < 2 pi = a = zero(2): the sum starts at the zero 2 pi, with no
+        # head, exactly as under a rule that starts there
         def sinc(x: float) -> float:
             return math.sin(x) / x
 
         a = 2.0 * math.pi
-        res = integrate_oscillatory_improper(sinc, DomainSpec.oscillatory(a, _pi_zeros))
+        res = integrate_oscillatory_improper(
+            sinc, DomainSpec.oscillatory(a, _pi_zeros, _pi_rate))
         shifted = integrate_oscillatory_improper(
-            sinc, DomainSpec.oscillatory(a, lambda k: (k + 2) * math.pi))
+            sinc, DomainSpec.oscillatory(a, lambda k: (k + 2) * math.pi, _pi_rate))
         assert res == shifted
         # mpmath: pi/2 - Si(2 pi)
         assert abs(res.value - 0.15264475066226817) <= res.abs_err_est
 
+    def test_lower_end_between_zeros_runs_a_head(self):
+        # a = 1 lies before the first zero pi: the head [1, pi] runs
+        # Gauss-Kronrod at half the tolerance, the sum from k = 1 the rest
+        calls = []
+
+        def sinc(x: float) -> float:
+            calls.append(x)
+            return math.sin(x) / x
+
+        res = integrate_oscillatory_improper(
+            sinc, DomainSpec.oscillatory(1.0, _pi_zeros, _pi_rate))
+        head = [x for x in calls if x < math.pi]
+        assert head and all(1.0 < x < math.pi for x in head)
+        assert len(head) % 15 == 0  # whole Gauss-Kronrod panels
+        assert res.status is QuadStatus.CONVERGED
+        # mpmath: pi/2 - Si(1)
+        assert abs(res.value - 0.6247132564277136) <= res.abs_err_est
+
     def test_far_lower_end_finds_its_first_zero(self):
         # the first zero sqrt(k pi) past 2000 has k = 1,273,240, past the
-        # million zeros a scan from k = 1 tried before refusing the domain
+        # million zeros a scan from k = 1 tried before refusing the domain.
+        # There the node rounding is most of the estimate: each x is known
+        # to eps |x|, a phase of 2 eps x**2 ~ 1.8e-9 (error 6.2e-19)
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x * x) / (x * x),
-            DomainSpec.oscillatory(2000.0, lambda k: math.sqrt(k * math.pi)))
+            DomainSpec.oscillatory(2000.0, _square_zeros, _square_rate))
         assert res.status is QuadStatus.CONVERGED
-        assert abs(res.value - FAR_SQUARE_PHASE) <= res.abs_err_est <= 1e-18
+        assert abs(res.value - FAR_SQUARE_PHASE) <= res.abs_err_est <= 1e-17
 
     def test_first_zero_is_found_by_doubling_and_bisection(self):
         # at a = 500 the first zero past a is sqrt(k pi) at k = 79,578: the
         # search reaches it in 34 rule calls (79,578 on a scan from k = 1),
-        # and the result is the one of a rule that starts there
+        # and the result is the one of a rule that starts there, to within
+        # the node rounding that k + 79,577 adds to k
         calls = []
 
-        def zero(k: int) -> float:
+        def zero(k: float) -> float:
             calls.append(k)
             return math.sqrt(k * math.pi)
 
@@ -568,13 +636,16 @@ class TestOscillatory:
             calls.append(None)
             return math.sin(x * x) / (x * x)
 
-        dom = DomainSpec.oscillatory(500.0, zero)
+        dom = DomainSpec.oscillatory(500.0, zero, _square_rate)
         calls.clear()
         res = integrate_oscillatory_improper(f, dom)
         searched = calls[:calls.index(None)]
         assert len(searched) <= 40 and searched[-1] == 79_578
-        shifted = DomainSpec.oscillatory(500.0, lambda k: math.sqrt((k + 79_577) * math.pi))
-        assert res == integrate_oscillatory_improper(f, shifted)
+        shifted = integrate_oscillatory_improper(f, DomainSpec.oscillatory(
+            500.0, lambda k: math.sqrt((k + 79_577) * math.pi),
+            lambda k: _square_rate(k + 79_577)))
+        assert res.n_evals == shifted.n_evals
+        assert abs(res.value - shifted.value) <= min(res.abs_err_est, shifted.abs_err_est)
 
     @pytest.mark.parametrize("rule, a", [
         (lambda k: 1.0 - 1.0 / k, 50.0),                     # bounded below a
@@ -586,18 +657,19 @@ class TestOscillatory:
     ], ids=["bounded", "inf", "nan", "overflow_1e300", "overflow_1e308"])
     def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule, a):
         with pytest.raises(ValueError, match="no zeros beyond the lower endpoint"):
-            integrate_oscillatory_improper(math.sin, DomainSpec.oscillatory(a, rule))
+            integrate_oscillatory_improper(
+                math.sin, DomainSpec.oscillatory(a, rule, lambda k: 1.0))
 
     def test_rule_that_raises_past_the_head_is_refused(self):
         # past the first zero, a rule that raises an arithmetic error reads as
         # inf too, as for a rule that returns it: the kernel refuses the rule
         # rather than let the OverflowError out or blame the integrand
-        def rule(k: int) -> float:
+        def rule(k: float) -> float:
             return k * math.pi if k < 9 else math.exp(1e4)
 
         with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
             integrate_oscillatory_improper(
-                lambda x: math.sin(x) / x, DomainSpec.oscillatory(0.5, rule))
+                lambda x: math.sin(x) / x, DomainSpec.oscillatory(0.5, rule, _pi_rate))
 
     @pytest.mark.parametrize("rule, a", [
         (lambda k: k * math.pi if k < 9 else 8.0 * math.pi, 0.0),
@@ -606,101 +678,59 @@ class TestOscillatory:
         # the search for the first zero past 100 reads inf at k = 24 and 20,
         # below the finite zero 32 pi that the doubling found
         (lambda k: math.inf if 20 <= k <= 30 else k * math.pi, 100.0),
-    ], ids=["repeats", "drops", "inf", "inf_in_the_search"])
+        # between the zeros: the sum reads the rule at real k
+        (lambda k: k * math.pi if k == int(k) else 0.0, 0.0),
+        (lambda k: math.pi * k + 2.0 * math.sin(2.0 * math.pi * k), 0.0),
+    ], ids=["repeats", "drops", "inf", "inf_in_the_search", "drops_between_zeros",
+            "turns_back_between_zeros"])
     def test_rule_that_fails_its_contract_past_the_head_is_refused(self, rule, a):
-        # a zero that is not finite and past the one before: each zero is
-        # checked as it is read, so the kernel refuses the rule (a repeat of
-        # 8 pi from k = 9 read converged 1.5311312849906613 against pi/2, a
+        # an x that is not finite and past the one before: each is checked
+        # as it is read, so the kernel refuses the rule (a repeat of 8 pi
+        # from k = 9 once read converged 1.5311312849906613 against pi/2, a
         # drop to 5.0 max_depth, and inf an EvaluationError at x=inf)
         with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
             integrate_oscillatory_improper(
-                lambda x: math.sin(x) / x, DomainSpec.oscillatory(a, rule))
+                lambda x: math.sin(x) / x, DomainSpec.oscillatory(a, rule, _pi_rate))
+
+    @pytest.mark.parametrize("rate", [
+        lambda k: 0.0, lambda k: -math.pi, lambda k: math.inf, lambda k: math.nan,
+        lambda k: 1.0 / (k - k),  # ZeroDivisionError, an ArithmeticError
+    ], ids=["zero", "negative", "inf", "nan", "raises"])
+    def test_rate_that_is_not_finite_and_positive_is_refused_at_construction(self, rate):
+        with pytest.raises(ValueError, match="zero_rate must be finite and positive"):
+            DomainSpec.oscillatory(0.0, _pi_zeros, rate)
+
+    def test_rate_that_fails_past_the_first_zeros_is_refused(self):
+        # the first six rates pass; the sum reads the rate at real k too
+        def rate(k: float) -> float:
+            return math.pi if k == int(k) or k < 0.5 else -math.pi
+
+        with pytest.raises(ValueError, match="zero_rate must be finite and positive"):
+            integrate_oscillatory_improper(
+                lambda x: math.sin(x) / x if x else 1.0,
+                DomainSpec.oscillatory(0.0, _pi_zeros, rate))
 
     def test_zero_rule_must_increase(self):
         with pytest.raises(ValueError):
-            OscillatoryTail(phase_zero_rule=lambda k: 1.0)
+            OscillatoryTail(phase_zero_rule=lambda k: 1.0, zero_rate=_pi_rate)
 
     def test_rule_that_overflows_is_refused_at_construction(self):
         # exp(1400) overflows at k = 2: the construction check reads the rule
         # as the kernel does, an arithmetic error as inf
         with pytest.raises(ValueError, match="phase_zero_rule must be strictly increasing"):
-            DomainSpec.oscillatory(0.0, lambda k: math.exp(700 * k))
+            DomainSpec.oscillatory(0.0, lambda k: math.exp(700 * k), lambda k: 700.0)
 
-
-def _wynn_best(sums: list[float]) -> float:
-    """Corner of Wynn's epsilon table for a partial-sum sequence."""
-    cur = list(sums)
-    prev = [0.0] * (len(sums) + 1)
-    best = cur[-1]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for j in range(len(cur) - 1):
-            den = cur[j + 1] - cur[j]
-            if den == 0.0 or not math.isfinite(den):
-                return best
-            cand = prev[j + 1] + 1.0 / den
-            if not math.isfinite(cand):
-                return best
-            nxt.append(cand)
-        prev = cur
-        cur = nxt
-        col += 1
-        if col % 2 == 0:
-            best = cur[-1]
-    return best
-
-
-def _alternating(rng: random.Random, n: int) -> tuple[list[float], float]:
-    p = rng.choice((0.5, 1.0, 2.0, 3.0))
-    r = rng.choice((1.0, 0.95, 0.7, 0.3))
-    head = rng.uniform(-2.0, 2.0)
-    scale = rng.uniform(0.1, 10.0)
-    return [scale * (-1) ** k * r**k / (k + 1) ** p for k in range(n)], head
-
-
-def _repeats(rng: random.Random, n: int) -> tuple[list[float], float]:
-    terms, head = _alternating(rng, n)
-    for k in rng.sample(range(n), rng.randint(1, 3)):
-        terms[k] = 0.0  # a repeated partial sum: a zero step in column 0
-    return terms, head
-
-
-def _jumps(rng: random.Random, n: int) -> tuple[list[float], float]:
-    terms, head = _alternating(rng, n)
-    for k in rng.sample(range(n), rng.randint(1, 2)):
-        terms[k] = rng.choice((1e300, -1e300))
-    return terms, head
-
-
-def _halving(rng: random.Random, n: int) -> tuple[list[float], float]:
-    t = rng.choice((1.0, -1.0, 0.75, 3.0))
-    terms = []
-    for _ in range(n):
-        terms.append(t)
-        t *= rng.choice((0.5, -0.5))
-    return terms, rng.choice((0.0, 1.0, -0.25))
-
-
-class TestEpsilonTable:
-    """The incremental table against the full rebuild it replaced, which is
-    kept above as the oracle: the same corner bits after every push."""
-
-    @pytest.mark.parametrize("kind", [_alternating, _repeats, _jumps, _halving],
-                             ids=lambda k: k.__name__.strip("_"))
-    def test_every_corner_matches_the_full_rebuild(self, kind):
-        rng = random.Random(20261018)
-        corners = 0
-        for case in range(150):
-            terms, running = kind(rng, rng.randint(2, 60))
-            table, sums = quadrature._Epsilon(), []
-            for t in terms:
-                running += t
-                sums.append(running)
-                got = table.push(running)
-                assert got.hex() == _wynn_best(sums).hex(), (case, len(sums))
-                corners += 1
-        assert corners > 4000
+    def test_large_alpha_mass_next_to_the_lower_end(self):
+        # e**(-c x**2) sin(x**2)/x**2 at c = 1e7: the mass lies within
+        # x < 1e-3 of the zero at 0, where the nodes cluster double
+        # exponentially (the segment kernel read 5.6e-65 converged)
+        c = 1e7
+        res = integrate_oscillatory_improper(
+            lambda x: math.exp(-c * x * x) * math.sin(x * x) / (x * x) if x else 1.0,
+            DomainSpec.oscillatory(0.0, _square_zeros, _square_rate))
+        true = math.sqrt(HALF_PI / (c + math.sqrt(c * c + 1.0)))
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(res.value - true) <= res.abs_err_est
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +752,7 @@ class TestDispatch:
         assert abs(res.value - 1.0) < 1e-11
 
     def test_oscillatory_route(self):
-        spec = DomainSpec.oscillatory(0.0, _pi_zeros)
+        spec = DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate)
         res = integrate(lambda x: math.sin(x) / x if x else 1.0, spec)
         assert abs(res.value - math.pi / 2.0) < 1e-9
 
@@ -757,23 +787,23 @@ class TestInputChecks:
         (math.inf, math.inf, {"lower_kind": EndpointKind.INFINITE,
                               "upper_kind": EndpointKind.INFINITE}, "lower < upper"),
         (0.0, -math.inf, {"upper_kind": EndpointKind.INFINITE}, "lower < upper"),
-        (0.0, 1.0, {"oscillatory_tail": OscillatoryTail(_pi_zeros)}, "infinite upper"),
+        (0.0, 1.0, {"oscillatory_tail": OscillatoryTail(_pi_zeros, _pi_rate)}, "infinite upper"),
     ], ids=["nan_end", "infinite_end_not_infinite_kind", "finite_end_infinite_kind",
             "plus_inf_lower_end", "minus_inf_upper_end", "tail_on_finite_upper_end"])
     def test_domain_spec_refuses(self, lower, upper, kinds, match):
         with pytest.raises(ValueError, match=match):
             DomainSpec(lower, upper, **kinds)
 
-    _TAIL = OscillatoryTail(_pi_zeros)
+    _TAIL = OscillatoryTail(_pi_zeros, _pi_rate)
     _INF = EndpointKind.INFINITE
 
     @pytest.mark.parametrize("kernel, domain, match", [
         (integrate_finite, DomainSpec.singular(0.0, 1.0, at_upper=True), "regular endpoints"),
-        (integrate_finite, DomainSpec.oscillatory(0.0, _pi_zeros), "regular endpoints"),
+        (integrate_finite, DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate), "regular endpoints"),
         (integrate_singular, HALF_LINE, "finite endpoints"),
-        (integrate_singular, DomainSpec.oscillatory(0.0, _pi_zeros), "finite endpoints"),
+        (integrate_singular, DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate), "finite endpoints"),
         (integrate_improper, DomainSpec.finite(0.0, 1.0), "an infinite endpoint"),
-        (integrate_improper, DomainSpec.oscillatory(0.0, _pi_zeros), "oscillatory tail"),
+        (integrate_improper, DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate), "oscillatory tail"),
         (integrate_oscillatory_improper, HALF_LINE, "requires an oscillatory_tail"),
         (integrate_oscillatory_improper,
          DomainSpec(-math.inf, math.inf, _INF, _INF, _TAIL), "regular lower endpoint"),
@@ -977,14 +1007,14 @@ class TestBatchPath:
                 lambda x: math.exp(-x) / math.sqrt(x),
                 DomainSpec.semi_infinite(0.0, singular_lower=True),
             ),
-            (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros)),
+            (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate)),
             (
                 lambda x: math.exp(-x) * (2.0 + math.sin(x)),
-                DomainSpec.oscillatory(0.0, _pi_zeros),
+                DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate),
             ),
         ],
         ids=["finite", "singular", "improper", "improper_full_line",
-             "improper_singular_lower", "oscillatory", "oscillatory_fallback"],
+             "improper_singular_lower", "oscillatory", "oscillatory_non_alternating"],
     )
     def test_n_evals_equals_calls_counted_outside(self, f, domain):
         counted = _CountingIntegrand(f)
@@ -1008,6 +1038,63 @@ class TestNodeTables:
             assert math.pi / 2.0 * cosh_t / (cosh_u * cosh_u) >= r
         below = [r < quadrature._TS_FLOOR for r in table[0]]
         assert below == [False] * (len(below) - 1) + [True]
+
+    @pytest.mark.parametrize("m", range(quadrature._DE_MAX_LEVEL + 1))
+    def test_each_oscillatory_level_is_its_formula_and_ends_at_its_cuts(self, m):
+        # Over the tail x = kappa (rate 1) the nodes are the level's own
+        # phase offsets and weights, against Ooura and Mori's phi(t) =
+        # t / (1 - e**-u) and its derivative at 60 digits, to 2e-14 (1 + |u|)
+        # relative (a row far out rounds u to eps |u| before exp, and phi'
+        # cancels near t = 0).  The rows n >= 0 end before the first whose
+        # offset rounds onto n, the rows n < 0 before the first below the
+        # smallest normal float; phi' |x| sizes each row's rounding.
+        import mpmath as mp
+
+        xs, ws, spread = quadrature._de_nodes(OscillatoryTail(float, lambda k: 1.0), 0, m)
+        n_up = next(i for i in range(1, len(xs)) if xs[i] < xs[i - 1])
+        h = 2.0 ** -(m + 2)
+        big_m = math.pi / h
+        alpha = 0.25 / math.sqrt(1.0 + big_m * math.log1p(big_m) / (4.0 * math.pi))
+
+        def exact(n):
+            t = mp.mpf(n) * h if n else mp.mpf(2) ** -100  # phi, phi' are analytic at 0
+            u = 2 * t + alpha * (1 - mp.exp(-t)) + mp.mpf(0.25) * (mp.exp(t) - 1)
+            du = 2 + alpha * mp.exp(-t) + mp.mpf(0.25) * mp.exp(t)
+            d = -mp.expm1(-u)
+            return t / d / h, 1 / d - t * du * mp.exp(-u) / (d * d), 2e-14 * (1 + abs(u))
+
+        ns = list(range(n_up)) + list(range(-1, n_up - len(xs) - 1, -1))
+        step = 1 if m < 4 else 17  # every row, or every 17th of a long table
+        with mp.workdps(60):
+            for i in range(0, len(xs), step):
+                ek, ew, rel = exact(ns[i])
+                assert abs(xs[i] - ek) <= rel * abs(ek), ns[i]
+                assert abs(ws[i] - ew) <= rel * abs(ew), ns[i]
+        assert list(spread) == [w * x for x, w in zip(xs, ws)]
+        assert all(x != n for n, x in zip(ns, xs))
+        assert quadrature._de_row(n_up, h, alpha)[0] == n_up
+        assert xs[-1] >= 2.0 ** -1022
+        assert quadrature._de_row(ns[-1] - 1, h, alpha)[0] < 2.0 ** -1022
+
+    def test_each_oscillatory_level_is_mapped_once_per_tail_and_first_zero(self):
+        # the second call reads the rule only at the integers of its search
+        read = []
+
+        def zero(k: float) -> float:
+            read.append(k)
+            return k * math.pi
+
+        def f(x: float) -> float:
+            return math.sin(x) / (1.0 + x * x)
+
+        spec = DomainSpec.oscillatory(0.0, zero, lambda k: math.pi)
+        first = integrate(f, spec)
+        mapped = [k for k in read if k != int(k)]
+        read.clear()
+        assert integrate(f, spec) == first
+        assert mapped and all(k == int(k) for k in read)
+        info = quadrature._de_nodes.cache_info()
+        assert info.maxsize == 32 and info.currsize <= 32
 
     def test_cold_tables_give_the_bits_of_warm_ones(self):
         # A fresh interpreter builds no table at import; its first call
