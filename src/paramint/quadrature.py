@@ -117,21 +117,27 @@ class OscillatoryTail:
 
     ``phase_zero_rule(kappa)`` maps the phase index kappa to x: the zeros
     of the oscillation on the tail sit at the integers (k = 1, 2, ...; the
-    lower end may be k = 0), and the kernel reads the rule at real kappa
+    lower end may be k = 0, and rule(0) is read only to see whether it is,
+    a ValueError there meaning no), and the kernel reads the rule at real kappa
     too, so it must be strictly increasing and unbounded there.
     ``zero_rate(kappa)`` is its derivative dx/dkappa, finite and positive
     past k = 0.  Every zero and rate is checked as it is read (``_zero``,
-    ``_rate``): the first six here.
+    ``_rate``); here the rule at k = 1, ..., 6 and the rate halfway to the
+    next zero, against a central difference of the rule there.
     """
 
     phase_zero_rule: Callable[[float], float]
     zero_rate: Callable[[float], float]
 
     def __post_init__(self):
-        z = -math.inf
+        z, step = -math.inf, 2.0 ** -10
         for k in range(1, 7):
-            z = self._zero(k, z)
-            self._rate(k)
+            below = self._zero(k + 0.5 - step, self._zero(k, z))
+            z = self._zero(k + 0.5 + step, below)
+            slope, rate = (z - below) / (2.0 * step), self._rate(k + 0.5)
+            # the difference is known to eps |x| at each end
+            if not abs(slope - rate) <= 1e-6 * rate + _EPS * abs(z) / step:
+                raise ValueError("zero_rate must be dx/dk of phase_zero_rule")
 
     def _zero(self, k: float, past: Optional[float] = None) -> float:
         """rule(k), the rule's one reader: an arithmetic error reads as inf;
@@ -621,12 +627,15 @@ def _tanh_sinh(
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
         contributions.append(w_scale * f(mid))
+    # their largest size: the small-term cutoff's scale, which cancellation
+    # cannot shrink as it can the level's value
+    top = max(map(abs, contributions), default=0.0)
     prev_value = 0.0
     level_diff = 0.0  # prev_diff at level 1, which always runs
     refused = False  # an infinite side's fit read divergence
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
-        tiny = 1e-18 * (abs(prev_value) or max(map(abs, contributions), default=0.0))
+        tiny = 1e-18 * top
         table = _ts_level(m)
         for upper in (1, 0):
             end, into, kind, _ = sides[upper]
@@ -637,6 +646,7 @@ def _tanh_sinh(
                     raise
                 terms, cut, refused = [], 0.0, True
             contributions += terms
+            top = max(top, max(map(abs, terms), default=0.0))
             if cut > cut_delta[upper]:
                 cut_delta[upper] = cut
                 if kind is EndpointKind.INFINITE:
@@ -920,7 +930,11 @@ def integrate_oscillatory_improper(
         lo, k0 = (lo, mid) if tail._zero(mid) > a else (mid, k0)
 
     fc = _Counted(f)
-    if tail._zero(lo) == a:  # the lower end is itself a zero: no head
+    try:  # at lo = 0 the one read of rule(0), which may lie outside the rule's domain
+        at_zero = tail._zero(lo) == a
+    except ValueError:
+        at_zero = False
+    if at_zero:  # the lower end is itself a zero: no head
         k0, head, sum_cfg = lo, (0.0, 0.0, QuadStatus.CONVERGED), cfg
     else:
         sum_cfg = _scaled(cfg, 0.5)

@@ -1327,7 +1327,7 @@ class TestOscillatoryRoute:
 
     @pytest.mark.parametrize("kind, alpha", sorted(EX3_ALPHA_SWEEP_TRUTHS),
                              ids=lambda v: v if isinstance(v, str) else repr(v))
-    def test_whole_domain_sweep_is_honest(self, kind, alpha):
+    def test_sweep_to_1e8_is_honest(self, kind, alpha):
         # every decade from 1e-8 to 1e8: within its estimate at every status,
         # or refused.  The segment kernel read I(1e7) = 5.6e-65 converged
         # against 2.80e-4, and dI/da(1e6) = -8.7e-14 against -4.4e-10
@@ -1338,6 +1338,21 @@ class TestOscillatoryRoute:
         except QuadratureError:
             return
         assert abs(EX3_ALPHA_SWEEP_TRUTHS[kind, alpha] - res.value) <= res.abs_err_est
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 13: the mass lies at k < 1/(alpha pi), below the "
+               "nodes of the first two levels, which agree within the tolerance")
+    @pytest.mark.parametrize("kind, alpha, truth", [
+        # mpmath: sqrt(pi/2/(a + sqrt(a*a + 1))) and its derivative
+        ("deriv", 1e20, -4.43113462726379e-31),  # read -4.1e-32 +- 5.4e-32
+        ("direct", 1e300, 8.86226925452758e-151),  # read 0 +- 0
+    ])
+    def test_huge_alpha_is_honest(self, kind, alpha, truth):
+        P = catalog.get("ex3_alpha").parametric
+        run = eval_direct if kind == "direct" else deriv_under_integral
+        res = run(P, alpha)
+        assert abs(truth - res.value) <= res.abs_err_est
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1.25e-11], ids=["node", "default", "sample"])
     @pytest.mark.parametrize("alpha", [0.0, 2**-16, 2**-12, 2**-8, 0.01, 0.5, 1.0, 2.0])
@@ -1520,10 +1535,14 @@ class TestVerify:
             P, grid, QuadConfig())
 
     @pytest.mark.parametrize("grid, served, most_calls, most_evals", [
-        # the declined samples at alpha up to 100 take a third oscillatory level
-        # (387 evaluations) where the segment kernel took about 290
         ([5.0], True, 31, 5_123), ([0.0, 20.0], False, 7, 2_305),
-        ([0.0, 100.0], False, 7, 2_764), ([0.0, 1000.0], False, 0, 0),
+        pytest.param([0.0, 100.0], False, 7, 2_500, marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="ROADMAP item 19: the double-exponential estimate charges the "
+                   "coarse level's error to the finer value, so each of the seven "
+                   "declined samples, at alpha from 3.8 to 96, takes a third level "
+                   "(387 evaluations, 2,709 in all; 2,040 with Gauss-Kronrod segments)")),
+        ([0.0, 1000.0], False, 0, 0),
     ])
     def test_one_point_is_served_and_a_wide_grid_declines_early(
         self, monkeypatch, grid, served, most_calls, most_evals

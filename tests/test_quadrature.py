@@ -299,17 +299,29 @@ class TestScale:
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - 2e-20) <= res.abs_err_est
 
+    def test_small_term_cutoff_survives_cancellation(self):
+        # int_0^3 (x - 1)/sqrt(x) dx = 0: a cutoff scaled by the level's
+        # value, roundoff-sized here, fell to ~1e-34 and let sweeps run on
+        # (77 evaluations); one scaled by the largest term stops them where
+        # the cutoff of (x + 1)/sqrt(x) does
+        domain = DomainSpec.singular(0.0, 3.0, at_lower=True)
+        zero = integrate_singular(lambda x: (x - 1.0) / math.sqrt(x), domain)
+        twin = integrate_singular(lambda x: (x + 1.0) / math.sqrt(x), domain)
+        assert zero.status is QuadStatus.CONVERGED and abs(zero.value) <= zero.abs_err_est
+        assert zero.n_evals == twin.n_evals
+
     @pytest.mark.parametrize("k", [-600, -60, 60, 600])
     @pytest.mark.parametrize("f, domain", [
         (lambda x: math.exp(x) * math.cos(5.0 * x), DomainSpec.finite(0.0, 1.0)),
         (lambda x: 1.0 / math.sqrt(x), DomainSpec.singular(0.0, 1.0, at_lower=True)),
+        (lambda x: (x - 1.0) / math.sqrt(x), DomainSpec.singular(0.0, 3.0, at_lower=True)),
         (math.log, DomainSpec.singular(0.0, 1.0, at_lower=True)),
         (lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE),
         (lambda x: math.exp(-x) / math.sqrt(x), DomainSpec.semi_infinite(0.0, singular_lower=True)),
         (lambda x: 1.0 / (1.0 + x * x), FULL_LINE),
         (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.0, _pi_zeros, _pi_rate)),
-    ], ids=["finite", "singular", "singular_log", "half_line", "singular_half_line",
-            "full_line", "oscillatory"])
+    ], ids=["finite", "singular", "singular_zero_valued", "singular_log", "half_line",
+            "singular_half_line", "full_line", "oscillatory"])
     def test_scaling_the_integrand_scales_the_result(self, f, domain, k):
         scale = 2.0 ** k
         base = integrate(f, domain)
@@ -610,22 +622,27 @@ class TestOscillatory:
         # mpmath: pi/2 - Si(1)
         assert abs(res.value - 0.6247132564277136) <= res.abs_err_est
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 19: each node of the double-exponential sum weighs a "
+               "whole half-period, and x is known to eps |x|, a phase of 2 eps x**2 "
+               "~ 1.8e-9 here: the error is 6.2e-19 (4.5e-21 with Gauss-Kronrod "
+               "segments) and the estimate, which charges that rounding, 3.6e-18")
     def test_far_lower_end_finds_its_first_zero(self):
         # the first zero sqrt(k pi) past 2000 has k = 1,273,240, past the
-        # million zeros a scan from k = 1 tried before refusing the domain.
-        # There the node rounding is most of the estimate: each x is known
-        # to eps |x|, a phase of 2 eps x**2 ~ 1.8e-9 (error 6.2e-19)
+        # million zeros a scan from k = 1 tried before refusing the domain
         res = integrate_oscillatory_improper(
             lambda x: math.sin(x * x) / (x * x),
             DomainSpec.oscillatory(2000.0, _square_zeros, _square_rate))
         assert res.status is QuadStatus.CONVERGED
-        assert abs(res.value - FAR_SQUARE_PHASE) <= res.abs_err_est <= 1e-17
+        assert abs(res.value - FAR_SQUARE_PHASE) <= res.abs_err_est <= 1e-18
 
     def test_first_zero_is_found_by_doubling_and_bisection(self):
         # at a = 500 the first zero past a is sqrt(k pi) at k = 79,578: the
         # search reaches it in 34 rule calls (79,578 on a scan from k = 1),
-        # and the result is the one of a rule that starts there, to within
-        # the node rounding that k + 79,577 adds to k
+        # and the result is the one of a rule that starts there.  That rule is
+        # read at 1 + kappa, so it shifts by 79,578 + (k - 1), exact in k,
+        # where k + 79,577 would round kappa twice
         calls = []
 
         def zero(k: float) -> float:
@@ -641,24 +658,21 @@ class TestOscillatory:
         res = integrate_oscillatory_improper(f, dom)
         searched = calls[:calls.index(None)]
         assert len(searched) <= 40 and searched[-1] == 79_578
-        shifted = integrate_oscillatory_improper(f, DomainSpec.oscillatory(
-            500.0, lambda k: math.sqrt((k + 79_577) * math.pi),
-            lambda k: _square_rate(k + 79_577)))
-        assert res.n_evals == shifted.n_evals
-        assert abs(res.value - shifted.value) <= min(res.abs_err_est, shifted.abs_err_est)
+        shifted = DomainSpec.oscillatory(
+            500.0, lambda k: zero(79_578 + (k - 1.0)), lambda k: _square_rate(79_578 + (k - 1.0)))
+        assert res == integrate_oscillatory_improper(f, shifted)
 
-    @pytest.mark.parametrize("rule, a", [
-        (lambda k: 1.0 - 1.0 / k, 50.0),                     # bounded below a
-        (lambda k: float(k) if k < 10 else math.inf, 50.0),  # stops being finite
-        (lambda k: float(k) if k < 10 else math.nan, 50.0),
+    @pytest.mark.parametrize("rule, rate, a", [
+        (lambda k: 1.0 - 1.0 / k, lambda k: k ** -2.0, 50.0),  # bounded below a
+        (lambda k: float(k) if k < 10 else math.inf, lambda k: 1.0, 50.0),  # stops being finite
+        (lambda k: float(k) if k < 10 else math.nan, lambda k: 1.0, 50.0),
         # raises OverflowError from k = 710, where the doubling first asks at 1024
-        (math.exp, 1e300),
-        (math.exp, 1e308),
+        (math.exp, math.exp, 1e300),
+        (math.exp, math.exp, 1e308),
     ], ids=["bounded", "inf", "nan", "overflow_1e300", "overflow_1e308"])
-    def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule, a):
+    def test_rule_with_no_finite_zero_past_the_lower_end_is_refused(self, rule, rate, a):
         with pytest.raises(ValueError, match="no zeros beyond the lower endpoint"):
-            integrate_oscillatory_improper(
-                math.sin, DomainSpec.oscillatory(a, rule, lambda k: 1.0))
+            integrate_oscillatory_improper(math.sin, DomainSpec.oscillatory(a, rule, rate))
 
     def test_rule_that_raises_past_the_head_is_refused(self):
         # past the first zero, a rule that raises an arithmetic error reads as
@@ -700,10 +714,33 @@ class TestOscillatory:
         with pytest.raises(ValueError, match="zero_rate must be finite and positive"):
             DomainSpec.oscillatory(0.0, _pi_zeros, rate)
 
+    @pytest.mark.parametrize("rule, rate", [
+        (_pi_zeros, lambda k: 2.0 * math.pi),
+        (_square_zeros, lambda k: math.pi / math.sqrt(k * math.pi)),  # no factor 1/2
+    ], ids=["pi_twice", "square_twice"])
+    def test_rate_that_is_not_the_rule_s_derivative_is_refused_at_construction(
+        self, rule, rate
+    ):
+        # the sum integrates f(rule(k)) rate(k) over k: a rate off by a factor
+        # would return that factor times the integral, converged
+        with pytest.raises(ValueError, match="zero_rate must be dx/dk of phase_zero_rule"):
+            DomainSpec.oscillatory(0.0, rule, rate)
+
+    def test_rule_undefined_at_zero_runs_a_head(self):
+        # rule(0) = log 0 raises ValueError: the lower end -1 is then not the
+        # zero k = 0, and the head [-1, log 1] runs before the sum from k = 1
+        res = integrate_oscillatory_improper(
+            lambda x: math.sin(math.pi * math.exp(x)) * math.exp(-x),
+            DomainSpec.oscillatory(-1.0, math.log, lambda k: 1.0 / k))
+        assert res.status is QuadStatus.CONVERGED
+        # mpmath: sin(pi c)/c - pi Ci(pi c) at c = 1/e
+        assert abs(res.value - 1.2117879405211772) <= res.abs_err_est
+
     def test_rate_that_fails_past_the_first_zeros_is_refused(self):
-        # the first six rates pass; the sum reads the rate at real k too
+        # the rates the construction check reads, up to k = 6.5, pass; the
+        # sum reads the rate at every node
         def rate(k: float) -> float:
-            return math.pi if k == int(k) or k < 0.5 else -math.pi
+            return math.pi if k < 7.0 else -math.pi
 
         with pytest.raises(ValueError, match="zero_rate must be finite and positive"):
             integrate_oscillatory_improper(
