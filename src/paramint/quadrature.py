@@ -627,8 +627,8 @@ def _tanh_sinh(
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
         contributions.append(w_scale * f(mid))
-    # their largest size: the small-term cutoff's scale, which cancellation
-    # cannot shrink as it can the level's value
+    # the small-term cutoff's scale: the middle term's size, then level 0's
+    # largest, which cancellation cannot shrink as it can the level's value
     top = max(map(abs, contributions), default=0.0)
     prev_value = 0.0
     level_diff = 0.0  # prev_diff at level 1, which always runs
@@ -646,7 +646,6 @@ def _tanh_sinh(
                     raise
                 terms, cut, refused = [], 0.0, True
             contributions += terms
-            top = max(top, max(map(abs, terms), default=0.0))
             if cut > cut_delta[upper]:
                 cut_delta[upper] = cut
                 if kind is EndpointKind.INFINITE:
@@ -657,6 +656,8 @@ def _tanh_sinh(
                     except (NonIntegrableSingularityError, EvaluationError):
                         refused = True
         value = h * _fsum(contributions)
+        if m == 0:
+            top = max(map(abs, contributions), default=0.0)
         if refused:
             break  # the estimate is infinite whatever the later levels add
         if m > 0:

@@ -106,10 +106,10 @@ ten ``ex3_alpha@*`` ``direct`` and ``deriv`` records (15 fewer each),
 evaluations instead of 240; its value is unchanged, and its estimate
 moved from 4.573e-11 to 4.572e-11 (error 1.2e-12).
 
-Twenty-seven records moved when the oscillatory kernel became one
+Twenty-five records moved when the oscillatory kernel became one
 Ooura-Mori double-exponential sum in the phase index, and tanh-sinh's
-small-term cutoff became relative to each level's own scale, its largest
-term.  The four
+small-term cutoff became relative to the integrand's own scale, the
+largest term of level 0.  The four
 ``oscillatory.*`` records and the eleven ``ex3_alpha@*`` records that run
 the kernel moved in value, estimate and ``n_evals``; every error against
 the truths in ``_oracles.py`` fell (the largest, ``ex3_alpha@0.0.direct``
@@ -117,11 +117,10 @@ and ``oscillatory.square_phase``, from 2.46e-12 to 2.2e-16).  The old
 ``oscillatory.fallback`` record, renamed ``oscillatory.non_alternating``,
 no longer falls back to the half-line kernel: 2.5 - 4.4e-16 ``converged``
 in 162 evaluations instead of 2.5 - 7.6e-15 ``tail_truncated`` in 359.
-Twelve records moved only in ``n_evals`` with the relative cutoff:
-``singular.cube_root_upper_tight`` (82 more), ``.log_over_circle_tight``
-(1), six ``improper.*`` records (1 or 2), ``ex3_beta@0.0.direct`` (13),
-``ex1@1.0.reconstruct_stripped`` (1 more) and
-``ex2@1.5.reconstruct_stripped`` (1 fewer).
+Ten records moved only in ``n_evals`` with the relative cutoff, each to
+more evaluations: ``singular.cube_root_upper_tight`` (87),
+``.log_over_circle_tight`` (1), six ``improper.*`` records (1 or 2),
+``ex3_beta@0.0.direct`` (13) and ``ex1@1.0.reconstruct_stripped`` (1).
 
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it, and with
@@ -290,7 +289,7 @@ GOLDEN = {
     'singular.cube_root_upper': ('0x1.7ffffffff3177p+0', '0x1.c1ca9838eeacep-37', 71, 'converged'),
     'singular.log_over_circle': ('-0x1.16bb24190a0b7p+0', '0x1.8ca8b5d955c24p-39', 81, 'converged'),
     'singular.pole': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=0.0: empirical local exponent -1.000 <= -1'),
-    'singular.cube_root_upper_tight': ('0x1.7fffffffe778ap+0', '0x1.1f1ea12191fa0p-34', 26809, 'tail_truncated'),
+    'singular.cube_root_upper_tight': ('0x1.7fffffffe778ap+0', '0x1.1f1ea12191fa0p-34', 26814, 'tail_truncated'),
     'singular.log_over_circle_tight': ('-0x1.16bb24190a0b7p+0', '0x1.16bb717b983d6p-52', 137, 'converged'),
     'singular.pow_m0_9': ('0x1.56f7ae9ae47fep+3', '0x1.1bcd963ccdaa4p-46', 78, 'converged'),
     'singular.inv_sqrt_upper_offset': ('0x1.0000000000000p+1', '0x1.0000000000000p-48', 86, 'converged'),
@@ -378,7 +377,7 @@ GOLDEN = {
     'ex4@1.0.direct': ('-0x1.16bb24190a0acp+1', '0x1.7f8d048e7d983p-36', 60, 'converged'),
     'ex4@1.0.deriv': ('raises', 'NonIntegrableSingularityError', 'non-integrable growth near x=-1.5707963267948966: empirical local exponent -2.000 <= -1'),
     'ex4@1.0.reconstruct': ('-0x1.16bb24190a0b7p+1', '0x1.1348b5d920c85p-38', 88, 'converged'),
-    'ex2@1.5.reconstruct_stripped': ('0x1.461829d79250ap+1', '0x1.6356a512ab9c0p-32', 2909, 'converged'),
+    'ex2@1.5.reconstruct_stripped': ('0x1.461829d79250ap+1', '0x1.6356a512ab9c0p-32', 2910, 'converged'),
     'ex1@1.0.reconstruct_stripped': ('0x1.921fb54442d07p+1', '0x1.11b8e7fb8a7f5p-34', 1439, 'converged'),
 }
 

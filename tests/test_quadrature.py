@@ -302,7 +302,7 @@ class TestScale:
     def test_small_term_cutoff_survives_cancellation(self):
         # int_0^3 (x - 1)/sqrt(x) dx = 0: a cutoff scaled by the level's
         # value, roundoff-sized here, fell to ~1e-34 and let sweeps run on
-        # (77 evaluations); one scaled by the largest term stops them where
+        # (77 evaluations); one scaled by level 0's largest term stops them where
         # the cutoff of (x + 1)/sqrt(x) does
         domain = DomainSpec.singular(0.0, 3.0, at_lower=True)
         zero = integrate_singular(lambda x: (x - 1.0) / math.sqrt(x), domain)
