@@ -213,7 +213,7 @@ class InterchangeReport:
     """One derivative-integral interchange comparison, and the gate its verdict needed."""
 
     alpha: float
-    lhs: float  # central difference of the direct integral
+    lhs: float  # integral of f's central difference, divided by the step
     rhs: float  # integral of the alpha-derivative of the integrand
     discrepancy: float
     tolerance_used: float  # 1e-5, plus the curvature allowance only past 1e-5
@@ -324,38 +324,42 @@ def interchange_check(
 ) -> InterchangeReport:
     """Compare d/d alpha of the integral against the integral of d f/d alpha.
 
-    lhs is a central difference of eval_direct across a step of 1e-4,
-    divided by the step as represented, (alpha + h) - (alpha - h); rhs
-    is deriv_under_integral; an alpha where alpha +/- 1e-4 rounds onto
-    alpha raises OneSidedDifferenceError before any quadrature.  The gate
-    is 1e-5.  Only a discrepancy past it pays for a third direct evaluation,
-    at alpha: its second difference sizes an allowance, never negative, for
-    the central difference's own O(h^2) bias.  Near a parameter-domain edge
-    the solution's higher derivatives grow like inverse powers of the
-    distance to the edge, so the curvature is divided by that distance
-    before multiplying by h^2.
+    lhs is one quadrature, over the x-domain at alpha, of the integrand's
+    central difference across a step of 1e-4, divided by the step as
+    represented, (alpha + h) - (alpha - h): by linearity, that difference
+    quotient of the integral, bounded by the tolerance as rhs is.  rhs is
+    deriv_under_integral.  An alpha where alpha +/- 1e-4 rounds onto alpha
+    raises OneSidedDifferenceError before any quadrature.  The gate is 1e-5.
+    Only a discrepancy past it pays for a third quadrature, of the
+    integrand's second difference over h^2: that curvature sizes an
+    allowance, never negative, for the central difference's own O(h^2)
+    bias.  Near a parameter-domain edge the solution's higher derivatives
+    grow like inverse powers of the distance to the edge, so the curvature
+    is divided by that distance before multiplying by h^2.  The check
+    passes only when every quadrature it ran converged.
     """
     h = _INTERCHANGE_STEP
     P.param_domain.require(alpha - h, alpha + h)
     _require_step(alpha, h, f"; a step of {h!r} rounds away")
-    hi = eval_direct(P, alpha + h, cfg)
-    lo = eval_direct(P, alpha - h, cfg)
-    lhs = (hi.value - lo.value) / ((alpha + h) - (alpha - h))
-    rhs = deriv_under_integral(P, alpha, cfg).value
-    discrepancy = abs(lhs - rhs)
+    f, up, down = P.integrand, alpha + h, alpha - h
+    step, dom = up - down, P.domain_for(alpha)
+    runs = [integrate(lambda x: (f(x, up) - f(x, down)) / step, dom, cfg),
+            deriv_under_integral(P, alpha, cfg)]
+    discrepancy = abs(runs[0].value - runs[1].value)
     tolerance_used = _INTERCHANGE_TOL
     if discrepancy > tolerance_used:
-        at = eval_direct(P, alpha, cfg)
-        curvature = abs(hi.value - 2.0 * at.value + lo.value) / (h * h)
+        runs.append(integrate(
+            lambda x: (f(x, up) - 2.0 * f(x, alpha) + f(x, down)) / (h * h), dom, cfg))
         dist = P.param_domain.boundary_distance(alpha)
-        tolerance_used += h * h * curvature / max(dist, 2.0 * h)
+        tolerance_used += h * h * abs(runs[2].value) / max(dist, 2.0 * h)
     return InterchangeReport(
         alpha=alpha,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=runs[0].value,
+        rhs=runs[1].value,
         discrepancy=discrepancy,
         tolerance_used=tolerance_used,
-        passed=discrepancy <= tolerance_used,
+        passed=discrepancy <= tolerance_used
+        and all(r.status is QuadStatus.CONVERGED for r in runs),
     )
 
 

@@ -854,8 +854,8 @@ def _de_row(n: int, h: float, alpha: float) -> tuple[float, float]:
 @functools.lru_cache(maxsize=32)
 def _de_nodes(tail: OscillatoryTail, k0: int, m: int) -> tuple[array, array, array]:
     """Level m's nodes over the tail from its zero k0: abscissae x =
-    rule(k0 + kappa), weights phi' dx/dkappa, and phi' |x|, which sizes the
-    node rounding; the rows n = 0, 1, ..., then n = -1, -2, ...
+    rule(k0 + kappa), weights w = phi' dx/dkappa, and phi' |x| + 2|w|/pi,
+    which sizes the rounding of node and term; rows n = 0, 1, ..., then -1, ...
 
     Level m has step h = 2**-(m + 2), M = pi/h and alpha = beta / sqrt(1 +
     M log(1 + M) / (4 pi)), beta = 1/4; row n lies at kappa = phi(nh)/h
@@ -876,7 +876,7 @@ def _de_nodes(tail: OscillatoryTail, k0: int, m: int) -> tuple[array, array, arr
     def add(x: float, k: float, w: float) -> None:
         xs.append(x)
         ws.append(w * tail._rate(k0 + k))
-        spread.append(w * abs(x))
+        spread.append(w * abs(x) + 2.0 / math.pi * abs(ws[-1]))
 
     n, past = 0, z0
     while (row := _de_row(n, h, alpha))[0] != n:
@@ -950,7 +950,7 @@ def integrate_oscillatory_improper(
         if diff <= _tol_for(sum_cfg, value):
             break
         prev = total
-    # each x is known to eps |x|: a phase of pi eps |x| / rate at its node
+    # x is known to eps |x|, a phase pi eps |x| / rate; a term w v rounds twice
     rounding = math.pi * _EPS * sum(map(abs, map(operator.mul, spread, vs)))
     est = head[1] + diff + rounding
     return QuadResult(value, est, fc.n, _status(cfg, value, est, head[2]))

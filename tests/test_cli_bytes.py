@@ -56,17 +56,17 @@ FROZEN = {
     'verify ex2 --format csv': (0, '8fdbff8f95f6e014846c4d5a97a33483f25eb0e55f069169719a440aa83e4218'),
     'verify ex3_beta --format json': (0, 'e968fdec4f182364c863198bfab57602fc6aa3e10cdefdd288557a18b9d2abeb'),
     'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
-    'verify ex3_alpha --format json': (0, '0142add193423978bc1bc9cc587da10353f3eaf6293f0aec0473657d9a302fb8'),
+    'verify ex3_alpha --format json': (0, 'bbab9d77b48d14608233461e6cdfa709afb1a831746d2b7095983b94a1f16fa6'),
     'verify ex3_alpha --format csv': (0, 'f4683f9b0bf74a682e4179aabae818bf4da3dc35eda6338f63eff1073b6888a3'),
     'verify ex4 --format json': (0, 'b92367e0f9887748f881e023734e46d9e989dd8ef43afad4fc102a24a42dc000'),
     'verify ex4 --format csv': (0, '459ff5baed20b51cd16ac27eef57c86ad2366b42dcd2633c5204a471313eea02'),
-    'verify all --format json': (0, 'a821713caedcab73e90eb8255bb8c3e37d312848d1b6e054abe3e141b9847db4'),
+    'verify all --format json': (0, '53965d9d54f523ca939edafd73e98a790de7b91e087813488d14471cdc3bb20e'),
     'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
     'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
     'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),
-    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '7882db4cfcdf07143c050b6655f933bd28bcb0f08ac1994eb1a6fe240c7035b6'),
+    'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '1e13889e729a42a41b4b1aab0e5536958097e8b6f13617255c449d304df7cf72'),
 }
 
 

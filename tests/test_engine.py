@@ -45,7 +45,10 @@ from paramint import (
 )
 from paramint import catalog, engine, quadrature
 
-from _oracles import CATALOG_TRUTHS, EX3_ALPHA_SWEEP_TRUTHS, EX3_ALPHA_TRUTHS, ITEM3_TRUTHS
+from _oracles import (
+    CATALOG_TRUTHS, EX3_ALPHA_FLOOR_TRUTHS, EX3_ALPHA_SWEEP_TRUTHS, EX3_ALPHA_TRUTHS,
+    INTERCHANGE_TRUTHS, ITEM3_TRUTHS, interchange_truths,
+)
 
 # --- gauss-type family -----------------------------------------------------
 
@@ -376,19 +379,22 @@ class TestEvalAndDeriv:
 # ---------------------------------------------------------------------------
 
 def _interchange_reference(P, alpha):
-    """The check with all four quadratures always run: (passed, lhs, rhs,
-    discrepancy, tolerance_used)."""
+    """The check with all three quadratures always run over the x-domain at
+    alpha, lhs that of the integrand's central difference and the curvature
+    that of its second difference: (passed, lhs, rhs, discrepancy,
+    tolerance_used)."""
     h = 1e-4
-    hi = eval_direct(P, alpha + h).value
-    lo = eval_direct(P, alpha - h).value
-    at = eval_direct(P, alpha).value
-    lhs = (hi - lo) / ((alpha + h) - (alpha - h))
-    rhs = deriv_under_integral(P, alpha).value
+    f, up, down, dom = P.integrand, alpha + h, alpha - h, P.domain_for(alpha)
+    quotient = integrate(lambda x: (f(x, up) - f(x, down)) / (up - down), dom)
+    deriv = deriv_under_integral(P, alpha)
+    curvature = integrate(lambda x: (f(x, up) - 2.0 * f(x, alpha) + f(x, down)) / (h * h), dom)
+    lhs, rhs = quotient.value, deriv.value
     discrepancy = abs(lhs - rhs)
-    curvature = abs(hi - 2.0 * at + lo) / (h * h)
     dist = P.param_domain.boundary_distance(alpha)
-    tolerance = 1e-5 + h * h * curvature / max(dist, 2.0 * h)
-    return discrepancy <= tolerance, lhs, rhs, discrepancy, tolerance
+    tolerance = 1e-5 + h * h * abs(curvature.value) / max(dist, 2.0 * h)
+    ran = (quotient, deriv) if discrepancy <= 1e-5 else (quotient, deriv, curvature)
+    converged = all(r.status is QuadStatus.CONVERGED for r in ran)
+    return discrepancy <= tolerance and converged, lhs, rhs, discrepancy, tolerance
 
 
 def _interchange_points():
@@ -429,8 +435,8 @@ class TestInterchange:
     @pytest.mark.parametrize("entry, alpha", _interchange_points(),
                              ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_matches_the_four_quadrature_check(self, entry, alpha):
-        # the third direct evaluation runs only past the 1e-5 gate, where
-        # the allowance can change the verdict; every other field keeps its bits
+        # the curvature quadrature runs only past the 1e-5 gate, where the
+        # allowance can change the verdict; every other field keeps its bits
         P = make_cos() if entry == "make_cos" else catalog.get(entry).parametric
         rep = interchange_check(P, alpha)
         passed, lhs, rhs, discrepancy, tolerance = _interchange_reference(P, alpha)
@@ -466,15 +472,72 @@ class TestInterchange:
         assert rep.discrepancy > 1e-5 and ("f", 0.99) in seen
 
     def test_calls_over_the_interior_grid(self):
-        # 8,061 integrand calls when every check ran the third quadrature;
-        # 5,514 and 2,859 while ex3_alpha summed segment by segment
+        # each node of lhs's mesh calls f twice: 5,466 integrand calls while
+        # lhs differenced two direct quadratures, each on its own mesh, and
+        # 8,061 when every check also ran a third
         seen = []
         for e in catalog.entries():
             P = _recording(e.parametric, seen)
             for a in e.verification_grid:
                 if P.param_domain.is_interior(a):
                     interchange_check(P, a)
-        assert [sum(k == kind for k, _ in seen) for kind in "fd"] == [5466, 2730]
+        assert [sum(k == kind for k, _ in seen) for kind in "fd"] == [5910, 2730]
+
+    def test_two_quadratures_below_the_gate_and_three_past_it(self, monkeypatch):
+        domains = []
+
+        def counted(f, domain, cfg=None):
+            domains.append(domain)
+            return integrate(f, domain, cfg)
+        monkeypatch.setattr(engine, "integrate", counted)
+        for entry, alpha, passes in (("gauss", 1.0, 2), ("ex4", 0.99, 3)):
+            domains.clear()
+            P = catalog.get(entry).parametric
+            rep = interchange_check(P, alpha)
+            assert (rep.discrepancy > 1e-5) is (passes == 3) and rep.passed
+            assert domains == [P.domain_for(alpha)] * passes
+
+    @pytest.mark.parametrize("entry, alpha", [("ex1", 1e9), ("ex3_beta", 10.0)])
+    def test_lhs_is_the_difference_quotient_to_the_tolerance(self, entry, alpha):
+        # the difference of two direct quadratures read 5.9e-8 and 1.2e-9
+        # off, their estimates divided by the step
+        rep = interchange_check(catalog.get(entry).parametric, alpha)
+        assert abs(rep.lhs - INTERCHANGE_TRUTHS[entry, alpha]) <= 1e-9
+
+    @pytest.mark.parametrize("entry, alpha", [
+        ("ex2", 1.001 - 5e-5), ("ex2", 1.001 + 5e-5), ("ex4", 0.995 - 5e-5), ("ex4", 0.995 + 5e-5)])
+    def test_band_edge_within_the_step(self, entry, alpha):
+        # alpha - h and alpha + h lie on either side of the band where the
+        # x-domain's end kind changes; lhs runs on the domain at alpha
+        P = catalog.get(entry).parametric
+        assert P.domain_for(alpha - 1e-4) != P.domain_for(alpha + 1e-4)
+        rep = interchange_check(P, alpha)
+        assert rep.passed
+        assert abs(rep.lhs - INTERCHANGE_TRUTHS[entry, alpha]) <= 1e-10
+
+    def test_unconverged_quadrature_fails_the_check(self):
+        # two subdivisions stop both quadratures at max_depth, with rhs
+        # 2.7e-4 off; the discrepancy alone would pass the gate
+        cfg = QuadConfig(max_subdivisions=2)
+        P = catalog.get("gauss").parametric
+        assert deriv_under_integral(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
+        rep = interchange_check(P, 1.0, cfg)
+        assert rep.discrepancy <= rep.tolerance_used
+        assert not rep.passed
+
+    def test_unconverged_curvature_fails_the_check(self, monkeypatch):
+        # ex4 at 0.99 passes only by the allowance; the same curvature
+        # marked max_depth fails it
+        runs = []
+
+        def third_unconverged(f, domain, cfg=None):
+            res = integrate(f, domain, cfg)
+            runs.append(res)
+            return res if len(runs) < 3 else dataclasses.replace(res, status=QuadStatus.MAX_DEPTH)
+        monkeypatch.setattr(engine, "integrate", third_unconverged)
+        rep = interchange_check(catalog.get("ex4").parametric, 0.99)
+        assert len(runs) == 3 and rep.discrepancy <= rep.tolerance_used
+        assert not rep.passed
 
     @pytest.mark.parametrize("entry, alpha", [
         ("ex1", 1e13), ("gauss", 1e13), ("ex2", 1e13), ("ex3_beta", 1e13),
@@ -1305,10 +1368,10 @@ _EX3_ALPHA_GRID_BITS = {
 # 1.1e-16, 0 and 0; the segment kernel took 300, 180, 150 and 180
 # evaluations, for errors up to 2.5e-12)
 _EX3_ALPHA_DIRECT = {
-    0.0: ("0x1.40d931ff62705p+0", "0x1.1c76aa97176bfp-39", 162),
-    0.5: ("0x1.f87889db7c62dp-1", "0x1.0a44a18ea9fd2p-46", 162),
-    1.0: ("0x1.9cfe0dbedf46dp-1", "0x1.82cca31878152p-45", 162),
-    2.0: ("0x1.37c7b6d99807bp-1", "0x1.09f0db065c952p-43", 162),
+    0.0: ("0x1.40d931ff62705p+0", "0x1.1c90278989ed1p-39", 162),
+    0.5: ("0x1.f87889db7c62dp-1", "0x1.1255571a56b72p-46", 162),
+    1.0: ("0x1.9cfe0dbedf46dp-1", "0x1.8609736ee9234p-45", 162),
+    2.0: ("0x1.37c7b6d99807bp-1", "0x1.0a8cc26dd9c2dp-43", 162),
 }
 
 
@@ -1338,6 +1401,17 @@ class TestOscillatoryRoute:
         except QuadratureError:
             return
         assert abs(EX3_ALPHA_SWEEP_TRUTHS[kind, alpha] - res.value) <= res.abs_err_est
+
+    @pytest.mark.parametrize("alpha", sorted(EX3_ALPHA_FLOOR_TRUTHS))
+    def test_sum_at_its_rounding_floor_is_honest(self, alpha):
+        # at rel_tol 1e-15 two levels agree and the estimate is mostly the
+        # sum's rounding, which charged only eps |I| and the abscissae's
+        # phase: 5.5e-25 against an error of 8.3e-25 at 10**5.5, 3.1e-33
+        # against 6.2e-33 at 1e11
+        cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-15)
+        res = deriv_under_integral(catalog.get("ex3_alpha").parametric, alpha, cfg)
+        assert res.status is QuadStatus.CONVERGED
+        assert abs(EX3_ALPHA_FLOOR_TRUTHS[alpha] - res.value) <= res.abs_err_est
 
     @pytest.mark.xfail(
         raises=AssertionError, strict=True,
@@ -1666,7 +1740,10 @@ def print_census() -> None:
     "grid-s" for an interpolant, else each fallback's kernel), its inner
     evaluations, the share of them spent on routing fits, its largest
     estimate and its largest error against the closed form; then the total
-    evaluations of each kind, and the routing fits' share of them."""
+    evaluations of each kind, and the routing fits' share of them.  Last,
+    one line for interchange_check over the interior grid points: its
+    kernel passes, f and d f/d alpha calls, and its largest lhs error
+    against the closed forms' difference quotient (by mpmath)."""
     evals = []
     fitted = []  # the evaluations of each routing fit
     deriv, fit = engine.deriv_under_integral, engine._fit
@@ -1712,6 +1789,26 @@ def print_census() -> None:
                       f"est {est:.2e}  err {err:.2e}")
     for kind, (total, fits) in totals.items():
         print(f"total {kind}: n_evals {total}, routing fits {fits} ({fits / total:.0%})")
+
+    seen, passes, lhs = [], [], {}
+
+    def counted_pass(f, domain, cfg=None):
+        passes.append(domain)
+        return integrate(f, domain, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "integrate", counted_pass)
+        for entry in catalog.entries():
+            P = _recording(entry.parametric, seen)
+            for a in entry.verification_grid:
+                if P.param_domain.is_interior(a):
+                    lhs[entry.id, a] = interchange_check(P, a).lhs
+    truths = interchange_truths(lhs)
+    err, (entry_id, a) = max((abs(v - truths[k]), k) for k, v in lhs.items())
+    calls = [sum(k == kind for k, _ in seen) for kind in "fd"]
+    print(f"interchange_check at {len(lhs)} interior grid points: kernel passes "
+          f"{len(passes)}, f calls {calls[0]}, d_alpha calls {calls[1]}, "
+          f"largest lhs error {err:.2e} ({entry_id} at {a!r})")
 
 
 if __name__ == "__main__":

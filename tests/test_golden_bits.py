@@ -122,6 +122,12 @@ more evaluations: ``singular.cube_root_upper_tight`` (87),
 ``.log_over_circle_tight`` (1), six ``improper.*`` records (1 or 2),
 ``ex3_beta@0.0.direct`` (13) and ``ex1@1.0.reconstruct_stripped`` (1).
 
+The same fifteen oscillatory records moved in their estimate only when
+the oscillatory sum began to charge each term w v the rounding of its
+weight and of the product, 2 eps |w v|: each estimate rose, by 6e-17 to
+1.9e-15 (at most 38%, ``oscillatory.sin_lorentz``); no value, status or
+``n_evals`` moved, so no error against the truths changed.
+
 Regenerate the table only for a change that is meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py`` prints it, and with
 ``--diff`` prints only the records that differ from it, old -> new, each
@@ -304,10 +310,10 @@ GOLDEN = {
     'improper.gamma_half_singular': ('0x1.c5bf891b4ef6bp+0', '0x1.38389c48da77bp-47', 209, 'converged'),
     'improper.gamma_half_singular_tight': ('0x1.c5bf891b4ef6bp+0', '0x1.62e7c48da77b6p-51', 271, 'converged'),
     'improper.gamma_half_singular_loose': ('0x1.c5bf891b4ef90p+0', '0x1.982603a1b3892p-28', 116, 'converged'),
-    'oscillatory.sinc': ('0x1.921fb54442d19p+0', '0x1.5dd3aa6937a5fp-36', 162, 'converged'),
-    'oscillatory.sin_lorentz': ('0x1.4b24461d523acp-1', '0x1.2d80abe994d0ap-50', 387, 'converged'),
-    'oscillatory.square_phase': ('0x1.40d931ff62705p+0', '0x1.1c76aa97176bfp-39', 162, 'converged'),
-    'oscillatory.non_alternating': ('0x1.3ffffffffffffp+1', '0x1.8d62000000000p-37', 162, 'converged'),
+    'oscillatory.sinc': ('0x1.921fb54442d19p+0', '0x1.5ddae5b105b14p-36', 162, 'converged'),
+    'oscillatory.sin_lorentz': ('0x1.4b24461d523acp-1', '0x1.a0d7408232b14p-50', 387, 'converged'),
+    'oscillatory.square_phase': ('0x1.40d931ff62705p+0', '0x1.1c90278989ed1p-39', 162, 'converged'),
+    'oscillatory.non_alternating': ('0x1.3ffffffffffffp+1', '0x1.8d6c000000000p-37', 162, 'converged'),
     'gauss@0.5.direct': ('0x1.40d931ff626f4p+0', '0x1.59a24701252cep-38', 193, 'converged'),
     'gauss@0.5.deriv': ('-0x1.40d931ff62708p+0', '0x1.1f36c0518360fp-34', 193, 'converged'),
     'gauss@1.0.direct': ('0x1.c5bf891b4ef54p-1', '0x1.1777653d00000p-36', 163, 'converged'),
@@ -347,18 +353,18 @@ GOLDEN = {
     'ex3_beta@2.0.direct': ('0x1.64b6fa9b2da0fp+0', '0x1.0294e1bb96e32p-35', 313, 'converged'),
     'ex3_beta@2.0.deriv': ('0x1.021f08aed27ccp-1', '0x1.fdfb7e16325cap-35', 343, 'converged'),
     'ex3_beta@2.0.reconstruct': ('0x1.64b6fa9b2da0ep+0', '0x1.a8b2a00000000p-34', 36, 'converged'),
-    'ex3_alpha@0.0.direct': ('0x1.40d931ff62705p+0', '0x1.1c76aa97176bfp-39', 162, 'converged'),
-    'ex3_alpha@0.0.deriv': ('-0x1.40d931ff62705p-1', '0x1.19c07f7968e67p-35', 162, 'converged'),
-    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff62706p+0', '0x1.4d3a716886e2bp-38', 5508, 'converged'),
-    'ex3_alpha@0.5.direct': ('0x1.f87889db7c62dp-1', '0x1.0a44a18ea9fd2p-46', 162, 'converged'),
-    'ex3_alpha@0.5.deriv': ('-0x1.c3366305de940p-2', '0x1.6014dbb34d918p-39', 162, 'converged'),
-    'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7c62ep-1', '0x1.68b4a5c45c8a9p-41', 2430, 'converged'),
-    'ex3_alpha@1.0.direct': ('0x1.9cfe0dbedf46dp-1', '0x1.82cca31878152p-45', 162, 'converged'),
-    'ex3_alpha@1.0.deriv': ('-0x1.24079c092b9b5p-2', '0x1.8495e0f71b54fp-40', 162, 'converged'),
+    'ex3_alpha@0.0.direct': ('0x1.40d931ff62705p+0', '0x1.1c90278989ed1p-39', 162, 'converged'),
+    'ex3_alpha@0.0.deriv': ('-0x1.40d931ff62705p-1', '0x1.19c4c9b6415d8p-35', 162, 'converged'),
+    'ex3_alpha@0.0.reconstruct': ('0x1.40d931ff62706p+0', '0x1.4d40b64113400p-38', 5508, 'converged'),
+    'ex3_alpha@0.5.direct': ('0x1.f87889db7c62dp-1', '0x1.1255571a56b72p-46', 162, 'converged'),
+    'ex3_alpha@0.5.deriv': ('-0x1.c3366305de940p-2', '0x1.601d831443778p-39', 162, 'converged'),
+    'ex3_alpha@0.5.reconstruct': ('0x1.f87889db7c62ep-1', '0x1.68c15e6b52df7p-41', 2430, 'converged'),
+    'ex3_alpha@1.0.direct': ('0x1.9cfe0dbedf46dp-1', '0x1.8609736ee9234p-45', 162, 'converged'),
+    'ex3_alpha@1.0.deriv': ('-0x1.24079c092b9b5p-2', '0x1.849f5e1f711eap-40', 162, 'converged'),
     'ex3_alpha@1.0.reconstruct': ('0x1.9cfe0dbedf46dp-1', '0x0.0p+0', 0, 'converged'),
-    'ex3_alpha@2.0.direct': ('0x1.37c7b6d99807bp-1', '0x1.09f0db065c952p-43', 162, 'converged'),
-    'ex3_alpha@2.0.deriv': ('-0x1.16dd58588d18dp-3', '0x1.3a1f75e689256p-39', 162, 'converged'),
-    'ex3_alpha@2.0.reconstruct': ('0x1.37c7b6d99807bp-1', '0x1.42923f54babb3p-40', 5022, 'converged'),
+    'ex3_alpha@2.0.direct': ('0x1.37c7b6d99807bp-1', '0x1.0a8cc26dd9c2dp-43', 162, 'converged'),
+    'ex3_alpha@2.0.deriv': ('-0x1.16dd58588d18dp-3', '0x1.3a21a47813885p-39', 162, 'converged'),
+    'ex3_alpha@2.0.reconstruct': ('0x1.37c7b6d99807bp-1', '0x1.4298a8ea7e9dfp-40', 5022, 'converged'),
     'ex4@0.0.direct': ('0x0.0p+0', '0x0.0p+0', 30, 'converged'),
     'ex4@0.0.deriv': ('0x0.0p+0', '0x1.019c501fbace4p-47', 30, 'converged'),
     'ex4@0.0.reconstruct': ('0x0.0p+0', '0x0.0p+0', 0, 'converged'),
