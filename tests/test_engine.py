@@ -47,7 +47,7 @@ from paramint import catalog, engine, quadrature
 
 from _oracles import (
     CATALOG_TRUTHS, EX3_ALPHA_FLOOR_TRUTHS, EX3_ALPHA_SWEEP_TRUTHS, EX3_ALPHA_TRUTHS,
-    INTERCHANGE_TRUTHS, ITEM3_TRUTHS, interchange_truths,
+    INTERCHANGE_POINT_TRUTHS, INTERCHANGE_TRUTHS, ITEM3_TRUTHS, interchange_truths,
 )
 
 # --- gauss-type family -----------------------------------------------------
@@ -378,25 +378,6 @@ class TestEvalAndDeriv:
 # interchange check
 # ---------------------------------------------------------------------------
 
-def _interchange_reference(P, alpha):
-    """The check with all three quadratures always run over the x-domain at
-    alpha, lhs that of the integrand's central difference and the curvature
-    that of its second difference: (passed, lhs, rhs, discrepancy,
-    tolerance_used)."""
-    h = 1e-4
-    f, up, down, dom = P.integrand, alpha + h, alpha - h, P.domain_for(alpha)
-    quotient = integrate(lambda x: (f(x, up) - f(x, down)) / (up - down), dom)
-    deriv = deriv_under_integral(P, alpha)
-    curvature = integrate(lambda x: (f(x, up) - 2.0 * f(x, alpha) + f(x, down)) / (h * h), dom)
-    lhs, rhs = quotient.value, deriv.value
-    discrepancy = abs(lhs - rhs)
-    dist = P.param_domain.boundary_distance(alpha)
-    tolerance = 1e-5 + h * h * abs(curvature.value) / max(dist, 2.0 * h)
-    ran = (quotient, deriv) if discrepancy <= 1e-5 else (quotient, deriv, curvature)
-    converged = all(r.status is QuadStatus.CONVERGED for r in ran)
-    return discrepancy <= tolerance and converged, lhs, rhs, discrepancy, tolerance
-
-
 def _interchange_points():
     """Every interior catalog grid point; 6 alphas per entry drawn inside its
     grid hull where alpha +/- 1e-4 is valid; ex4 where the allowance
@@ -434,17 +415,19 @@ def _recording(P, seen):
 class TestInterchange:
     @pytest.mark.parametrize("entry, alpha", _interchange_points(),
                              ids=lambda v: v if isinstance(v, str) else repr(v))
-    def test_matches_the_four_quadrature_check(self, entry, alpha):
-        # the curvature quadrature runs only past the 1e-5 gate, where the
-        # allowance can change the verdict; every other field keeps its bits
+    def test_agrees_with_the_closed_forms(self, entry, alpha):
+        # lhs against the closed form's difference quotient to within its
+        # rounding floor, eps |I| / step (1.7e-6 at ex1's 2e11, where lhs
+        # reads 3.5e-6 off; 1.2e-12 at most elsewhere), and rhs against dI/d
+        # alpha, both by mpmath; every point passes
         P = make_cos() if entry == "make_cos" else catalog.get(entry).parametric
         rep = interchange_check(P, alpha)
-        passed, lhs, rhs, discrepancy, tolerance = _interchange_reference(P, alpha)
-        assert rep.passed == passed
-        assert [float.hex(v) for v in (rep.lhs, rep.rhs, rep.discrepancy)] == [
-            float.hex(v) for v in (lhs, rhs, discrepancy)]
-        expected = tolerance if discrepancy > 1e-5 else 1e-5
-        assert float.hex(rep.tolerance_used) == float.hex(expected)
+        lhs, rhs = INTERCHANGE_POINT_TRUTHS[entry, alpha]
+        floor = 2.0 ** -52 * abs(P.solution_closed(alpha)) / ((alpha + 1e-4) - (alpha - 1e-4))
+        assert abs(rep.lhs - lhs) <= 1e-11 + 4.0 * floor
+        assert abs(rep.rhs - rhs) <= 1e-11
+        assert rep.discrepancy == abs(rep.lhs - rep.rhs)
+        assert rep.passed and rep.tolerance_used >= 1e-5
 
     def test_lhs_divides_by_the_represented_step(self):
         # I(alpha) = (alpha - 2e11)/2 exactly up to the kernel's rounding:
@@ -461,7 +444,7 @@ class TestInterchange:
         assert abs(rep.lhs - 0.5) <= 1e-14 and abs(rep.rhs - 0.5) <= 1e-14
         assert rep.passed and rep.tolerance_used == 1e-5
 
-    def test_direct_evaluation_at_alpha_only_past_the_gate(self):
+    def test_f_at_alpha_only_past_the_gate(self):
         seen = []
         rep = interchange_check(_recording(catalog.get("gauss").parametric, seen), 1.0)
         assert rep.discrepancy <= 1e-5 and rep.tolerance_used == 1e-5
@@ -497,12 +480,25 @@ class TestInterchange:
             assert (rep.discrepancy > 1e-5) is (passes == 3) and rep.passed
             assert domains == [P.domain_for(alpha)] * passes
 
-    @pytest.mark.parametrize("entry, alpha", [("ex1", 1e9), ("ex3_beta", 10.0)])
-    def test_lhs_is_the_difference_quotient_to_the_tolerance(self, entry, alpha):
-        # the difference of two direct quadratures read 5.9e-8 and 1.2e-9
-        # off, their estimates divided by the step
-        rep = interchange_check(catalog.get(entry).parametric, alpha)
-        assert abs(rep.lhs - INTERCHANGE_TRUTHS[entry, alpha]) <= 1e-9
+    def test_lhs_is_the_difference_quotient_to_the_tolerance(self):
+        # the difference of two direct quadratures read 1.2e-9 off, their
+        # estimates divided by the step
+        rep = interchange_check(catalog.get("ex3_beta").parametric, 10.0)
+        assert rep.passed
+        assert abs(rep.lhs - INTERCHANGE_TRUTHS["ex3_beta", 10.0]) <= 1e-9
+
+    @pytest.mark.parametrize("alpha, err", [(1e6, 1e-10), (1e9, 3e-9)])
+    def test_central_difference_stops_at_its_budget(self, alpha, err):
+        # f ~ 0.7 alpha near x = alpha^-1/2 rounds to eps |f| at each node,
+        # so over the step the central difference carries noise the
+        # tolerance cannot reach: with no budget its quadrature ran 60,003
+        # evaluations to max_depth and the check failed.  Stopped at the
+        # panels rhs evaluated, its estimate still decides the gate; the
+        # difference of two direct quadratures read 5.9e-8 off at 1e9
+        seen = []
+        rep = interchange_check(_recording(catalog.get("ex1").parametric, seen), alpha)
+        assert rep.passed and len(seen) <= 2500
+        assert abs(rep.lhs - INTERCHANGE_TRUTHS["ex1", alpha]) <= err
 
     @pytest.mark.parametrize("entry, alpha", [
         ("ex2", 1.001 - 5e-5), ("ex2", 1.001 + 5e-5), ("ex4", 0.995 - 5e-5), ("ex4", 0.995 + 5e-5)])
@@ -515,9 +511,9 @@ class TestInterchange:
         assert rep.passed
         assert abs(rep.lhs - INTERCHANGE_TRUTHS[entry, alpha]) <= 1e-10
 
-    def test_unconverged_quadrature_fails_the_check(self):
-        # two subdivisions stop both quadratures at max_depth, with rhs
-        # 2.7e-4 off; the discrepancy alone would pass the gate
+    def test_estimates_past_the_gate_fail_the_check(self):
+        # two subdivisions stop both quadratures at max_depth, rhs with an
+        # estimate of 2.7e-4; the discrepancy alone would pass the gate
         cfg = QuadConfig(max_subdivisions=2)
         P = catalog.get("gauss").parametric
         assert deriv_under_integral(P, 1.0, cfg).status is QuadStatus.MAX_DEPTH
@@ -525,19 +521,39 @@ class TestInterchange:
         assert rep.discrepancy <= rep.tolerance_used
         assert not rep.passed
 
-    def test_unconverged_curvature_fails_the_check(self, monkeypatch):
-        # ex4 at 0.99 passes only by the allowance; the same curvature
-        # marked max_depth fails it
+    def test_curvature_allows_only_its_least_value(self, monkeypatch):
+        # ex4 at 0.99 passes only by the allowance; the same curvature with
+        # an estimate as large as itself allows nothing, and fails it
         runs = []
 
-        def third_unconverged(f, domain, cfg=None):
+        def third_unbounded(f, domain, cfg=None):
             res = integrate(f, domain, cfg)
             runs.append(res)
-            return res if len(runs) < 3 else dataclasses.replace(res, status=QuadStatus.MAX_DEPTH)
-        monkeypatch.setattr(engine, "integrate", third_unconverged)
+            if len(runs) < 3:
+                return res
+            return dataclasses.replace(res, abs_err_est=abs(res.value), status=QuadStatus.MAX_DEPTH)
+        monkeypatch.setattr(engine, "integrate", third_unbounded)
         rep = interchange_check(catalog.get("ex4").parametric, 0.99)
-        assert len(runs) == 3 and rep.discrepancy <= rep.tolerance_used
+        assert len(runs) == 3 and rep.tolerance_used == 1e-5
         assert not rep.passed
+
+    def test_a_moving_bound_is_differenced_directly(self):
+        # f = 1 on [0, alpha]: dI/d alpha = 1 comes from the moving end,
+        # which the integral of d f/d alpha = 0 lacks, so the check fails
+        P = ParametricIntegral(
+            integrand=lambda x, a: 1.0,
+            param_domain=ParamDomain(0.0, math.inf),
+            domain=lambda a: DomainSpec.finite(0.0, a),
+            d_alpha=lambda x, a: 0.0,
+        )
+        rep = interchange_check(P, 1.0)
+        assert abs(rep.lhs - 1.0) <= 1e-12 and rep.rhs == 0.0
+        assert not rep.passed
+        # f = alpha - x vanishes at the moving end: dI/d alpha = alpha holds
+        Q = dataclasses.replace(P, integrand=lambda x, a: a - x, d_alpha=lambda x, a: 1.0)
+        rep = interchange_check(Q, 2.0)
+        assert abs(rep.lhs - 2.0) <= 1e-9 and abs(rep.rhs - 2.0) <= 1e-12
+        assert rep.passed
 
     @pytest.mark.parametrize("entry, alpha", [
         ("ex1", 1e13), ("gauss", 1e13), ("ex2", 1e13), ("ex3_beta", 1e13),
