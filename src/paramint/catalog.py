@@ -398,7 +398,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         singular_notes=(
             "integrand removable at x=0 (value 1); at a=0 the integral and "
             "its a-derivative converge only through sign alternation, handled "
-            "by inter-zero summation with extrapolation"
+            "by one Ooura-Mori sum in the phase index, with no extrapolation"
         ),
     ),
     CatalogEntry(

@@ -30,7 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .quadrature import (
     DomainSpec,
@@ -73,16 +73,13 @@ __all__ = [
     "verify",
 ]
 
-_FD_SCALE = _EPS ** (1.0 / 3.0)  # ~ 6.06e-6, optimal for central differences
-
-
 class ParameterDomainError(ValueError):
     """A parameter value (or path of values) leaves the valid alpha range."""
 
 
 class OneSidedDifferenceError(ValueError):
-    """A central difference in alpha has no room: alpha lies on a
-    parameter-domain bound, or alpha +/- the step rounds onto alpha."""
+    """interchange_check's central difference in alpha has no room:
+    alpha +/- the step rounds onto alpha."""
 
 
 class DegenerateWindowError(ValueError):
@@ -168,7 +165,9 @@ class ParametricIntegral:
 
     ``rhs_closed`` / ``solution_closed`` are optional closed forms for
     dI/d alpha and I; when absent, the engine falls back to quadrature
-    of ``d_alpha`` (or a central difference of the integrand).  No field
+    of ``d_alpha``, the engine's only source of d f/d alpha: an operation
+    that needs it refuses a family without it (ValueError) before calling
+    the integrand.  No field
     says where the rhs blows up: :func:`reconstruct` fits the ends of the
     parameter path, the anchor included, where it needs to know.
     ``rhs_near(end, d)``, used only alongside ``rhs_closed``, is that rhs
@@ -274,30 +273,12 @@ def eval_direct(
     return integrate(lambda x: f(x, alpha), P.domain_for(alpha), cfg)
 
 
-def _require_step(alpha: float, h: float, hint: str) -> None:
-    """Refuse a central difference whose step alpha +/- h rounds onto alpha."""
-    if not alpha - h < alpha < alpha + h:
-        raise OneSidedDifferenceError(
-            f"no room for a central difference in alpha at alpha={alpha!r}{hint}")
-
-
-def _partial_alpha(
-    P: ParametricIntegral, alpha: float
-) -> Callable[[float], float]:
-    """Pointwise d f/d alpha at fixed alpha: the analytic rule, or a central
-    difference whose step is cut to half the room left to the nearest bound;
-    with no room (alpha on a bound, or infinite) it raises
-    OneSidedDifferenceError."""
-    if P.d_alpha is not None:
-        da = P.d_alpha
-        return lambda x: da(x, alpha)
-    h = _FD_SCALE * max(1.0, abs(alpha))
-    room = P.param_domain.boundary_distance(alpha)
-    if room < h:
-        h = 0.5 * room
-    _require_step(alpha, h, "; provide an analytic d_alpha")
-    f = P.integrand
-    return lambda x: (f(x, alpha + h) - f(x, alpha - h)) / (2.0 * h)
+def _d_alpha(P: ParametricIntegral) -> Callable[[float, float], float]:
+    """The family's d f/d alpha (x, alpha); a family without one raises
+    ValueError: the engine takes no derivative of its own."""
+    if P.d_alpha is None:
+        raise ValueError("the family has no d_alpha, the d f/d alpha this operation integrates")
+    return P.d_alpha
 
 
 def deriv_under_integral(
@@ -305,8 +286,8 @@ def deriv_under_integral(
 ) -> QuadResult:
     """Quadrature of d f/d alpha (., alpha) over the same x-domain."""
     P.param_domain.require(alpha, closure=True)
-    g = _partial_alpha(P, alpha)
-    return integrate(g, P.domain_for(alpha), cfg)
+    da = _d_alpha(P)
+    return integrate(lambda x: da(x, alpha), P.domain_for(alpha), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +334,10 @@ def interchange_check(
     """
     h = _INTERCHANGE_STEP
     P.param_domain.require(alpha - h, alpha + h)
-    _require_step(alpha, h, f"; a step of {h!r} rounds away")
     f, up, down, dom = P.integrand, alpha + h, alpha - h, P.domain_for(alpha)
+    if not down < alpha < up:
+        raise OneSidedDifferenceError(f"no room for a central difference in alpha at "
+                                      f"alpha={alpha!r}; a step of {h!r} rounds away")
     step = up - down
     rhs = deriv_under_integral(P, alpha, cfg)
     if len({(d.lower, d.upper) for d in map(P.domain_for, (down, alpha, up))}) == 1:
@@ -427,7 +410,8 @@ def domination_scan(
     alphas = [
         lo_a + (hi_a - lo_a) * i / (_SCAN_N_ALPHA - 1) for i in range(_SCAN_N_ALPHA)
     ]
-    rules = [_Counted(_partial_alpha(P, a)) for a in alphas]
+    da = _d_alpha(P)
+    rules = [_Counted(lambda x, a=a: da(x, a)) for a in alphas]
     dom = P.domain_for(0.5 * (lo_a + hi_a))
 
     lo_inf = dom.lower_kind is EndpointKind.INFINITE
@@ -538,6 +522,7 @@ class _NestedRhs:
     samples it at ``fit_cfg``: ``cfg`` with rel_tol floored at _FIT_REL_TOL."""
 
     def __init__(self, P: ParametricIntegral, cfg: QuadConfig):
+        _d_alpha(P)  # refuse a family without d f/d alpha before any fit samples it
         self.P = P
         self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
         self.fit_cfg = replace(self.cfg, rel_tol=max(self.cfg.rel_tol, _FIT_REL_TOL))
@@ -741,7 +726,8 @@ def _reconstruct_each(
     P: ParametricIntegral, alphas: Sequence[float], cfg: QuadConfig
 ) -> dict[float, tuple[Union[QuadResult, QuadratureError, ValueError], Optional[_Route]]]:
     """reconstruct at each of ``alphas``: its result, or the error it raises,
-    and its route (None at the anchor and outside the domain's closure).  Each
+    and its route (None at the anchor, outside the domain's closure and for a
+    numeric rhs refused for want of d_alpha).  Each
     path fits its own ends; a numeric rhs's fallback on the hull reuses the
     hull's fits and rhs, so that its n_evals counts declined interpolants' too."""
     a0, v0 = P.anchor.alpha0, P.anchor.value0
@@ -763,7 +749,11 @@ def _reconstruct_each(
         g = functools.partial(P.rhs_closed)
         g.near = P.rhs_near
     else:
-        g = _NestedRhs(P, cfg)
+        try:
+            g = _NestedRhs(P, cfg)
+        except ValueError as exc:
+            out.update((a, (exc, None)) for a in off)
+            return out
     fits = {e: _fit(g, e, lo, hi) for e in (lo, hi) if not (closed or dom.is_interior(e))}
     for route in () if closed else filter(None, _interpolants(g, dom, lo, hi, fits)):
         if got := _chebyshev(g, route, off):
@@ -800,7 +790,8 @@ def reconstruct(
 ) -> QuadResult:
     """value0 + int_{alpha0}^{alpha_target} dI/d alpha, as plain quadrature.
 
-    The rhs is rhs_closed, else numeric: deriv_under_integral at each alpha.
+    The rhs is rhs_closed, else numeric: deriv_under_integral at each alpha,
+    so without d_alpha any target but the anchor raises ValueError unevaluated.
     _fit reads each path end regular, singular or a square-root end (when:
     see _interpolants).  The first route that serves the point is taken (L:
     the path's length; tol: the node tolerance; u: alpha, or s for
@@ -839,7 +830,7 @@ def reconstruct(
 
 def verify(
     P: ParametricIntegral,
-    alphas: Sequence[float],
+    alphas: Iterable[float],
     tol_direct: float = 1e-7,
     tol_reconstruct: float = 1e-6,
     cfg: QuadConfig | None = None,
@@ -850,6 +841,7 @@ def verify(
     point rather than raised, so one bad grid value cannot hide the rest;
     each failure note ends with the exception's class name in brackets.
     """
+    alphas = tuple(alphas)  # read once: a one-shot iterator serves both passes below
     if not alphas:
         raise ValueError("verification grid must be nonempty")
     recons = {} if P.anchor is None else _reconstruct_each(P, alphas, cfg or _DEFAULT_CFG)

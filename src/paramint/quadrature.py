@@ -235,11 +235,14 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
+        # a bool is an int to isinstance, and True would pass as 1
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+            if isinstance(v, bool) or not (
+                    isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions > 0):
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not (isinstance(n, int) and n > 0):
             raise ValueError("max_subdivisions must be a positive integer")
 
 

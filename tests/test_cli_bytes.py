@@ -61,7 +61,7 @@ FROZEN = {
     'verify ex4 --format json': (0, 'b92367e0f9887748f881e023734e46d9e989dd8ef43afad4fc102a24a42dc000'),
     'verify ex4 --format csv': (0, '459ff5baed20b51cd16ac27eef57c86ad2366b42dcd2633c5204a471313eea02'),
     'verify all --format json': (0, '53965d9d54f523ca939edafd73e98a790de7b91e087813488d14471cdc3bb20e'),
-    'list --format json': (0, '201fe8e17b43559d82149b639d41f9da70ca7733b5bc370e791924278ae0ec2f'),
+    'list --format json': (0, '90ca1044611bce0f49a53c54a592571db30864f1932272fdcf5444fcc3f9cab9'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
     'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
     'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),

@@ -807,6 +807,12 @@ class TestDispatch:
         with pytest.raises(ValueError):
             QuadConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_subdivisions"])
+    def test_config_rejects_booleans(self, field):
+        # bool is a subclass of int, so True used to pass as 1
+        with pytest.raises(ValueError, match=field):
+            QuadConfig(**{field: True})
+
     def test_domain_spec_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             DomainSpec.finite(1.0, 1.0)
