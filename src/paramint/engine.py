@@ -317,20 +317,20 @@ def interchange_check(
     across a step of 1e-4, divided by the step as represented, (alpha + h) -
     (alpha - h); an alpha where alpha +/- 1e-4 rounds onto alpha raises
     OneSidedDifferenceError first.  While the x-domain's bounds hold still,
-    lhs is one quadrature of the integrand's central difference over the
-    domain at alpha, held to the tolerance as rhs is, in at most as many
-    panels as rhs evaluated (15 evaluations each): one that needs more is
-    resolving its own rounding, eps |f| / step at each node.  Where a bound
-    moves, lhs differences two direct quadratures, which keep the moving
-    ends' terms that rhs lacks.  The check passes when the discrepancy plus
-    both estimates is within the gate, 1e-5, converged or not.  Only past
-    it does the check pay for the curvature, the integral's second
-    difference over h^2 (on lhs's mesh, or with a third direct quadrature),
-    whose least value within its estimate sizes an allowance for the
-    central difference's own O(h^2) bias.  Near a parameter-domain edge the
-    solution's higher derivatives grow like inverse powers of the distance
-    to the edge, so the curvature is divided by that distance before
-    multiplying by h^2.
+    lhs is rhs plus one quadrature of the gap, f's central difference less
+    d f/d alpha, over the domain at alpha, value and estimate alike, at a
+    tenth of the tolerance in at most two thirds of the panels rhs
+    evaluated: one needing more resolves, and charges, its own rounding,
+    eps |f| / step a node.  Where a bound moves, lhs differences two direct
+    quadratures, which keep the moving ends' terms that rhs lacks.  The
+    check passes when the discrepancy plus both estimates is within the
+    gate, 1e-5, converged or not.  Only past it does the check pay for the
+    curvature, the integral's second difference over h^2 (in rhs's panels,
+    or by a third direct quadrature), whose least value within its estimate
+    sizes an allowance for the central difference's own O(h^2) bias.  Near a
+    parameter-domain edge the solution's higher derivatives grow like
+    inverse powers of the distance to the edge, so the curvature is divided
+    by that distance before multiplying by h^2.
     """
     h = _INTERCHANGE_STEP
     P.param_domain.require(alpha - h, alpha + h)
@@ -341,9 +341,11 @@ def interchange_check(
     step = up - down
     rhs = deriv_under_integral(P, alpha, cfg)
     if len({(d.lower, d.upper) for d in map(P.domain_for, (down, alpha, up))}) == 1:
-        cfg = cfg or _DEFAULT_CFG
+        cfg, da = cfg or _DEFAULT_CFG, _d_alpha(P)
         mesh = replace(cfg, max_subdivisions=min(cfg.max_subdivisions, 2 + rhs.n_evals // 15))
-        lhs = integrate(lambda x: (f(x, up) - f(x, down)) / step, dom, mesh)
+        fine = replace(_scaled(cfg, 0.1), max_subdivisions=max(1, mesh.max_subdivisions * 2 // 3))
+        gap = integrate(lambda x: (f(x, up) - f(x, down)) / step - da(x, alpha), dom, fine)
+        lhs = _combined(((1.0, rhs), (1.0, gap)), 1.0)
 
         def curvature() -> QuadResult:
             return integrate(

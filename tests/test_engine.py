@@ -397,13 +397,31 @@ def _recording(P, seen):
     return dataclasses.replace(P, integrand=fr, d_alpha=dr if d else None)
 
 
+def _interchange_runs(monkeypatch, P, alpha):
+    """interchange_check(P, alpha), with the quadratures of rhs and of the
+    gap between f's central difference and d f/d alpha that it ran."""
+    runs = []
+
+    def captured(f, domain, cfg=None):
+        runs.append(integrate(f, domain, cfg))
+        return runs[-1]
+    monkeypatch.setattr(engine, "integrate", captured)
+    rep = interchange_check(P, alpha)
+    return rep, runs[0], runs[1]  # rhs runs first
+
+
+# parity points where lhs lies outside its estimate by the rounding of f at
+# the gap's nodes, which no estimate charges
+_UNCHARGED_ROUNDING = {("ex2", 4.931141904150612), ("make_cos", 1.999)}
+
+
 class TestInterchange:
     @pytest.mark.parametrize("entry, alpha", _interchange_points(),
                              ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_agrees_with_the_closed_forms(self, entry, alpha):
         # lhs against the closed form's difference quotient to within its
         # rounding floor, eps |I| / step (1.7e-6 at ex1's 2e11, where lhs
-        # reads 3.5e-6 off; 1.2e-12 at most elsewhere), and rhs against dI/d
+        # reads 4.6e-9 off; 1.2e-12 at most elsewhere), and rhs against dI/d
         # alpha, both by mpmath; every point passes
         P = make_cos() if entry == "make_cos" else catalog.get(entry).parametric
         rep = interchange_check(P, alpha)
@@ -440,16 +458,18 @@ class TestInterchange:
         assert rep.discrepancy > 1e-5 and ("f", 0.99) in seen
 
     def test_calls_over_the_interior_grid(self):
-        # each node of lhs's mesh calls f twice: 5,466 integrand calls while
-        # lhs differenced two direct quadratures, each on its own mesh, and
-        # 8,061 when every check also ran a third
+        # each node of the gap's mesh calls f twice and d f/d alpha once:
+        # 5,910 and 2,730 while lhs was one quadrature of f's central
+        # difference, 5,466 integrand calls while it differenced two direct
+        # quadratures, each on its own mesh, and 8,061 when every check also
+        # ran a third
         seen = []
         for e in catalog.entries():
             P = _recording(e.parametric, seen)
             for a in e.verification_grid:
                 if P.param_domain.is_interior(a):
                     interchange_check(P, a)
-        assert [sum(k == kind for k, _ in seen) for kind in "fd"] == [5910, 2730]
+        assert [sum(k == kind for k, _ in seen) for kind in "fd"] == [3394, 4202]
 
     def test_two_quadratures_below_the_gate_and_three_past_it(self, monkeypatch):
         domains = []
@@ -465,24 +485,50 @@ class TestInterchange:
             assert (rep.discrepancy > 1e-5) is (passes == 3) and rep.passed
             assert domains == [P.domain_for(alpha)] * passes
 
+    def test_lhs_at_its_rounding_floor_is_honest(self, monkeypatch):
+        # ex1 at 2e11: f(x, alpha +- h) agree to the last bit at most nodes, so
+        # one quadrature of f's central difference saw no noise and read 3.5e-6
+        # off, converged, with an estimate of 7.6e-11.  The gap to d f/d alpha
+        # is that noise at every node, and its kernel charges it: lhs reads
+        # 4.6e-9 off, within 5.1e-8, and the gap stops at max_depth
+        rep, rhs, gap = _interchange_runs(monkeypatch, catalog.get("ex1").parametric, 2e11)
+        assert rep.lhs == rhs.value + gap.value and gap.status is QuadStatus.MAX_DEPTH
+        truth = INTERCHANGE_POINT_TRUTHS["ex1", 2e11][0]
+        assert abs(rep.lhs - truth) <= rhs.abs_err_est + gap.abs_err_est
+
+    @pytest.mark.parametrize("entry, alpha", [
+        pytest.param(*point, marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="ROADMAP item 15: the node rounding of f's central difference, "
+                   "eps (|f(x, alpha + h)| + |f(x, alpha - h)|) / step, is not charged"))
+        if point in _UNCHARGED_ROUNDING else point
+        for point in _interchange_points()], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_lhs_within_its_estimate(self, monkeypatch, entry, alpha):
+        # lhs is rhs plus the gap, value and estimate alike; against the
+        # closed form's difference quotient its error lies within that sum
+        # (ex2 at 4.93...: 1.16e-12 against 5.7e-13; make_cos at 1.999:
+        # 1.04e-13 against 2.4e-14)
+        P = make_cos() if entry == "make_cos" else catalog.get(entry).parametric
+        rep, rhs, gap = _interchange_runs(monkeypatch, P, alpha)
+        assert rep.lhs == rhs.value + gap.value
+        truth = INTERCHANGE_POINT_TRUTHS[entry, alpha][0]
+        assert abs(rep.lhs - truth) <= rhs.abs_err_est + gap.abs_err_est
+
     @pytest.mark.xfail(
         raises=AssertionError, strict=True,
-        reason="ROADMAP item 15: f(x, alpha +- h) agree to the last bit at most "
-               "nodes, so lhs's central difference carries rounding of eps |f| / "
-               "step that its quadrature cannot see, and reads converged")
-    def test_lhs_at_its_rounding_floor_is_honest(self, monkeypatch):
-        # ex1 at 2e11: lhs reads 3.5e-6 off with an estimate of 7.6e-11, and
-        # the check passes only because that error is under the 1e-5 gate
-        runs = []
+        reason="ROADMAP item 21: the 1e-5 gate is absolute, so a family scaled "
+               "small enough passes with any rhs")
+    def test_gate_scales_with_the_family(self):
+        # gauss with d f/d alpha doubled, rhs 100% wrong: the check fails it
+        # as it stands, but times 2^-40 lhs reads -4.03e-13 and rhs -8.06e-13,
+        # both under the gate
+        G = catalog.get("gauss").parametric
 
-        def captured(f, domain, cfg=None):
-            runs.append(integrate(f, domain, cfg))
-            return runs[-1]
-        monkeypatch.setattr(engine, "integrate", captured)
-        rep = interchange_check(catalog.get("ex1").parametric, 2e11)
-        lhs = runs[1]  # rhs runs first
-        assert rep.lhs == lhs.value and lhs.status is QuadStatus.CONVERGED
-        assert abs(lhs.value - INTERCHANGE_POINT_TRUTHS["ex1", 2e11][0]) <= lhs.abs_err_est
+        def scaled(s):
+            return dataclasses.replace(G, integrand=lambda x, a: s * G.integrand(x, a),
+                                       d_alpha=lambda x, a: 2.0 * s * G.d_alpha(x, a))
+        assert interchange_check(scaled(1.0), 1.0).passed is False
+        assert interchange_check(scaled(2.0 ** -40), 1.0).passed is False
 
     def test_lhs_is_the_difference_quotient_to_the_tolerance(self):
         # the difference of two direct quadratures read 1.2e-9 off, their
@@ -496,9 +542,11 @@ class TestInterchange:
         # f ~ 0.7 alpha near x = alpha^-1/2 rounds to eps |f| at each node,
         # so over the step the central difference carries noise the
         # tolerance cannot reach: with no budget its quadrature ran 60,003
-        # evaluations to max_depth and the check failed.  Stopped at the
-        # panels rhs evaluated, its estimate still decides the gate; the
-        # difference of two direct quadratures read 5.9e-8 off at 1e9
+        # evaluations to max_depth and the check failed.  The gap to d f/d
+        # alpha stops at two thirds of the panels rhs evaluated, two calls
+        # of f and one of d f/d alpha a node (1,782 calls at 1e6, 2,498 at
+        # 1e9), and its estimate still decides the gate; the difference of
+        # two direct quadratures read 5.9e-8 off at 1e9
         seen = []
         rep = interchange_check(_recording(catalog.get("ex1").parametric, seen), alpha)
         assert rep.passed and len(seen) <= 2500
@@ -524,6 +572,18 @@ class TestInterchange:
         rep = interchange_check(P, 1.0, cfg)
         assert rep.discrepancy <= rep.tolerance_used
         assert not rep.passed
+
+    def test_the_gaps_estimate_counts_in_the_verdict(self, monkeypatch):
+        # gauss at 1 passes; the same gap with an estimate of 1e-4 is lhs's
+        # estimate too, and fails the check
+        runs = []
+
+        def gap_unbounded(f, domain, cfg=None):
+            runs.append(integrate(f, domain, cfg))
+            return dataclasses.replace(runs[-1], abs_err_est=1e-4) if len(runs) == 2 else runs[-1]
+        monkeypatch.setattr(engine, "integrate", gap_unbounded)
+        rep = interchange_check(catalog.get("gauss").parametric, 1.0)
+        assert rep.discrepancy <= 1e-5 and not rep.passed
 
     def test_curvature_allows_only_its_least_value(self, monkeypatch):
         # ex4 at 0.99 passes only by the allowance; the same curvature with
@@ -1824,8 +1884,9 @@ def print_census() -> None:
     estimate and its largest error against the closed form; then the total
     evaluations of each kind, and the routing fits' share of them.  Last,
     one line for interchange_check over the interior grid points: its
-    kernel passes, f and d f/d alpha calls, and its largest lhs error
-    against the closed forms' difference quotient (by mpmath)."""
+    kernel passes, f and d f/d alpha calls, its largest lhs error against
+    the closed forms' difference quotient (by mpmath), and the largest such
+    error over lhs's estimate, with the number of points it exceeds."""
     evals = []
     fitted = []  # the evaluations of each routing fit
     deriv, fit = engine.deriv_under_integral, engine._fit
@@ -1872,11 +1933,11 @@ def print_census() -> None:
     for kind, (total, fits) in totals.items():
         print(f"total {kind}: n_evals {total}, routing fits {fits} ({fits / total:.0%})")
 
-    seen, passes, lhs = [], [], {}
+    seen, passes, lhs, lhs_est = [], [], {}, {}
 
     def counted_pass(f, domain, cfg=None):
-        passes.append(domain)
-        return integrate(f, domain, cfg)
+        passes.append(integrate(f, domain, cfg))
+        return passes[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "integrate", counted_pass)
@@ -1884,13 +1945,17 @@ def print_census() -> None:
             P = _recording(entry.parametric, seen)
             for a in entry.verification_grid:
                 if P.param_domain.is_interior(a):
+                    first = len(passes)
                     lhs[entry.id, a] = interchange_check(P, a).lhs
+                    lhs_est[entry.id, a] = sum(r.abs_err_est for r in passes[first:first + 2])
     truths = interchange_truths(lhs)
     err, (entry_id, a) = max((abs(v - truths[k]), k) for k, v in lhs.items())
+    ratios = [abs(v - truths[k]) / lhs_est[k] for k, v in lhs.items()]
     calls = [sum(k == kind for k, _ in seen) for kind in "fd"]
     print(f"interchange_check at {len(lhs)} interior grid points: kernel passes "
           f"{len(passes)}, f calls {calls[0]}, d_alpha calls {calls[1]}, "
-          f"largest lhs error {err:.2e} ({entry_id} at {a!r})")
+          f"largest lhs error {err:.2e} ({entry_id} at {a!r}), "
+          f"largest error/estimate {max(ratios):.2g}, {sum(r > 1 for r in ratios)} outside")
 
 
 if __name__ == "__main__":
