@@ -649,11 +649,11 @@ def _chebyshev(
     path marks singular, where dI/ds = 2 sign s g(alpha) is smooth; its s
     is read back from the rounded alpha, so node rounding errs in s alone.
 
-    dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end,
-    where the interchange may fail), g at the node tolerance times
-    0.25/(hi - lo), n doubling from 8 until the top quarter of the b_k in
-    p(cos th) sin th = sum b_k sin k th is within the noise of the samples:
-    their largest estimate, or the rounding of the sum when that is larger.
+    dI/du is sampled at c + h cos(j pi/n), j = 1 .. n-1 (not at an end, where
+    the interchange may fail), g at the alpha-tolerance times 0.125/(hi - lo)
+    in the node tolerance's budget, n doubling from 8 until the top quarter
+    of the b_k in p(cos th) sin th = sum b_k sin k th is within the noise of
+    the samples: their largest estimate, or the sum's rounding if larger.
     I = v0 + h sum b_k d_k, d_k = (T_k(t) - T_k(t0))/k, with estimate
     sum |W_j| est_j over its sample weights, plus h sum 2 |b_k|/k over that
     quarter, plus h sum |d_k| times the rounding of each b_k; converged
@@ -674,7 +674,8 @@ def _chebyshev(
         return None
     got: dict[int, tuple[float, float]] = {}  # (dI/du, its estimate) by index into us
     try:
-        node_cfg = _scaled(g.cfg, 0.25 / (hi - lo))
+        sub = g.cfg.max_subdivisions
+        node_cfg = _scaled(replace(g.alpha_cfg, max_subdivisions=sub), 0.125 / (hi - lo))
         for n in _CHEB_LEVELS:
             step = top // n
             for j in range(step, top, step):
@@ -796,12 +797,12 @@ def reconstruct(
     so without d_alpha any target but the anchor raises ValueError unevaluated.
     _fit reads each path end regular, singular or a square-root end (when:
     see _interpolants).  The first route that serves the point is taken (L:
-    the path's length; tol: the node tolerance; u: alpha, or s for
-    alpha = end +- s*s):
+    the path's length; tol, atol: the node and alpha-tolerances; u: alpha,
+    or s for alpha = end +- s*s):
 
     route      taken                              samples; estimate
     grid-α     numeric rhs, hull ends regular     dI/du at Chebyshev nodes,
-    grid-s     numeric rhs, one hull end a root   at tol 0.25/L; their share,
+    grid-s     numeric rhs, one hull end a root   at atol/(8 L); their share,
                end, the other regular; or, once   the chop and the rounding
                grid-α declined, the nearer root   (see _chebyshev)
                end of the domain within L past

@@ -362,15 +362,15 @@ class _Counted:
 # ---------------------------------------------------------------------------
 
 _GK = (
-    # abscissa xi, gauss weight wg, kronrod weight wk
-    0.0, 0.417959183673469, 0.209482141084728,
-    0.991455371120813, 0.0, 0.022935322010529,
-    0.949107912342759, 0.129484966168870, 0.063092092629979,
-    0.864864423359769, 0.0, 0.104790010322250,
-    0.741531185599394, 0.279705391489277, 0.140653259715525,
-    0.586087235467691, 0.0, 0.169004726639267,
-    0.405845151377397, 0.381830050505119, 0.190350578064785,
-    0.207784955007898, 0.0, 0.204432940075298,
+    # abscissa xi (15 digits); gauss weight wg, kronrod weight wk: qk15's, each set sums to 2
+    0.0, 0.417959183673469387755102040816327, 0.209482141084727828012999174891714,
+    0.991455371120813, 0.0, 0.022935322010529224963732008058970,
+    0.949107912342759, 0.129484966168869693270611432679082, 0.063092092629978553290700663189204,
+    0.864864423359769, 0.0, 0.104790010322250183839876322541518,
+    0.741531185599394, 0.279705391489276667901467771423780, 0.140653259715525918745189590510238,
+    0.586087235467691, 0.0, 0.169004726639267902826583426598550,
+    0.405845151377397, 0.381830050505118944950369775488975, 0.190350578064785409913256402421014,
+    0.207784955007898, 0.0, 0.204432940075298892414161999234649,
 )
 
 
@@ -403,11 +403,12 @@ def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float, bool]:
 def _adaptive_gk(
     f: _Counted, a: float, b: float, cfg: QuadConfig
 ) -> tuple[float, float, QuadStatus]:
-    """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b], seeded
-    with its two halves; an interval too narrow to halve is one panel."""
+    """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b] from its two
+    halves (one panel if too narrow to halve), reporting at least 50 eps sum |value|."""
     mid = 0.5 * (a + b)
     if not a < mid < b:
         v, e, _ = _gk_panel(f, a, b)
+        e = max(e, 50.0 * _EPS * abs(v))
         return v, e, _status(cfg, v, e)
 
     (v1, e1, split1), (v2, e2, split2) = _gk_panel(f, a, mid), _gk_panel(f, mid, b)
@@ -439,7 +440,7 @@ def _adaptive_gk(
 
     panels = [(v, e) for (_, _, _, _, v, e, _) in heap] + frozen
     value = _fsum(v for v, _ in panels)
-    err = _fsum(e for _, e in panels)
+    err = max(_fsum(e for _, e in panels), _fsum(50.0 * _EPS * abs(v) for v, _ in panels))
     return value, err, _status(cfg, value, err, status)
 
 

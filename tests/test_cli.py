@@ -96,7 +96,7 @@ class TestEvalCommand:
 
     def test_tight_tolerance_flips_to_exit_1(self, capsys):
         code, out, _ = invoke(
-            capsys, "eval", "ex1", "--alpha", "1", "--tol-direct", "1e-15",
+            capsys, "eval", "ex2", "--alpha", "5", "--tol-direct", "1e-15",
             "--format", "json",
         )
         assert code == 1

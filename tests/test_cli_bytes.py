@@ -48,23 +48,23 @@ def _record(command: str) -> tuple[int, str]:
 
 
 FROZEN = {
-    'verify gauss --format json': (0, '7aa5bb7ed0528669b7f843fb0605b8caf8613a88bd234b461f9bf4f5b4c50226'),
-    'verify gauss --format csv': (0, '5bd62d9480d8d1e5f23a2bf7ad315d7445a10c6396de9bf740442b04a25f84d1'),
-    'verify ex1 --format json': (0, '6719ffc9e0d874f7d96285d6225e8ebaadf84f4e645ce3a6585defd04a2d2d57'),
-    'verify ex1 --format csv': (0, '2a8442816dec707a94a6089215c1501d104c520bd41ebf3c2567bca7cfffed68'),
-    'verify ex2 --format json': (0, 'aa1f39f8d6779ce51c81cc24e2a053a6b19ab7c3fe25f33920c22a9ea875c1bf'),
-    'verify ex2 --format csv': (0, '8fdbff8f95f6e014846c4d5a97a33483f25eb0e55f069169719a440aa83e4218'),
-    'verify ex3_beta --format json': (0, 'e968fdec4f182364c863198bfab57602fc6aa3e10cdefdd288557a18b9d2abeb'),
-    'verify ex3_beta --format csv': (0, 'cccf2b8fb570c64559e558a3b9534f3af33bb34dc6d80cbaeeba4dcbd5fb87c8'),
+    'verify gauss --format json': (0, 'b65236b1cf2306ef70e963a63d6ac711319ce3f7424eeda72591db038197ac9b'),
+    'verify gauss --format csv': (0, '6d392d1c2ff2a1239dbda4207641beaf40e9bd528cfd9a10e439fe6ca689afcd'),
+    'verify ex1 --format json': (0, 'f19dde382c4c0e2979453019b9a3a4a2e58a5fa6758baf92016e96330a9b3705'),
+    'verify ex1 --format csv': (0, '1aa6b0306de925d4a6e67d7560674400517730909b53b0f20c14d14fe5cfb468'),
+    'verify ex2 --format json': (0, 'a5457f40150091e6f1a456b7373ee7e4762e24d9bcc58a6d3ff168b155c08d79'),
+    'verify ex2 --format csv': (0, '32f11d94f3f320dcc6c77fb7a5b1ed2fa550e7d582eac089a4a483ce7244bd12'),
+    'verify ex3_beta --format json': (0, '32c9220b56bd09bcacd720fa9d98a3e2669837d096d5c621b7a6c2a8716e8434'),
+    'verify ex3_beta --format csv': (0, 'bda7f68874d32a2f436dd9637fef654aafc0de446e3b1be1f46dacd118c73023'),
     'verify ex3_alpha --format json': (0, 'bbab9d77b48d14608233461e6cdfa709afb1a831746d2b7095983b94a1f16fa6'),
     'verify ex3_alpha --format csv': (0, 'f4683f9b0bf74a682e4179aabae818bf4da3dc35eda6338f63eff1073b6888a3'),
-    'verify ex4 --format json': (0, 'b92367e0f9887748f881e023734e46d9e989dd8ef43afad4fc102a24a42dc000'),
-    'verify ex4 --format csv': (0, '459ff5baed20b51cd16ac27eef57c86ad2366b42dcd2633c5204a471313eea02'),
-    'verify all --format json': (0, '53965d9d54f523ca939edafd73e98a790de7b91e087813488d14471cdc3bb20e'),
+    'verify ex4 --format json': (0, '391d097bfddad794fedf280ce9934a2690fc9d510dc872ff137b944d45a8ed11'),
+    'verify ex4 --format csv': (0, 'fc9833f65d9a53b2fcdde8b5d5f4a1c7a6eb8eb388b103d929e18e5c010c4955'),
+    'verify all --format json': (0, '22b77e2d603ca935df870f758ad4c6c6a12243038f80f6d2f4cbaeaa5e52d3ae'),
     'list --format json': (0, '90ca1044611bce0f49a53c54a592571db30864f1932272fdcf5444fcc3f9cab9'),
     'list --format text': (0, '59fd54332f71614699f0f14e606cbd7e1e65592cba01099c44bb1171dbeef613'),
-    'eval ex2 --alpha 2 --format json': (0, '6bc578e5903c11a97cb5e4c0a927dec33e55dc6833c4e0af4e19577d1b96d57c'),
-    'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1079333949c81a593112a9fcced21c7da46e365e0e253b4d404be7b372e98df9'),
+    'eval ex2 --alpha 2 --format json': (0, '6a5db87bc69da309095ac6949dca5404075e92d9d7e9f1119743bfa25d4f62af'),
+    'sweep ex2 --from 1.5 --to 5 --steps 8 --format csv': (0, '1e8713099a283882e0ca23a6ea64cefe3984f6d067c2e84273790ca82dffe663'),
     'reconstruct ex4 --alpha 1 --format json': (0, '4ab9e598bf90ce78194881d1542df79cc55d05767b52c043c980f5cbec0b211d'),
     'reconstruct ex3_alpha --alpha 0.5 --format json': (0, '1e13889e729a42a41b4b1aab0e5536958097e8b6f13617255c449d304df7cf72'),
 }
