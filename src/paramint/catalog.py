@@ -167,12 +167,12 @@ def _sol_ex2(a: float) -> float:
 
 
 _EX2_SINGULAR_BAND = 1e-3  # lower endpoint treated as singular for a in [1, 1+band)
+_EX2_SINGULAR = DomainSpec.singular(0.0, math.pi, at_lower=True)
+_EX2_REGULAR = DomainSpec.finite(0.0, math.pi)
 
 
 def _dom_ex2(a: float) -> DomainSpec:
-    if a < 1.0 + _EX2_SINGULAR_BAND:
-        return DomainSpec.singular(0.0, math.pi, at_lower=True)
-    return DomainSpec.finite(0.0, math.pi)
+    return _EX2_SINGULAR if a < 1.0 + _EX2_SINGULAR_BAND else _EX2_REGULAR
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +299,12 @@ def _sol_ex4(a: float) -> float:
 
 
 _EX4_SINGULAR_BAND = 0.995  # lower endpoint treated as singular for a above this
+_EX4_SINGULAR = DomainSpec.singular(-_HALF_PI, _HALF_PI, at_lower=True)
+_EX4_REGULAR = DomainSpec.finite(-_HALF_PI, _HALF_PI)
 
 
 def _dom_ex4(a: float) -> DomainSpec:
-    if a > _EX4_SINGULAR_BAND:
-        return DomainSpec.singular(-_HALF_PI, _HALF_PI, at_lower=True)
-    return DomainSpec.finite(-_HALF_PI, _HALF_PI)
+    return _EX4_SINGULAR if a > _EX4_SINGULAR_BAND else _EX4_REGULAR
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,17 @@ Every kernel returns a :class:`QuadResult` carrying the value, an
 absolute error estimate, the evaluation count, and a status.  All
 kernels are pure functions of their arguments: integrands must be
 stateless, and identical inputs produce bit-identical results.  The one
-state the module keeps is node tables, built lazily the first time they
-are reached and never written again: the tanh-sinh tables, one per level,
-shared by the whole process (about 0.53 MB once level 12 exists), each
-ending at the first row that every sweep cuts; and the oscillatory
-levels mapped through a tail, kept for the last 32 (tail, first zero,
-level) keys.  A table holds exactly what each node would compute for
-itself, so results do not depend on which tables are already built.
+state the module keeps is node plans, which depend on the interval and
+never on the integrand, built the first time a key is reached, read-only
+after, and kept in bounded least-recently-used caches: a Gauss-Kronrod
+panel's abscissae for the last 256 panels (``_gk_nodes``, at most about
+0.16 MB); a half-line head panel's x and Jacobian for the last 64
+(``_head_nodes``, 0.08 MB); one side of a tanh-sinh level's arguments,
+weights and cut for the last 64 (``_ts_side``: a level-12 side holds
+11,105 rows, so at most about 12 MB); and the oscillatory levels mapped
+through a tail for the last 32 (``_de_nodes``).  A plan holds exactly
+what each node would compute for itself, by the same operations, so
+results do not depend on which plans are already built.
 """
 
 from __future__ import annotations
@@ -344,16 +348,21 @@ class _Counted:
             pass
         return sweep(self, arg)
 
-    def many(self, xs: Sequence[float]) -> list[float]:
-        """The map at every node of ``xs`` (a Gauss-Kronrod panel) as one checked batch."""
+    def many(self, xs: Sequence[float], values: Optional[Callable] = None) -> list[float]:
+        """The map at every node of ``xs`` (a panel, an Ooura-Mori level) as one
+        checked batch; ``values()``, if given, computes them unchecked from a plan."""
         try:
-            vs = list(map(self.raw, xs))
+            vs = values() if values else list(map(self.raw, xs))
             if math.isfinite(sum(vs)):
                 self.fc.n += len(vs)
                 return vs
         except Exception:
             pass
         return [self(x) for x in xs]
+
+    def panel(self, a: float, b: float) -> list[float]:
+        """The map at the nodes of the Gauss-Kronrod panel [a, b] as one checked batch."""
+        return self.many(_gk_nodes(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +383,32 @@ _GK = (
 )
 
 
+@functools.lru_cache(maxsize=256)
+def _gk_nodes(a: float, b: float) -> tuple[float, ...]:
+    """The 15 abscissae of the panel [a, b]: the centre c, then each pair
+    (c - h xi, c + h xi), h = (b - a)/2; kept for the last 256 panels."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return (c, *(x for xi in _GK[3::3] for x in (c - h * xi, c + h * xi)))
+
+
 def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float, bool]:
     """Kronrod value, |kronrod - gauss| estimate and whether [a, b] may split
     (15 evals, one batch).  Abscissae lie 0.042 h apart or more, so they merge
     only if h < 64 ulps of max(|a|, |b|); merged ones may hide a jump, so the
     panel adds (b - a) times its samples' spread, and splits only if that is 0.
-    Both sums add the centre's term, then each pair (c - h xi, c + h xi)'s."""
-    (_, g0, k0, x1, _, k1, x2, g2, k2, x3, _, k3,
-     x4, g4, k4, x5, _, k5, x6, g6, k6, x7, _, k7) = _GK
-    c = 0.5 * (a + b)
+    Both sums add the centre's term, then each pair's."""
+    (_, g0, k0, _, _, k1, _, g2, k2, _, _, k3,
+     _, g4, k4, _, _, k5, _, g6, k6, _, _, k7) = _GK
     h = 0.5 * (b - a)
-    d1, d2, d3, d4, d5, d6, d7 = h * x1, h * x2, h * x3, h * x4, h * x5, h * x6, h * x7
-    xs = [c, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3, c - d4, c + d4,
-          c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
-    vs = f.many(xs)
+    vs = f.panel(a, b)
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = vs
     kron = (k0 * v0 + k1 * (v1 + v2) + k2 * (v3 + v4) + k3 * (v5 + v6) + k4 * (v7 + v8)
             + k5 * (v9 + v10) + k6 * (v11 + v12) + k7 * (v13 + v14))
     gauss = g0 * v0 + g2 * (v3 + v4) + g4 * (v7 + v8) + g6 * (v11 + v12)
     err = abs(h * (kron - gauss))
     scale = b if b > -a else -a  # max(|a|, |b|), as a < b
-    if h > 1.5e-14 * scale + 64 * 5e-324 or len(set(xs)) == len(xs):
+    if h > 1.5e-14 * scale + 64 * 5e-324 or len(set(_gk_nodes(a, b))) == 15:
         return h * kron, err, True
     charge = (b - a) * (max(vs) - min(vs))
     return h * kron, err + charge, charge == 0.0
@@ -465,33 +479,43 @@ _PI_HALF = math.pi / 2.0
 _TS_FLOOR = 2.0 ** -512  # a node at most this many half-widths from its end is cut
 
 
-@functools.cache
-def _ts_level(m: int) -> tuple[array, array, array]:
-    """Node table of tanh-sinh level m: columns r, cosh t and cosh u.
+@functools.lru_cache(maxsize=64)
+def _ts_side(m: int, a: float, b: float, upper: int, offset: bool) -> tuple[array, array, float]:
+    """One side of tanh-sinh level m on [a, b]: each node's argument and
+    weight, and the distance charged where the side is cut.
 
-    Row i is the node t = k * 2**-m with k = i + 1 at level 0 and the odd
-    k = 2i + 1 at later levels, and u = pi/2 * sinh t.  On an interval of
-    half-width ``half`` the nodes at +-t lie ``half * r`` inside the
-    endpoints, r = 2 e**(-2u) / (1 + e**(-2u)), and weigh
-    ``half * pi/2 * cosh t / cosh(u)**2``.  The values depend on t alone
-    and are odd or even in t, so one table serves both sides.  The last
-    row is the first with r < _TS_FLOOR (u near 178), which every sweep
-    cuts.  Each row's weight per half-width is at least its r, so every
-    node the floor lets through weighs more than 0.  Built on first use
-    and kept, read-only, for the process (see the module docstring).
+    Node i sits at t = k * 2**-m (k = i + 1 at level 0, the odd k = 2i + 1
+    later), u = pi/2 * sinh t, delta = half * r inside the side's end, r =
+    2 e**(-2u) / (1 + e**(-2u)), at the offset d = +-delta (+ from a), and
+    weighs ``half * pi/2 * cosh t / cosh(u)**2``, which is at least delta.
+    Its argument is d for an ``offset`` form, else x = end + d.  The side is
+    cut at its first node with delta at or below the floor ``half *
+    _TS_FLOOR`` (r < _TS_FLOOR by u near 178), so every node swept weighs
+    more than 0, or, without ``offset``, whose x rounds onto the end; the
+    cut charges max(floor, delta).  An end at zero never rounds onto itself:
+    without the floor the nodes would descend until squared distances in
+    the integrand underflow (log(s*s) at s ~ 1e-160).  At 2**-512 * half the
+    charged mass is far below any tolerance, except at an infinite end whose
+    tail decays barely faster than 1/x.  Kept for the last 64 keys.
     """
+    half = 0.5 * (b - a)
+    w_scale = half * _PI_HALF
+    floor = half * _TS_FLOOR
+    end, sign = (b, -1.0) if upper else (a, 1.0)
     h = 2.0 ** (-m)
-    r, cosh_t, cosh_u = array("d"), array("d"), array("d")
+    args, ws = array("d"), array("d")
     k = 1
     while True:
         t = k * h
         u = _PI_HALF * math.sinh(t)
         e2 = math.exp(-2.0 * u)
-        r.append(2.0 * e2 / (1.0 + e2))
-        cosh_t.append(math.cosh(t))
-        cosh_u.append(math.cosh(u))
-        if r[-1] < _TS_FLOOR:
-            return r, cosh_t, cosh_u
+        delta = half * (2.0 * e2 / (1.0 + e2))
+        x = end + sign * delta
+        if delta <= floor or x == end and not offset:
+            return args, ws, max(floor, delta)
+        cosh_u = math.cosh(u)
+        args.append(sign * delta if offset else x)
+        ws.append(w_scale * math.cosh(t) / (cosh_u * cosh_u))
         k += 1 if m == 0 else 2
 
 
@@ -550,13 +574,14 @@ def _tanh_sinh(
 ) -> tuple[float, float, QuadStatus]:
     """Value, error estimate and status of tanh-sinh on [a, b].
 
-    Each side of each level is one checked sweep (``f.run``) over the
-    level's node table.  Every node is computed as its signed offset d from
-    its end, and cut at or below the floor ``half * _TS_FLOOR``, as every
-    table's last row is.  A wrapper that carries ``near`` (see
-    :func:`integrate_singular`) is called with that exact offset; any other
-    is called at x = end + d, and only its nodes are also cut where x
-    rounds onto the end.  A side of kind ``INFINITE`` is the image of
+    Each side of each level is one checked sweep (``f.run``) over that
+    side's plan (``_ts_side``), which holds every node's argument and weight
+    up to the side's cut, so the sweep only evaluates, weighs and stops on
+    small terms.  Every node lies at a signed offset d from its end and is
+    cut at or below the floor ``half * _TS_FLOOR``.  A wrapper that carries
+    ``near`` (see :func:`integrate_singular`) is called with that exact
+    offset; any other is called at x = end + d, and only its nodes are also
+    cut where x rounds onto the end.  A side of kind ``INFINITE`` is the image of
     x = inf under a compactification: it is fitted where a sweep is first
     cut there, on a ladder that ends at the cut, and a fit that reads
     divergence or fails to evaluate charges an infinite allowance and ends
@@ -568,53 +593,31 @@ def _tanh_sinh(
     width = b - a
     w_scale = half * _PI_HALF
 
-    # Per side (0 = lower, 1 = upper): the endpoint, the other end, the
-    # side's kind and the sign of an offset into the interval; the fit
-    # (p, C) of an integrable singularity, which also rejects divergence,
-    # with C = 0 charging nothing on any other side; and the largest
-    # distance from the endpoint at which a node was cut.
-    sides = ((a, b, lower_kind, 1.0), (b, a, upper_kind, -1.0))
+    # Per side (0 = lower, 1 = upper): the endpoint, the other end and the
+    # side's kind; the fit (p, C) of an integrable singularity, which also
+    # rejects divergence, with C = 0 charging nothing on any other side; and
+    # the largest distance from the endpoint at which a node was cut.
+    sides = ((a, b, lower_kind), (b, a, upper_kind))
     fits = [
         _fit_endpoint(f, end, into, width)
         if kind is EndpointKind.INTEGRABLE_SINGULARITY else (0.0, 0.0)
-        for end, into, kind, _ in sides
+        for end, into, kind in sides
     ]
     cut_delta = [0.0, 0.0]
-    # Endpoints at zero never round onto the endpoint, so without a floor
-    # the node ladder descends until squared-distance terms inside the
-    # integrand underflow to 0.0 (e.g. log(s*s) at s ~ 1e-160).  Nodes
-    # at or below the floor are dropped and charged to the truncation allowance;
-    # at 2^-512 * half the charged mass is far below any tolerance, except
-    # at an infinite end whose tail decays barely faster than 1/x.
-    delta_floor = half * _TS_FLOOR
-
     offset = f.near is not None
     swept = _Counted(f.near, f.fc, f.mirror) if offset else f
 
     def sweep(fn: Callable[..., float], upper: int) -> tuple[list[float], float]:
-        """The w*f terms of one side of the current level (its ``table``,
-        ``h`` and ``tiny``), outward from the middle, and the distance
-        charged for a cut node (0.0 when none was cut).  Each node lies at
-        the signed offset d = +-half*r from the side's end, x = end + d; it
-        is cut at or below the floor, or where x rounds onto the end unless the
-        sweep runs through the offset form fn(end, d)."""
-        end, _, kind, sign = sides[upper]
+        """The w*f terms of one side of level m, outward from the middle,
+        over its plan (``_ts_side``), and the distance charged for a cut
+        node (0.0 when none was cut, or the terms stopped small first)."""
+        end, _, kind = sides[upper]
+        args, ws, cut = _ts_side(m, a, b, upper, offset)
         terms = []
         small_run = 0
         last = math.inf
-        for r, cosh_t, cosh_u in zip(*table):
-            delta = half * r
-            d = sign * delta
-            x = end + d
-            if delta <= delta_floor or x == end and not offset:
-                if small_run and kind is EndpointKind.INFINITE:
-                    # A small-term stop: the terms had already vanished, and
-                    # a fit at the cut would sample x near 1e155, where many
-                    # integrands overflow.
-                    break
-                return terms, max(delta_floor, delta)
-            w = w_scale * cosh_t / (cosh_u * cosh_u)
-            c = w * (fn(end, d) if offset else fn(x))
+        for arg, w in zip(args, ws):
+            c = w * (fn(end, arg) if offset else fn(arg))
             terms.append(c)
             # A small term that is larger than the one before it is mid-sweep
             # (e.g. a slowly decaying tail still rising), not the end.
@@ -622,11 +625,16 @@ def _tanh_sinh(
             if size < tiny and size <= last:
                 small_run += 1
                 if small_run >= 3:
-                    break
+                    return terms, 0.0
             else:
                 small_run = 0
             last = size
-        return terms, 0.0
+        if small_run and kind is EndpointKind.INFINITE:
+            # A small-term stop at the cut: the terms had already vanished,
+            # and a fit at the cut would sample x near 1e155, where many
+            # integrands overflow.
+            return terms, 0.0
+        return terms, cut
 
     contributions: list[float] = []  # every accepted w*f term, any level
     if w_scale != 0.0:  # the weight of the middle node t = 0
@@ -640,9 +648,8 @@ def _tanh_sinh(
     for m in range(_TS_MAX_LEVEL + 1):
         h = 2.0 ** (-m)
         tiny = 1e-18 * top
-        table = _ts_level(m)
         for upper in (1, 0):
-            end, into, kind, _ = sides[upper]
+            end, into, kind = sides[upper]
             try:
                 terms, cut = swept.run(sweep, upper)
             except EvaluationError:  # refused as a divergent fit is, if only f/om**2 failed
@@ -732,22 +739,20 @@ class _Compactified(_Counted):
     x when f itself fails, at s when only the Jacobian-weighted value does,
     which also sets ``overflowed``.  A checked batch needs one finiteness
     test for both, because a non-finite f stays non-finite after the
-    division.
+    division.  The head (no ``complement``) is batched by Gauss-Kronrod
+    panels through their plans (``panel``), and has no ``raw``; the tail by
+    tanh-sinh sweeps through ``raw`` in om.
     """
 
     __slots__ = ("a", "complement", "overflowed")
 
     def __init__(self, fc: _Counted, a: float, complement: bool = False):
         f = fc.raw
-        if complement:
-            def raw(om: float) -> float:
-                return f(a + (1.0 - om) / om) / (om * om)
-        else:
-            def raw(s: float) -> float:
-                om = 1.0 - s
-                return f(a + s / om) / (om * om)
 
-        super().__init__(raw, fc)
+        def raw(om: float) -> float:
+            return f(a + (1.0 - om) / om) / (om * om)
+
+        super().__init__(raw if complement else None, fc)
         self.a = a
         self.complement = complement
         self.overflowed = False
@@ -760,6 +765,21 @@ class _Compactified(_Counted):
             self.overflowed = True
             raise EvaluationError(s, v)
         return v
+
+    def panel(self, a: float, b: float) -> list[float]:
+        """g at the nodes of the head panel [a, b] in s: one map of f over the
+        planned x, one of the division by the planned om**2 (``_head_nodes``)."""
+        ss, xs, om2 = _head_nodes(self.a, a, b)
+        f, div = self.fc.raw, operator.truediv
+        return self.many(ss, lambda: list(map(div, map(f, xs), om2)))
+
+
+@functools.lru_cache(maxsize=64)
+def _head_nodes(a: float, lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
+    """The nodes s of the panel [lo, hi] of a half-line head from a, and at
+    each x = a + s/om and om**2, om = 1 - s; kept for the last 64 keys."""
+    ss = _gk_nodes(lo, hi)
+    return ss, tuple(a + s / (1.0 - s) for s in ss), tuple((1.0 - s) * (1.0 - s) for s in ss)
 
 
 def _improper_semi(

@@ -1899,7 +1899,12 @@ def print_census() -> None:
     one line for interchange_check over the interior grid points: its
     kernel passes, f and d f/d alpha calls, its largest lhs error against
     the closed forms' difference quotient (by mpmath), and the largest such
-    error over lhs's estimate, with the number of points it exceeds."""
+    error over lhs's estimate, with the number of points it exceeds.  Then,
+    from caches cleared when the census starts, each node plan cache's
+    hits, misses and size over the whole census."""
+    plans = [getattr(quadrature, name) for name in ("_gk_nodes", "_head_nodes", "_ts_side")]
+    for plan in plans:
+        plan.cache_clear()
     evals = []
     fitted = []  # the evaluations of each routing fit
     deriv, fit = engine.deriv_under_integral, engine._fit
@@ -1977,6 +1982,10 @@ def print_census() -> None:
           f"{len(passes)}, f calls {calls[0]}, d_alpha calls {calls[1]}, "
           f"largest lhs error {err:.2e} ({entry_id} at {a!r}), "
           f"largest error/estimate {max(ratios):.2g}, {sum(r > 1 for r in ratios)} outside")
+    for plan in plans:
+        info = plan.cache_info()
+        print(f"plan cache {plan.__name__}: hits {info.hits}, misses {info.misses}, "
+              f"size {info.currsize} of {info.maxsize}")
 
 
 if __name__ == "__main__":

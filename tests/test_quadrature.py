@@ -1093,20 +1093,56 @@ class TestBatchPath:
 
 class TestNodeTables:
     @pytest.mark.parametrize("m", range(quadrature._TS_MAX_LEVEL + 1))
-    def test_each_table_is_its_formula_and_ends_at_its_first_row_below_the_floor(self, m):
-        # Row for row what each node would compute for itself.  Only the last
-        # row lies below the floor, so every sweep is cut there; and a row's
-        # weight per half-width, pi/2 cosh t / cosh(u)**2, is at least its r,
-        # so a node the floor lets through never weighs 0.
-        table = quadrature._ts_level(m)
-        for i, (r, cosh_t, cosh_u) in enumerate(zip(*table)):
+    def test_each_side_plan_is_its_formula_and_ends_at_its_cut(self, m):
+        # Row for row what each node would compute for itself, on both sides
+        # and in both node forms.  The plan ends at the side's first node that
+        # is cut: at or below the floor, or, for x itself, where x rounds onto
+        # the end (any end but 0).  A row's weight per half-width, pi/2 cosh t
+        # / cosh(u)**2, is at least its r, so a node the floor lets through
+        # never weighs 0.
+        def node(i):
             t = (i + 1 if m == 0 else 2 * i + 1) * 2.0 ** -m
             u = math.pi / 2.0 * math.sinh(t)
             e2 = math.exp(-2.0 * u)
-            assert (r, cosh_t, cosh_u) == (2.0 * e2 / (1.0 + e2), math.cosh(t), math.cosh(u))
-            assert math.pi / 2.0 * cosh_t / (cosh_u * cosh_u) >= r
-        below = [r < quadrature._TS_FLOOR for r in table[0]]
-        assert below == [False] * (len(below) - 1) + [True]
+            return t, u, 2.0 * e2 / (1.0 + e2)
+
+        for a, b in ((0.0, 1.0), (-3.0, 0.5)):
+            half = 0.5 * (b - a)
+            floor = half * quadrature._TS_FLOOR
+            for upper, offset in ((0, False), (1, False), (0, True), (1, True)):
+                args, ws, cut = quadrature._ts_side(m, a, b, upper, offset)
+                end, sign = (b, -1.0) if upper else (a, 1.0)
+                for i, (arg, w) in enumerate(zip(args, ws)):
+                    t, u, r = node(i)
+                    d = sign * (half * r)
+                    assert half * r > floor and (offset or end + d != end)
+                    assert arg == (d if offset else end + d)
+                    cosh_u = math.cosh(u)
+                    assert w == half * (math.pi / 2.0) * math.cosh(t) / (cosh_u * cosh_u)
+                    assert math.pi / 2.0 * math.cosh(t) / (cosh_u * cosh_u) >= r
+                delta = half * node(len(args))[2]
+                rounds = not offset and end + sign * delta == end
+                assert delta <= floor or rounds
+                assert cut == max(floor, delta)
+                assert rounds == (not offset and end != 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b", [(-2.5, -0.0), (1e300, 1.5e300), (0.0, 8.0 / 9.0), (0.125, 0.5)]
+    )
+    def test_each_panel_plan_is_its_formula(self, a, b):
+        # the centre, then each pair c -+ h xi; a half-line head from a0 (on
+        # panels in [0, 1)) adds x = a0 + s/(1 - s) and (1 - s)**2 at each node s
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        xs = quadrature._gk_nodes(a, b)
+        want = [c]
+        for xi in quadrature._GK[3::3]:
+            want += [c - h * xi, c + h * xi]
+        assert xs == tuple(want)
+        for a0 in (0.0, -0.0, 3.5) if 0.0 <= a < b < 1.0 else ():
+            ss, x, om2 = quadrature._head_nodes(a0, a, b)
+            assert ss == xs
+            assert x == tuple(a0 + s / (1.0 - s) for s in xs)
+            assert om2 == tuple((1.0 - s) * (1.0 - s) for s in xs)
 
     @pytest.mark.parametrize("m", range(quadrature._DE_MAX_LEVEL + 1))
     def test_each_oscillatory_level_is_its_formula_and_ends_at_its_cuts(self, m):
@@ -1166,31 +1202,87 @@ class TestNodeTables:
         assert info.maxsize == 32 and info.currsize <= 32
 
     def test_cold_tables_give_the_bits_of_warm_ones(self):
-        # A fresh interpreter builds no table at import; its first call
-        # builds levels 0-12 and must give the bits of a repeat, and of
-        # this process, whose tables other tests have already built.
+        # A fresh interpreter builds no plan or table at import.  There, and
+        # in this process, whose caches other tests have filled, one call per
+        # kernel class gives the same bits whichever plans are already built:
+        # each call with every cache cleared first, all calls from cleared
+        # caches in order and in reverse, and all again with warm ones.
         code = (
-            "from paramint import DomainSpec, QuadConfig, integrate, quadrature\n"
-            "built = quadrature._ts_level.cache_info().currsize\n"
-            "recs = [integrate(lambda x: (1.0 - x) ** (-1.0 / 3.0),\n"
-            "                  DomainSpec.singular(0.0, 1.0, at_upper=True),\n"
-            "                  QuadConfig(1e-13, 1e-13)) for _ in range(2)]\n"
-            "print(built, quadrature._ts_level.cache_info().currsize)\n"
-            "for r in recs:\n"
-            "    print(r.value.hex(), r.abs_err_est.hex(), r.n_evals)\n"
+            "import sys\n"
+            "from paramint import quadrature\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_quadrature as t\n"
+            "print(*t._plans_built())\n"
+            "for bits in t._cold_and_warm_bits():\n"
+            "    print(*bits, sep=';')\n"
         )
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(paramint.__file__))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-            timeout=120, check=True,
+            [sys.executable, "-c", code, os.path.dirname(__file__)], capture_output=True,
+            text=True, env=env, timeout=120, check=True,
         )
-        tables, cold, warm = proc.stdout.splitlines()
-        assert tables == "0 13"
-        here = integrate(
-            lambda x: (1.0 - x) ** (-1.0 / 3.0),
-            DomainSpec.singular(0.0, 1.0, at_upper=True),
-            QuadConfig(1e-13, 1e-13),
-        )
-        assert cold == warm == f"{here.value.hex()} {here.abs_err_est.hex()} {here.n_evals}"
+        built, *fresh = proc.stdout.splitlines()
+        assert built == " ".join(["0"] * len(_PLAN_CACHES))
+        here = [";".join(bits) for bits in _cold_and_warm_bits()]
+        assert len(set(here)) == 1 and fresh == here
+
+    def test_each_cache_is_bounded(self):
+        sizes = {name: getattr(quadrature, name).cache_info().maxsize for name in _PLAN_CACHES}
+        assert sizes == {"_gk_nodes": 256, "_head_nodes": 64, "_ts_side": 64, "_de_nodes": 32}
+
+
+# Every node plan and table the kernels keep, by the name of its cache.
+_PLAN_CACHES = ("_gk_nodes", "_head_nodes", "_ts_side", "_de_nodes")
+
+
+def _exp_over_root_minus_x(x: float) -> float:
+    return math.exp(x) / math.sqrt(-x)
+
+
+_exp_over_root_minus_x.near = lambda end, d: math.exp(end + d) / math.sqrt(-end - d)
+
+# One call per kernel class.  The mirrored half-lines' plans are keyed at
+# -0.0 where those of [0, inf) are keyed at 0.0, and a cache takes the two
+# keys as one, so either may build the plan the other reads.
+_KERNEL_CLASS_CALLS = (
+    (lambda x: math.exp(x) * math.cos(5.0 * x), DomainSpec.finite(0.0, 1.0)),
+    (lambda x: (1.0 - x) ** (-1.0 / 3.0), DomainSpec.singular(0.0, 1.0, at_upper=True)),
+    (_inv_sqrt_to_one, DomainSpec.singular(0.0, 1.0, at_upper=True)),
+    (lambda x: math.exp(-x) / (1.0 + x * x), HALF_LINE),
+    (lambda x: math.exp(-x) / math.sqrt(x), DomainSpec.semi_infinite(0.0, singular_lower=True)),
+    (lambda x: 1.0 / (1.0 + x * x), LOWER_HALF_LINE),
+    (_exp_over_root_minus_x, DomainSpec(-math.inf, 0.0, EndpointKind.INFINITE,
+                                        EndpointKind.INTEGRABLE_SINGULARITY)),
+    (lambda x: math.exp(-x * x), FULL_LINE),
+    (lambda x: math.sin(x) / (1.0 + x * x), DomainSpec.oscillatory(0.5, _pi_zeros, _pi_rate)),
+)
+
+
+def _plans_built() -> list[int]:
+    return [getattr(quadrature, name).cache_info().currsize for name in _PLAN_CACHES]
+
+
+def _cold_and_warm_bits() -> list[list[str]]:
+    """Value, estimate, count and status of each of ``_KERNEL_CLASS_CALLS``,
+    run each from cleared caches, all from cleared caches in order and in
+    reverse, and all again with warm caches."""
+    def clear():
+        for name in _PLAN_CACHES:
+            getattr(quadrature, name).cache_clear()
+
+    def bits(f, domain):
+        r = integrate(f, domain, QuadConfig(1e-13, 1e-13))
+        return f"{r.value.hex()} {r.abs_err_est.hex()} {r.n_evals} {r.status.value}"
+
+    cold = []
+    for f, domain in _KERNEL_CLASS_CALLS:
+        clear()
+        cold.append(bits(f, domain))
+    clear()
+    forward = [bits(f, domain) for f, domain in _KERNEL_CLASS_CALLS]
+    clear()
+    reverse = [bits(f, domain) for f, domain in reversed(_KERNEL_CLASS_CALLS)][::-1]
+    warm = [bits(f, domain) for f, domain in _KERNEL_CLASS_CALLS]
+    return [cold, forward, reverse, warm]
