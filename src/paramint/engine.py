@@ -392,8 +392,9 @@ def domination_scan(
     """Build an empirical envelope max_alpha |d f/d alpha| and size it up.
 
     Each alpha's d f/d alpha is sampled through the kernels' checked call at
-    the declared x.  A sample that fails or is not finite, or an envelope
-    that grows non-integrably at a finite end, raises DegenerateWindowError.
+    the declared x.  A sample that fails or is not finite, or an envelope that
+    grows non-integrably at any finite end (fitted whatever its declared kind,
+    as the window alone can make it blow up there), raises DegenerateWindowError.
     Finite domains: midpoint-rule estimate of the envelope integral,
     verdict `dominated`.  Infinite domains: finite part plus
     the kernels' endpoint fit of each tail in t = 1/x, where the envelope
@@ -420,8 +421,8 @@ def domination_scan(
     hi_inf = dom.upper_kind is EndpointKind.INFINITE
     # the finite part runs from `start` to `far` in the direction sgn: on a
     # half-line from its finite end, on (-inf, inf) from -16 up
-    sgn, start, kind = ((-1.0, dom.upper, dom.upper_kind) if lo_inf and not hi_inf
-                        else (1.0, -0.5 * _SCAN_SPAN if lo_inf else dom.lower, dom.lower_kind))
+    sgn, start = ((-1.0, dom.upper) if lo_inf and not hi_inf
+                  else (1.0, -0.5 * _SCAN_SPAN if lo_inf else dom.lower))
     width, far = ((_SCAN_SPAN, start + sgn * _SCAN_SPAN) if lo_inf or hi_inf
                   else (dom.upper - start, dom.upper))
     step = width / _SCAN_N_POINTS
@@ -449,12 +450,9 @@ def domination_scan(
         columns = [r.many(xs) for r in rules]
         samples = [(x, max(map(abs, vs))) for x, *vs in zip(xs, *columns)]
         finite_part = step * math.fsum(m for _, m in samples)
-        if not (lo_inf or hi_inf) or kind is EndpointKind.INTEGRABLE_SINGULARITY:
-            _fit_endpoint(envelope, start, far, width)
-        if not (lo_inf or hi_inf):
-            _fit_endpoint(envelope, far, start, width)
-        sides = (1.0, -1.0) if lo_inf and hi_inf else (sgn,) if lo_inf or hi_inf else ()
-        tails = [tail(side) for side in sides]
+        for end, into in ((start, far), (far, start))[:2 - lo_inf - hi_inf]:  # the finite ends
+            _fit_endpoint(envelope, end, into, width)
+        tails = [tail(side) for side in (sgn, -sgn)[:lo_inf + hi_inf]]  # the infinite ends
     except EvaluationError as exc:
         why = exc.__cause__ or f"non-finite value {exc.value!r}"
         raise DegenerateWindowError(
@@ -519,17 +517,16 @@ class _NestedRhs:
     inner quadratures: ``n_evals`` of all (one that raises reports none),
     and the worst ``status`` of its calls, the nodes of an alpha-quadrature.
     Its node tolerance ``cfg`` and its alpha-quadrature's ``alpha_cfg`` are
-    the caller's, floored at _DERIV_TOL_FLOOR and at _ALPHA_TOL_FLOOR;
-    ``alpha_cfg`` allows at most _ALPHA_MAX_SUBDIV panels.  A routing fit
-    samples it at ``fit_cfg``: ``cfg`` with rel_tol floored at _FIT_REL_TOL."""
+    the caller's tolerances, floored at _DERIV_TOL_FLOOR and _ALPHA_TOL_FLOOR
+    (the fallback caps its panels at _ALPHA_MAX_SUBDIV).  A routing fit
+    samples it through ``sample`` at ``fit_cfg``: ``cfg``, rel_tol >= _FIT_REL_TOL."""
 
     def __init__(self, P: ParametricIntegral, cfg: QuadConfig):
         _d_alpha(P)  # refuse a family without d f/d alpha before any fit samples it
         self.P = P
         self.cfg = _scaled(cfg, 1.0, _DERIV_TOL_FLOOR)
         self.fit_cfg = replace(self.cfg, rel_tol=max(self.cfg.rel_tol, _FIT_REL_TOL))
-        sub = min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV)
-        self.alpha_cfg = replace(_scaled(cfg, 1.0, _ALPHA_TOL_FLOOR), max_subdivisions=sub)
+        self.alpha_cfg = _scaled(cfg, 1.0, _ALPHA_TOL_FLOOR)
         self.n_evals = 0
         self.status = QuadStatus.CONVERGED
 
@@ -543,10 +540,6 @@ class _NestedRhs:
         res = self.sample(a)
         self.status = max(self.status, res.status, key=_STATUS_RANK.get)
         return res.value
-
-    def fit(self, a: float) -> tuple[float, QuadStatus]:
-        res = self.sample(a, self.fit_cfg)
-        return res.value, res.status
 
 
 class _Fit(NamedTuple):
@@ -563,21 +556,20 @@ def _fit(rhs: Union[_NestedRhs, Callable], end: float, lo: float, hi: float) -> 
     the fit only routes) at ``end`` of the path [lo, hi], into the path;
     singular at p <= _ROUTE_EXPONENT, a failing sample or a refused fit."""
     nested = isinstance(rhs, _NestedRhs)
-    samples, failed = [], []  # (d, rhs at end +- d), and statuses other than converged
+    samples, statuses = [], [QuadStatus.CONVERGED]  # (d, rhs at end +- d), and their statuses
 
     def sampled(x: float) -> float:
-        v, status = rhs.fit(x) if nested else (rhs(x), QuadStatus.CONVERGED)
-        samples.append((abs(x - end), v))
-        if status is not QuadStatus.CONVERGED:
-            failed.append(status)
-        return v
+        res = rhs.sample(x, rhs.fit_cfg) if nested else None
+        samples.append((abs(x - end), res.value if res else rhs(x)))
+        statuses.append(res.status if res else QuadStatus.CONVERGED)
+        return samples[-1][1]
 
     probe = _Counted(sampled)
     try:
         p, _ = _fit_endpoint(probe, end, hi if end == lo else lo, hi - lo, rungs=3)
     except QuadratureError:
         p = math.nan
-    status = max(failed, key=_STATUS_RANK.get) if failed else QuadStatus.CONVERGED
+    status = max(statuses, key=_STATUS_RANK.get)
     if p > _ROUTE_EXPONENT:
         return _Fit(status=status, calls=probe.n)
     root = nested and _root_end((p, samples), rhs.fit_cfg)  # a closed rhs is not interpolated
@@ -674,8 +666,7 @@ def _chebyshev(
         return None
     got: dict[int, tuple[float, float]] = {}  # (dI/du, its estimate) by index into us
     try:
-        sub = g.cfg.max_subdivisions
-        node_cfg = _scaled(replace(g.alpha_cfg, max_subdivisions=sub), 0.125 / (hi - lo))
+        node_cfg = _scaled(g.alpha_cfg, 0.125 / (hi - lo))
         for n in _CHEB_LEVELS:
             step = top // n
             for j in range(step, top, step):
@@ -762,7 +753,8 @@ def _reconstruct_each(
         if got := _chebyshev(g, route, off):
             out.update((a, (res, route)) for a, res in got.items())
             break
-    g_cfg = cfg if closed else g.alpha_cfg
+    sub = min(cfg.max_subdivisions, _ALPHA_MAX_SUBDIV)  # the fallback's alpha-panels
+    g_cfg = cfg if closed else replace(g.alpha_cfg, max_subdivisions=sub)
     for a in off:
         if a in out:
             continue

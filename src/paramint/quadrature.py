@@ -586,7 +586,9 @@ def _tanh_sinh(
     cut there, on a ladder that ends at the cut, and a fit that reads
     divergence or fails to evaluate charges an infinite allowance and ends
     the refinement instead of raising; so does a sweep there whose
-    Jacobian-weighted value overflows where f itself is finite.
+    Jacobian-weighted value overflows where f itself is finite.  ``_status``
+    judges the result, with the cut as the cause of a miss when its allowance
+    alone passes the tolerance, or when the levels met it and the sum did not.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -683,8 +685,7 @@ def _tanh_sinh(
         if EndpointKind.INFINITE in (lower_kind, upper_kind):
             level_diff = max(level_diff, prev_diff)
 
-    # Mass potentially lost where abscissae round onto a singular endpoint
-    # or pass the floor.
+    # mass potentially lost where abscissae round onto a singular end or pass the floor
     allowance = math.inf if refused else 0.0
     for (p_eff, c_hat), dc in zip(fits, cut_delta):
         if dc > 0.0 and c_hat > 0.0:
@@ -693,13 +694,9 @@ def _tanh_sinh(
     est = level_diff if math.isfinite(level_diff) else abs(value)
     est = est + allowance + _EPS * abs(value)
     tol = _tol_for(cfg, value)
-    if est <= tol:
-        status = QuadStatus.CONVERGED
-    elif level_diff > tol and allowance <= tol:
-        status = QuadStatus.MAX_DEPTH
-    else:
-        status = QuadStatus.TAIL_TRUNCATED
-    return value, est, status
+    cut = (QuadStatus.TAIL_TRUNCATED if allowance > tol or level_diff <= tol < est
+           else QuadStatus.CONVERGED)
+    return value, est, _status(cfg, value, est, cut)
 
 
 def integrate_singular(

@@ -12,7 +12,7 @@ Regenerate the table only for a change that is meant to move printed
 numbers, and list the commands whose digests moved in CHANGES.md:
 ``PYTHONPATH=src python tests/test_cli_bytes.py`` prints it, and with
 ``--diff`` prints only the commands whose exit code or digest differs
-from it, old -> new.
+from it, old -> new, and exits 1 when any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,21 +79,24 @@ def test_command_bytes_are_frozen(command):
     assert _record(command) == FROZEN[command]
 
 
-def print_diff() -> None:
+def print_diff() -> int:
     """Print each command whose record differs from FROZEN, old -> new
-    (None for a command only one side has)."""
+    (None for a command only one side has); return how many differ."""
+    differ = 0
     for command in dict.fromkeys([*FROZEN, *COMMANDS]):
         old = FROZEN.get(command)
         new = _record(command) if command in COMMANDS else None
         if old != new:
+            differ += 1
             print(command)
             print(f"  old {old!r}")
             print(f"  new {new!r}")
+    return differ
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        print_diff()
+        sys.exit(1 if print_diff() else 0)
     else:
         print("FROZEN = {")
         for command in COMMANDS:

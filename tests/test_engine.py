@@ -795,6 +795,31 @@ class TestDomination:
         with pytest.raises(DegenerateWindowError):
             domination_scan(catalog.get("ex4").parametric, (0.0, 1.0))
 
+    @pytest.mark.parametrize("x_domain", ["finite", "right", "left"])
+    def test_every_finite_end_is_fitted(self, x_domain):
+        # d f/d a = -e**-|x| / (|x| + a)**2 on [0, 1], [0, inf) and (-inf, 0]:
+        # at a = 0 the envelope grows like x**-2 at the finite end x = 0,
+        # which is declared regular, and is refused on the half-lines as on
+        # [0, 1]; a window away from a = 0 keeps its estimate to the bit
+        domain = {"finite": DomainSpec.finite(0.0, 1.0),
+                  "right": DomainSpec.semi_infinite(0.0),
+                  "left": DomainSpec(-math.inf, 0.0, lower_kind=EndpointKind.INFINITE)}[x_domain]
+        P = ParametricIntegral(
+            integrand=lambda x, a: math.exp(-abs(x)) / (abs(x) + a),
+            param_domain=ParamDomain(0.0, math.inf, lo_open=True),
+            domain=domain,
+            d_alpha=lambda x, a: -math.exp(-abs(x)) / (abs(x) + a) ** 2,
+        )
+        with pytest.raises(DegenerateWindowError) as info:
+            domination_scan(P, (0.0, 1.0))
+        assert str(info.value) == (
+            "envelope grows non-integrably toward x=0.0 (local exponent -2.000); "
+            "the window touches a singular parameter value")
+        rep = domination_scan(P, (0.5, 1.0))
+        assert rep.verdict is DominationVerdict.DOMINATED
+        estimate = 0.9967284438180485 if x_domain == "finite" else 1.0644780248116363
+        assert rep.envelope_integral_estimate == estimate
+
     def test_mirrored_scan_messages_use_the_declared_frame(self):
         # (-inf, 2.5] is scanned from its singular end 2.5 down; the errors
         # name abscissae of the declared domain
