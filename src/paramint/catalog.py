@@ -470,7 +470,7 @@ def entry_metadata(entry: CatalogEntry) -> dict:
         "title": entry.title,
         # keys in ParamDomain's and Anchor's field order, a JSON contract
         "param_domain": dict(vars(P.param_domain)),
-        "anchor": None if P.anchor is None else dict(vars(P.anchor)),
+        "anchor": None if P.anchor is None else P.anchor._asdict(),
         "verification_grid": list(entry.verification_grid),
         "has_rhs_closed": P.rhs_closed is not None,
         "has_solution_closed": P.solution_closed is not None,

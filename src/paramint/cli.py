@@ -30,7 +30,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import __version__, catalog
@@ -160,9 +160,9 @@ def _entry_report(ns, entry_id: str) -> dict:
         # the row's keys are VerificationPoint's fields in order (a JSON
         # contract), "passed" printed as "pass" and the note left out
         rows.append({
-            "pass" if f.name == "passed" else f.name: getattr(p, f.name)
-            for f in fields(p)
-            if f.name != "note"
+            "pass" if f == "passed" else f: getattr(p, f)
+            for f in p._fields
+            if f != "note"
         })
     return {
         "tool_version": __version__,

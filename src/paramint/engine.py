@@ -145,8 +145,7 @@ class ParamDomain:
                 )
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
     """A parameter value where the integral is known exactly."""
 
     alpha0: float
@@ -207,8 +206,7 @@ class ParametricIntegral:
         return d(alpha) if callable(d) else d
 
 
-@dataclass(frozen=True)
-class InterchangeReport:
+class InterchangeReport(NamedTuple):
     """One derivative-integral interchange comparison, and the gate its verdict needed."""
 
     alpha: float
@@ -225,8 +223,7 @@ class DominationVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     """Numeric evidence for (or against) a dominating envelope.
 
     The envelope is empirical — a max over finitely many alpha samples —
@@ -239,8 +236,7 @@ class DominationReport:
     verdict: DominationVerdict
 
 
-@dataclass(frozen=True)
-class VerificationPoint:
+class VerificationPoint(NamedTuple):
     alpha: float
     direct: float
     direct_err_est: float
@@ -252,8 +248,7 @@ class VerificationPoint:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     points: tuple[VerificationPoint, ...]
     tol_direct: float
     tol_reconstruct: float

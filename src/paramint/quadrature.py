@@ -20,8 +20,8 @@ produce in practice:
   the oscillation's zeros double exponentially, after a Gauss-Kronrod
   head when the lower end is not itself a zero.
 
-Every kernel returns a :class:`QuadResult` carrying the value, an
-absolute error estimate, the evaluation count, and a status.  All
+Every kernel returns a :class:`QuadResult`, a named tuple of the value,
+an absolute error estimate, the evaluation count, and a status.  All
 kernels are pure functions of their arguments: integrands must be
 stateless, and identical inputs produce bit-identical results.  The one
 state the module keeps is node plans, which depend on the interval and
@@ -46,7 +46,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "EndpointKind",
@@ -250,8 +250,7 @@ class QuadConfig:
             raise ValueError("max_subdivisions must be a positive integer")
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     abs_err_est: float
     n_evals: int
@@ -414,16 +413,15 @@ def _gk_panel(f: _Counted, a: float, b: float) -> tuple[float, float, bool]:
     return h * kron, err + charge, charge == 0.0
 
 
-def _adaptive_gk(
-    f: _Counted, a: float, b: float, cfg: QuadConfig
-) -> tuple[float, float, QuadStatus]:
+def _adaptive_gk(f: _Counted, a: float, b: float, cfg: QuadConfig) -> QuadResult:
     """Worst-panel-first adaptive Gauss-Kronrod bisection on [a, b] from its two
-    halves (one panel if too narrow to halve), reporting at least 50 eps sum |value|."""
+    halves (one panel if too narrow to halve), reporting at least 50 eps sum
+    |value|, with ``f.fc``'s count so far as n_evals."""
     mid = 0.5 * (a + b)
     if not a < mid < b:
         v, e, _ = _gk_panel(f, a, b)
         e = max(e, 50.0 * _EPS * abs(v))
-        return v, e, _status(cfg, v, e)
+        return QuadResult(v, e, f.fc.n, _status(cfg, v, e))
 
     (v1, e1, split1), (v2, e2, split2) = _gk_panel(f, a, mid), _gk_panel(f, mid, b)
     # (-err, seq, a, b, value, err, may split)
@@ -455,7 +453,7 @@ def _adaptive_gk(
     panels = [(v, e) for (_, _, _, _, v, e, _) in heap] + frozen
     value = _fsum(v for v, _ in panels)
     err = max(_fsum(e for _, e in panels), _fsum(50.0 * _EPS * abs(v) for v, _ in panels))
-    return value, err, _status(cfg, value, err, status)
+    return QuadResult(value, err, f.fc.n, _status(cfg, value, err, status))
 
 
 def integrate_finite(
@@ -465,9 +463,7 @@ def integrate_finite(
     cfg = cfg or _DEFAULT_CFG
     if domain.lower_kind is not EndpointKind.REGULAR or domain.upper_kind is not EndpointKind.REGULAR:
         raise ValueError("integrate_finite requires regular endpoints on both sides")
-    fc = _Counted(f)
-    value, err, status = _adaptive_gk(fc, domain.lower, domain.upper, cfg)
-    return QuadResult(value, err, fc.n, status)
+    return _adaptive_gk(_Counted(f), domain.lower, domain.upper, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +567,8 @@ def _tanh_sinh(
     lower_kind: EndpointKind,
     upper_kind: EndpointKind,
     cfg: QuadConfig,
-) -> tuple[float, float, QuadStatus]:
-    """Value, error estimate and status of tanh-sinh on [a, b].
+) -> QuadResult:
+    """Tanh-sinh on [a, b], with ``f.fc``'s count so far as n_evals.
 
     Each side of each level is one checked sweep (``f.run``) over that
     side's plan (``_ts_side``), which holds every node's argument and weight
@@ -696,7 +692,7 @@ def _tanh_sinh(
     tol = _tol_for(cfg, value)
     cut = (QuadStatus.TAIL_TRUNCATED if allowance > tol or level_diff <= tol < est
            else QuadStatus.CONVERGED)
-    return value, est, _status(cfg, value, est, cut)
+    return QuadResult(value, est, f.fc.n, _status(cfg, value, est, cut))
 
 
 def integrate_singular(
@@ -716,10 +712,7 @@ def integrate_singular(
         if kind is EndpointKind.INFINITE:
             raise ValueError("integrate_singular requires finite endpoints")
     fc = _Counted(f, near=getattr(f, "near", None))
-    value, err, status = _tanh_sinh(
-        fc, domain.lower, domain.upper, domain.lower_kind, domain.upper_kind, cfg
-    )
-    return QuadResult(value, err, fc.n, status)
+    return _tanh_sinh(fc, domain.lower, domain.upper, domain.lower_kind, domain.upper_kind, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +794,7 @@ def _improper_semi(
     )
     value = head[0] + tail[0]
     est = head[1] + tail[1]
-    return QuadResult(value, est, fc.n, _status(cfg, value, est, head[2], tail[2]))
+    return QuadResult(value, est, fc.n, _status(cfg, value, est, head.status, tail.status))
 
 
 def integrate_improper(
@@ -974,7 +967,7 @@ def integrate_oscillatory_improper(
     # x is known to eps |x|, a phase pi eps |x| / rate; a term w v rounds twice
     rounding = math.pi * _EPS * sum(map(abs, map(operator.mul, spread, vs)))
     est = head[1] + diff + rounding
-    return QuadResult(value, est, fc.n, _status(cfg, value, est, head[2]))
+    return QuadResult(value, est, fc.n, _status(cfg, value, est, head[-1]))
 
 
 # ---------------------------------------------------------------------------
