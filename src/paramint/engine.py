@@ -609,22 +609,30 @@ def _interpolants(
 ) -> Iterator[Optional[_Route]]:
     """The interpolants of reconstruct's table for a numeric rhs on the hull
     [lo, hi], each decided once the one before declined; ``fits``, of the
-    hull ends on ends of the domain, gets the others after the first."""
-    yield (first := _interpolant(lo, hi, fits))
+    hull ends on ends of the domain, gets the others after the first, and
+    each end of the domain past the hull, fitted once on the hull extended
+    to it: before grid-α if within L/16 (L = hi - lo), since grid-α converges
+    slowly near a blow-up there, or within L once grid-α declined."""
+    past = sorted((gap, e) for gap, e in ((lo - dom.lo, dom.lo), (dom.hi - hi, dom.hi))
+                  if 0.0 < gap <= hi - lo)
+
+    def extended(end: float) -> Optional[_Route]:  # grid-s on the hull extended to end
+        ext = (min(lo, end), max(hi, end))
+        fits[end] = _fit(g, end, *ext)
+        return _interpolant(*ext, fits) if fits[end].root else None
+
+    first = _interpolant(lo, hi, fits)
+    if first == _Route("grid-α", DomainSpec(lo, hi)):
+        yield from (extended(e) for gap, e in past if gap <= (hi - lo) / 16)
+    yield first
     fits.update({e: _fit(g, e, lo, hi) for e in (lo, hi) if e not in fits})
-    past = [(gap, e) for gap, e in ((lo - dom.lo, dom.lo), (dom.hi - hi, dom.hi))
-            if 0.0 < gap <= hi - lo]
     again = _interpolant(lo, hi, fits)
-    # every hull end reads regular, with converged samples, yet grid-α declined:
-    # a square-root end of the domain just past the hull may be why
-    unexplained = again == _Route("grid-α", DomainSpec(lo, hi)) and past
     if again != first:  # a fit of an end inside the domain changed the interpolant
         yield again
-    elif unexplained:
-        end = min(past)[1]
-        ext = (min(lo, end), max(hi, end))
-        if (fit := _fit(g, end, *ext)).root:
-            yield _interpolant(*ext, {end: fit})
+    elif again == _Route("grid-α", DomainSpec(lo, hi)) and past and past[0][1] not in fits:
+        # every hull end reads regular, with converged samples, yet grid-α
+        # declined: a square-root end of the domain past the hull may be why
+        yield extended(past[0][1])
 
 
 def _chebyshev(
@@ -790,10 +798,10 @@ def reconstruct(
     route      taken                              samples; estimate
     grid-α     numeric rhs, hull ends regular     dI/du at Chebyshev nodes,
     grid-s     numeric rhs, one hull end a root   at atol/(8 L); their share,
-               end, the other regular; or, once   the chop and the rounding
-               grid-α declined, the nearer root   (see _chebyshev)
-               end of the domain within L past
-               the hull, on the hull extended to it
+               end, the other regular; or a root  the chop and the rounding
+               end of the domain past the hull,   (see _chebyshev)
+               on the hull extended to it: before
+               grid-α within L/16, else within L
     gk,        closed rhs, or numeric rhs that    the rhs on the path (numeric
     tanh-sinh  no interpolant serves; tanh-sinh   at tol); the kernel's, + 2 L
                at an end that reads singular      tol for a numeric rhs

@@ -1277,6 +1277,25 @@ class TestNestedReconstruction:
         assert res.status is QuadStatus.MAX_DEPTH
         assert abs(res.value - _cos_sol(50.0)) <= res.abs_err_est
 
+    def test_near_end_fitted_once(self, monkeypatch):
+        # the domain end 0 lies 1 past the hull [1, 50], within 1/16 of its
+        # length: it is fitted before the interpolant in alpha and reads
+        # regular, and that fit serves again once the interpolant declines
+        # (34,260 evaluations when the decline fitted it a second time)
+        P = dataclasses.replace(make_cos(anchored=True), param_domain=ParamDomain(0.0, 64.0))
+        ends = []
+        fit = engine._fit
+
+        def spy_fit(g, end, lo, hi):
+            ends.append(end)
+            return fit(g, end, lo, hi)
+
+        monkeypatch.setattr(engine, "_fit", spy_fit)
+        res, route = engine._reconstruct_each(P, [50.0], QuadConfig())[50.0]
+        assert sorted(ends) == [0.0, 1.0, 50.0]
+        assert route == engine._Route("gk", DomainSpec.finite(1.0, 50.0))
+        assert res.n_evals == 34_170
+
     def test_past_hull_fit_status_is_not_the_fallbacks(self):
         # dI/d alpha = |alpha - 0.7|**1.5 + int w/(x^2 + w^2) dx, w = 2 - alpha,
         # from I(0) = 0: the kink keeps the interpolant on [0, 1.5] from
@@ -1321,7 +1340,9 @@ class TestNestedReconstruction:
         # at the fit tolerance and an oscillatory head starts from its halves;
         # 62,138 once the oscillatory tail is one double-exponential sum;
         # 52,789 once the samples run at an eighth of the alpha-tolerance over
-        # the path length, with full-precision Gauss-Kronrod weights)
+        # the path length, with full-precision Gauss-Kronrod weights; 51,769
+        # once a root end of the domain within 1/16 of the path length past
+        # it is tried before the interpolant in alpha)
         total = 0
         for entry_id, alpha in _ANCHORED_GRID:
             P = dataclasses.replace(catalog.get(entry_id).parametric, rhs_closed=None)
@@ -1353,9 +1374,10 @@ class TestNestedReconstruction:
 
     def test_stripped_ex4_short_of_its_root_end(self):
         # ex4's rhs blows up like 1/sqrt(1 - alpha) 0.01 past the path
-        # [0, 0.99]: its ends read regular and the interpolant in alpha
-        # declines, so the domain end 1 is fitted, and the interpolant in s
-        # about it on [0, 1] serves the point (5,788 evaluations while the
+        # [0, 0.99], within 1/16 of its length: the domain end 1 is fitted
+        # before any interpolant in alpha, and the interpolant in s about it
+        # on [0, 1] serves the point (4,474 evaluations, same bits, while the
+        # interpolant in alpha was tried first and declined; 5,788 while the
         # fits ran at the node tolerance; 5,008, error 4.7e-15 against an
         # estimate of 5.7e-11, while the samples ran at a quarter of the node
         # tolerance; on Gauss-Kronrod in alpha: 15,270 evaluations, error
@@ -1364,9 +1386,39 @@ class TestNestedReconstruction:
         res, route = engine._reconstruct_each(P, [0.99], QuadConfig())[0.99]
         assert route == engine._Route("grid-s", DomainSpec.singular(0.0, 1.0, at_upper=True))
         assert (res.value.hex(), res.abs_err_est.hex(), res.n_evals) == (
-            "-0x1.c354888f1e947p+0", "0x1.5595aeb0c9f5dp-31", 4474)
+            "-0x1.c354888f1e947p+0", "0x1.5595aeb0c9f5dp-31", 3454)
         assert res.status is QuadStatus.CONVERGED
         assert abs(res.value - CATALOG_TRUTHS["ex4@0.99"]) <= res.abs_err_est <= 1e-9
+
+    @pytest.mark.parametrize("alpha, route, n_evals", [
+        (0.99, engine._Route("grid-s", DomainSpec.singular(0.0, 1.0, at_upper=True)), 3_454),
+        (0.995, engine._Route("grid-s", DomainSpec.singular(0.0, 1.0, at_upper=True)), 3_454),
+        (0.9, engine._Route("grid-α", DomainSpec.finite(0.0, 0.9)), 3_390),
+    ])
+    def test_root_end_within_a_sixteenth_is_tried_before_grid_alpha(
+        self, monkeypatch, alpha, route, n_evals
+    ):
+        # a Chebyshev series in alpha converges like rho**-k, rho = t +
+        # sqrt(t*t - 1), t = 1 + 2 delta/L, with the blow-up delta past a
+        # path of length L: at 0.99 and 0.995 (delta/L = 0.010 and 0.005) the
+        # domain end 1 is fitted first and the interpolant in alpha is never
+        # sampled; at 0.9 (delta/L = 0.11) it serves, and the end 1 is not
+        # fitted.  While the interpolant in alpha came first, it declined at
+        # 0.995, the hull end 0.995 then read singular but not a square root,
+        # so the end 1 was never fitted: tanh-sinh in alpha, 10,830 evaluations
+        P = dataclasses.replace(catalog.get("ex4").parametric, rhs_closed=None)
+        tried = []
+        chebyshev = engine._chebyshev
+
+        def spy_chebyshev(g, route, alphas):
+            tried.append(route)
+            return chebyshev(g, route, alphas)
+
+        monkeypatch.setattr(engine, "_chebyshev", spy_chebyshev)
+        res, taken = engine._reconstruct_each(P, [alpha], QuadConfig())[alpha]
+        assert tried == [route] and taken == route
+        assert (res.status, res.n_evals) == (QuadStatus.CONVERGED, n_evals)
+        assert abs(res.value - P.solution_closed(alpha)) <= res.abs_err_est
 
     @pytest.mark.parametrize("alpha, fitted", [
         (0.0, [0.0, 1.0]), (0.5, [0.5, 1.0]), (2.0, [1.0, 2.0]), (4.0, [4.0, 1.0]),
